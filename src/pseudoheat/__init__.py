@@ -21,7 +21,7 @@ from .geometry import (
     normalize_pair,
     to_hyperboloid,
 )
-from .gfunc import GExpression, GTerm, apply_operator, evaluate, evaluate_near_origin, g_base
+from .gfunc import GExpression, GTerm, evaluate, evaluate_near_origin
 from .kernels import EvalParams, KernelValue, kernel, kernel_d3, kernel_d4, kernel_even, kernel_odd
 from .lattice import LatticeSpec, lattice_kernel, x_marginal_check
 from .quadrature import (
@@ -55,10 +55,8 @@ __all__ = [
     "to_hyperboloid",
     "GExpression",
     "GTerm",
-    "apply_operator",
     "evaluate",
     "evaluate_near_origin",
-    "g_base",
     "EvalParams",
     "KernelValue",
     "kernel",

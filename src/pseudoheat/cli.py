@@ -1,8 +1,8 @@
 """Command-line interface: kernel evaluation, tables, verification, lattice runs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-nonconvergence.  All outputs are deterministic given the full configuration
-(including seed and thread count).
+failure (nonconvergence or overflow).  All outputs are deterministic given
+the full configuration (including seed and thread count).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .geometry import HoricyclicPoint, geodesic_distance
 from .kernels import EvalParams, kernel
@@ -111,22 +110,15 @@ def cmd_table(args) -> int:
     taus = _parse_grid(args.tau_grid)
     ss = _parse_grid(args.s_grid)
     spec = _quad_spec(args)
-    cells = [(tau, s) for tau in taus for s in ss]  # tau-major row order
 
-    def one(cell):
-        tau, s = cell
+    def one(tau, s):
         try:
             kv = kernel(params_of(tau), s, spec)
             return (args.dim, tau, s, kv.value, kv.err_est, None)
         except NonConvergenceError as exc:
             return (args.dim, tau, s, None, exc.err_est, str(exc))
 
-    n_threads = _threads(args)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            rows = list(pool.map(one, cells))
-    else:
-        rows = [one(c) for c in cells]
+    rows = [one(tau, s) for tau in taus for s in ss]  # tau-major row order
 
     failed = any(r[5] is not None for r in rows)
     if args.format == "csv":
@@ -246,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--abs-tol", type=float, default=1e-14)
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: PSEUDOHEAT_THREADS or cpu count)")
+                       help="oracle worker threads (default: PSEUDOHEAT_THREADS or cpu count); "
+                            "other commands run serially")
 
     p = sub.add_parser("eval", help="evaluate the kernel at one point")
     common(p)
@@ -296,7 +289,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

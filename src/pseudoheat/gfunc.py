@@ -28,10 +28,7 @@ __all__ = [
     "S_MIN",
     "GTerm",
     "GExpression",
-    "g_base",
-    "apply_operator",
     "sigma_derivative",
-    "add_expressions",
     "evaluate",
     "evaluate_near_origin",
     "evaluate_auto",
@@ -42,8 +39,6 @@ __all__ = [
 S_MIN = 1e-3
 SERIES_SWITCH = 0.2  # below this, evaluate_auto prefers the l-series route
 SERIES_ORDER_CAP = 30
-
-_EPS = 2.220446049250313e-16
 
 Poly = tuple[Fraction, ...]  # coefficients of a polynomial in the rate a
 
@@ -170,55 +165,33 @@ def _accumulate(parts: dict, p: int, q: int, r: int, poly: Poly) -> None:
     parts[key] = _poly_add(parts.get(key, _ZERO), poly)
 
 
-def g_base(a: float, E: float) -> GExpression:
-    """G^(0): the bare radial Gaussian sqrt(a/pi) exp(-a s^2 + E)."""
-    if not a > 0.0:
-        raise ValueError("rate a must be positive (diffusive branch)")
-    return GExpression(0, (GTerm(_ONE, 0, 0, 0),), float(a), float(E))
-
-
-def _apply_rules(terms: tuple[GTerm, ...], with_inverse_sinh: bool) -> tuple[GTerm, ...]:
-    """d/ds of sum(terms) * exp(-a s^2), then optionally times 1/sinh s.
+def _apply_rules(terms: tuple[GTerm, ...]) -> tuple[GTerm, ...]:
+    """(1/sinh s) d/ds of sum(terms) * exp(-a s^2), exactly.
 
     Product rule on c s^p cosh^q sinh^-r exp(-a s^2) gives four pieces
-    (powers of s, cosh, sinh and the chain-rule -2 a s factor); the extra
-    1/sinh shifts every r by one.
+    (powers of s, cosh, sinh and the chain-rule -2 a s factor); the
+    1/sinh factor shifts every r by one.
     """
-    shift = 1 if with_inverse_sinh else 0
     parts: dict[tuple[int, int, int], Poly] = {}
     for t in terms:
         if t.p:
-            _accumulate(parts, t.p - 1, t.q, t.r + shift, _poly_scale(t.coeff, t.p))
+            _accumulate(parts, t.p - 1, t.q, t.r + 1, _poly_scale(t.coeff, t.p))
         if t.q:
-            _accumulate(parts, t.p, t.q - 1, t.r - 1 + shift, _poly_scale(t.coeff, t.q))
+            _accumulate(parts, t.p, t.q - 1, t.r, _poly_scale(t.coeff, t.q))
         if t.r:
-            _accumulate(parts, t.p, t.q + 1, t.r + 1 + shift, _poly_scale(t.coeff, -t.r))
-        _accumulate(parts, t.p + 1, t.q, t.r + shift, _poly_mul_a(_poly_scale(t.coeff, -2)))
+            _accumulate(parts, t.p, t.q + 1, t.r + 2, _poly_scale(t.coeff, -t.r))
+        _accumulate(parts, t.p + 1, t.q, t.r + 1, _poly_mul_a(_poly_scale(t.coeff, -2)))
     return _merge(parts)
-
-
-def apply_operator(g: GExpression) -> GExpression:
-    """One application of (1/sinh s) d/ds, exactly."""
-    return GExpression(g.n + 1, _apply_rules(g.terms, True), g.a, g.E)
 
 
 def sigma_derivative(g: GExpression) -> GExpression:
     """Plain d/ds of the expression (no 1/sinh factor), exactly.
 
-    The returned expression keeps the source order label n; it equals
-    sinh(s) times the order n+1 expression.
+    d/ds G^(n) = sinh(s) G^(n+1), so this is the cached order n+1 term set
+    with one power of sinh removed; the result keeps the source label n.
     """
-    return GExpression(g.n, _apply_rules(g.terms, False), g.a, g.E)
-
-
-def add_expressions(g1: GExpression, g2: GExpression) -> GExpression:
-    """Termwise sum of two expressions sharing (n, a, E)."""
-    if (g1.n, g1.a, g1.E) != (g2.n, g2.a, g2.E):
-        raise ValueError("can only add expressions with matching order and prefactor")
-    parts: dict[tuple[int, int, int], Poly] = {}
-    for t in g1.terms + g2.terms:
-        _accumulate(parts, t.p, t.q, t.r, t.coeff)
-    return GExpression(g1.n, _merge(parts), g1.a, g1.E)
+    terms = tuple(GTerm(t.coeff, t.p, t.q, t.r - 1) for t in derivative_terms(g.n + 1))
+    return GExpression(g.n, terms, g.a, g.E)
 
 
 @lru_cache(maxsize=None)
@@ -228,7 +201,7 @@ def derivative_terms(n: int) -> tuple[GTerm, ...]:
         raise ValueError("derivative order must be nonnegative")
     if n == 0:
         return (GTerm(_ONE, 0, 0, 0),)
-    return _apply_rules(derivative_terms(n - 1), True)
+    return _apply_rules(derivative_terms(n - 1))
 
 
 def expression(n: int, a: float, E: float) -> GExpression:
@@ -261,16 +234,16 @@ def _cancellation_exponent(terms: tuple[GTerm, ...]) -> int:
     return worst
 
 
-def evaluate(g: GExpression, s: float, s_min: float = S_MIN) -> float:
-    """Sum the canonical terms times the prefactor at s >= s_min.
+def evaluate(g: GExpression, s: float) -> float:
+    """Sum the canonical terms times the prefactor at s >= S_MIN.
 
     Individual terms blow up like s^-(r-p) while their sum stays finite, so
     for small s the summation is done in extended precision (the
     coefficients are exact rationals); compensated summation is used on the
     binary64 path.
     """
-    if s < s_min:
-        raise ValueError(f"s={s:g} below s_min={s_min:g}; use evaluate_near_origin")
+    if s < S_MIN:
+        raise ValueError(f"s={s:g} below S_MIN={S_MIN:g}; use evaluate_near_origin")
     return _evaluate_terms(g, s)
 
 
@@ -315,49 +288,24 @@ def _evaluate_terms_mp(g: GExpression, s: float, blowup: int) -> float:
 
 # --- evaluation: l-series route ----------------------------------------------
 
-def _ps_mul(p: list[Fraction], q: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, pi in enumerate(p):
-        if pi == 0 or i > order:
-            continue
-        for j, qj in enumerate(q):
-            if i + j > order:
-                break
-            if qj:
-                out[i + j] += pi * qj
-    return out
-
-
 @lru_cache(maxsize=None)
 def _arccosh_sq_series(order: int) -> tuple[Fraction, ...]:
     """Coefficients of v(w) = (arccosh(1+w))^2 as a power series in w.
 
-    Obtained by inverting w(v) = cosh(sqrt(v)) - 1 = sum_{j>=1} v^j/(2j)!,
-    which has exact rational coefficients.
+    arccosh(1+w) = 2 arcsinh(sqrt(w/2)) and the classical series
+    (arcsinh x)^2 = (1/2) sum_k (-1)^(k+1) (2x)^(2k) / (k^2 C(2k,k))
+    (Lehmer, Amer. Math. Monthly 92, 1985) give
+    c_k = (-2)^(k+1) / (k^2 C(2k,k)) exactly.
     """
-    b = [Fraction(0)] * (order + 1)
-    fact = 1
-    for j in range(1, order + 1):
-        fact *= (2 * j) * (2 * j - 1)
-        b[j] = Fraction(1, fact)
-    c = [Fraction(0)] * (order + 1)
-    c[1] = Fraction(2)  # 1 / b[1]
-    for m in range(2, order + 1):
-        # coefficient of w^m in sum_j b_j * v(w)^j with the current partial v
-        v = c[:m] + [Fraction(0)]
-        power = v[:]
-        total = Fraction(0)
-        for j in range(2, m + 1):
-            power = _ps_mul(power, v, m)
-            if b[j]:
-                total += b[j] * power[m]
-        c[m] = -total / b[1]
-    return tuple(c)
+    return (Fraction(0),) + tuple(
+        Fraction((-2) ** (k + 1), k * k * math.comb(2 * k, k)) for k in range(1, order + 1)
+    )
 
 
 @lru_cache(maxsize=4096)
-def _h_series(a: float, order: int = SERIES_ORDER_CAP) -> tuple[float, ...]:
+def _h_series(a: float) -> tuple[float, ...]:
     """Taylor coefficients of exp(-a v(w)) around w = l - 1 = 0."""
+    order = SERIES_ORDER_CAP
     v = _arccosh_sq_series(order)
     gcoef = [-a * float(vk) for vk in v]
     h = [0.0] * (order + 1)
@@ -386,10 +334,10 @@ def _series_value(n: int, a: float, E: float, s: float) -> float:
     return math.sqrt(a / math.pi) * math.exp(E) * acc
 
 
-def evaluate_near_origin(g: GExpression, s: float, s_min: float = S_MIN) -> float:
-    """Analytic value of G^(n) on [0, s_min] via the series in l - 1."""
-    if s < 0.0 or s > s_min:
-        raise ValueError(f"s={s:g} outside [0, {s_min:g}]")
+def evaluate_near_origin(g: GExpression, s: float) -> float:
+    """Analytic value of G^(n) on [0, S_MIN] via the series in l - 1."""
+    if s < 0.0 or s > S_MIN:
+        raise ValueError(f"s={s:g} outside [0, {S_MIN:g}]")
     return _series_value(g.n, g.a, g.E, s)
 
 

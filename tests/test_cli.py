@@ -60,12 +60,32 @@ def test_table_rows_and_determinism():
     assert res1.stdout == res2.stdout
 
 
+def test_table_same_bytes_at_any_thread_count():
+    # worker threads would share mpmath's process-global working precision
+    args = ("table", "--dim", "20", "--tau-grid", "0.25:2:3", "--s-grid", "0:0.3:16", "--format", "csv")
+    res1 = run_cli(*args, "--threads", "1")
+    res2 = run_cli(*args, "--threads", "2")
+    assert res1.returncode == 0 and res2.returncode == 0
+    assert res1.stdout == res2.stdout
+
+
 def test_table_with_s_zero_odd_dimension_finite():
     res = run_cli("table", "--dim", "5", "--tau-grid", "1:1:1", "--s-grid", "0:2:3", "--format", "csv")
     assert res.returncode == 0
     for line in res.stdout.strip().splitlines()[1:]:
         value = float(line.split(",")[3])
         assert math.isfinite(value) and value > 0.0
+
+
+@pytest.mark.parametrize(
+    "dim, tau, s",
+    [("4", "1", "800"), ("3", "100000", "1")],
+)
+def test_eval_overflow_is_numerical_failure(dim, tau, s):
+    res = run_cli("eval", "--dim", dim, "--tau", tau, "--s", s)
+    assert res.returncode == 3
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr
 
 
 def test_verify_unknown_suite_usage_error():

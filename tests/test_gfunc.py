@@ -9,72 +9,70 @@ from pseudoheat import gfunc
 from pseudoheat.gfunc import (
     S_MIN,
     GTerm,
-    add_expressions,
-    apply_operator,
     dump,
     evaluate,
     evaluate_near_origin,
-    g_base,
+    expression,
     sigma_derivative,
 )
 from pseudoheat.verify import richardson_dl_derivative
 
 
 def test_g_base_values():
-    g = g_base(1.0, 0.0)
+    g = expression(0, 1.0, 0.0)
     assert evaluate_near_origin(g, 0.0) == pytest.approx(math.sqrt(1.0 / math.pi), rel=1e-15)
-    g2 = g_base(0.25, 0.0)
+    g2 = expression(0, 0.25, 0.0)
     want = math.sqrt(0.25 / math.pi) * math.exp(-1.0)
     assert evaluate(g2, 2.0) == pytest.approx(want, rel=1e-14)
 
 
 def test_g_base_rejects_nonpositive_rate():
     with pytest.raises(ValueError):
-        g_base(0.0, 0.0)
+        expression(0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        g_base(-1.0, 0.0)
+        expression(0, -1.0, 0.0)
 
 
 @given(a=st.floats(0.05, 4.0), e=st.floats(-2.0, 0.0), s=st.floats(0.01, 5.0))
 def test_g_base_positive_everywhere(a, e, s):
-    g = g_base(a, e)
+    g = expression(0, a, e)
     v = evaluate(g, s) if s >= S_MIN else evaluate_near_origin(g, s)
     assert v > 0.0
 
 
 def test_first_operator_application_structure():
     # one product-rule pass on the bare Gaussian: single term -2a s / sinh s
-    g1 = apply_operator(g_base(0.5, 0.0))
+    terms = gfunc._apply_rules(gfunc.derivative_terms(0))
+    assert terms == (GTerm((Fraction(0), Fraction(-2)), 1, 0, 1),)
+    g1 = expression(1, 0.5, 0.0)
     assert g1.n == 1
-    assert g1.terms == (GTerm((Fraction(0), Fraction(-2)), 1, 0, 1),)
+    assert g1.terms == terms
 
 
 def test_order_one_value_example():
     a = 0.25
-    g1 = apply_operator(g_base(a, 0.0))
+    g1 = expression(1, a, 0.0)
     want = -2 * a * (1.0 / math.sinh(1.0)) * math.sqrt(a / math.pi) * math.exp(-a)
     assert evaluate(g1, 1.0) == pytest.approx(want, rel=1e-14)
 
 
 def test_second_order_matches_fd_oracle():
     a = 0.25
-    g2 = apply_operator(apply_operator(g_base(a, 0.0)))
+    g2 = expression(2, a, 0.0)
     ref = richardson_dl_derivative(a, 0.0, 2, 1.0)
     assert evaluate(g2, 1.0) == pytest.approx(ref, rel=1e-6)
 
 
 def test_fd_oracle_full_grid():
     for a in (0.125, 0.25, 1.0):
-        g = g_base(a, 0.0)
         for n in range(6):
-            if n:
-                g = apply_operator(g)
+            g = expression(n, a, 0.0)
             for s in (0.1, 0.5, 1.0, 2.5, 5.0):
                 ref = richardson_dl_derivative(a, 0.0, n, s)
                 assert evaluate(g, s) == pytest.approx(ref, rel=1e-6), (a, n, s)
 
 
-def _random_expression(rng_idx: int, n: int, a: float, e: float):
+def _random_terms(rng_idx: int) -> tuple[GTerm, ...]:
     coeffs = [
         (Fraction(1, 2), 1, 0, 1),
         (Fraction(-3), 0, 1, 3),
@@ -82,21 +80,29 @@ def _random_expression(rng_idx: int, n: int, a: float, e: float):
         (Fraction(5), 0, 0, 4),
     ]
     pick = coeffs[rng_idx % len(coeffs)]
-    return gfunc.GExpression(n, (GTerm((pick[0],), pick[1], pick[2], pick[3]),), a, e)
+    return (GTerm((pick[0],), pick[1], pick[2], pick[3]),)
+
+
+def _add_terms(*term_sets: tuple[GTerm, ...]) -> tuple[GTerm, ...]:
+    """Termwise sum of canonical term sets."""
+    parts = {}
+    for terms in term_sets:
+        for t in terms:
+            gfunc._accumulate(parts, t.p, t.q, t.r, t.coeff)
+    return gfunc._merge(parts)
 
 
 @given(idx1=st.integers(0, 3), idx2=st.integers(0, 3))
 def test_operator_linearity(idx1, idx2):
-    a, e = 0.5, -0.25
-    g1 = _random_expression(idx1, 1, a, e)
-    g2 = _random_expression(idx2, 1, a, e)
-    lhs = apply_operator(add_expressions(g1, g2))
-    rhs = add_expressions(apply_operator(g1), apply_operator(g2))
-    assert lhs.terms == rhs.terms
+    t1 = _random_terms(idx1)
+    t2 = _random_terms(idx2)
+    lhs = gfunc._apply_rules(_add_terms(t1, t2))
+    rhs = _add_terms(gfunc._apply_rules(t1), gfunc._apply_rules(t2))
+    assert lhs == rhs
 
 
 def test_evaluate_domain_guards():
-    g = apply_operator(g_base(1.0, 0.0))
+    g = expression(1, 1.0, 0.0)
     with pytest.raises(ValueError):
         evaluate(g, 0.5 * S_MIN)
     with pytest.raises(ValueError):
@@ -107,22 +113,20 @@ def test_evaluate_domain_guards():
 
 def test_near_origin_values():
     a, e = 0.25, -0.5
-    g0 = g_base(a, e)
+    g0 = expression(0, a, e)
     assert evaluate_near_origin(g0, 0.0) == pytest.approx(
         math.sqrt(a / math.pi) * math.exp(e), rel=1e-14
     )
     # s / sinh s -> 1, so the order-1 limit is -2a G(0)
-    g1 = apply_operator(g0)
+    g1 = expression(1, a, e)
     want = -2 * a * math.sqrt(a / math.pi) * math.exp(e)
     assert evaluate_near_origin(g1, 0.0) == pytest.approx(want, rel=1e-13)
 
 
 def test_continuity_at_s_min():
     for a in (0.125, 0.25, 1.0):
-        g = g_base(a, 0.0)
         for n in range(6):
-            if n:
-                g = apply_operator(g)
+            g = expression(n, a, 0.0)
             lo = evaluate_near_origin(g, S_MIN)
             hi = evaluate(g, S_MIN)
             assert abs(lo - hi) <= 1e-9 * abs(hi), (a, n)
@@ -139,10 +143,22 @@ def test_series_and_terms_agree_in_overlap():
 
 
 def test_arccosh_square_series_coefficients():
-    c = gfunc._arccosh_sq_series(6)
+    order = 30
+    c = gfunc._arccosh_sq_series(order)
+    assert len(c) == order + 1
+    assert c[0] == 0
     assert c[1] == 2
     assert c[2] == Fraction(-1, 3)
     assert c[3] == Fraction(4, 45)
+    # exact: v(w) inverts w = cosh(sqrt(v)) - 1 = sum_{j>=1} v^j/(2j)!, so
+    # substituting the series gives w back through order 30
+    total = [Fraction(0)] * (order + 1)
+    power = [Fraction(1)] + [Fraction(0)] * order
+    for j in range(1, order + 1):
+        power = [sum(power[i] * c[k - i] for i in range(k + 1)) for k in range(order + 1)]
+        for k in range(order + 1):
+            total[k] += power[k] / math.factorial(2 * j)
+    assert total == [Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1)
     # numeric cross-check against the closed form at a small offset
     w = 0.01
     series = sum(float(ck) * w**k for k, ck in enumerate(c))
@@ -177,10 +193,10 @@ def test_sigma_derivative_matches_sinh_times_next_order():
 
 def test_dump_golden():
     a, e = 0.5, 0.0
-    assert dump(g_base(a, e)) == "(1)"
-    g1 = apply_operator(g_base(a, e))
+    assert dump(expression(0, a, e)) == "(1)"
+    g1 = expression(1, a, e)
     assert dump(g1) == "(-2*a) * s / sinh(s)"
-    g2 = apply_operator(g1)
+    g2 = expression(2, a, e)
     assert dump(g2) == "\n".join(
         [
             "(-2*a) / sinh^2(s)",
@@ -188,7 +204,7 @@ def test_dump_golden():
             "(4*a^2) * s^2 / sinh^2(s)",
         ]
     )
-    g3 = apply_operator(g2)
+    g3 = expression(3, a, e)
     assert dump(g3) == "\n".join(
         [
             "(6*a) * cosh(s) / sinh^4(s)",

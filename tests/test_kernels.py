@@ -132,7 +132,7 @@ def test_derivative_term_cache_consistent_with_stepwise_application():
     # the recursion structure: applying the operator once more to order n-1
     # reproduces the cached order-n term set exactly
     for n in range(1, 7):
-        stepped = gfunc._apply_rules(gfunc.derivative_terms(n - 1), True)
+        stepped = gfunc._apply_rules(gfunc.derivative_terms(n - 1))
         assert stepped == gfunc.derivative_terms(n)
 
 
