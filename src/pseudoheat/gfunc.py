@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import mpmath
 
@@ -75,10 +75,10 @@ def _poly_mul_a(p: Poly) -> Poly:
     return (Fraction(0),) + p
 
 
-def _poly_eval(p: Poly, a: float) -> float:
+def _poly_eval(p: tuple[float, ...], a: float) -> float:
     acc = 0.0
     for v in reversed(p):
-        acc = acc * a + float(v)
+        acc = acc * a + v
     return acc
 
 
@@ -131,6 +131,11 @@ class GTerm:
         if not self.coeff:
             raise ValueError("zero terms are dropped on merge")
 
+    @cached_property
+    def coeff_f64(self) -> tuple[float, ...]:
+        """The coefficients rounded to binary64, once per term."""
+        return tuple(float(v) for v in self.coeff)
+
 
 @dataclass(frozen=True)
 class GExpression:
@@ -144,6 +149,21 @@ class GExpression:
     terms: tuple[GTerm, ...]
     a: float
     E: float
+
+    @cached_property
+    def cancellation_exponent(self) -> int:
+        """Largest r - p over terms: the s->0 blowup order of individual terms."""
+        return max([0] + [t.r - t.p for t in self.terms])
+
+    @cached_property
+    def f64_terms(self) -> tuple[tuple[float, int, int, int], ...]:
+        """(c(a), p, q, r) per term in binary64, zero coefficients dropped."""
+        out = []
+        for t in self.terms:
+            c = _poly_eval(t.coeff_f64, self.a)
+            if c != 0.0:
+                out.append((c, t.p, t.q, t.r))
+        return tuple(out)
 
 
 def _merge(parts: dict[tuple[int, int, int], Poly]) -> tuple[GTerm, ...]:
@@ -190,8 +210,12 @@ def sigma_derivative(g: GExpression) -> GExpression:
     d/ds G^(n) = sinh(s) G^(n+1), so this is the cached order n+1 term set
     with one power of sinh removed; the result keeps the source label n.
     """
-    terms = tuple(GTerm(t.coeff, t.p, t.q, t.r - 1) for t in derivative_terms(g.n + 1))
-    return GExpression(g.n, terms, g.a, g.E)
+    return GExpression(g.n, _sigma_terms(g.n), g.a, g.E)
+
+
+@lru_cache(maxsize=None)
+def _sigma_terms(n: int) -> tuple[GTerm, ...]:
+    return tuple(GTerm(t.coeff, t.p, t.q, t.r - 1) for t in derivative_terms(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -226,14 +250,6 @@ def _neumaier_sum(values) -> float:
     return total + comp
 
 
-def _cancellation_exponent(terms: tuple[GTerm, ...]) -> int:
-    """Largest r - p over terms: the s->0 blowup order of individual terms."""
-    worst = 0
-    for t in terms:
-        worst = max(worst, t.r - t.p)
-    return worst
-
-
 def evaluate(g: GExpression, s: float) -> float:
     """Sum the canonical terms times the prefactor at s >= S_MIN.
 
@@ -248,7 +264,7 @@ def evaluate(g: GExpression, s: float) -> float:
 
 
 def _evaluate_terms(g: GExpression, s: float) -> float:
-    blowup = _cancellation_exponent(g.terms)
+    blowup = g.cancellation_exponent
     # lost digits ~ blowup * log10(1/s); escalate when more than ~3
     if s < 1.0 and blowup * math.log10(1.0 / s) > 3.0:
         return _evaluate_terms_mp(g, s, blowup)
@@ -262,14 +278,9 @@ def _evaluate_terms(g: GExpression, s: float) -> float:
         log_sh = math.log(math.sinh(s))
     base = 0.5 * math.log(g.a / math.pi) - g.a * s * s + g.E
     log_s = math.log(s)
-    vals = []
-    for t in g.terms:
-        c = _poly_eval(t.coeff, g.a)
-        if c == 0.0:
-            continue
-        expo = base + t.p * log_s + t.q * log_ch - t.r * log_sh
-        vals.append(math.copysign(math.exp(expo), c) * abs(c))
-    return _neumaier_sum(vals)
+    return _neumaier_sum(
+        [math.exp(base + p * log_s + q * log_ch - r * log_sh) * c for c, p, q, r in g.f64_terms]
+    )
 
 
 def _evaluate_terms_mp(g: GExpression, s: float, blowup: int) -> float:
@@ -319,18 +330,27 @@ def _h_series(a: float) -> tuple[float, ...]:
     return tuple(h)
 
 
+@lru_cache(maxsize=None)
+def _falling_factorials(n: int) -> tuple[float, ...]:
+    """j!/(j-n)! for j = 0..SERIES_ORDER_CAP, as the product j (j-1) ... (j-n+1)."""
+    out = []
+    for j in range(SERIES_ORDER_CAP + 1):
+        falling = 1.0
+        for i in range(n):
+            falling *= j - i
+        out.append(falling)
+    return tuple(out)
+
+
 def _series_value(n: int, a: float, E: float, s: float) -> float:
     """d^n/dl^n of the base function via the w = l - 1 power series."""
     w0 = 2.0 * math.sinh(0.5 * s) ** 2  # cosh(s) - 1, cancellation-free
     h = _h_series(a)
-    order = len(h) - 1
+    falling = _falling_factorials(n)
     # sum_{j>=n} h_j * j!/(j-n)! * w0^(j-n), evaluated by Horner from the top
     acc = 0.0
-    for j in range(order, n - 1, -1):
-        falling = 1.0
-        for i in range(n):
-            falling *= j - i
-        acc = acc * w0 + h[j] * falling
+    for j in range(len(h) - 1, n - 1, -1):
+        acc = acc * w0 + h[j] * falling[j]
     return math.sqrt(a / math.pi) * math.exp(E) * acc
 
 

@@ -129,12 +129,13 @@ def _odd_integrand(params: EvalParams, order: int):
     algebra is summed; below it the identity d/ds G^(n) = sinh(s) G^(n+1)
     routes through the regular l-series.
     """
-    g_n = gfunc.expression(order, params.a, params.E)
+    a = params.a
+    g_n = gfunc.expression(order, a, params.E)
     deriv = gfunc.sigma_derivative(g_n)
-    g_up = gfunc.expression(order + 1, params.a, params.E)
+    g_up = gfunc.expression(order + 1, a, params.E)
 
     def f(sig: float) -> float:
-        if gfunc.series_ok(params.a, sig):
+        if gfunc.series_ok(a, sig):
             return math.sinh(sig) * gfunc.evaluate_auto(g_up, sig)
         return gfunc._evaluate_terms(deriv, sig)
 
@@ -154,11 +155,21 @@ def kernel_odd(params: EvalParams, s: float, spec: QuadratureSpec = DEFAULT_SPEC
 
 
 def kernel(params: EvalParams, s: float, spec: QuadratureSpec = DEFAULT_SPEC) -> KernelValue:
-    """Dispatch to the closed form for this dimension."""
+    """Dispatch to the closed form for this dimension.
+
+    An ``ArithmeticError`` (binary64 overflow) is raised again, as the same
+    type, with D, tau, s and the route in its message.
+    """
     if params.D == 3:
-        return kernel_d3(params, s, spec)
-    if params.D == 4:
-        return kernel_d4(params, s)
-    if params.D % 2 == 0:
-        return kernel_even(params, s)
-    return kernel_odd(params, s, spec)
+        route, extra = kernel_d3, (spec,)
+    elif params.D == 4:
+        route, extra = kernel_d4, ()
+    elif params.D % 2 == 0:
+        route, extra = kernel_even, ()
+    else:
+        route, extra = kernel_odd, (spec,)
+    try:
+        return route(params, s, *extra)
+    except ArithmeticError as exc:
+        where = f"D={params.D}, tau={params.tau!r}, s={float(s)!r} in {route.__name__}"
+        raise type(exc)(f"{exc} at {where}") from exc

@@ -86,6 +86,9 @@ def test_eval_overflow_is_numerical_failure(dim, tau, s):
     assert res.returncode == 3
     assert res.stderr.startswith("error:")
     assert "Traceback" not in res.stderr
+    # the message names the point and the route that overflowed
+    route = {"3": "kernel_d3", "4": "kernel_d4"}[dim]
+    assert f"D={dim}, tau={float(tau)!r}, s={float(s)!r} in {route}" in res.stderr
 
 
 def test_verify_unknown_suite_usage_error():

@@ -229,3 +229,81 @@ def test_gterm_validation():
         GTerm((), 0, 0, 0)
     with pytest.raises(ValueError):
         GTerm((Fraction(1),), -1, 0, 0)
+
+
+def _fraction_loop_terms(g, s):
+    """The term route as it was before compilation: Fraction -> float per call.
+
+    Returns None where the route escalates to mpmath.
+    """
+    blowup = 0
+    for t in g.terms:
+        blowup = max(blowup, t.r - t.p)
+    if s < 1.0 and blowup * math.log10(1.0 / s) > 3.0:
+        return None
+    if s > 20.0:
+        log_ch = s - math.log(2.0) + math.log1p(math.exp(-2.0 * s))
+        log_sh = s - math.log(2.0) + math.log1p(-math.exp(-2.0 * s))
+    else:
+        log_ch = math.log(math.cosh(s))
+        log_sh = math.log(math.sinh(s))
+    base = 0.5 * math.log(g.a / math.pi) - g.a * s * s + g.E
+    log_s = math.log(s)
+    vals = []
+    for t in g.terms:
+        c = 0.0
+        for v in reversed(t.coeff):
+            c = c * g.a + float(v)
+        if c == 0.0:
+            continue
+        expo = base + t.p * log_s + t.q * log_ch - t.r * log_sh
+        vals.append(math.copysign(math.exp(expo), c) * abs(c))
+    return gfunc._neumaier_sum(vals)
+
+
+def test_compiled_terms_equal_fraction_loop_exactly():
+    compared = 0
+    for n in range(11):
+        for a in (0.05, 0.5, 2.0, 40.0):
+            g = expression(n, a, -0.3)
+            for h in (g, sigma_derivative(g)):
+                for s in (0.3, 1.0, 5.0, 25.0):
+                    want = _fraction_loop_terms(h, s)
+                    if want is None:
+                        continue
+                    assert gfunc._evaluate_terms(h, s) == want, (n, a, s, h.terms is g.terms)
+                    compared += 1
+    # every (n, a) pair reaches the binary64 branch at s >= 1, both expressions
+    assert compared >= 11 * 4 * 2 * 3
+
+
+def test_series_weights_equal_nested_loop_exactly():
+    def nested(n, a, E, s):
+        w0 = 2.0 * math.sinh(0.5 * s) ** 2
+        h = gfunc._h_series(a)
+        acc = 0.0
+        for j in range(len(h) - 1, n - 1, -1):
+            falling = 1.0
+            for i in range(n):
+                falling *= j - i
+            acc = acc * w0 + h[j] * falling
+        return math.sqrt(a / math.pi) * math.exp(E) * acc
+
+    compared = 0
+    for n in range(11):
+        for a in (0.05, 0.5, 2.0, 40.0):
+            for s in (0.0, 0.01, 0.1, 0.19, 0.27):
+                if not gfunc.series_ok(a, s):
+                    continue
+                assert gfunc._series_value(n, a, -0.3, s) == nested(n, a, -0.3, s), (n, a, s)
+                compared += 1
+    assert compared == 11 * (4 * 4)  # s = 0.27 is past SERIES_SWITCH
+
+
+def test_sigma_derivative_reuses_shifted_term_set():
+    for n in range(11):
+        g = expression(n, 0.5, 0.0)
+        first = sigma_derivative(g).terms
+        assert sigma_derivative(expression(n, 2.0, -1.0)).terms is first
+        want = tuple(GTerm(t.coeff, t.p, t.q, t.r - 1) for t in gfunc.derivative_terms(n + 1))
+        assert first == want
