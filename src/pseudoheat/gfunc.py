@@ -27,13 +27,14 @@ import mpmath
 __all__ = [
     "S_MIN",
     "GTerm",
-    "GExpression",
+    "expression",
     "sigma_derivative",
+    "derivative_terms",
     "evaluate",
     "evaluate_near_origin",
     "evaluate_auto",
+    "series_ok",
     "dump",
-    "derivative_terms",
 ]
 
 S_MIN = 1e-3
@@ -142,13 +143,16 @@ class GExpression:
     """Canonical term set for the n-th derivative at rate a, shift E.
 
     The common prefactor sqrt(a/pi) * exp(-a s^2 + E) is kept symbolic as
-    the pair (a, E); terms multiply it.
+    the pair (a, E); terms multiply it.  With ``times_sinh`` set the
+    expression is sinh(s) G^(n)(s) = d/ds G^(n-1)(s), and every route
+    evaluates that product.
     """
 
     n: int
     terms: tuple[GTerm, ...]
     a: float
     E: float
+    times_sinh: bool = False
 
     @cached_property
     def cancellation_exponent(self) -> int:
@@ -208,9 +212,11 @@ def sigma_derivative(g: GExpression) -> GExpression:
     """Plain d/ds of the expression (no 1/sinh factor), exactly.
 
     d/ds G^(n) = sinh(s) G^(n+1), so this is the cached order n+1 term set
-    with one power of sinh removed; the result keeps the source label n.
+    with one power of sinh removed, labelled n+1 and marked ``times_sinh``.
     """
-    return GExpression(g.n, _sigma_terms(g.n), g.a, g.E)
+    if g.times_sinh:
+        raise ValueError("expression is already a sigma-derivative")
+    return GExpression(g.n + 1, _sigma_terms(g.n), g.a, g.E, times_sinh=True)
 
 
 @lru_cache(maxsize=None)
@@ -313,7 +319,8 @@ def _arccosh_sq_series(order: int) -> tuple[Fraction, ...]:
     )
 
 
-@lru_cache(maxsize=4096)
+# callers reuse one rate at a time (a table row, a ck table, a kernel call)
+@lru_cache(maxsize=128)
 def _h_series(a: float) -> tuple[float, ...]:
     """Taylor coefficients of exp(-a v(w)) around w = l - 1 = 0."""
     order = SERIES_ORDER_CAP
@@ -342,8 +349,12 @@ def _falling_factorials(n: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _series_value(n: int, a: float, E: float, s: float) -> float:
-    """d^n/dl^n of the base function via the w = l - 1 power series."""
+def _series_value(g: GExpression, s: float) -> float:
+    """d^n/dl^n of the base function via the w = l - 1 power series.
+
+    For a ``times_sinh`` expression the value is multiplied by sinh(s).
+    """
+    n, a = g.n, g.a
     w0 = 2.0 * math.sinh(0.5 * s) ** 2  # cosh(s) - 1, cancellation-free
     h = _h_series(a)
     falling = _falling_factorials(n)
@@ -351,14 +362,15 @@ def _series_value(n: int, a: float, E: float, s: float) -> float:
     acc = 0.0
     for j in range(len(h) - 1, n - 1, -1):
         acc = acc * w0 + h[j] * falling[j]
-    return math.sqrt(a / math.pi) * math.exp(E) * acc
+    value = math.sqrt(a / math.pi) * math.exp(g.E) * acc
+    return math.sinh(s) * value if g.times_sinh else value
 
 
 def evaluate_near_origin(g: GExpression, s: float) -> float:
-    """Analytic value of G^(n) on [0, S_MIN] via the series in l - 1."""
+    """Analytic value of the expression on [0, S_MIN] via the series in l - 1."""
     if s < 0.0 or s > S_MIN:
         raise ValueError(f"s={s:g} outside [0, {S_MIN:g}]")
-    return _series_value(g.n, g.a, g.E, s)
+    return _series_value(g, s)
 
 
 def series_ok(a: float, s: float) -> bool:
@@ -379,7 +391,7 @@ def evaluate_auto(g: GExpression, s: float) -> float:
     precision escalation) covers everything else.
     """
     if series_ok(g.a, s):
-        return _series_value(g.n, g.a, g.E, s)
+        return _series_value(g, s)
     return _evaluate_terms(g, s)
 
 

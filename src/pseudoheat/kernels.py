@@ -19,11 +19,12 @@ evaluated numerically here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from . import gfunc
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_endpoint_singular
+from .quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec, integrate_endpoint_singular
 
 __all__ = ["EvalParams", "KernelValue", "kernel", "kernel_d3", "kernel_d4", "kernel_even", "kernel_odd"]
 
@@ -122,33 +123,14 @@ def kernel_even(params: EvalParams, s: float) -> KernelValue:
     return KernelValue(value, 0.0, params.D, s, params.tau)
 
 
-def _odd_integrand(params: EvalParams, order: int):
-    """d/dsig of G^(order) as a callable, stable down to sig = 0.
-
-    Above the series switch the exact termwise sigma-derivative of the
-    algebra is summed; below it the identity d/ds G^(n) = sinh(s) G^(n+1)
-    routes through the regular l-series.
-    """
-    a = params.a
-    g_n = gfunc.expression(order, a, params.E)
-    deriv = gfunc.sigma_derivative(g_n)
-    g_up = gfunc.expression(order + 1, a, params.E)
-
-    def f(sig: float) -> float:
-        if gfunc.series_ok(a, sig):
-            return math.sinh(sig) * gfunc.evaluate_auto(g_up, sig)
-        return gfunc._evaluate_terms(deriv, sig)
-
-    return f
-
-
 def kernel_odd(params: EvalParams, s: float, spec: QuadratureSpec = DEFAULT_SPEC) -> KernelValue:
     """Endpoint-singular integral over the differentiated algebra, odd D >= 5."""
     if params.D % 2 != 1 or params.D < 5:
         raise ValueError("kernel_odd requires odd D >= 5 (D = 3 has its own route)")
     s = _check_s(s)
     order = (params.D - 3) // 2
-    f = _odd_integrand(params, order)
+    deriv = gfunc.sigma_derivative(gfunc.expression(order, params.a, params.E))
+    f = functools.partial(gfunc.evaluate_auto, deriv)
     integral, err = integrate_endpoint_singular(f, s, params.a, spec)
     front = math.sqrt(2.0) * (-1.0 / (2.0 * math.pi)) ** ((params.D - 1) // 2)
     return KernelValue(front * integral, abs(front) * err, params.D, s, params.tau)
@@ -157,7 +139,8 @@ def kernel_odd(params: EvalParams, s: float, spec: QuadratureSpec = DEFAULT_SPEC
 def kernel(params: EvalParams, s: float, spec: QuadratureSpec = DEFAULT_SPEC) -> KernelValue:
     """Dispatch to the closed form for this dimension.
 
-    An ``ArithmeticError`` (binary64 overflow) is raised again, as the same
+    A ``NonConvergenceError`` (keeping its value and error estimate) or an
+    ``ArithmeticError`` (binary64 overflow) is raised again, as the same
     type, with D, tau, s and the route in its message.
     """
     if params.D == 3:
@@ -170,6 +153,8 @@ def kernel(params: EvalParams, s: float, spec: QuadratureSpec = DEFAULT_SPEC) ->
         route, extra = kernel_odd, (spec,)
     try:
         return route(params, s, *extra)
-    except ArithmeticError as exc:
-        where = f"D={params.D}, tau={params.tau!r}, s={float(s)!r} in {route.__name__}"
-        raise type(exc)(f"{exc} at {where}") from exc
+    except (NonConvergenceError, ArithmeticError) as exc:
+        msg = f"{exc} at D={params.D}, tau={params.tau!r}, s={float(s)!r} in {route.__name__}"
+        if isinstance(exc, NonConvergenceError):
+            raise NonConvergenceError(exc.value, exc.err_est, msg) from exc
+        raise type(exc)(msg) from exc

@@ -33,9 +33,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import HoricyclicPoint, sphere_surface_area
+from .geometry import HoricyclicPoint, _arccosh_from_excess, sphere_surface_area
 from .kernels import EvalParams, kernel
-from .quadrature import QuadratureSpec, gaussian_cutoff, integrate_finite
+from .quadrature import QuadratureSpec, _geometric_breakpoints, gaussian_cutoff, integrate_finite
 from .verify import VerificationReport, _KERNEL_SPEC
 
 __all__ = ["LatticeSpec", "lattice_kernel", "x_marginal_check", "convergence_order"]
@@ -66,11 +66,11 @@ class LatticeSpec:
 
 
 def _slice_factor(params: EvalParams, eps: float, qa: HoricyclicPoint, qb: HoricyclicPoint) -> float:
-    a_eps = params.m / (2.0 * params.hbar * eps)
-    e_eps = -(params.hbar * (params.D - 1) * (params.D - 3) / (8.0 * params.m)) * eps
+    p_eps = params.with_tau(eps)
+    a_eps = p_eps.a
     dz = math.log(qb.y / qa.y)
     r2 = sum((u - v) ** 2 for u, v in zip(qa.x, qb.x))
-    expo = -a_eps * (dz * dz + r2 / (qa.y * qb.y)) + e_eps
+    expo = -a_eps * (dz * dz + r2 / (qa.y * qb.y)) + p_eps.E
     return (a_eps / math.pi) ** ((params.D - 1) / 2.0) * math.exp(expo)
 
 
@@ -272,11 +272,10 @@ def x_marginal_check(
     a = params.a
     y1y2 = y1 * y2
     u0 = (y2 - y1) ** 2 / (2.0 * y1y2)
-    s0 = math.log1p(u0 + math.sqrt(u0 * (u0 + 2.0)))
+    s0 = _arccosh_from_excess(u0)
 
     def s_of(r: float) -> float:
-        u = u0 + r * r / (2.0 * y1y2)
-        return math.log1p(u + math.sqrt(u * (u + 2.0)))
+        return _arccosh_from_excess(u0 + r * r / (2.0 * y1y2))
 
     s_max = gaussian_cutoff(s0, a, spec.truncation_sigma + 1.0)
     r_max = math.sqrt(2.0 * y1y2 * (math.cosh(s_max) - math.cosh(s0)) + 2.0 * y1y2 * u0)
@@ -294,14 +293,7 @@ def x_marginal_check(
     # scale sqrt(2 y1 y2): seed panels down to a fraction of that scale
     r_scale = math.sqrt(2.0 * y1y2)
     halvings = max(8, int(math.ceil(math.log2(max(r_max / r_scale, 2.0)))) + 6)
-    pts = [0.0]
-    for k in range(halvings, 0, -1):
-        cand = r_max / float(2**k)
-        if cand > pts[-1]:
-            pts.append(cand)
-    if r_max > pts[-1]:
-        pts.append(r_max)
-    val, err = integrate_finite(f, pts, spec)
+    val, err = integrate_finite(f, _geometric_breakpoints(0.0, r_max, halvings), spec)
     lhs = front * val
     rhs = (
         y1y2 ** ((params.D - 2) / 2.0)

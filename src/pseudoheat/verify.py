@@ -28,6 +28,7 @@ from .kernels import EvalParams, kernel
 from .quadrature import (
     NonConvergenceError,
     QuadratureSpec,
+    _geometric_breakpoints,
     gaussian_cutoff,
     integrate_finite,
     integrate_semi_infinite,
@@ -95,13 +96,7 @@ def _abel_lhs(params: EvalParams, l: float, spec: QuadratureSpec) -> tuple[float
         wfac = (2.0 * math.sinh(0.5 * (sig + sl)) * math.sinh(0.5 * (sig - sl))) ** nu
         return kv * wfac * math.sinh(sig) * 2.0 * v
 
-    pts = [0.0]
-    step = v_max / 64.0
-    while step < v_max:
-        pts.append(step)
-        step *= 2.0
-    pts.append(v_max)
-    value, err = integrate_finite(integrand, pts, spec)
+    value, err = integrate_finite(integrand, _geometric_breakpoints(0.0, v_max), spec)
     return value, err + abs(integrand(v_max))
 
 
@@ -566,7 +561,7 @@ def gfunc_reports(
             g = gfunc.expression(n, a, 0.0)
             for s in s_overlap:
                 t = gfunc.evaluate(g, s)
-                srs = gfunc._series_value(n, a, 0.0, s)
+                srs = gfunc._series_value(g, s)
                 rel = abs(t - srs) / abs(t)
                 overlap_worst = max(overlap_worst, rel)
                 overlap_pts.append({"a": a, "n": n, "s": s, "rel": rel})

@@ -91,6 +91,21 @@ def test_eval_overflow_is_numerical_failure(dim, tau, s):
     assert f"D={dim}, tau={float(tau)!r}, s={float(s)!r} in {route}" in res.stderr
 
 
+def test_eval_nonconvergence_names_the_point():
+    tight = ("--rel-tol", "1e-18", "--abs-tol", "1e-300")
+    res = run_cli("eval", "--dim", "5", "--tau", "0.5", "--s", "1", *tight)
+    assert res.returncode == 3
+    assert res.stderr.startswith("error: quadrature did not converge")
+    assert "Traceback" not in res.stderr
+    assert "D=5, tau=0.5, s=1.0 in kernel_odd" in res.stderr
+    # a failed table cell keeps its error estimate and names the point too
+    res = run_cli("table", "--dim", "5", "--tau-grid", "0.5:0.5:1", "--s-grid", "1:1:1", *tight)
+    assert res.returncode == 3
+    (row,) = json.loads(res.stdout)["rows"]
+    assert row["value"] is None and row["err_est"] > 0.0
+    assert row["error"].endswith("at D=5, tau=0.5, s=1.0 in kernel_odd")
+
+
 def test_verify_unknown_suite_usage_error():
     res = run_cli("verify", "nonsense")
     assert res.returncode == 2

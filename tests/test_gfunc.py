@@ -138,7 +138,7 @@ def test_series_and_terms_agree_in_overlap():
             g = gfunc.expression(n, a, -0.3)
             for s in (0.25, 0.4, 0.6, 0.8):
                 t = evaluate(g, s)
-                srs = gfunc._series_value(n, a, -0.3, s)
+                srs = gfunc._series_value(g, s)
                 assert abs(t - srs) <= 1e-9 * abs(t), (a, n, s)
 
 
@@ -295,7 +295,7 @@ def test_series_weights_equal_nested_loop_exactly():
             for s in (0.0, 0.01, 0.1, 0.19, 0.27):
                 if not gfunc.series_ok(a, s):
                     continue
-                assert gfunc._series_value(n, a, -0.3, s) == nested(n, a, -0.3, s), (n, a, s)
+                assert gfunc._series_value(expression(n, a, -0.3), s) == nested(n, a, -0.3, s), (n, a, s)
                 compared += 1
     assert compared == 11 * (4 * 4)  # s = 0.27 is past SERIES_SWITCH
 
@@ -307,3 +307,33 @@ def test_sigma_derivative_reuses_shifted_term_set():
         assert sigma_derivative(expression(n, 2.0, -1.0)).terms is first
         want = tuple(GTerm(t.coeff, t.p, t.q, t.r - 1) for t in gfunc.derivative_terms(n + 1))
         assert first == want
+
+
+def test_sigma_derivative_means_the_same_on_every_route():
+    # sigma_derivative(G^(n)) is sinh(s) G^(n+1) on the series route too,
+    # not G^(n): the l-series reads the label and the flag, the term route
+    # reads the terms
+    compared = 0
+    for n in range(7):
+        for a in (0.05, 0.5, 2.0, 40.0):
+            ds = sigma_derivative(expression(n, a, -0.3))
+            up = expression(n + 1, a, -0.3)
+            for s in (0.0, 0.01, 0.05, 0.1, 0.15, 0.19):
+                if not gfunc.series_ok(a, s):
+                    continue
+                got = gfunc.evaluate_auto(ds, s)
+                assert got == math.sinh(s) * gfunc.evaluate_auto(up, s), (n, a, s)
+                if s > 0.0:
+                    terms = gfunc._evaluate_terms(ds, s)
+                    assert abs(got - terms) <= 1e-9 * abs(terms), (n, a, s)
+                compared += 1
+            s = 1e-4
+            assert evaluate_near_origin(ds, s) == math.sinh(s) * evaluate_near_origin(up, s)
+    assert compared == 7 * 4 * 6  # every point is inside series_ok
+
+
+def test_sigma_derivative_is_taken_once():
+    ds = sigma_derivative(expression(2, 0.5, 0.0))
+    assert ds.n == 3 and ds.times_sinh
+    with pytest.raises(ValueError):
+        sigma_derivative(ds)

@@ -95,6 +95,34 @@ def test_kernel_odd_pattern_reduces_to_d3():
     assert pattern == pytest.approx(direct, rel=1e-12)
 
 
+def _two_branch_odd_integrand(params, order):
+    # the odd-D integrand as kernels once built it: sinh(sig) G^(order+1)
+    # inside the series region, the termwise sigma-derivative outside
+    a = params.a
+    deriv = gfunc.sigma_derivative(gfunc.expression(order, a, params.E))
+    g_up = gfunc.expression(order + 1, a, params.E)
+
+    def f(sig):
+        if gfunc.series_ok(a, sig):
+            return math.sinh(sig) * gfunc.evaluate_auto(g_up, sig)
+        return gfunc._evaluate_terms(deriv, sig)
+
+    return f
+
+
+@pytest.mark.parametrize("dim", [5, 7, 9])
+def test_kernel_odd_equals_two_branch_integrand_exactly(dim):
+    for tau in (0.01, 0.5, 2.0):
+        p = EvalParams(dim, tau)
+        front = math.sqrt(2.0) * (-1.0 / (2.0 * math.pi)) ** ((dim - 1) // 2)
+        for s in (0.0, 0.05, 0.15, 1.0):
+            f = _two_branch_odd_integrand(p, (dim - 3) // 2)
+            integral, err = integrate_endpoint_singular(f, s, p.a)
+            got = kernel_odd(p, s)
+            assert got.value == front * integral, (tau, s)
+            assert got.err_est == abs(front) * err, (tau, s)
+
+
 def test_kernel_odd_positive_and_continuous_at_origin():
     p = EvalParams(5, 1.0)
     v0 = kernel_odd(p, 0.0).value
