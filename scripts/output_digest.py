@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one sha256 per CLI output, as a byte-identity gate between commits.
+"""Digest the CLI outputs of a checkout, as a gate between commits.
 
 Runs, in-process through ``pseudoheat.cli.main`` and from the ``src`` tree
 of the checkout it sits in:
@@ -9,20 +9,37 @@ of the checkout it sits in:
   ``--tau-grid 0.0001:0.01:2 --s-grid 0:0.3:7``;
 * ``verify all --dims 3,4,5 --tau 0.5``.
 
-Each line reads ``<sha256 of stdout> exit=<code> <arguments>``.  Run it in
-two checkouts and diff the outputs:
+Each printed line reads ``<sha256 of stdout> exit=<code> <arguments>``.
+Run it in two checkouts and diff the outputs:
 
     python3 scripts/output_digest.py > digests.txt
 
 A change that must keep every table and verification output identical
 keeps every line.  The verify job takes most of the run (tens of seconds).
+
+A change that moves output bits is gated on values instead:
+
+    python3 scripts/output_digest.py --values old.json   # in the old checkout
+    python3 scripts/output_digest.py --values new.json   # in the new checkout
+    python3 scripts/output_digest.py --compare old.json new.json
+
+``--values FILE`` also writes every parsed number to FILE as JSON: each
+table cell's ``value`` and ``err_est``, and each verification report's
+residual and verdict.  ``--compare OLD NEW`` runs nothing; per command it
+prints the largest relative change in value, how many cells changed by
+more than their own error estimate (the sum of the two sides' ``err_est``),
+how many cells have a value on one side only, and every verification
+verdict that changed.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,17 +63,94 @@ def commands() -> list[list[str]]:
     return out
 
 
-def digest(argv: list[str]) -> tuple[str, int]:
+def run(argv: list[str]) -> tuple[str, int]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest(), code
+    return buf.getvalue(), code
+
+
+def parse(argv: list[str], text: str) -> list[dict]:
+    """Every number of one output: table cells or verification reports."""
+    if argv[0] == "table":
+        cells = []
+        for line in text.strip().splitlines()[1:]:
+            _, tau, s, value, err = line.split(",")
+            cells.append({
+                "tau": float(tau), "s": float(s),
+                "value": float(value) if value else None, "err_est": float(err),
+            })
+        return cells
+    return [
+        {"check": r["check"], "D": r["D"], "residual": r["residual"], "passed": r["passed"]}
+        for r in json.loads(text)["reports"]
+    ]
+
+
+def _rel_change(old: float, new: float) -> float:
+    if old == new:
+        return 0.0
+    scale = max(abs(old), abs(new))
+    return abs(new - old) / scale if math.isfinite(scale) else math.inf
+
+
+def compare(old_path: str, new_path: str) -> int:
+    old = json.loads(Path(old_path).read_text())
+    new = json.loads(Path(new_path).read_text())
+    for key in old:
+        if key not in new:
+            print(f"{key}: missing in {new_path}")
+            continue
+        a, b = old[key], new[key]
+        codes = f"exit {a['exit']}->{b['exit']}"
+        if key.startswith("table"):
+            worst, over, one_sided = 0.0, 0, 0
+            for ca, cb in zip(a["items"], b["items"]):
+                va, vb = ca["value"], cb["value"]
+                if (va is None) != (vb is None):
+                    one_sided += 1
+                    continue
+                if va is None:
+                    continue
+                worst = max(worst, _rel_change(va, vb))
+                if abs(vb - va) > ca["err_est"] + cb["err_est"]:
+                    over += 1
+            if len(a["items"]) != len(b["items"]):
+                one_sided += abs(len(a["items"]) - len(b["items"]))
+            print(f"{key}: {codes}, cells {len(b['items'])}, max rel change {worst:.3g}, "
+                  f"over err_est {over}, value on one side only {one_sided}")
+        else:
+            flips = [
+                f"{ra['check']} D={ra['D']} {ra['passed']}->{rb['passed']}"
+                for ra, rb in zip(a["items"], b["items"])
+                if ra["passed"] != rb["passed"]
+            ]
+            worst = max(
+                (_rel_change(ra["residual"], rb["residual"]) for ra, rb in zip(a["items"], b["items"])),
+                default=0.0,
+            )
+            print(f"{key}: {codes}, reports {len(a['items'])}->{len(b['items'])}, "
+                  f"max rel residual change {worst:.3g}, verdicts changed {len(flips)}"
+                  + "".join(f"\n  {f}" for f in flips))
+    return 0
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--values", metavar="FILE", help="also write every parsed number to FILE")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two --values files instead of running")
+    args = parser.parse_args()
+    if args.compare:
+        return compare(*args.compare)
+    values = {}
     for argv in commands():
-        sha, code = digest(argv)
+        text, code = run(argv)
+        sha = hashlib.sha256(text.encode()).hexdigest()
         print(f"{sha} exit={code} {' '.join(argv)}", flush=True)
+        values[" ".join(argv)] = {"exit": code, "items": parse(argv, text)}
+    if args.values:
+        Path(args.values).write_text(json.dumps(values, indent=1) + "\n")
     return 0
 
 

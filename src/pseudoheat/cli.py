@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -115,8 +116,8 @@ def cmd_table(args) -> int:
         try:
             kv = kernel(params_of(tau), s, spec)
             return (args.dim, tau, s, kv.value, kv.err_est, None)
-        except NonConvergenceError as exc:
-            return (args.dim, tau, s, None, exc.err_est, str(exc))
+        except (NonConvergenceError, ArithmeticError) as exc:  # an overflow has no estimate
+            return (args.dim, tau, s, None, getattr(exc, "err_est", math.inf), str(exc))
 
     rows = [one(tau, s) for tau in taus for s in ss]  # tau-major row order
 
@@ -132,7 +133,8 @@ def cmd_table(args) -> int:
                 "defaults": _defaults_block(args),
                 "command": "table",
                 "rows": [
-                    {"D": d, "tau": tau, "s": s, "value": value, "err_est": err,
+                    {"D": d, "tau": tau, "s": s, "value": value,
+                     "err_est": err if math.isfinite(err) else None,
                      **({"error": note} if note else {})}
                     for d, tau, s, value, err, note in rows
                 ],

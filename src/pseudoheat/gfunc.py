@@ -28,7 +28,6 @@ __all__ = [
     "S_MIN",
     "GTerm",
     "expression",
-    "sigma_derivative",
     "derivative_terms",
     "evaluate",
     "evaluate_near_origin",
@@ -143,16 +142,13 @@ class GExpression:
     """Canonical term set for the n-th derivative at rate a, shift E.
 
     The common prefactor sqrt(a/pi) * exp(-a s^2 + E) is kept symbolic as
-    the pair (a, E); terms multiply it.  With ``times_sinh`` set the
-    expression is sinh(s) G^(n)(s) = d/ds G^(n-1)(s), and every route
-    evaluates that product.
+    the pair (a, E); terms multiply it.
     """
 
     n: int
     terms: tuple[GTerm, ...]
     a: float
     E: float
-    times_sinh: bool = False
 
     @cached_property
     def cancellation_exponent(self) -> int:
@@ -206,22 +202,6 @@ def _apply_rules(terms: tuple[GTerm, ...]) -> tuple[GTerm, ...]:
             _accumulate(parts, t.p, t.q + 1, t.r + 2, _poly_scale(t.coeff, -t.r))
         _accumulate(parts, t.p + 1, t.q, t.r + 1, _poly_mul_a(_poly_scale(t.coeff, -2)))
     return _merge(parts)
-
-
-def sigma_derivative(g: GExpression) -> GExpression:
-    """Plain d/ds of the expression (no 1/sinh factor), exactly.
-
-    d/ds G^(n) = sinh(s) G^(n+1), so this is the cached order n+1 term set
-    with one power of sinh removed, labelled n+1 and marked ``times_sinh``.
-    """
-    if g.times_sinh:
-        raise ValueError("expression is already a sigma-derivative")
-    return GExpression(g.n + 1, _sigma_terms(g.n), g.a, g.E, times_sinh=True)
-
-
-@lru_cache(maxsize=None)
-def _sigma_terms(n: int) -> tuple[GTerm, ...]:
-    return tuple(GTerm(t.coeff, t.p, t.q, t.r - 1) for t in derivative_terms(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -350,10 +330,7 @@ def _falling_factorials(n: int) -> tuple[float, ...]:
 
 
 def _series_value(g: GExpression, s: float) -> float:
-    """d^n/dl^n of the base function via the w = l - 1 power series.
-
-    For a ``times_sinh`` expression the value is multiplied by sinh(s).
-    """
+    """d^n/dl^n of the base function via the w = l - 1 power series."""
     n, a = g.n, g.a
     w0 = 2.0 * math.sinh(0.5 * s) ** 2  # cosh(s) - 1, cancellation-free
     h = _h_series(a)
@@ -362,8 +339,7 @@ def _series_value(g: GExpression, s: float) -> float:
     acc = 0.0
     for j in range(len(h) - 1, n - 1, -1):
         acc = acc * w0 + h[j] * falling[j]
-    value = math.sqrt(a / math.pi) * math.exp(g.E) * acc
-    return math.sinh(s) * value if g.times_sinh else value
+    return math.sqrt(a / math.pi) * math.exp(g.E) * acc
 
 
 def evaluate_near_origin(g: GExpression, s: float) -> float:

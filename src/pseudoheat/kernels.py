@@ -3,18 +3,18 @@
 All evaluation happens on the diffusive branch: the real-time rate alpha/T
 becomes a = m/(2 hbar tau) > 0 and the constant action shift becomes
 E = -(hbar (D-1)(D-3) / (8 m)) tau, so every kernel is a positive function
-of the geodesic distance s:
+of the geodesic distance s, or of l = cosh s:
 
-    D = 3     sqrt(2) (a/pi)^(3/2) e^E  int_s^inf  sig e^(-a sig^2)
-                                        / sqrt(cosh sig - cosh s) dsig
     D = 4     (a/pi)^(3/2) (s / sinh s) exp(-a s^2 + E)
-    D even    (-1/(2 pi))^((D-2)/2) G^((D-2)/2)(s)
-    D odd     sqrt(2) (-1/(2 pi))^((D-1)/2)
-              int_s^inf d/dsig[G^((D-3)/2)](sig) / sqrt(cosh sig - cosh s) dsig
+    D even    (-1/(2 pi))^n G^(n)(l),                       n = (D-2)/2
+    D odd     sqrt(2) (-1/(2 pi))^k
+              int_l^inf G^(k)(l') (l' - l)^(-1/2) dl',       k = (D-1)/2
 
-with G the radial Gaussian of the gfunc module.  The oscillatory real-time
-propagator is this family continued back through tau -> i T; it is not
-evaluated numerically here.
+with G(l) = sqrt(a/pi) exp(-a arccosh(l)^2 + E) the radial Gaussian of the
+gfunc module and G^(n) its n-th derivative in l.  The odd formula, D = 3
+included, solves the Abel-type integral equation in l.  The oscillatory
+real-time propagator is this family continued back through tau -> i T; it
+is not evaluated numerically here.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ import math
 from dataclasses import dataclass
 
 from . import gfunc
-from .quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec, integrate_endpoint_singular
+from .quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec, integrate_abel
 
-__all__ = ["EvalParams", "KernelValue", "kernel", "kernel_d3", "kernel_d4", "kernel_even", "kernel_odd"]
+__all__ = ["EvalParams", "KernelValue", "kernel", "kernel_d4", "kernel_even", "kernel_odd"]
 
 
 @dataclass(frozen=True)
@@ -86,21 +86,6 @@ def _check_s(s: float) -> float:
     return s
 
 
-def kernel_d3(params: EvalParams, s: float, spec: QuadratureSpec = DEFAULT_SPEC) -> KernelValue:
-    """McKean-type integral kernel on the hyperbolic plane (D = 3)."""
-    if params.D != 3:
-        raise ValueError("kernel_d3 requires D = 3")
-    s = _check_s(s)
-    a = params.a
-
-    def f(sig: float) -> float:
-        return sig * math.exp(-a * sig * sig)
-
-    integral, err = integrate_endpoint_singular(f, s, a, spec)
-    front = math.sqrt(2.0) * (a / math.pi) ** 1.5 * math.exp(params.E)
-    return KernelValue(front * integral, front * err, 3, s, params.tau)
-
-
 def kernel_d4(params: EvalParams, s: float) -> KernelValue:
     """Closed form (a/pi)^(3/2) (s/sinh s) exp(-a s^2 + E) for D = 4."""
     if params.D != 4:
@@ -124,15 +109,14 @@ def kernel_even(params: EvalParams, s: float) -> KernelValue:
 
 
 def kernel_odd(params: EvalParams, s: float, spec: QuadratureSpec = DEFAULT_SPEC) -> KernelValue:
-    """Endpoint-singular integral over the differentiated algebra, odd D >= 5."""
-    if params.D % 2 != 1 or params.D < 5:
-        raise ValueError("kernel_odd requires odd D >= 5 (D = 3 has its own route)")
+    """sqrt(2) (-1/(2 pi))^k times the Abel integral of G^(k), k = (D-1)/2, odd D >= 3."""
+    if params.D % 2 != 1:
+        raise ValueError("kernel_odd requires odd D >= 3")
     s = _check_s(s)
-    order = (params.D - 3) // 2
-    deriv = gfunc.sigma_derivative(gfunc.expression(order, params.a, params.E))
-    f = functools.partial(gfunc.evaluate_auto, deriv)
-    integral, err = integrate_endpoint_singular(f, s, params.a, spec)
-    front = math.sqrt(2.0) * (-1.0 / (2.0 * math.pi)) ** ((params.D - 1) // 2)
+    k = (params.D - 1) // 2
+    f = functools.partial(gfunc.evaluate_auto, gfunc.expression(k, params.a, params.E))
+    integral, err = integrate_abel(f, s, params.a, spec)
+    front = math.sqrt(2.0) * (-1.0 / (2.0 * math.pi)) ** k
     return KernelValue(front * integral, abs(front) * err, params.D, s, params.tau)
 
 
@@ -143,9 +127,7 @@ def kernel(params: EvalParams, s: float, spec: QuadratureSpec = DEFAULT_SPEC) ->
     ``ArithmeticError`` (binary64 overflow) is raised again, as the same
     type, with D, tau, s and the route in its message.
     """
-    if params.D == 3:
-        route, extra = kernel_d3, (spec,)
-    elif params.D == 4:
+    if params.D == 4:
         route, extra = kernel_d4, ()
     elif params.D % 2 == 0:
         route, extra = kernel_even, ()

@@ -1,12 +1,13 @@
 """Independent reference computations used by the tests.
 
 Everything here deliberately avoids the package's own quadrature and term
-algebra: plain numpy product-integration and high-precision finite
-differences only.
+algebra: plain numpy product-integration, high-precision finite
+differences and mpmath quadrature only.
 """
 
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -34,16 +35,64 @@ def mckean_by_abel_inversion(a: float, d: float, l_max_sigma: float = 9.0, n: in
     return float(-(1.0 / math.pi) * np.sum(f_prime * weights))
 
 
-def graded_midpoint_inverse_sqrt(d: float, upper: float, n: int = 200_000) -> float:
-    """int_d^upper (cosh s - cosh d)^(-1/2) ds by midpoint rule on a mesh
-    graded quadratically toward the singular endpoint (uniform midpoints in
-    the grading variable t, s = d + t^2, where the integrand is bounded)."""
+def graded_midpoint_inverse_sqrt(d: float, upper: float, n: int = 200_000, f=None) -> float:
+    """int_d^upper f(s) (cosh s - cosh d)^(-1/2) ds (f = 1 by default) by
+    midpoint rule on a mesh graded quadratically toward the singular
+    endpoint (uniform midpoints in the grading variable t, s = d + t^2,
+    where the integrand is bounded).  f takes and returns numpy arrays."""
     t_hi = math.sqrt(upper - d)
     dt = t_hi / n
     t_mid = (np.arange(n) + 0.5) * dt
     s_mid = d + t_mid * t_mid
     vals = 2.0 * t_mid / np.sqrt(np.cosh(s_mid) - math.cosh(d))
+    if f is not None:
+        vals = vals * f(s_mid)
     return float(np.sum(vals) * dt)
+
+
+def odd_reference(D: int, tau: float, s: float, m: float = 0.5, hbar: float = 1.0) -> float:
+    """Odd-D kernel at geodesic distance s, to about 40 digits.
+
+    K = sqrt(2) (-1/(2 pi))^k int_s^inf G^(k)(cosh sig) sinh sig
+        / sqrt(cosh sig - cosh s) dsig,   k = (D-1)/2,
+
+    with G(l) = sqrt(a/pi) exp(-a arccosh(l)^2 + E) differentiated k times
+    in l by mpmath's finite differences.  arccosh(l)^2 is analytic through
+    l = 1 and equals -acos(l)^2 below it, where the difference stencil at
+    s = 0 reaches.  The integral is taken in v, sig = s + v^2, where the
+    weight 2 v / sqrt(2 sinh((sig+s)/2) sinh(v^2/2)) is regular, by
+    Gauss-Legendre on panels one Gaussian width wide.  The Gaussian at the
+    endpoint is factored out of the integrand, because mpmath's quadrature
+    tolerance is absolute.  Costs 0.1-1 s per value at D <= 15.
+    """
+    if D < 3 or D % 2 == 0:
+        raise ValueError("odd D >= 3 only")
+    k = (D - 1) // 2
+    with mpmath.workdps(40):
+        a = mpmath.mpf(m) / (2 * mpmath.mpf(hbar) * mpmath.mpf(tau))
+        E = -(mpmath.mpf(hbar) * (D - 1) * (D - 3) / (8 * mpmath.mpf(m))) * mpmath.mpf(tau)
+        s0 = mpmath.mpf(s)
+
+        def g(l):  # G(l) / G(cosh s)
+            sq = mpmath.acosh(l) ** 2 if l >= 1 else -mpmath.acos(l) ** 2
+            return mpmath.exp(-a * (sq - s0 * s0))
+
+        def integrand(v):
+            sig = s0 + v * v
+            weight = 2 * mpmath.sinh((sig + s0) / 2) * mpmath.sinh(v * v / 2)
+            return mpmath.diff(g, mpmath.cosh(sig), k) * mpmath.sinh(sig) * 2 * v / mpmath.sqrt(weight)
+
+        # exp(-a (sig^2 - s^2)) ~ exp(-2 a s v^2 - a v^4): width 1/sqrt(2 a s)
+        # in the tail, a^(-1/4) near the origin; cut where it is exp(-100)
+        width = min(1 / mpmath.sqrt(2 * a * s0) if s0 > 0 else mpmath.inf, a ** mpmath.mpf(-0.25))
+        v_max = mpmath.sqrt(mpmath.sqrt(s0 * s0 + 100 / a) - s0)
+        points = [mpmath.mpf(0)]
+        while points[-1] + width < v_max:
+            points.append(points[-1] + width)
+        points.append(v_max)
+        integral = mpmath.quad(integrand, points, method="gauss-legendre")
+        front = mpmath.sqrt(2) * (-1 / (2 * mpmath.pi)) ** k
+        return float(front * mpmath.sqrt(a / mpmath.pi) * mpmath.exp(-a * s0 * s0 + E) * integral)
 
 
 def gaussian_moment(k: int, c: float, lower: float = 0.0) -> float:

@@ -13,7 +13,6 @@ from pseudoheat.gfunc import (
     evaluate,
     evaluate_near_origin,
     expression,
-    sigma_derivative,
 )
 from pseudoheat.verify import richardson_dl_derivative
 
@@ -182,15 +181,6 @@ def test_sign_alternation():
                 assert (-1.0) ** n * evaluate(g, s) > 0.0
 
 
-def test_sigma_derivative_matches_sinh_times_next_order():
-    for n in range(0, 4):
-        g = gfunc.expression(n, 0.5, -0.1)
-        ds = sigma_derivative(g)
-        up = gfunc.expression(n + 1, 0.5, -0.1)
-        for s in (0.3, 1.0, 2.0):
-            assert evaluate(ds, s) == pytest.approx(math.sinh(s) * evaluate(up, s), rel=1e-12)
-
-
 def test_dump_golden():
     a, e = 0.5, 0.0
     assert dump(expression(0, a, e)) == "(1)"
@@ -266,15 +256,14 @@ def test_compiled_terms_equal_fraction_loop_exactly():
     for n in range(11):
         for a in (0.05, 0.5, 2.0, 40.0):
             g = expression(n, a, -0.3)
-            for h in (g, sigma_derivative(g)):
-                for s in (0.3, 1.0, 5.0, 25.0):
-                    want = _fraction_loop_terms(h, s)
-                    if want is None:
-                        continue
-                    assert gfunc._evaluate_terms(h, s) == want, (n, a, s, h.terms is g.terms)
-                    compared += 1
-    # every (n, a) pair reaches the binary64 branch at s >= 1, both expressions
-    assert compared >= 11 * 4 * 2 * 3
+            for s in (0.3, 1.0, 5.0, 25.0):
+                want = _fraction_loop_terms(g, s)
+                if want is None:
+                    continue
+                assert gfunc._evaluate_terms(g, s) == want, (n, a, s)
+                compared += 1
+    # every (n, a) pair reaches the binary64 branch at s >= 1
+    assert compared >= 11 * 4 * 3
 
 
 def test_series_weights_equal_nested_loop_exactly():
@@ -298,42 +287,3 @@ def test_series_weights_equal_nested_loop_exactly():
                 assert gfunc._series_value(expression(n, a, -0.3), s) == nested(n, a, -0.3, s), (n, a, s)
                 compared += 1
     assert compared == 11 * (4 * 4)  # s = 0.27 is past SERIES_SWITCH
-
-
-def test_sigma_derivative_reuses_shifted_term_set():
-    for n in range(11):
-        g = expression(n, 0.5, 0.0)
-        first = sigma_derivative(g).terms
-        assert sigma_derivative(expression(n, 2.0, -1.0)).terms is first
-        want = tuple(GTerm(t.coeff, t.p, t.q, t.r - 1) for t in gfunc.derivative_terms(n + 1))
-        assert first == want
-
-
-def test_sigma_derivative_means_the_same_on_every_route():
-    # sigma_derivative(G^(n)) is sinh(s) G^(n+1) on the series route too,
-    # not G^(n): the l-series reads the label and the flag, the term route
-    # reads the terms
-    compared = 0
-    for n in range(7):
-        for a in (0.05, 0.5, 2.0, 40.0):
-            ds = sigma_derivative(expression(n, a, -0.3))
-            up = expression(n + 1, a, -0.3)
-            for s in (0.0, 0.01, 0.05, 0.1, 0.15, 0.19):
-                if not gfunc.series_ok(a, s):
-                    continue
-                got = gfunc.evaluate_auto(ds, s)
-                assert got == math.sinh(s) * gfunc.evaluate_auto(up, s), (n, a, s)
-                if s > 0.0:
-                    terms = gfunc._evaluate_terms(ds, s)
-                    assert abs(got - terms) <= 1e-9 * abs(terms), (n, a, s)
-                compared += 1
-            s = 1e-4
-            assert evaluate_near_origin(ds, s) == math.sinh(s) * evaluate_near_origin(up, s)
-    assert compared == 7 * 4 * 6  # every point is inside series_ok
-
-
-def test_sigma_derivative_is_taken_once():
-    ds = sigma_derivative(expression(2, 0.5, 0.0))
-    assert ds.n == 3 and ds.times_sinh
-    with pytest.raises(ValueError):
-        sigma_derivative(ds)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from pseudoheat import gfunc
-from pseudoheat.kernels import EvalParams, kernel, kernel_d3, kernel_d4, kernel_even, kernel_odd
-from pseudoheat.quadrature import integrate_endpoint_singular
-from _oracles import mckean_by_abel_inversion
+from pseudoheat.kernels import EvalParams, kernel, kernel_d4, kernel_even, kernel_odd
+from _oracles import mckean_by_abel_inversion, odd_reference
 
 
 def test_params_derived_quantities():
@@ -37,21 +36,21 @@ def test_params_validation():
 def test_kernel_d3_against_abel_inversion_oracle():
     # hbar=1, m=1/2, tau=1/2 -> a = 1/2
     p = EvalParams(3, 0.5)
-    got = kernel_d3(p, 1.0).value
+    got = kernel(p, 1.0).value
     ref = mckean_by_abel_inversion(p.a, 1.0)
     assert got == pytest.approx(ref, rel=1e-5)
 
 
 def test_kernel_d3_tail_decay():
     p = EvalParams(3, 0.5)
-    vals = [kernel_d3(p, s).value for s in (5.0, 6.0, 7.0, 8.0)]
+    vals = [kernel(p, s).value for s in (5.0, 6.0, 7.0, 8.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-12
 
 
 def test_kernel_d3_small_time_gaussian_exponent():
     p = EvalParams(3, 1e-3)
-    v = kernel_d3(p, 1.0).value
+    v = kernel(p, 1.0).value
     assert -math.log(v) * (4.0 * p.tau) / 1.0 == pytest.approx(1.0, abs=0.02)
 
 
@@ -83,44 +82,44 @@ def test_kernel_even_d6_against_fd_oracle():
     assert got == pytest.approx(ref, rel=1e-6)
 
 
-def test_kernel_odd_pattern_reduces_to_d3():
-    # the odd-D formula with zero derivatives is the D = 3 integral
-    p = EvalParams(3, 0.5)
-    a = p.a
-    g0 = gfunc.expression(0, a, p.E)
-    ds = gfunc.sigma_derivative(g0)
-    integral, _ = integrate_endpoint_singular(lambda sig: gfunc.evaluate_auto(ds, sig), 1.0, a)
-    pattern = math.sqrt(2.0) * (-1.0 / (2.0 * math.pi)) * integral
-    direct = kernel_d3(p, 1.0).value
-    assert pattern == pytest.approx(direct, rel=1e-12)
+# (D, tau, s): every odd D route at tiny, moderate and large tau, at the
+# origin and in the Gaussian tail; (3, 0.01, 3) is the point where
+# perfbench/reference.py is off by 1.1e-5
+_ODD_REFERENCE_POINTS = [
+    (3, 0.01, 3.0),
+    (3, 1e-3, 1.0),
+    (3, 30.0, 6.0),
+    (5, 1e-3, 0.0),
+    (5, 0.5, 0.0),
+    (5, 30.0, 3.0),
+    (9, 0.01, 1.0),
+    (9, 0.5, 3.0),
+    (15, 0.5, 1.0),
+    (15, 0.5, 6.0),
+]
 
 
-def _two_branch_odd_integrand(params, order):
-    # the odd-D integrand as kernels once built it: sinh(sig) G^(order+1)
-    # inside the series region, the termwise sigma-derivative outside
-    a = params.a
-    deriv = gfunc.sigma_derivative(gfunc.expression(order, a, params.E))
-    g_up = gfunc.expression(order + 1, a, params.E)
-
-    def f(sig):
-        if gfunc.series_ok(a, sig):
-            return math.sinh(sig) * gfunc.evaluate_auto(g_up, sig)
-        return gfunc._evaluate_terms(deriv, sig)
-
-    return f
+def test_kernel_odd_matches_independent_reference():
+    assert odd_reference(3, 0.01, 3.0) == pytest.approx(8.3649164424754e-98, rel=1e-12)
+    for dim, tau, s in _ODD_REFERENCE_POINTS:
+        ref = odd_reference(dim, tau, s)
+        kv = kernel(EvalParams(dim, tau), s)
+        assert abs(kv.value - ref) <= 1e-9 * abs(ref), (dim, tau, s, kv.value, ref)
+        assert kv.err_est >= abs(kv.value - ref), (dim, tau, s, kv.err_est, kv.value - ref)
 
 
-@pytest.mark.parametrize("dim", [5, 7, 9])
-def test_kernel_odd_equals_two_branch_integrand_exactly(dim):
-    for tau in (0.01, 0.5, 2.0):
-        p = EvalParams(dim, tau)
-        front = math.sqrt(2.0) * (-1.0 / (2.0 * math.pi)) ** ((dim - 1) // 2)
-        for s in (0.0, 0.05, 0.15, 1.0):
-            f = _two_branch_odd_integrand(p, (dim - 3) // 2)
-            integral, err = integrate_endpoint_singular(f, s, p.a)
-            got = kernel_odd(p, s)
-            assert got.value == front * integral, (tau, s)
-            assert got.err_est == abs(front) * err, (tau, s)
+@pytest.mark.xfail(
+    strict=True,
+    reason="node values carry gfunc's own rounding (its binary64 term route loses up to "
+    "~5 digits just above the mpmath switch), which no quadrature estimate sees; "
+    "err_est misses it by 2-20% at these points",
+)
+def test_kernel_odd_err_est_covers_term_route_rounding():
+    for dim, tau, s in [(9, 0.5, 1.0), (15, 0.01, 0.0), (15, 0.5, 0.0)]:
+        ref = odd_reference(dim, tau, s)
+        kv = kernel(EvalParams(dim, tau), s)
+        assert abs(kv.value - ref) <= 1e-9 * abs(ref), (dim, tau, s)
+        assert kv.err_est >= abs(kv.value - ref), (dim, tau, s, kv.err_est, kv.value - ref)
 
 
 def test_kernel_odd_positive_and_continuous_at_origin():
@@ -133,19 +132,20 @@ def test_kernel_odd_positive_and_continuous_at_origin():
 
 def test_dispatcher_routes_by_dimension():
     assert kernel(EvalParams(3, 1.0), 0.5).D == 3
+    assert kernel(EvalParams(3, 1.0), 0.5).value == kernel_odd(EvalParams(3, 1.0), 0.5).value
     assert kernel(EvalParams(4, 1.0), 0.5).err_est == 0.0
     assert kernel(EvalParams(6, 1.0), 0.5).value == kernel_even(EvalParams(6, 1.0), 0.5).value
     assert kernel(EvalParams(5, 1.0), 0.5).value == kernel_odd(EvalParams(5, 1.0), 0.5).value
     with pytest.raises(ValueError):
         kernel(EvalParams(4, 1.0), -0.5)
     with pytest.raises(ValueError):
-        kernel_d3(EvalParams(4, 1.0), 1.0)
+        kernel_odd(EvalParams(4, 1.0), 1.0)
     with pytest.raises(ValueError):
         kernel_d4(EvalParams(3, 1.0), 1.0)
     with pytest.raises(ValueError):
         kernel_even(EvalParams(5, 1.0), 1.0)
     with pytest.raises(ValueError):
-        kernel_odd(EvalParams(3, 1.0), 1.0)
+        kernel_odd(EvalParams(6, 1.0), 1.0)
 
 
 def test_positivity_and_monotone_decay_sample():

@@ -1,12 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from pseudoheat.quadrature import (
     NonConvergenceError,
     QuadratureSpec,
     abel_identity_check,
-    integrate_endpoint_singular,
+    integrate_abel,
     integrate_finite,
     integrate_semi_infinite,
 )
@@ -67,18 +68,11 @@ def test_breakpoints_must_increase():
 
 
 def test_endpoint_singular_weight_only_against_graded_mesh():
-    # regularized substitution on [d, d+1] against a brute-force graded midpoint rule
+    # int f(s) / sqrt(cosh s - cosh d) ds through F = f / sinh, against a
+    # brute-force graded midpoint rule on [d, d + 6], past which f < e^-48
     d = 1.0
-    oracle = graded_midpoint_inverse_sqrt(d, d + 1.0)
-
-    def sinhc(x):
-        return math.sinh(x) / x if x else 1.0
-
-    def g(v):
-        half_sq = 0.5 * v * v
-        return 2.0 / math.sqrt(math.sinh(d + half_sq) * sinhc(half_sq))
-
-    value, _ = integrate_finite(g, (0.0, 0.5, 1.0))
+    oracle = graded_midpoint_inverse_sqrt(d, d + 6.0, f=lambda s: np.exp(-s * s))
+    value, _ = integrate_abel(lambda s: math.exp(-s * s) / math.sinh(s), d, 1.0)
     assert value == pytest.approx(oracle, abs=1e-8 * oracle)
 
 
@@ -86,7 +80,7 @@ def test_endpoint_singular_dual_substitution():
     # same integral through w = cosh s - cosh d, then w = t^2: fully independent path
     d = 1.0
     f = lambda s: s * math.exp(-s * s / 4.0)
-    v1, e1 = integrate_endpoint_singular(f, d, 0.25)
+    v1, e1 = integrate_abel(lambda s: f(s) / math.sinh(s), d, 0.25)
 
     def g(t):
         sig = math.acosh(math.cosh(d) + t * t)
@@ -98,9 +92,13 @@ def test_endpoint_singular_dual_substitution():
     assert abs(v1 - v2) <= 1e-9 * abs(v1) + e1 + e2
 
 
+def _s_over_sinh_gaussian(s):
+    # f / sinh for f = s exp(-s^2/4), with its limit 1 at s = 0
+    return (s / math.sinh(s) if s else 1.0) * math.exp(-s * s / 4.0)
+
+
 def test_endpoint_singular_small_d_regular():
-    f = lambda s: s * math.exp(-s * s / 4.0)
-    values = [integrate_endpoint_singular(f, d, 0.25)[0] for d in (0.0, 1e-3, 1e-2)]
+    values = [integrate_abel(_s_over_sinh_gaussian, d, 0.25)[0] for d in (0.0, 1e-3, 1e-2)]
     assert all(math.isfinite(v) for v in values)
     assert values[0] == pytest.approx(values[1], rel=1e-2)
     assert values[0] == pytest.approx(values[2], rel=5e-2)
@@ -108,7 +106,42 @@ def test_endpoint_singular_small_d_regular():
 
 def test_endpoint_singular_rejects_negative_endpoint():
     with pytest.raises(ValueError):
-        integrate_endpoint_singular(lambda s: s, -0.1, 1.0)
+        integrate_abel(lambda s: s, -0.1, 1.0)
+    with pytest.raises(ValueError):
+        integrate_abel(lambda s: s, 0.1, 0.0)
+
+
+def test_abel_closed_form_exponential():
+    # int_{l0}^inf exp(-c l) (l - l0)^(-1/2) dl = sqrt(pi/c) exp(-c l0); the
+    # integrand decays faster than any Gaussian in s, so any rate bounds it
+    for c in (0.5, 1.0, 3.0):
+        for d in (0.0, 0.5, 2.0):
+            value, err = integrate_abel(lambda s: math.exp(-c * math.cosh(s)), d, 1.0)
+            exact = math.sqrt(math.pi / c) * math.exp(-c * math.cosh(d))
+            assert abs(value - exact) <= 1e-13 * exact, (c, d)
+            assert abs(value - exact) <= err, (c, d)
+
+
+def test_abel_halving_reuses_every_node():
+    # the 2h grid is a subset of the h grid: no node is evaluated twice
+    nodes = []
+
+    def F(s):
+        nodes.append(s)
+        return math.exp(-2.0 * s * s)
+
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
+    integrate_abel(F, 0.7, 2.0, spec)
+    assert len(nodes) == len(set(nodes))
+    assert len(nodes) >= 3
+
+
+def test_abel_nonconvergence_below_rounding_floor():
+    spec = QuadratureSpec(rel_tol=1e-18, abs_tol=1e-300)
+    with pytest.raises(NonConvergenceError) as info:
+        integrate_abel(lambda s: math.exp(-s * s), 1.0, 1.0, spec)
+    assert info.value.err_est > 0.0
+    assert info.value.value == pytest.approx(integrate_abel(lambda s: math.exp(-s * s), 1.0, 1.0)[0], rel=1e-12)
 
 
 def test_abel_identity_exponential():
@@ -157,6 +190,6 @@ def test_gaussian_moments_property(k, c, lower):
 @given(d=st.floats(0.05, 3.0), rate=st.floats(0.1, 2.0))
 @settings(max_examples=25)
 def test_endpoint_singular_positive_and_finite(d, rate):
-    value, err = integrate_endpoint_singular(lambda s: s * math.exp(-rate * s * s), d, rate)
+    value, err = integrate_abel(lambda s: s * math.exp(-rate * s * s) / math.sinh(s), d, rate)
     assert math.isfinite(value) and value > 0.0
     assert err < 1e-6 * value + 1e-12
