@@ -29,7 +29,10 @@ residual and verdict.  ``--compare OLD NEW`` runs nothing; per command it
 prints the largest relative change in value, how many cells changed by
 more than their own error estimate (the sum of the two sides' ``err_est``),
 how many cells have a value on one side only, and every verification
-verdict that changed.
+verdict that changed.  It exits 1, after one ``FAIL`` line per failure,
+when an exit code or a verdict changes, a cell has a value on one side
+only, or a cell moves by more than both 1e-9 relative and the sum of the
+two sides' ``err_est``; otherwise it exits 0.
 """
 
 from __future__ import annotations
@@ -94,29 +97,52 @@ def _rel_change(old: float, new: float) -> float:
     return abs(new - old) / scale if math.isfinite(scale) else math.inf
 
 
+# a cell fails the gate when it moves by more than both of these
+GATE_REL = 1e-9
+
+
 def compare(old_path: str, new_path: str) -> int:
+    """Print the per-command summary; 1 if any command fails the gate, else 0.
+
+    A command fails when its exit code changes, a verification verdict
+    changes, a table cell has a value on one side only, or a cell moves by
+    more than both GATE_REL relative and the sum of the two sides'
+    ``err_est``.  Each failure is printed on a line of its own starting
+    with ``FAIL``.
+    """
     old = json.loads(Path(old_path).read_text())
     new = json.loads(Path(new_path).read_text())
+    failures = []
     for key in old:
         if key not in new:
             print(f"{key}: missing in {new_path}")
+            failures.append(f"{key}: missing in {new_path}")
             continue
         a, b = old[key], new[key]
         codes = f"exit {a['exit']}->{b['exit']}"
+        if a["exit"] != b["exit"]:
+            failures.append(f"{key}: {codes}")
         if key.startswith("table"):
             worst, over, one_sided = 0.0, 0, 0
             for ca, cb in zip(a["items"], b["items"]):
                 va, vb = ca["value"], cb["value"]
+                where = f"{key}: tau={cb['tau']!r} s={cb['s']!r}"
                 if (va is None) != (vb is None):
                     one_sided += 1
+                    failures.append(f"{where}: value {va!r} -> {vb!r}")
                     continue
                 if va is None:
                     continue
-                worst = max(worst, _rel_change(va, vb))
+                rel = _rel_change(va, vb)
+                worst = max(worst, rel)
                 if abs(vb - va) > ca["err_est"] + cb["err_est"]:
                     over += 1
+                    if rel > GATE_REL:
+                        failures.append(f"{where}: value {va!r} -> {vb!r}, rel change {rel:.3g}, "
+                                        f"err_est {ca['err_est']!r} + {cb['err_est']!r}")
             if len(a["items"]) != len(b["items"]):
                 one_sided += abs(len(a["items"]) - len(b["items"]))
+                failures.append(f"{key}: cells {len(a['items'])} -> {len(b['items'])}")
             print(f"{key}: {codes}, cells {len(b['items'])}, max rel change {worst:.3g}, "
                   f"over err_est {over}, value on one side only {one_sided}")
         else:
@@ -125,6 +151,9 @@ def compare(old_path: str, new_path: str) -> int:
                 for ra, rb in zip(a["items"], b["items"])
                 if ra["passed"] != rb["passed"]
             ]
+            failures.extend(f"{key}: {f}" for f in flips)
+            if len(a["items"]) != len(b["items"]):
+                failures.append(f"{key}: reports {len(a['items'])} -> {len(b['items'])}")
             worst = max(
                 (_rel_change(ra["residual"], rb["residual"]) for ra, rb in zip(a["items"], b["items"])),
                 default=0.0,
@@ -132,7 +161,9 @@ def compare(old_path: str, new_path: str) -> int:
             print(f"{key}: {codes}, reports {len(a['items'])}->{len(b['items'])}, "
                   f"max rel residual change {worst:.3g}, verdicts changed {len(flips)}"
                   + "".join(f"\n  {f}" for f in flips))
-    return 0
+    for line in failures:
+        print(f"FAIL {line}")
+    return 1 if failures else 0
 
 
 def main() -> int:

@@ -14,7 +14,7 @@ import os
 import sys
 
 from .geometry import HoricyclicPoint, geodesic_distance
-from .kernels import EvalParams, kernel
+from .kernels import EvalParams, KernelValue, kernel, kernel_row
 from .lattice import LatticeSpec, convergence_order, lattice_kernel
 from .quadrature import NonConvergenceError, QuadratureSpec
 from . import verify as verify_mod
@@ -107,19 +107,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_table(args) -> int:
-    params_of = lambda tau: EvalParams(args.dim, tau, args.m, args.hbar)
     taus = _parse_grid(args.tau_grid)
     ss = _parse_grid(args.s_grid)
     spec = _quad_spec(args)
-
-    def one(tau, s):
-        try:
-            kv = kernel(params_of(tau), s, spec)
-            return (args.dim, tau, s, kv.value, kv.err_est, None)
-        except (NonConvergenceError, ArithmeticError) as exc:  # an overflow has no estimate
-            return (args.dim, tau, s, None, getattr(exc, "err_est", math.inf), str(exc))
-
-    rows = [one(tau, s) for tau in taus for s in ss]  # tau-major row order
+    rows = []  # tau-major row order
+    for tau in taus:
+        for s, kv in zip(ss, kernel_row(EvalParams(args.dim, tau, args.m, args.hbar), ss, spec)):
+            if isinstance(kv, KernelValue):
+                rows.append((args.dim, tau, s, kv.value, kv.err_est, None))
+            else:  # an overflow has no estimate
+                rows.append((args.dim, tau, s, None, getattr(kv, "err_est", math.inf), str(kv)))
 
     failed = any(r[5] is not None for r in rows)
     if args.format == "csv":

@@ -13,6 +13,12 @@ rational coefficients.  Two independent evaluation routes are provided:
 direct term summation (with precision escalation where the 1/sinh^r terms
 cancel catastrophically) and a power series in l - 1, which is regular at
 s = 0 and remains accurate out to s of order 1.
+
+``evaluate_auto`` picks the route for one float s; ``evaluate_many`` does
+the same for every entry of an array, with the same predicates
+(``series_ok`` and ``escalates``), as numpy operations over the nodes of
+each route.  Only the entries that need extended precision are evaluated
+one at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import mpmath
+import numpy as np
 
 __all__ = [
     "S_MIN",
@@ -32,7 +39,9 @@ __all__ = [
     "evaluate",
     "evaluate_near_origin",
     "evaluate_auto",
+    "evaluate_many",
     "series_ok",
+    "escalates",
     "dump",
 ]
 
@@ -142,18 +151,23 @@ class GExpression:
     """Canonical term set for the n-th derivative at rate a, shift E.
 
     The common prefactor sqrt(a/pi) * exp(-a s^2 + E) is kept symbolic as
-    the pair (a, E); terms multiply it.
+    the pair (a, E); terms multiply it.  The terms are those of
+    ``derivative_terms(n)``.
     """
 
     n: int
-    terms: tuple[GTerm, ...]
     a: float
     E: float
 
-    @cached_property
+    @property
+    def terms(self) -> tuple[GTerm, ...]:
+        """The canonical term set of G^(n), shared by every rate."""
+        return derivative_terms(self.n)
+
+    @property
     def cancellation_exponent(self) -> int:
         """Largest r - p over terms: the s->0 blowup order of individual terms."""
-        return max([0] + [t.r - t.p for t in self.terms])
+        return _term_table(self.n)[0]
 
     @cached_property
     def f64_terms(self) -> tuple[tuple[float, int, int, int], ...]:
@@ -164,6 +178,18 @@ class GExpression:
             if c != 0.0:
                 out.append((c, t.p, t.q, t.r))
         return tuple(out)
+
+    @cached_property
+    def f64_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+        """``f64_terms`` as (terms, 1) float arrays c, p, q, r; q is None
+        when no term has a cosh factor."""
+        _, p, q, r = _term_table(self.n)
+        c = [_poly_eval(t.coeff_f64, self.a) for t in self.terms]
+        if 0.0 in c:
+            keep = np.array(c) != 0.0
+            c, p, r = np.array(c)[keep], p[keep], r[keep]
+            q = None if q is None else q[keep]
+        return np.array(c)[:, None], p, q, r
 
 
 def _merge(parts: dict[tuple[int, int, int], Poly]) -> tuple[GTerm, ...]:
@@ -214,11 +240,24 @@ def derivative_terms(n: int) -> tuple[GTerm, ...]:
     return _apply_rules(derivative_terms(n - 1))
 
 
+@lru_cache(maxsize=None)
+def _term_table(n: int) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray]:
+    """Rate-free data of derivative_terms(n): the cancellation exponent, and
+    the powers p, q, r as (terms, 1) float columns, q None when no term has
+    a cosh factor."""
+    terms = derivative_terms(n)
+    blowup = max([0] + [t.r - t.p for t in terms])
+    p, q, r = (np.array([[float(getattr(t, k))] for t in terms]) for k in "pqr")
+    return blowup, p, (q if q.any() else None), r
+
+
 def expression(n: int, a: float, E: float) -> GExpression:
     """G^(n) at rate a and shift E, using the cached term sets."""
     if not a > 0.0:
         raise ValueError("rate a must be positive (diffusive branch)")
-    return GExpression(n, derivative_terms(n), float(a), float(E))
+    if n < 0:
+        raise ValueError("derivative order must be nonnegative")
+    return GExpression(n, float(a), float(E))
 
 
 # --- evaluation: term route -------------------------------------------------
@@ -249,11 +288,37 @@ def evaluate(g: GExpression, s: float) -> float:
     return _evaluate_terms(g, s)
 
 
+@lru_cache(maxsize=None)
+def _escalation_switch(blowup: int) -> float:
+    """The s below which the term route escalates to mpmath.
+
+    Terms blow up like s^-blowup, so about blowup * log10(1/s) digits are
+    lost; the route escalates when that exceeds 3.  Returned is the least
+    float s at which the rule no longer holds, so that ``s < switch``
+    applies it exactly, to a float or an array, and s = 0 needs no
+    logarithm.
+    """
+    def loses(s: float) -> bool:
+        return s < 1.0 and blowup * math.log10(1.0 / s) > 3.0
+
+    if blowup == 0:
+        return 0.0
+    s = 10.0 ** (-3.0 / blowup)
+    while loses(s):
+        s = math.nextafter(s, 1.0)
+    while not loses(math.nextafter(s, 0.0)):
+        s = math.nextafter(s, 0.0)
+    return s
+
+
+def escalates(g: GExpression, s):
+    """Whether the term route needs extended precision at s (float or array)."""
+    return s < _escalation_switch(g.cancellation_exponent)
+
+
 def _evaluate_terms(g: GExpression, s: float) -> float:
-    blowup = g.cancellation_exponent
-    # lost digits ~ blowup * log10(1/s); escalate when more than ~3
-    if s < 1.0 and blowup * math.log10(1.0 / s) > 3.0:
-        return _evaluate_terms_mp(g, s, blowup)
+    if escalates(g, s):
+        return _evaluate_terms_mp(g, s, g.cancellation_exponent)
     # work with log magnitudes so sinh^r and the Gaussian prefactor cannot
     # overflow separately; their combined exponent is always moderate
     if s > 20.0:
@@ -349,14 +414,14 @@ def evaluate_near_origin(g: GExpression, s: float) -> float:
     return _series_value(g, s)
 
 
-def series_ok(a: float, s: float) -> bool:
-    """Whether the l-series route is trustworthy at this (a, s).
+def series_ok(a: float, s):
+    """Whether the l-series route is trustworthy at this (a, s); s a float or array.
 
     The series alternates with effective argument ~ 2 a (cosh s - 1); for
     large argument it cancels like the termwise sum of exp(-x), so it is
     restricted to a * s^2 <= 3 on top of the geometric radius.
     """
-    return s < SERIES_SWITCH and a * s * s <= 3.0
+    return (s < SERIES_SWITCH) & (a * s * s <= 3.0)
 
 
 def evaluate_auto(g: GExpression, s: float) -> float:
@@ -369,6 +434,105 @@ def evaluate_auto(g: GExpression, s: float) -> float:
     if series_ok(g.a, s):
         return _series_value(g, s)
     return _evaluate_terms(g, s)
+
+
+# --- evaluation: arrays of s ----------------------------------------------------
+
+def _series_many(g: GExpression, s: np.ndarray) -> np.ndarray:
+    """_series_value at every entry of s: the same Horner loop over arrays."""
+    n, a = g.n, g.a
+    w0 = 2.0 * np.sinh(0.5 * s) ** 2
+    h = _h_series(a)
+    falling = _falling_factorials(n)
+    acc = np.zeros_like(w0)
+    for j in range(len(h) - 1, n - 1, -1):
+        acc *= w0
+        acc += h[j] * falling[j]
+    return math.sqrt(a / math.pi) * math.exp(g.E) * acc
+
+
+def _terms_many(g: GExpression, s: np.ndarray) -> np.ndarray:
+    """The binary64 term route at every entry of s, all s > 0.
+
+    One (terms, nodes) matrix of exp(base + p log s + q log cosh s
+    - r log sinh s) c, the terms of _evaluate_terms, reduced over the terms
+    with a compensated sum.
+    """
+    c, p, q, r = g.f64_columns
+    expo = 0.5 * math.log(g.a / math.pi) - g.a * s * s + g.E + p * np.log(s)
+    if s.max(initial=0.0) > 20.0:
+        # cosh and sinh overflow: their logs from exp(-2s)
+        big = s > 20.0
+        sb = s[big]
+        tiny = np.exp(-2.0 * sb)
+        small = s[~big]
+        if q is not None:
+            log_ch = np.empty_like(s)
+            log_ch[big] = sb - math.log(2.0) + np.log1p(tiny)
+            log_ch[~big] = np.log(np.cosh(small))
+            expo += q * log_ch
+        log_sh = np.empty_like(s)
+        log_sh[big] = sb - math.log(2.0) + np.log1p(-tiny)
+        log_sh[~big] = np.log(np.sinh(small))
+    else:
+        if q is not None:
+            expo += q * np.log(np.cosh(s))
+        log_sh = np.log(np.sinh(s))
+    rows = np.exp(expo - r * log_sh) * c
+    return _compensated_row_sum(rows)
+
+
+def _compensated_row_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum over the rows of a (terms, nodes) array, in a pairwise tree.
+
+    Each addition keeps its exact rounding error (TwoSum, Knuth), as the
+    branches of _neumaier_sum do; the errors are summed alongside and added
+    once at the end.  Elementwise only, so a column's sum does not depend
+    on the other columns.
+    """
+    m = 1
+    while m < len(rows):
+        m *= 2
+    if m > len(rows):  # zero rows are exact in TwoSum
+        rows = np.concatenate((rows, np.zeros((m - len(rows), rows.shape[1]))))
+    total, comp = rows, None
+    while m > 1:
+        m //= 2
+        a, b = total[:m], total[m:]
+        t = a + b
+        z = t - a
+        e = (a - (t - z)) + (b - z)
+        comp = e if comp is None else comp[:m] + comp[m:] + e
+        total = t
+    return total[0] if comp is None else total[0] + comp[0]
+
+
+def evaluate_many(g: GExpression, s: np.ndarray) -> np.ndarray:
+    """evaluate_auto at every entry of a float array s >= 0.
+
+    Each entry takes the route evaluate_auto takes at it; the l-series and
+    the binary64 term route run over their entries as arrays, and the
+    entries that need extended precision go one by one through the scalar
+    term route.  numpy's exp, log, sinh and cosh are not math's, so values
+    may differ from evaluate_auto's in the last bits; an entry's value does
+    not depend on the other entries.
+    """
+    # each of the two predicates holds only below a cut in s, so at the
+    # smallest s they decide for the whole array
+    lo = s.min(initial=math.inf)
+    if not (series_ok(g.a, lo) or escalates(g, lo)):
+        return _terms_many(g, s)
+    series = series_ok(g.a, s)
+    mp = ~series & escalates(g, s)
+    f64 = ~(series | mp)
+    out = np.empty_like(s)
+    if series.any():
+        out[series] = _series_many(g, s[series])
+    if f64.any():
+        out[f64] = _terms_many(g, s[f64])
+    for i in np.flatnonzero(mp):
+        out[i] = _evaluate_terms(g, float(s[i]))
+    return out
 
 
 def dump(g: GExpression) -> str:

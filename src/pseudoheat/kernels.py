@@ -15,6 +15,13 @@ gfunc module and G^(n) its n-th derivative in l.  The odd formula, D = 3
 included, solves the Abel-type integral equation in l.  The oscillatory
 real-time propagator is this family continued back through tau -> i T; it
 is not evaluated numerically here.
+
+``kernel(params, s)`` evaluates one s and raises a numerical failure.
+``kernel_row(params, ss)`` evaluates many s at one tau and returns, per s,
+the value or the unraised failure.  For odd D the row is one batched Abel
+integration, whose nodes gfunc evaluates as arrays; ``kernel`` is a
+one-element row, and a value is bit-equal alone or in any row.  Even D
+evaluates each s in turn, through the closed forms.
 """
 
 from __future__ import annotations
@@ -22,11 +29,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import gfunc
 from .quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec, integrate_abel
 
-__all__ = ["EvalParams", "KernelValue", "kernel", "kernel_d4", "kernel_even", "kernel_odd"]
+__all__ = ["EvalParams", "KernelValue", "kernel", "kernel_row", "kernel_d4", "kernel_even", "kernel_odd"]
 
 
 @dataclass(frozen=True)
@@ -108,16 +116,57 @@ def kernel_even(params: EvalParams, s: float) -> KernelValue:
     return KernelValue(value, 0.0, params.D, s, params.tau)
 
 
+def _located(exc: Exception, params: EvalParams, s: float, route: str) -> Exception:
+    """``exc`` again, as the same type, with D, tau, s and the route in its message."""
+    msg = f"{exc} at D={params.D}, tau={params.tau!r}, s={float(s)!r} in {route}"
+    if isinstance(exc, NonConvergenceError):
+        located = NonConvergenceError(exc.value, exc.err_est, msg)
+    else:
+        located = type(exc)(msg)
+    located.__cause__ = exc
+    return located
+
+
+def kernel_row(
+    params: EvalParams, ss: Sequence[float], spec: QuadratureSpec = DEFAULT_SPEC
+) -> list[KernelValue | Exception]:
+    """The kernel at every s of ss, at one tau.
+
+    Per s a KernelValue or, unraised, the located ``NonConvergenceError``
+    or ``ArithmeticError`` that ``kernel()`` would raise there.  For odd D
+    every s shares one batched Abel integration: sqrt(2) (-1/(2 pi))^k
+    times the Abel integral of G^(k), k = (D-1)/2.  A value does not
+    depend on the other s in the row.  Even D evaluates each s in turn.
+    """
+    if params.D % 2 == 0:
+        out = []
+        for s in ss:
+            try:
+                out.append(kernel(params, s, spec))
+            except (NonConvergenceError, ArithmeticError) as exc:
+                out.append(exc)
+        return out
+    ss = [_check_s(s) for s in ss]
+    k = (params.D - 1) // 2
+    f = functools.partial(gfunc.evaluate_many, gfunc.expression(k, params.a, params.E))
+    front = math.sqrt(2.0) * (-1.0 / (2.0 * math.pi)) ** k
+    out = []
+    for s, (integral, err, failure) in zip(ss, integrate_abel(f, ss, params.a, spec)):
+        if failure is None:
+            out.append(KernelValue(front * integral, abs(front) * err, params.D, s, params.tau))
+        else:
+            out.append(_located(failure, params, s, "kernel_odd"))
+    return out
+
+
 def kernel_odd(params: EvalParams, s: float, spec: QuadratureSpec = DEFAULT_SPEC) -> KernelValue:
-    """sqrt(2) (-1/(2 pi))^k times the Abel integral of G^(k), k = (D-1)/2, odd D >= 3."""
+    """Odd D >= 3 at one s: a one-element ``kernel_row``; raises its located error."""
     if params.D % 2 != 1:
         raise ValueError("kernel_odd requires odd D >= 3")
-    s = _check_s(s)
-    k = (params.D - 1) // 2
-    f = functools.partial(gfunc.evaluate_auto, gfunc.expression(k, params.a, params.E))
-    integral, err = integrate_abel(f, s, params.a, spec)
-    front = math.sqrt(2.0) * (-1.0 / (2.0 * math.pi)) ** k
-    return KernelValue(front * integral, abs(front) * err, params.D, s, params.tau)
+    (kv,) = kernel_row(params, (s,), spec)
+    if isinstance(kv, Exception):
+        raise kv
+    return kv
 
 
 def kernel(params: EvalParams, s: float, spec: QuadratureSpec = DEFAULT_SPEC) -> KernelValue:
@@ -127,16 +176,10 @@ def kernel(params: EvalParams, s: float, spec: QuadratureSpec = DEFAULT_SPEC) ->
     ``ArithmeticError`` (binary64 overflow) is raised again, as the same
     type, with D, tau, s and the route in its message.
     """
-    if params.D == 4:
-        route, extra = kernel_d4, ()
-    elif params.D % 2 == 0:
-        route, extra = kernel_even, ()
-    else:
-        route, extra = kernel_odd, (spec,)
+    if params.D % 2 == 1:
+        return kernel_odd(params, s, spec)
+    route = kernel_d4 if params.D == 4 else kernel_even
     try:
-        return route(params, s, *extra)
+        return route(params, s)
     except (NonConvergenceError, ArithmeticError) as exc:
-        msg = f"{exc} at D={params.D}, tau={params.tau!r}, s={float(s)!r} in {route.__name__}"
-        if isinstance(exc, NonConvergenceError):
-            raise NonConvergenceError(exc.value, exc.err_est, msg) from exc
-        raise type(exc)(msg) from exc
+        raise _located(exc, params, s, route.__name__) from exc

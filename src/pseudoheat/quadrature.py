@@ -6,6 +6,12 @@ envelope drops below exp(-sigma^2/2), with the tail bound folded into the
 error estimate.  The Abel integral int F(arccosh l) (l - l0)^(-1/2) dl of
 the odd-dimensional kernels is a trapezoidal rule in t, l = l0 + sinh^2 t,
 refined by halving the step.
+
+The Abel rule works on arrays: it takes many lower endpoints l0 = cosh d
+and hands the integrand F the nodes of all of them that have not yet
+converged as one float array per halving.  Each endpoint keeps its own
+steps, convergence test and error estimate, and gets back its own value or
+failure, so one endpoint that does not converge does not fail the others.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -185,66 +191,162 @@ _ABEL_MAX_HALVINGS = 6
 _ABEL_ROUNDING = 2.0 * sys.float_info.epsilon
 
 
-def integrate_abel(
-    F: Callable[[float], float],
-    d: float,
-    decay_rate: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> tuple[float, float]:
-    """Integral of F(arccosh l) (l - cosh d)^(-1/2) over l in [cosh d, inf).
+# lower endpoints per pass of integrate_abel: bounds its node arrays (a few
+# MB if every point of a pass runs all halvings, far less as a rule) while
+# a table row, or a good part of a verify radial grid, shares each pass
+_ABEL_BATCH = 64
 
-    F must decay like exp(-decay_rate s^2) in s = arccosh l.  With
-    l = cosh d + sinh^2 t the integrand, 2 F cosh t, is even, decays like a
-    Gaussian and is analytic in |Im t| < pi/2, so the trapezoidal rule
-    converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  It
-    runs in u, t = T sinh(u/T) (after Takahasi & Mori, 1974), from the step
-    min(0.2, 0.25/sqrt(decay_rate)), halving it until |I_h - I_2h| plus a
-    rounding floor meets the tolerance; I_2h reuses the nodes of I_h.
-    """
-    if d < 0.0:
-        raise ValueError("lower endpoint must be nonnegative")
-    if decay_rate <= 0.0:
-        raise ValueError("decay_rate must be positive")
+
+def _abel_grid(d: float, decay_rate: float, h_base: float, spec: QuadratureSpec) -> tuple[float, int, float]:
+    """First step h0 and even node count n (h0 n = u_max) of one endpoint, and cosh d - 1."""
     s_max = gaussian_cutoff(d, decay_rate, spec.truncation_sigma)
     # sinh^2 t_max = cosh s_max - cosh d, in product form
     t_max = math.asinh(math.sqrt(2.0 * math.sinh(0.5 * (s_max + d)) * math.sinh(0.5 * (s_max - d))))
     u_max = _ABEL_STRETCH * math.asinh(t_max / _ABEL_STRETCH)
-    w_d = 2.0 * math.sinh(0.5 * d) ** 2  # cosh d - 1
+    # an even node count, so that the 2h0 grid is a subset of the h0 grid
+    n = 2 * math.ceil(0.5 * u_max / h_base)
+    return u_max / n, n, 2.0 * math.sinh(0.5 * d) ** 2
 
-    def node_sum(us) -> tuple[float, float, float]:
-        """Integrand summed over us, unweighted and weighted by 1 + a s^2; last value."""
-        total = weighted = v = 0.0
-        for u in us:
-            x = math.sinh(u / _ABEL_STRETCH)
-            t = _ABEL_STRETCH * x
-            sh = math.sinh(t)
-            w = w_d + sh * sh  # l - 1
-            s = math.log1p(w + math.sqrt(w) * math.sqrt(w + 2.0))
-            v = 2.0 * F(s) * math.cosh(t) * math.sqrt(1.0 + x * x)
-            total += v
-            weighted += abs(v) * (1.0 + decay_rate * s * s)
-        return total, weighted, v
 
-    # the first step h0 on an even node count, so that the 2h0 grid is a subset
-    n = 2 * math.ceil(0.5 * u_max / min(0.2, 0.25 / math.sqrt(decay_rate)))
-    h = u_max / n
-    origin, origin_weighted, _ = node_sum((0.0,))
-    total, weighted, last = node_sum(j * h for j in range(2, n + 1, 2))
-    total += 0.5 * origin
-    weighted += 0.5 * origin_weighted
-    value = 2.0 * h * total
-    for _ in range(_ABEL_MAX_HALVINGS + 1):
-        more, more_weighted, _ = node_sum(j * h for j in range(1, n, 2))
-        total += more
-        weighted += more_weighted
-        coarse, value = value, h * total
-        # the node at u_max bounds the truncated tail
-        err = abs(value - coarse) + h * (_ABEL_ROUNDING * weighted + abs(last))
-        if err <= max(spec.rel_tol * abs(value), spec.abs_tol):
-            return value, err
-        h *= 0.5
-        n *= 2
-    raise NonConvergenceError(value, err)
+def _abel_nodes(F, u_stretched: np.ndarray, w_d, decay_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integrand at the nodes u = T u_stretched of endpoints with cosh d - 1 = w_d
+    (per node, or one float for all); and it weighted by 1 + a s^2."""
+    x = np.sinh(u_stretched)
+    t = _ABEL_STRETCH * x
+    sh = np.sinh(t)
+    w = w_d + sh * sh  # l - 1
+    # two square roots: w (w + 2) overflows where cosh s_max is ~1e233 (tau ~ 1000)
+    s = np.log1p(w + np.sqrt(w) * np.sqrt(w + 2.0))
+    v = 2.0 * F(s) * np.cosh(t) * np.hypot(1.0, x)
+    return v, np.abs(v) * (1.0 + decay_rate * s * s)
+
+
+def _abel_sums(F, us: list, w_ds: list, decay_rate: float, cuts: list[int]) -> tuple[list, list, np.ndarray]:
+    """Evaluate the node arrays us (each of one endpoint, u / T, cosh d - 1 = w_ds[i])
+    in one call of F; sum the integrand, and it weighted, over the segments
+    that start at cuts in their concatenation."""
+    if len(us) == 1:
+        v, vw = _abel_nodes(F, us[0], w_ds[0], decay_rate)
+    else:
+        v, vw = _abel_nodes(F, np.concatenate(us), np.repeat(w_ds, [len(u) for u in us]), decay_rate)
+    return np.add.reduceat(v, cuts).tolist(), np.add.reduceat(vw, cuts).tolist(), v
+
+
+def integrate_abel(
+    F: Callable[[np.ndarray], np.ndarray],
+    ds: Sequence[float],
+    decay_rate: float,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+) -> list[tuple[float, float, Exception | None]]:
+    """Integral of F(arccosh l) (l - cosh d)^(-1/2) over l in [cosh d, inf), for each d in ds.
+
+    F maps a float array of s = arccosh l to its values and must decay
+    like exp(-decay_rate s^2).  With l = cosh d + sinh^2 t the integrand,
+    2 F cosh t, is even, decays like a Gaussian and is analytic in
+    |Im t| < pi/2, so the trapezoidal rule converges geometrically
+    (Trefethen & Weideman, SIAM Rev. 56, 2014).  It runs in u,
+    t = T sinh(u/T) (after Takahasi & Mori, 1974), from the step
+    min(0.2, 0.25/sqrt(decay_rate)), halving it until |I_h - I_2h| plus a
+    rounding floor meets the tolerance; I_2h reuses the nodes of I_h.
+
+    Each pass hands F, as one array, the new nodes of every endpoint not
+    yet converged, for up to _ABEL_BATCH endpoints at a time; each
+    endpoint stops on its own test.  If F evaluates each entry
+    independently of the others, an endpoint's result does not depend on
+    the other endpoints.  Returns (value, err_est, failure) per endpoint:
+    failure is None, or an unraised NonConvergenceError (value and
+    err_est after the last halving) or OverflowError.
+    """
+    ds = [float(d) for d in ds]
+    if any(d < 0.0 for d in ds):
+        raise ValueError("lower endpoint must be nonnegative")
+    if decay_rate <= 0.0:
+        raise ValueError("decay_rate must be positive")
+    out = []
+    # an overflow leaves a non-finite sum, which is reported for its endpoint
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(ds), _ABEL_BATCH):
+            out.extend(_abel_pass(F, ds[lo : lo + _ABEL_BATCH], decay_rate, spec))
+    return out
+
+
+@dataclass(slots=True)
+class _AbelPoint:
+    """One endpoint's running trapezoid state: step h over n intervals,
+    sums of the integrand and of it weighted by 1 + a s^2, latest value and
+    its error estimate, and the tail-bounding node value at u_max."""
+
+    index: int
+    h: float
+    n: int
+    w_d: float  # cosh d - 1
+    total: float = 0.0
+    weighted: float = 0.0
+    value: float = 0.0
+    err: float = 0.0
+    last: float = 0.0
+
+
+def _abel_pass(F, ds: list[float], decay_rate: float, spec: QuadratureSpec) -> list:
+    out: list = [None] * len(ds)
+    h_base = min(0.2, 0.25 / math.sqrt(decay_rate))
+    live = []
+    for i, d in enumerate(ds):
+        try:
+            live.append(_AbelPoint(i, *_abel_grid(d, decay_rate, h_base, spec)))
+        except ArithmeticError as exc:
+            out[i] = (math.nan, math.inf, exc)
+    if not live:
+        return out
+    # the whole h0 grid in one pass; per endpoint its origin, its even
+    # nodes (the 2h0 grid) and its odd nodes, in that order
+    us, cuts, ends, offset = [], [], [], 0
+    for pt in live:
+        j = np.arange(pt.n + 1)
+        # u / T, as (j h) / T is j (h / T) exactly: T is a power of two
+        us.append(np.concatenate((j[::2], j[1::2])) * (pt.h / _ABEL_STRETCH))
+        cuts += (offset, offset + 1, offset + 1 + pt.n // 2)
+        ends.append(offset + pt.n // 2)
+        offset += pt.n + 1
+    sums, wsums, v = _abel_sums(F, us, [pt.w_d for pt in live], decay_rate, cuts)
+    for k, pt in enumerate(live):
+        origin, evens, _ = sums[3 * k : 3 * k + 3]
+        origin_w, evens_w, _ = wsums[3 * k : 3 * k + 3]
+        pt.total = evens + 0.5 * origin
+        pt.weighted = evens_w + 0.5 * origin_w
+        pt.value = 2.0 * pt.h * pt.total
+        pt.last = float(v[ends[k]])  # the node at u_max bounds the truncated tail
+    more, more_w = sums[2::3], wsums[2::3]
+
+    for level in range(_ABEL_MAX_HALVINGS + 1):
+        if level:
+            # halve every step; the new nodes are the odd ones of the finer grid
+            us, cuts, offset = [], [], 0
+            for pt in live:
+                pt.h *= 0.5
+                pt.n *= 2
+                us.append(np.arange(1, pt.n, 2) * (pt.h / _ABEL_STRETCH))
+                cuts.append(offset)
+                offset += pt.n // 2
+            more, more_w, _ = _abel_sums(F, us, [pt.w_d for pt in live], decay_rate, cuts)
+        unfinished = []
+        for pt, m, m_w in zip(live, more, more_w):
+            pt.total += m
+            pt.weighted += m_w
+            coarse, pt.value = pt.value, pt.h * pt.total
+            pt.err = abs(pt.value - coarse) + pt.h * (_ABEL_ROUNDING * pt.weighted + abs(pt.last))
+            if not (math.isfinite(pt.total) and math.isfinite(pt.weighted)):
+                out[pt.index] = (pt.value, pt.err, OverflowError("integrand overflowed binary64"))
+            elif pt.err <= max(spec.rel_tol * abs(pt.value), spec.abs_tol):
+                out[pt.index] = (pt.value, pt.err, None)
+            else:
+                unfinished.append(pt)
+        live = unfinished
+        if not live:
+            return out
+    for pt in live:
+        out[pt.index] = (pt.value, pt.err, NonConvergenceError(pt.value, pt.err))
+    return out
 
 
 def abel_identity_check(

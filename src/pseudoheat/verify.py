@@ -24,7 +24,7 @@ from .geometry import (
     laplace_beltrami_apply,
     sphere_surface_area,
 )
-from .kernels import EvalParams, kernel
+from .kernels import EvalParams, KernelValue, kernel, kernel_row
 from .quadrature import (
     NonConvergenceError,
     QuadratureSpec,
@@ -279,13 +279,18 @@ class _RadialTable:
 
     Used for the quadrature-backed odd dimensions, where direct kernel
     evaluation inside a double integral would be needlessly slow; even-D
-    kernels are cheap enough to evaluate directly.
+    kernels are cheap enough to evaluate directly.  The grid is one
+    ``kernel_row`` call.
     """
 
     def __init__(self, params: EvalParams, rho_max: float, step: float = 0.01):
         n = max(64, int(math.ceil(rho_max / step)) + 1)
         self.xs = np.linspace(0.0, rho_max, n)
-        ys = np.array([kernel(params, float(r), _KERNEL_SPEC).value for r in self.xs])
+        values = kernel_row(params, self.xs.tolist(), _KERNEL_SPEC)
+        for kv in values:
+            if not isinstance(kv, KernelValue):
+                raise kv
+        ys = np.array([kv.value for kv in values])
         self.h = float(self.xs[1] - self.xs[0])
         self.ys = ys
         self.m = self._second_derivatives(ys, self.h)

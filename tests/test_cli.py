@@ -163,3 +163,25 @@ def test_oracle_deterministic_and_dimension_guard():
     assert lines[-1].startswith("fitted_order,")
     res3 = run_cli("oracle", "--dim", "6", "--tau", "0.25", "--n", "2")
     assert res3.returncode == 2
+
+
+def test_table_row_keeps_its_cells_around_a_nonconverged_one():
+    # one tau row is one batched call; the s = 1 cell stops on its own test
+    # (its rounding floor is above rel 1e-13) and the row's other cells stay
+    args = ("table", "--dim", "3", "--tau-grid", "0.001:0.001:1", "--s-grid", "0:1:5",
+            "--rel-tol", "1e-13", "--abs-tol", "1e-300")
+    res = run_cli(*args, "--format", "csv")
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+    rows = [line.split(",") for line in res.stdout.strip().splitlines()[1:]]
+    assert [float(r[2]) for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert all(math.isfinite(float(r[3])) and float(r[3]) > 0.0 for r in rows[:4])
+    assert rows[4][3] == "" and 0.0 < float(rows[4][4]) < 1e-100
+    res = run_cli(*args)
+    assert res.returncode == 3
+    doc = json.loads(res.stdout)
+    bad = doc["rows"][4]
+    assert bad["value"] is None and bad["err_est"] == float(rows[4][4])
+    assert bad["error"].startswith("quadrature did not converge")
+    assert bad["error"].endswith("at D=3, tau=0.001, s=1.0 in kernel_odd")
+    assert all("error" not in r for r in doc["rows"][:4])

@@ -1,6 +1,8 @@
 import math
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -287,3 +289,41 @@ def test_series_weights_equal_nested_loop_exactly():
                 assert gfunc._series_value(expression(n, a, -0.3), s) == nested(n, a, -0.3, s), (n, a, s)
                 compared += 1
     assert compared == 11 * (4 * 4)  # s = 0.27 is past SERIES_SWITCH
+
+
+@pytest.mark.filterwarnings("error")
+def test_compensated_row_sum_on_cancelling_columns():
+    # columns whose terms cancel to ~1e-11 of their magnitude: the sum over
+    # the rows must stay within 2 eps of the exact sum (math.fsum), up to
+    # a second-order T^2 eps^2 sum|x|; a plain sum is off by ~eps sum|x|
+    eps = sys.float_info.epsilon
+    rng = np.random.default_rng(3)
+    for n_rows in (1, 2, 3, 5, 8, 19, 33):
+        rows = rng.standard_normal((n_rows, 40)) * np.exp(rng.uniform(0.0, 18.0, (n_rows, 40)))
+        if n_rows > 1:
+            rows[-1] = [-math.fsum(col) + 1e-3 * rng.standard_normal() for col in rows[:-1].T]
+        got = gfunc._compensated_row_sum(rows)
+        for col, value in zip(rows.T, got.tolist()):
+            exact = math.fsum(col)
+            bound = 2.0 * eps * abs(exact) + n_rows**2 * eps**2 * float(np.abs(col).sum())
+            assert abs(value - exact) <= bound, (n_rows, value, exact)
+
+
+def test_escalation_switch_applies_the_digit_loss_rule_exactly():
+    # escalates(g, s) is s < switch; the rule it stands for is
+    # s < 1 and blowup * log10(1/s) > 3, checked at random s and at the
+    # floats around each switch
+    rng = np.random.default_rng(11)
+    for blowup in range(0, 41):
+        switch = gfunc._escalation_switch(blowup)
+        near = [switch]
+        for _ in range(20):
+            near += [math.nextafter(near[-1], 1.0)]
+        below = [switch]
+        for _ in range(20):
+            below += [math.nextafter(below[-1], 0.0)]
+        for s in [*near, *below, *rng.uniform(0.0, 1.0, 200).tolist(), 0.999, 1.0, 2.0]:
+            if s <= 0.0:
+                continue
+            rule = s < 1.0 and blowup * math.log10(1.0 / s) > 3.0
+            assert (s < switch) == rule, (blowup, s, switch)

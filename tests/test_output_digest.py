@@ -1,0 +1,94 @@
+"""The value gate of scripts/output_digest.py --compare, on synthetic --values files."""
+
+import copy
+import importlib.util
+import json
+from pathlib import Path
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+_spec = importlib.util.spec_from_file_location("output_digest", _SCRIPT)
+digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(digest)
+
+TABLE = "table --dim 5 --tau-grid 0.5:1:2 --s-grid 0:1:2 --format csv --threads 1"
+VERIFY = "verify all --dims 3 --tau 0.5"
+
+OLD = {
+    TABLE: {
+        "exit": 0,
+        "items": [
+            {"tau": 0.5, "s": 0.0, "value": 0.25, "err_est": 1e-15},
+            {"tau": 0.5, "s": 1.0, "value": 0.125, "err_est": 1e-15},
+            {"tau": 1.0, "s": 0.0, "value": 1e-40, "err_est": 1e-44},
+            {"tau": 1.0, "s": 1.0, "value": 2e-40, "err_est": 1e-44},
+        ],
+    },
+    VERIFY: {
+        "exit": 0,
+        "items": [
+            {"check": "abel", "D": 3, "residual": 1e-10, "passed": True},
+            {"check": "mass", "D": 3, "residual": 0.3, "passed": False},
+        ],
+    },
+}
+
+
+def _compare(tmp_path, new, capsys):
+    old_file, new_file = tmp_path / "old.json", tmp_path / "new.json"
+    old_file.write_text(json.dumps(OLD))
+    new_file.write_text(json.dumps(new))
+    code = digest.compare(str(old_file), str(new_file))
+    return code, [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+
+
+def test_compare_passes_small_moves(tmp_path, capsys):
+    new = copy.deepcopy(OLD)
+    cells = new[TABLE]["items"]
+    cells[0]["value"] = 0.25 * (1 + 2e-10)  # past both err_est, inside 1e-9 relative
+    cells[2]["value"] = 1e-40 * (1 + 1e-6)  # past 1e-9 relative, inside the err_est sum
+    new[VERIFY]["items"][0]["residual"] = 2e-10  # residuals may move; verdicts may not
+    code, fails = _compare(tmp_path, new, capsys)
+    assert code == 0 and fails == []
+
+
+def test_compare_fails_on_exit_code(tmp_path, capsys):
+    new = copy.deepcopy(OLD)
+    new[TABLE]["exit"] = 3
+    code, fails = _compare(tmp_path, new, capsys)
+    assert code == 1
+    assert fails == [f"FAIL {TABLE}: exit 0->3"]
+
+
+def test_compare_fails_on_verdict(tmp_path, capsys):
+    new = copy.deepcopy(OLD)
+    new[VERIFY]["items"][1]["passed"] = True
+    code, fails = _compare(tmp_path, new, capsys)
+    assert code == 1
+    assert fails == [f"FAIL {VERIFY}: mass D=3 False->True"]
+
+
+def test_compare_fails_on_value_on_one_side(tmp_path, capsys):
+    new = copy.deepcopy(OLD)
+    new[TABLE]["items"][3]["value"] = None
+    code, fails = _compare(tmp_path, new, capsys)
+    assert code == 1
+    assert fails == [f"FAIL {TABLE}: tau=1.0 s=1.0: value 2e-40 -> None"]
+
+
+def test_compare_fails_on_cell_past_both_bounds(tmp_path, capsys):
+    new = copy.deepcopy(OLD)
+    new[TABLE]["items"][1]["value"] = 0.125 * (1 + 1e-8)
+    code, fails = _compare(tmp_path, new, capsys)
+    assert code == 1
+    (line,) = fails
+    assert line.startswith(f"FAIL {TABLE}: tau=0.5 s=1.0: value 0.125 -> ")
+
+
+def test_main_returns_the_compare_exit_code(tmp_path, monkeypatch, capsys):
+    new = copy.deepcopy(OLD)
+    new[TABLE]["exit"] = 3
+    old_file, new_file = tmp_path / "old.json", tmp_path / "new.json"
+    old_file.write_text(json.dumps(OLD))
+    new_file.write_text(json.dumps(new))
+    monkeypatch.setattr("sys.argv", ["output_digest.py", "--compare", str(old_file), str(new_file)])
+    assert digest.main() == 1

@@ -14,6 +14,14 @@ from pseudoheat.quadrature import (
 from _oracles import gaussian_moment, graded_midpoint_inverse_sqrt
 
 
+def _abel(F, d, rate, spec=QuadratureSpec()):
+    """integrate_abel at one endpoint: (value, err_est), or its failure raised."""
+    ((value, err, failure),) = integrate_abel(F, [d], rate, spec)
+    if failure is not None:
+        raise failure
+    return value, err
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
@@ -72,15 +80,15 @@ def test_endpoint_singular_weight_only_against_graded_mesh():
     # brute-force graded midpoint rule on [d, d + 6], past which f < e^-48
     d = 1.0
     oracle = graded_midpoint_inverse_sqrt(d, d + 6.0, f=lambda s: np.exp(-s * s))
-    value, _ = integrate_abel(lambda s: math.exp(-s * s) / math.sinh(s), d, 1.0)
+    value, _ = _abel(lambda s: np.exp(-s * s) / np.sinh(s), d, 1.0)
     assert value == pytest.approx(oracle, abs=1e-8 * oracle)
 
 
 def test_endpoint_singular_dual_substitution():
     # same integral through w = cosh s - cosh d, then w = t^2: fully independent path
     d = 1.0
-    f = lambda s: s * math.exp(-s * s / 4.0)
-    v1, e1 = integrate_abel(lambda s: f(s) / math.sinh(s), d, 0.25)
+    f = lambda s: s * np.exp(-s * s / 4.0)
+    v1, e1 = _abel(lambda s: f(s) / np.sinh(s), d, 0.25)
 
     def g(t):
         sig = math.acosh(math.cosh(d) + t * t)
@@ -94,11 +102,12 @@ def test_endpoint_singular_dual_substitution():
 
 def _s_over_sinh_gaussian(s):
     # f / sinh for f = s exp(-s^2/4), with its limit 1 at s = 0
-    return (s / math.sinh(s) if s else 1.0) * math.exp(-s * s / 4.0)
+    ratio = np.divide(s, np.sinh(s), out=np.ones_like(s), where=s > 0.0)
+    return ratio * np.exp(-s * s / 4.0)
 
 
 def test_endpoint_singular_small_d_regular():
-    values = [integrate_abel(_s_over_sinh_gaussian, d, 0.25)[0] for d in (0.0, 1e-3, 1e-2)]
+    values = [_abel(_s_over_sinh_gaussian, d, 0.25)[0] for d in (0.0, 1e-3, 1e-2)]
     assert all(math.isfinite(v) for v in values)
     assert values[0] == pytest.approx(values[1], rel=1e-2)
     assert values[0] == pytest.approx(values[2], rel=5e-2)
@@ -106,9 +115,9 @@ def test_endpoint_singular_small_d_regular():
 
 def test_endpoint_singular_rejects_negative_endpoint():
     with pytest.raises(ValueError):
-        integrate_abel(lambda s: s, -0.1, 1.0)
+        integrate_abel(lambda s: s, [0.1, -0.1], 1.0)
     with pytest.raises(ValueError):
-        integrate_abel(lambda s: s, 0.1, 0.0)
+        integrate_abel(lambda s: s, [0.1], 0.0)
 
 
 def test_abel_closed_form_exponential():
@@ -116,7 +125,7 @@ def test_abel_closed_form_exponential():
     # integrand decays faster than any Gaussian in s, so any rate bounds it
     for c in (0.5, 1.0, 3.0):
         for d in (0.0, 0.5, 2.0):
-            value, err = integrate_abel(lambda s: math.exp(-c * math.cosh(s)), d, 1.0)
+            value, err = _abel(lambda s: np.exp(-c * np.cosh(s)), d, 1.0)
             exact = math.sqrt(math.pi / c) * math.exp(-c * math.cosh(d))
             assert abs(value - exact) <= 1e-13 * exact, (c, d)
             assert abs(value - exact) <= err, (c, d)
@@ -127,11 +136,11 @@ def test_abel_halving_reuses_every_node():
     nodes = []
 
     def F(s):
-        nodes.append(s)
-        return math.exp(-2.0 * s * s)
+        nodes.extend(s.tolist())
+        return np.exp(-2.0 * s * s)
 
     spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
-    integrate_abel(F, 0.7, 2.0, spec)
+    _abel(F, 0.7, 2.0, spec)
     assert len(nodes) == len(set(nodes))
     assert len(nodes) >= 3
 
@@ -139,9 +148,9 @@ def test_abel_halving_reuses_every_node():
 def test_abel_nonconvergence_below_rounding_floor():
     spec = QuadratureSpec(rel_tol=1e-18, abs_tol=1e-300)
     with pytest.raises(NonConvergenceError) as info:
-        integrate_abel(lambda s: math.exp(-s * s), 1.0, 1.0, spec)
+        _abel(lambda s: np.exp(-s * s), 1.0, 1.0, spec)
     assert info.value.err_est > 0.0
-    assert info.value.value == pytest.approx(integrate_abel(lambda s: math.exp(-s * s), 1.0, 1.0)[0], rel=1e-12)
+    assert info.value.value == pytest.approx(_abel(lambda s: np.exp(-s * s), 1.0, 1.0)[0], rel=1e-12)
 
 
 def test_abel_identity_exponential():
@@ -190,6 +199,47 @@ def test_gaussian_moments_property(k, c, lower):
 @given(d=st.floats(0.05, 3.0), rate=st.floats(0.1, 2.0))
 @settings(max_examples=25)
 def test_endpoint_singular_positive_and_finite(d, rate):
-    value, err = integrate_abel(lambda s: s * math.exp(-rate * s * s) / math.sinh(s), d, rate)
+    value, err = _abel(lambda s: s * np.exp(-rate * s * s) / np.sinh(s), d, rate)
     assert math.isfinite(value) and value > 0.0
     assert err < 1e-6 * value + 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_abel_endpoints_are_independent_of_their_batch():
+    # more endpoints than one pass takes, each bit-equal to its own call
+    F = lambda s: np.exp(-s * s)
+    ds = [0.05 * k for k in range(70)]
+    batch = integrate_abel(F, ds, 1.0)
+    assert len(batch) == 70
+    for d, got in zip(ds, batch):
+        ((value, err, failure),) = integrate_abel(F, [d], 1.0)
+        assert failure is None and got == (value, err, None), d
+    assert integrate_abel(F, [], 1.0) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_abel_one_failed_endpoint_keeps_the_others():
+    # at d = 15 the rounding floor 2 eps (1 + s^2) per node exceeds 1e-13
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
+    F = lambda s: np.exp(-s * s)
+    first, failed, last = integrate_abel(F, [1.0, 15.0, 2.0], 1.0, spec)
+    assert first == integrate_abel(F, [1.0], 1.0, spec)[0] and first[2] is None
+    assert last == integrate_abel(F, [2.0], 1.0, spec)[0] and last[2] is None
+    value, err, failure = failed
+    assert isinstance(failure, NonConvergenceError)
+    assert (failure.value, failure.err_est) == (value, err) and err > 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_abel_reduceat_sums_a_segment_as_it_sums_it_alone():
+    # integrate_abel sums each endpoint's nodes with np.add.reduceat over the
+    # concatenation of a pass; that sum must not depend on the neighbours.
+    # (ndarray.sum of the slice is not the reference: it sums pairwise and
+    # differs in the last bits.)
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        v = rng.standard_normal(int(rng.integers(1, 500))) * math.exp(rng.uniform(-30.0, 30.0))
+        cuts = np.unique(np.concatenate(([0], rng.integers(0, len(v), int(rng.integers(1, 9))))))
+        sums = np.add.reduceat(v, cuts)
+        for i, (lo, hi) in enumerate(zip(cuts, [*cuts[1:], len(v)])):
+            assert sums[i] == np.add.reduceat(v[lo:hi].copy(), [0])[0]
