@@ -7,7 +7,8 @@ of the checkout it sits in:
 * ``table --format csv --threads 1`` for D = 3..12 on
   ``--tau-grid 0.25:2:4 --s-grid 0:6:13`` and on
   ``--tau-grid 0.0001:0.01:2 --s-grid 0:0.3:7``;
-* ``verify all --dims 3,4,5 --tau 0.5``.
+* ``verify all --dims 3,4,5`` at ``--tau 0.5`` and ``--tau 1.0``, the two
+  tau of the benchmark's ``certify`` workload.
 
 Each printed line reads ``<sha256 of stdout> exit=<code> <arguments>``.
 Run it in two checkouts and diff the outputs:
@@ -15,7 +16,7 @@ Run it in two checkouts and diff the outputs:
     python3 scripts/output_digest.py > digests.txt
 
 A change that must keep every table and verification output identical
-keeps every line.  The verify job takes most of the run (tens of seconds).
+keeps every line.  The verify jobs take most of the run (tens of seconds).
 
 A change that moves output bits is gated on values instead:
 
@@ -62,7 +63,8 @@ def commands() -> list[list[str]]:
                 "table", "--dim", str(dim), "--tau-grid", tau_grid, "--s-grid", s_grid,
                 "--format", "csv", "--threads", "1",
             ])
-    out.append(["verify", "all", "--dims", "3,4,5", "--tau", "0.5"])
+    for tau in ("0.5", "1.0"):
+        out.append(["verify", "all", "--dims", "3,4,5", "--tau", tau])
     return out
 
 

@@ -280,9 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: a parser costs about a millisecond, paid per in-process call
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if getattr(args, "dim", None) is not None and args.dim < 3:
         print("error: D must be >= 3", file=sys.stderr)
         return 2

@@ -100,8 +100,14 @@ def kernel_d4(params: EvalParams, s: float) -> KernelValue:
         raise ValueError("kernel_d4 requires D = 4")
     s = _check_s(s)
     a = params.a
-    ratio = s / math.sinh(s) if s > 0.0 else 1.0
-    value = (a / math.pi) ** 1.5 * ratio * math.exp(-a * s * s + params.E)
+    try:
+        ratio = s / math.sinh(s) if s > 0.0 else 1.0
+    except OverflowError:
+        # past s ~ 710.48, s / sinh s = 2 s exp(-s) to binary64 precision;
+        # in one exponent the product underflows to its true value, 0.0
+        value = (a / math.pi) ** 1.5 * s * (2.0 * math.exp(-s - a * s * s + params.E))
+    else:
+        value = (a / math.pi) ** 1.5 * ratio * math.exp(-a * s * s + params.E)
     return KernelValue(value, 0.0, 4, s, params.tau)
 
 

@@ -34,9 +34,9 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import HoricyclicPoint, _arccosh_from_excess, sphere_surface_area
-from .kernels import EvalParams, kernel
+from .kernels import EvalParams
 from .quadrature import QuadratureSpec, _geometric_breakpoints, gaussian_cutoff, integrate_finite
-from .verify import VerificationReport, _KERNEL_SPEC
+from .verify import VerificationReport, _kernel_values
 
 __all__ = ["LatticeSpec", "lattice_kernel", "x_marginal_check", "convergence_order"]
 
@@ -198,10 +198,10 @@ def _lattice_nested(
                 mid = HoricyclicPoint(y, (x,))
                 return _slice_factor(params, eps, q1, mid) * _slice_factor(params, eps, mid, q2)
 
-            val, _ = integrate_finite(f, x_pts, qspec)
+            val, _ = integrate_finite(lambda xs: [f(x) for x in xs], x_pts, qspec)
             return math.exp(-z) * val
 
-        value, err = integrate_finite(inner, z_pts, qspec)
+        value, err = integrate_finite(lambda zs: [inner(z) for z in zs], z_pts, qspec)
         return value, err
 
     # n == 3, heights only
@@ -218,10 +218,10 @@ def _lattice_nested(
         return math.sqrt(big_a / math.pi) * math.exp(-a_eps * s - big_a * r2)
 
     def outer(za: float) -> float:
-        val, _ = integrate_finite(lambda zb: inner(za, zb), z_pts, qspec)
+        val, _ = integrate_finite(lambda zbs: [inner(za, zb) for zb in zbs], z_pts, qspec)
         return val
 
-    value, err = integrate_finite(outer, z_pts, qspec)
+    value, err = integrate_finite(lambda zas: [outer(za) for za in zas], z_pts, qspec)
     return front * value, front * err
 
 
@@ -285,9 +285,9 @@ def x_marginal_check(
     else:
         front, power = sphere_surface_area(params.D - 3), params.D - 3
 
-    def f(r: float) -> float:
-        kv = kernel(params, s_of(r), _KERNEL_SPEC).value
-        return kv * r**power if kv else 0.0
+    def f(rs: list[float]) -> list[float]:
+        kvs = _kernel_values(params, [s_of(r) for r in rs])
+        return [kv * r**power if kv else 0.0 for r, kv in zip(rs, kvs)]
 
     # R grows exponentially with the arc, so the domain dwarfs the support
     # scale sqrt(2 y1 y2): seed panels down to a fraction of that scale

@@ -3,8 +3,9 @@
 Two rules.  An adaptive embedded Gauss-Legendre 10/21 pair bisects the
 worst interval; semi-infinite domains are truncated where the decay
 envelope drops below exp(-sigma^2/2), with the tail bound folded into the
-error estimate.  The Abel integral int F(arccosh l) (l - l0)^(-1/2) dl of
-the odd-dimensional kernels is a trapezoidal rule in t, l = l0 + sinh^2 t,
+error estimate; its integrand gets the nodes of every panel it opens in
+one call.  The Abel integral int F(arccosh l) (l - l0)^(-1/2) dl of the
+odd-dimensional kernels is a trapezoidal rule in t, l = l0 + sinh^2 t,
 refined by halving the step.
 
 The Abel rule works on arrays: it takes many lower endpoints l0 = cosh d
@@ -67,26 +68,51 @@ class NonConvergenceError(RuntimeError):
         self.err_est = err_est
 
 
-def _rule(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    hi_sum = 0.0
-    for x, w in zip(_NODES_HI, _WEIGHTS_HI):
-        hi_sum += w * f(mid + half * x)
-    lo_sum = 0.0
-    for x, w in zip(_NODES_LO, _WEIGHTS_LO):
-        lo_sum += w * f(mid + half * x)
-    value = half * hi_sum
-    err = abs(half * (hi_sum - lo_sum)) + 1e-16 * abs(value)
-    return value, err
+# one panel's nodes, high-order rule first; each panel is summed in this order
+_NODES = _NODES_HI + _NODES_LO
+
+
+def _rules(
+    f: Callable[[list[float]], Sequence[float]], panels: list[tuple[float, float]]
+) -> list[tuple[float, float]]:
+    """(value, err) of the 10/21 pair on each (lo, hi), from one call of f on all their nodes."""
+    nodes = []
+    for lo, hi in panels:
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        nodes += [mid + half * x for x in _NODES]
+    fx = f(nodes)
+    if len(fx) != len(nodes):
+        raise ValueError(f"integrand returned {len(fx)} values for {len(nodes)} nodes")
+    values = iter(fx)  # zip stops on the weights, so each loop takes its own nodes
+    out = []
+    for lo, hi in panels:
+        half = 0.5 * (hi - lo)
+        hi_sum = 0.0
+        for w, y in zip(_WEIGHTS_HI, values):
+            hi_sum += w * y
+        lo_sum = 0.0
+        for w, y in zip(_WEIGHTS_LO, values):
+            lo_sum += w * y
+        value = half * hi_sum
+        err = abs(half * (hi_sum - lo_sum)) + 1e-16 * abs(value)
+        out.append((value, err))
+    return out
 
 
 def integrate_finite(
-    f: Callable[[float], float],
+    f: Callable[[list[float]], Sequence[float]],
     breakpoints: list[float] | tuple[float, ...],
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> tuple[float, float]:
     """Adaptive integration over [breakpoints[0], breakpoints[-1]].
+
+    f takes a list of nodes and returns their values, in order, as a
+    sequence of floats.  The first call holds the 31 nodes of every seed
+    panel, each later call the nodes of both halves of one bisection, so an
+    integrand that evaluates many points at once (``kernels.kernel_row``)
+    sees them together.  A scalar integrand g is passed as
+    ``lambda xs: [g(x) for x in xs]``.
 
     Interior breakpoints seed the subdivision (useful when most of the mass
     sits near one end of a long interval).  Deterministic: the worst
@@ -100,8 +126,8 @@ def integrate_finite(
     counter = 0
     total = 0.0
     total_err = 0.0
-    for lo, hi in zip(pts, pts[1:]):
-        v, e = _rule(f, lo, hi)
+    seeds = list(zip(pts, pts[1:]))
+    for (lo, hi), (v, e) in zip(seeds, _rules(f, seeds)):
         heapq.heappush(heap, (-e, counter, lo, hi, v))
         counter += 1
         total += v
@@ -121,8 +147,7 @@ def integrate_finite(
             if resolution_err > max(spec.rel_tol * abs(total), spec.abs_tol):
                 raise NonConvergenceError(total, total_err + resolution_err)
             continue
-        v1, e1 = _rule(f, lo, mid)
-        v2, e2 = _rule(f, mid, hi)
+        (v1, e1), (v2, e2) = _rules(f, [(lo, mid), (mid, hi)])
         total += v1 + v2 - v
         total_err += e1 + e2 + neg_e  # neg_e = -(old error)
         heapq.heappush(heap, (-e1, counter, lo, mid, v1))
@@ -159,7 +184,7 @@ def gaussian_cutoff(lower: float, decay_rate: float, sigma: float, linear_growth
 
 
 def integrate_semi_infinite(
-    f: Callable[[float], float],
+    f: Callable[[list[float]], Sequence[float]],
     lower: float,
     decay_rate: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
@@ -167,16 +192,18 @@ def integrate_semi_infinite(
 ) -> tuple[float, float]:
     """Integral of f over [lower, inf) for |f| <= C exp(-rate t^2 + growth t).
 
-    The domain is truncated where the envelope has fallen by
-    exp(-truncation_sigma^2/2) relative to the lower endpoint; an envelope
-    tail bound is added to the returned error estimate.
+    f takes a list of nodes and returns their values, as for
+    ``integrate_finite``.  The domain is truncated where the envelope has
+    fallen by exp(-truncation_sigma^2/2) relative to the lower endpoint; an
+    envelope tail bound is added to the returned error estimate.
     """
     if decay_rate <= 0.0:
         raise ValueError("decay_rate must be positive")
     cutoff = gaussian_cutoff(lower, decay_rate, spec.truncation_sigma, linear_growth)
     value, err = integrate_finite(f, _geometric_breakpoints(lower, cutoff), spec)
     denom = 2.0 * decay_rate * cutoff - linear_growth
-    tail = abs(f(cutoff)) / denom if denom > 0.0 else abs(f(cutoff))
+    (f_cut,) = f([cutoff])
+    tail = abs(f_cut) / denom if denom > 0.0 else abs(f_cut)
     return value, err + tail
 
 
@@ -369,12 +396,12 @@ def abel_identity_check(
     if decay_rate <= 0.0:
         raise ValueError("decay_rate must be positive")
 
-    def inner(l: float) -> float:
-        value, _ = integrate_semi_infinite(lambda w: f(l + w * w), 0.0, decay_rate, spec)
-        return 2.0 * value
+    def semi_infinite(g: Callable[[float], float]) -> float:
+        value, _ = integrate_semi_infinite(lambda xs: [g(x) for x in xs], 0.0, decay_rate, spec)
+        return value
 
-    lhs_half, _ = integrate_semi_infinite(lambda v: inner(u + v * v), 0.0, decay_rate, spec)
-    lhs = 2.0 * lhs_half
-    rhs_half, _ = integrate_semi_infinite(lambda w: w * f(u + w * w), 0.0, decay_rate, spec)
+    inner = lambda l: 2.0 * semi_infinite(lambda w: f(l + w * w))
+    lhs = 2.0 * semi_infinite(lambda v: inner(u + v * v))
+    rhs_half = semi_infinite(lambda w: w * f(u + w * w))
     rhs = 2.0 * math.pi * rhs_half
     return lhs, rhs, abs(lhs - rhs) / abs(rhs)

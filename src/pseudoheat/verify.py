@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import mpmath
 import numpy as np
@@ -24,7 +24,7 @@ from .geometry import (
     laplace_beltrami_apply,
     sphere_surface_area,
 )
-from .kernels import EvalParams, KernelValue, kernel, kernel_row
+from .kernels import EvalParams, kernel, kernel_row
 from .quadrature import (
     NonConvergenceError,
     QuadratureSpec,
@@ -49,6 +49,16 @@ __all__ = [
 
 # tight spec for kernels sampled inside finite-difference stencils
 _KERNEL_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-18, max_subdivisions=200)
+
+
+def _kernel_values(params: EvalParams, ss: Sequence[float]) -> Iterator[float]:
+    """``kernel(params, s, _KERNEL_SPEC).value`` for each s of ss, from one
+    ``kernel_row`` call; a failure is raised when its s is reached, in the
+    order a loop of ``kernel()`` calls would raise it."""
+    for kv in kernel_row(params, ss, _KERNEL_SPEC):
+        if isinstance(kv, Exception):
+            raise kv
+        yield kv.value
 
 
 @dataclass(frozen=True)
@@ -88,16 +98,20 @@ def _abel_lhs(params: EvalParams, l: float, spec: QuadratureSpec) -> tuple[float
     s_max = gaussian_cutoff(sl, a, spec.truncation_sigma, linear_growth=0.5 * params.D)
     v_max = math.sqrt(s_max - sl)
 
-    def integrand(v: float) -> float:
-        sig = sl + v * v
-        kv = kernel(params, sig, _KERNEL_SPEC).value
-        if kv == 0.0 or sig <= sl:
-            return 0.0
-        wfac = (2.0 * math.sinh(0.5 * (sig + sl)) * math.sinh(0.5 * (sig - sl))) ** nu
-        return kv * wfac * math.sinh(sig) * 2.0 * v
+    def integrand(vs: list[float]) -> list[float]:
+        sigs = [sl + v * v for v in vs]
+        out = []
+        for v, sig, kv in zip(vs, sigs, _kernel_values(params, sigs)):
+            if kv == 0.0 or sig <= sl:
+                out.append(0.0)
+                continue
+            wfac = (2.0 * math.sinh(0.5 * (sig + sl)) * math.sinh(0.5 * (sig - sl))) ** nu
+            out.append(kv * wfac * math.sinh(sig) * 2.0 * v)
+        return out
 
     value, err = integrate_finite(integrand, _geometric_breakpoints(0.0, v_max), spec)
-    return value, err + abs(integrand(v_max))
+    (tail,) = integrand([v_max])
+    return value, err + abs(tail)
 
 
 def _abel_rhs(params: EvalParams, l: float) -> float:
@@ -143,14 +157,18 @@ def abel_residual(
 
 # --- heat equation -------------------------------------------------------
 
+def _d1(fp2: float, fp1: float, fm1: float, fm2: float, h: float) -> float:
+    """First derivative from the values at x + 2h, x + h, x - h, x - 2h."""
+    return (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * h)
+
+
+def _d2(fp2: float, fp1: float, f0: float, fm1: float, fm2: float, h: float) -> float:
+    """Second derivative from the values at x + 2h, x + h, x, x - h, x - 2h."""
+    return (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * h * h)
+
+
 def _fd1(g: Callable[[float], float], x: float, h: float) -> float:
-    return (-g(x + 2 * h) + 8 * g(x + h) - 8 * g(x - h) + g(x - 2 * h)) / (12 * h)
-
-
-def _fd2(g: Callable[[float], float], x: float, h: float) -> float:
-    return (-g(x + 2 * h) + 16 * g(x + h) - 30 * g(x) + 16 * g(x - h) - g(x - 2 * h)) / (
-        12 * h * h
-    )
+    return _d1(g(x + 2 * h), g(x + h), g(x - h), g(x - 2 * h), h)
 
 
 def _pde_pieces(params: EvalParams, s: float, tau: float) -> tuple[float, float, float, float]:
@@ -162,9 +180,6 @@ def _pde_pieces(params: EvalParams, s: float, tau: float) -> tuple[float, float,
     sits at r h = (480 n)^(1/6) with r the local log-derivative rate.
     """
     a_of = lambda t: params.m / (2.0 * params.hbar * t)
-
-    def K(ss: float, tt: float) -> float:
-        return kernel(params.with_tau(tt), ss, _KERNEL_SPEC).value
 
     # realized kernel accuracy: roundoff for the closed forms, ~1e-13 for
     # the adaptive-quadrature-backed odd dimensions (requested 1e-11; the
@@ -183,10 +198,13 @@ def _pde_pieces(params: EvalParams, s: float, tau: float) -> tuple[float, float,
     f5_over_f = ((big_a + pref + shift) ** 5 + 120.0 * big_a + 24.0 * pref) / tau**5
     h_t = min(rh / f5_over_f**0.2, 0.2 * tau)
 
-    val = K(s, tau)
-    k_t = _fd1(lambda t: K(s, t), tau, h_t)
-    k_s = _fd1(lambda ss: K(ss, tau), s, h_s)
-    k_ss = _fd2(lambda ss: K(ss, tau), s, h_s)
+    # the five s-stencil points at tau in one row; the tau stencil changes tau per point
+    kp2, kp1, val, km1, km2 = _kernel_values(
+        params.with_tau(tau), [s + 2 * h_s, s + h_s, s, s - h_s, s - 2 * h_s]
+    )
+    k_t = _fd1(lambda t: kernel(params.with_tau(t), s, _KERNEL_SPEC).value, tau, h_t)
+    k_s = _d1(kp2, kp1, km1, km2, h_s)
+    k_ss = _d2(kp2, kp1, val, km1, km2, h_s)
     lap = k_ss + (params.D - 2) / math.tanh(s) * k_s
     kappa = params.kappa
     scale = max(abs(k_t), kappa * abs(k_ss), kappa * (params.D - 2) * abs(k_s / math.tanh(s)), abs(val))
@@ -277,20 +295,16 @@ def horicyclic_pde_residual(
 class _RadialTable:
     """Clamped cubic spline through kernel values on a uniform radial grid.
 
-    Used for the quadrature-backed odd dimensions, where direct kernel
-    evaluation inside a double integral would be needlessly slow; even-D
-    kernels are cheap enough to evaluate directly.  The grid is one
-    ``kernel_row`` call.
+    Used for the quadrature-backed odd dimensions: the convolution's inner
+    theta integrand is still scalar, so it would call ``kernel()`` once per
+    node, each a one-element ``kernel_row``; even-D kernels are cheap
+    enough to evaluate directly.  The grid is one ``kernel_row`` call.
     """
 
     def __init__(self, params: EvalParams, rho_max: float, step: float = 0.01):
         n = max(64, int(math.ceil(rho_max / step)) + 1)
         self.xs = np.linspace(0.0, rho_max, n)
-        values = kernel_row(params, self.xs.tolist(), _KERNEL_SPEC)
-        for kv in values:
-            if not isinstance(kv, KernelValue):
-                raise kv
-        ys = np.array([kv.value for kv in values])
+        ys = np.array(list(_kernel_values(params, self.xs.tolist())))
         self.h = float(self.xs[1] - self.xs[0])
         self.ys = ys
         self.m = self._second_derivatives(ys, self.h)
@@ -376,7 +390,9 @@ def _convolve_kernels(
             rho = math.acosh(u) if u > 1.0 else 0.0
             return ang_weight(th) * k2(rho)
 
-        val, _ = integrate_finite(f, (0.0, 0.5 * math.pi, math.pi), inner_spec)
+        val, _ = integrate_finite(
+            lambda ths: [f(th) for th in ths], (0.0, 0.5 * math.pi, math.pi), inner_spec
+        )
         return ang_front * val
 
     def outer(r: float) -> float:
@@ -387,7 +403,9 @@ def _convolve_kernels(
             return 0.0
         return k1v * math.sinh(r) ** (D - 2) * theta_integral(r)
 
-    return integrate_semi_infinite(outer, 0.0, params1.a, spec, linear_growth=float(D - 2))
+    return integrate_semi_infinite(
+        lambda rs: [outer(r) for r in rs], 0.0, params1.a, spec, linear_growth=float(D - 2)
+    )
 
 
 def chapman_kolmogorov_many(
@@ -452,11 +470,11 @@ def total_mass(params: EvalParams, spec: QuadratureSpec | None = None) -> float:
     spec = spec or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-20, max_subdivisions=120)
     om = sphere_surface_area(params.D - 2)
 
-    def f(s: float) -> float:
-        if s == 0.0:
-            return 0.0
-        kv = kernel(params, s, _KERNEL_SPEC).value
-        return kv * math.sinh(s) ** (params.D - 2) if kv else 0.0
+    def f(ss: list[float]) -> list[float]:
+        return [
+            kv * math.sinh(s) ** (params.D - 2) if kv else 0.0
+            for s, kv in zip(ss, _kernel_values(params, ss))
+        ]
 
     val, _ = integrate_semi_infinite(f, 0.0, params.a, spec, linear_growth=float(params.D - 2))
     return om * val

@@ -79,7 +79,7 @@ def test_table_with_s_zero_odd_dimension_finite():
 
 @pytest.mark.parametrize(
     "dim, tau, s",
-    [("4", "1", "800"), ("3", "100000", "1")],
+    [("3", "100000", "1")],
 )
 def test_eval_overflow_is_numerical_failure(dim, tau, s):
     res = run_cli("eval", "--dim", dim, "--tau", tau, "--s", s)
@@ -87,26 +87,33 @@ def test_eval_overflow_is_numerical_failure(dim, tau, s):
     assert res.stderr.startswith("error:")
     assert "Traceback" not in res.stderr
     # the message names the point and the route that overflowed
-    route = {"3": "kernel_odd", "4": "kernel_d4"}[dim]
-    assert f"D={dim}, tau={float(tau)!r}, s={float(s)!r} in {route}" in res.stderr
+    assert f"D={dim}, tau={float(tau)!r}, s={float(s)!r} in kernel_odd" in res.stderr
+
+
+def test_eval_d4_past_sinh_overflow_underflows_to_zero():
+    # sinh(800) overflows binary64; the kernel itself is far below it
+    res = run_cli("eval", "--dim", "4", "--tau", "1", "--s", "800", "--format", "csv")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().splitlines()[1] == "4,1.0,800.0,0.0,0.0"
 
 
 def test_table_keeps_finite_cells_around_an_overflowing_one():
-    res = run_cli("table", "--dim", "4", "--tau-grid", "1:1:1", "--s-grid", "0:800:3", "--format", "csv")
+    # at s = 1400 the Abel grid's sinh((s_max + s) / 2) overflows binary64
+    res = run_cli("table", "--dim", "3", "--tau-grid", "1:1:1", "--s-grid", "0:1400:3", "--format", "csv")
     assert res.returncode == 3
     assert "Traceback" not in res.stderr
     rows = [line.split(",") for line in res.stdout.strip().splitlines()[1:]]
-    assert [float(r[2]) for r in rows] == [0.0, 400.0, 800.0]
+    assert [float(r[2]) for r in rows] == [0.0, 700.0, 1400.0]
     finite = [r for r in rows if r[3] != ""]
     assert len(finite) == 2 and all(math.isfinite(float(r[3])) for r in finite)
     assert rows[2][3] == "" and rows[2][4] == "inf"
     # JSON: the failed cell has no value, a null err_est and the located message
-    res = run_cli("table", "--dim", "4", "--tau-grid", "1:1:1", "--s-grid", "0:800:3")
+    res = run_cli("table", "--dim", "3", "--tau-grid", "1:1:1", "--s-grid", "0:1400:3")
     assert res.returncode == 3
     doc = json.loads(res.stdout)
     bad = doc["rows"][2]
     assert bad["value"] is None and bad["err_est"] is None
-    assert bad["error"].endswith("at D=4, tau=1.0, s=800.0 in kernel_d4")
+    assert bad["error"].endswith("at D=3, tau=1.0, s=1400.0 in kernel_odd")
     assert all(r["value"] is not None for r in doc["rows"][:2])
 
 

@@ -74,6 +74,19 @@ def test_kernel_d4_values():
     assert kernel_d4(p, 1.0).err_est == 0.0
 
 
+def test_kernel_d4_past_sinh_overflow_underflows_to_zero():
+    # math.sinh overflows past s ~ 710.48; the kernel there is far below the
+    # smallest subnormal, at tau 1 as at tau 1e6 with m 1e-3
+    for p in (EvalParams(4, 1.0), EvalParams(4, 1e6, m=1e-3)):
+        for s in (710.48, 800.0, 1e5, 1e300):
+            assert kernel(p, s).value == 0.0
+        assert kernel(p, 710.4).value == 0.0  # sinh(710.4) is still finite
+    # the in-range branch keeps its formula
+    p = EvalParams(4, 1.0)
+    want = (p.a / math.pi) ** 1.5 * (30.0 / math.sinh(30.0)) * math.exp(-p.a * 30.0 * 30.0 + p.E)
+    assert kernel_d4(p, 30.0).value == want
+
+
 def test_kernel_even_reduces_to_d4_closed_form():
     p = EvalParams(4, 1.0)
     for s in np.linspace(0.1, 5.0, 25):

@@ -34,13 +34,13 @@ def test_spec_validation():
 
 
 def test_standard_gaussian():
-    value, err = integrate_semi_infinite(lambda t: math.exp(-t * t), 0.0, 1.0)
+    value, err = integrate_semi_infinite(lambda ts: [math.exp(-t * t) for t in ts], 0.0, 1.0)
     assert value == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-12)
     assert err < 1e-9
 
 
 def test_shifted_moment_closed_form():
-    value, _ = integrate_semi_infinite(lambda t: t * math.exp(-t * t), 1.0, 1.0)
+    value, _ = integrate_semi_infinite(lambda ts: [t * math.exp(-t * t) for t in ts], 1.0, 1.0)
     assert value == pytest.approx(math.exp(-1.0) / 2.0, rel=1e-12)
 
 
@@ -48,31 +48,56 @@ def test_estimator_honesty_on_closed_forms():
     # twenty integrals with closed forms: true error within 10x the estimate
     for k in range(5):
         for c in (0.25, 1.0, 2.0, 5.0):
-            value, err = integrate_semi_infinite(lambda t, k=k, c=c: t**k * math.exp(-c * t * t), 0.0, c)
+            value, err = integrate_semi_infinite(
+                lambda ts, k=k, c=c: [t**k * math.exp(-c * t * t) for t in ts], 0.0, c
+            )
             true = abs(value - gaussian_moment(k, c))
             assert true <= 10.0 * err, (k, c, true, err)
 
 
 def test_determinism_bit_for_bit():
-    f = lambda t: math.exp(-0.5 * t * t) * math.cos(t)
+    f = lambda ts: [math.exp(-0.5 * t * t) * math.cos(t) for t in ts]
     a = integrate_semi_infinite(f, 0.0, 0.5)
     b = integrate_semi_infinite(f, 0.0, 0.5)
     assert a == b
 
 
 def test_nonconvergence_raised_and_carries_estimate():
-    spiky = lambda t: 1.0 / (1e-8 + (t - 3.0) ** 2)
+    spiky = lambda ts: [1.0 / (1e-8 + (t - 3.0) ** 2) for t in ts]
     spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-30, max_subdivisions=3)
     with pytest.raises(NonConvergenceError) as info:
         integrate_finite(spiky, (0.0, 6.0), spec)
     assert info.value.err_est > 0.0
 
 
+def test_integrand_called_once_for_the_seed_panels_and_once_per_bisection():
+    calls = []
+
+    def f(ts):
+        calls.append(list(ts))
+        return [1.0 / (0.01 + (t - 0.3) ** 2) for t in ts]
+
+    breakpoints = (0.0, 0.5, 1.0, 2.0)
+    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-30, max_subdivisions=200)
+    integrate_finite(f, breakpoints, spec)
+    # 21 + 10 nodes per panel; the first call holds all three seed panels,
+    # every later one the two halves of one bisected panel
+    assert len(calls[0]) == 3 * 31
+    assert len(calls) > 2 and all(len(c) == 2 * 31 for c in calls[1:])
+    # the left half's 31 nodes, then the right half's
+    assert all(max(c[:31]) < min(c[31:]) for c in calls[1:])
+
+
+def test_integrand_value_count_is_checked():
+    with pytest.raises(ValueError):
+        integrate_finite(lambda ts: ts[:-1], (0.0, 1.0))
+
+
 def test_breakpoints_must_increase():
     with pytest.raises(ValueError):
-        integrate_finite(lambda t: t, (0.0, 0.0))
+        integrate_finite(lambda ts: ts, (0.0, 0.0))
     with pytest.raises(ValueError):
-        integrate_finite(lambda t: t, (1.0,))
+        integrate_finite(lambda ts: ts, (1.0,))
 
 
 def test_endpoint_singular_weight_only_against_graded_mesh():
@@ -96,7 +121,7 @@ def test_endpoint_singular_dual_substitution():
 
     # in t the decay is only quasi-Gaussian (sigma ~ 2 ln t), so hand the
     # truncation a conservative rate
-    v2, e2 = integrate_semi_infinite(g, 0.0, 0.02)
+    v2, e2 = integrate_semi_infinite(lambda ts: [g(t) for t in ts], 0.0, 0.02)
     assert abs(v1 - v2) <= 1e-9 * abs(v1) + e1 + e2
 
 
@@ -192,7 +217,7 @@ from hypothesis import strategies as st
 @given(k=st.integers(0, 4), c=st.floats(0.2, 4.0), lower=st.floats(0.0, 2.0))
 @settings(max_examples=40)
 def test_gaussian_moments_property(k, c, lower):
-    value, err = integrate_semi_infinite(lambda t: t**k * math.exp(-c * t * t), lower, c)
+    value, err = integrate_semi_infinite(lambda ts: [t**k * math.exp(-c * t * t) for t in ts], lower, c)
     assert value == pytest.approx(gaussian_moment(k, c, lower), rel=1e-9, abs=1e-12)
 
 

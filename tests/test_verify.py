@@ -3,7 +3,9 @@ import math
 import pytest
 
 from pseudoheat.geometry import HoricyclicPoint, geodesic_distance, normalize_pair
+from pseudoheat import verify
 from pseudoheat.kernels import EvalParams, kernel
+from pseudoheat.quadrature import NonConvergenceError, QuadratureSpec
 from pseudoheat.verify import (
     VerificationReport,
     abel_residual,
@@ -137,3 +139,58 @@ def test_gfunc_reports_pass():
     overlap, oracle = gfunc_reports(a_values=(0.25,), n_max=4)
     assert overlap.check == "gfunc-overlap" and overlap.passed
     assert oracle.check == "gfunc-fd-oracle" and oracle.passed
+
+
+# --- batched kernel integrands ------------------------------------------------
+
+# abel_residual's default spec
+_ABEL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-16, max_subdivisions=120)
+
+
+def _pointwise_row(params, ss, spec):
+    """kernel_row as a loop of scalar kernel() calls, failures returned unraised."""
+    out = []
+    for s in ss:
+        try:
+            out.append(kernel(params, s, spec))
+        except (NonConvergenceError, ArithmeticError) as exc:
+            out.append(exc)
+    return out
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_batched_integrands_equal_the_pointwise_integrals(dim, monkeypatch):
+    # one kernel_row per Gauss-Legendre batch gives the same bits as one
+    # kernel() call per node
+    params = EvalParams(dim, 0.5)
+    l = math.cosh(1.0)
+
+    def integrals():
+        return (
+            total_mass(params),
+            verify._abel_lhs(params, l, _ABEL_SPEC),
+            verify._pde_pieces(params, 1.0, 0.5),
+        )
+
+    batched = integrals()
+    monkeypatch.setattr(verify, "kernel_row", _pointwise_row)
+    assert integrals() == batched
+
+
+def test_nonconvergence_inside_a_batch_reaches_abel_residual(monkeypatch):
+    # a kernel failure at one node of a batch fails that grid point's
+    # integral, as a scalar kernel() call raising there did
+    real_row = verify.kernel_row
+
+    def row_failing_at_the_fourth_node(params, ss, spec):
+        out = real_row(params, ss, spec)
+        if len(out) > 3:
+            out[3] = NonConvergenceError(0.5, 0.25, "injected")
+        return out
+
+    monkeypatch.setattr(verify, "kernel_row", row_failing_at_the_fourth_node)
+    rep = abel_residual(EvalParams(3, 1.0), l_grid=(1.0, math.cosh(1.0)))
+    assert not rep.passed and rep.residual == math.inf
+    for point in rep.details["points"]:
+        assert point["rel_residual"] == math.inf
+        assert (point["lhs"], point["quad_err"]) == (0.5, 0.25)
