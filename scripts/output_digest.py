@@ -4,7 +4,8 @@
 Runs, in-process through ``pseudoheat.cli.main`` and from the ``src`` tree
 of the checkout it sits in:
 
-* ``table --format csv --threads 1`` for D = 3..12 on
+* ``table --format csv --threads 1`` for D = 3..12, 14 and 20 (the
+  even orders that escalate to mpmath most) on
   ``--tau-grid 0.25:2:4 --s-grid 0:6:13`` and on
   ``--tau-grid 0.0001:0.01:2 --s-grid 0:0.3:7``;
 * ``verify all --dims 3,4,5`` at ``--tau 0.5`` and ``--tau 1.0``, the two
@@ -53,12 +54,13 @@ sys.path.insert(0, str(SRC))
 from pseudoheat import cli  # noqa: E402
 
 GRIDS = (("0.25:2:4", "0:6:13"), ("0.0001:0.01:2", "0:0.3:7"))
+DIMS = (*range(3, 13), 14, 20)
 
 
 def commands() -> list[list[str]]:
     out = []
     for tau_grid, s_grid in GRIDS:
-        for dim in range(3, 13):
+        for dim in DIMS:
             out.append([
                 "table", "--dim", str(dim), "--tau-grid", tau_grid, "--s-grid", s_grid,
                 "--format", "csv", "--threads", "1",

@@ -50,9 +50,6 @@ def _parse_ints(text: str) -> list[int]:
 def _threads(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
-    env = os.environ.get("PSEUDOHEAT_THREADS")
-    if env:
-        return max(1, int(env))
     return os.cpu_count() or 1
 
 
@@ -237,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--abs-tol", type=float, default=1e-14)
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--threads", type=int, default=None,
-                       help="oracle worker threads (default: PSEUDOHEAT_THREADS or cpu count); "
+                       help="oracle worker threads (default: cpu count); "
                             "other commands run serially")
 
     p = sub.add_parser("eval", help="evaluate the kernel at one point")

@@ -14,11 +14,12 @@ direct term summation (with precision escalation where the 1/sinh^r terms
 cancel catastrophically) and a power series in l - 1, which is regular at
 s = 0 and remains accurate out to s of order 1.
 
-``evaluate_auto`` picks the route for one float s; ``evaluate_many`` does
-the same for every entry of an array, with the same predicates
-(``series_ok`` and ``escalates``), as numpy operations over the nodes of
-each route.  Only the entries that need extended precision are evaluated
-one at a time.
+``evaluate_many`` is the one evaluator: at every entry of an array of s it
+picks the route with ``series_ok`` and ``escalates`` and runs the l-series
+and the binary64 terms as numpy operations over the entries of each route.
+Only the entries that need extended precision are evaluated one at a time.
+``evaluate`` (the term route) and ``evaluate_near_origin`` (the l-series)
+take one float s, as one-element arrays.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "derivative_terms",
     "evaluate",
     "evaluate_near_origin",
-    "evaluate_auto",
     "evaluate_many",
     "series_ok",
     "escalates",
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 S_MIN = 1e-3
-SERIES_SWITCH = 0.2  # below this, evaluate_auto prefers the l-series route
+SERIES_SWITCH = 0.2  # below this, evaluate_many prefers the l-series route
 SERIES_ORDER_CAP = 30
 
 Poly = tuple[Fraction, ...]  # coefficients of a polynomial in the rate a
@@ -170,19 +170,10 @@ class GExpression:
         return _term_table(self.n)[0]
 
     @cached_property
-    def f64_terms(self) -> tuple[tuple[float, int, int, int], ...]:
-        """(c(a), p, q, r) per term in binary64, zero coefficients dropped."""
-        out = []
-        for t in self.terms:
-            c = _poly_eval(t.coeff_f64, self.a)
-            if c != 0.0:
-                out.append((c, t.p, t.q, t.r))
-        return tuple(out)
-
-    @cached_property
     def f64_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
-        """``f64_terms`` as (terms, 1) float arrays c, p, q, r; q is None
-        when no term has a cosh factor."""
+        """c(a) in binary64 and the powers p, q, r per term, as (terms, 1)
+        float arrays, zero coefficients dropped; q is None when no term has a
+        cosh factor."""
         _, p, q, r = _term_table(self.n)
         c = [_poly_eval(t.coeff_f64, self.a) for t in self.terms]
         if 0.0 in c:
@@ -262,32 +253,6 @@ def expression(n: int, a: float, E: float) -> GExpression:
 
 # --- evaluation: term route -------------------------------------------------
 
-def _neumaier_sum(values) -> float:
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
-
-
-def evaluate(g: GExpression, s: float) -> float:
-    """Sum the canonical terms times the prefactor at s >= S_MIN.
-
-    Individual terms blow up like s^-(r-p) while their sum stays finite, so
-    for small s the summation is done in extended precision (the
-    coefficients are exact rationals); compensated summation is used on the
-    binary64 path.
-    """
-    if s < S_MIN:
-        raise ValueError(f"s={s:g} below S_MIN={S_MIN:g}; use evaluate_near_origin")
-    return _evaluate_terms(g, s)
-
-
 @lru_cache(maxsize=None)
 def _escalation_switch(blowup: int) -> float:
     """The s below which the term route escalates to mpmath.
@@ -316,26 +281,70 @@ def escalates(g: GExpression, s):
     return s < _escalation_switch(g.cancellation_exponent)
 
 
-def _evaluate_terms(g: GExpression, s: float) -> float:
-    if escalates(g, s):
-        return _evaluate_terms_mp(g, s, g.cancellation_exponent)
-    # work with log magnitudes so sinh^r and the Gaussian prefactor cannot
-    # overflow separately; their combined exponent is always moderate
-    if s > 20.0:
-        log_ch = s - math.log(2.0) + math.log1p(math.exp(-2.0 * s))
-        log_sh = s - math.log(2.0) + math.log1p(-math.exp(-2.0 * s))
+def _terms_many(g: GExpression, s: np.ndarray) -> np.ndarray:
+    """The binary64 term route at every entry of s, all s > 0.
+
+    One (terms, nodes) matrix of exp(base + p log s + q log cosh s
+    - r log sinh s) c, reduced over the terms with a compensated sum.
+    Working with log magnitudes keeps sinh^r and the Gaussian prefactor
+    from overflowing separately; their combined exponent is moderate.
+    """
+    c, p, q, r = g.f64_columns
+    expo = 0.5 * math.log(g.a / math.pi) - g.a * s * s + g.E + p * np.log(s)
+    if s.max(initial=0.0) > 20.0:
+        # cosh and sinh overflow: their logs from exp(-2s)
+        big = s > 20.0
+        sb = s[big]
+        tiny = np.exp(-2.0 * sb)
+        small = s[~big]
+        if q is not None:
+            log_ch = np.empty_like(s)
+            log_ch[big] = sb - math.log(2.0) + np.log1p(tiny)
+            log_ch[~big] = np.log(np.cosh(small))
+            expo += q * log_ch
+        log_sh = np.empty_like(s)
+        log_sh[big] = sb - math.log(2.0) + np.log1p(-tiny)
+        log_sh[~big] = np.log(np.sinh(small))
     else:
-        log_ch = math.log(math.cosh(s))
-        log_sh = math.log(math.sinh(s))
-    base = 0.5 * math.log(g.a / math.pi) - g.a * s * s + g.E
-    log_s = math.log(s)
-    return _neumaier_sum(
-        [math.exp(base + p * log_s + q * log_ch - r * log_sh) * c for c, p, q, r in g.f64_terms]
-    )
+        if q is not None:
+            expo += q * np.log(np.cosh(s))
+        log_sh = np.log(np.sinh(s))
+    rows = np.exp(expo - r * log_sh) * c
+    return _compensated_row_sum(rows)
 
 
-def _evaluate_terms_mp(g: GExpression, s: float, blowup: int) -> float:
-    digits = 25 + int(math.ceil(blowup * math.log10(1.0 / s)))
+def _compensated_row_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum over the rows of a (terms, nodes) array, in a pairwise tree.
+
+    Each addition keeps its exact rounding error (TwoSum, Knuth); the
+    errors are summed alongside and added once at the end.  Elementwise
+    only, so a column's sum does not depend on the other columns.
+    """
+    m = 1
+    while m < len(rows):
+        m *= 2
+    if m > len(rows):  # zero rows are exact in TwoSum
+        rows = np.concatenate((rows, np.zeros((m - len(rows), rows.shape[1]))))
+    total, comp = rows, None
+    while m > 1:
+        m //= 2
+        a, b = total[:m], total[m:]
+        t = a + b
+        z = t - a
+        e = (a - (t - z)) + (b - z)
+        comp = e if comp is None else comp[:m] + comp[m:] + e
+        total = t
+    return total[0] if comp is None else total[0] + comp[0]
+
+
+# digits kept on top of the blowup * log10(1/s) that the terms cancel
+_MP_GUARD_DIGITS = 25
+
+
+def _evaluate_terms_mp(g: GExpression, s: float) -> float:
+    """The term route at one s in mpmath, from the exact rational coefficients."""
+    blowup = g.cancellation_exponent
+    digits = _MP_GUARD_DIGITS + int(math.ceil(blowup * math.log10(1.0 / s)))
     with mpmath.workdps(digits):
         sm = mpmath.mpf(s)
         am = mpmath.mpf(g.a)
@@ -346,6 +355,21 @@ def _evaluate_terms_mp(g: GExpression, s: float, blowup: int) -> float:
             total += _poly_eval_mp(t.coeff, am) * sm**t.p * ch**t.q / sh**t.r
         pref = mpmath.sqrt(am / mpmath.pi) * mpmath.exp(-am * sm * sm + g.E)
         return float(pref * total)
+
+
+def _terms(g: GExpression, s: np.ndarray) -> np.ndarray:
+    """The term route at every entry of an array s > 0: binary64 over the
+    array, and one entry at a time in mpmath where it ``escalates``."""
+    # escalates holds only below a cut in s, so the smallest s decides
+    if not escalates(g, s.min(initial=math.inf)):
+        return _terms_many(g, s)
+    mp = escalates(g, s)
+    out = np.empty_like(s)
+    if not mp.all():
+        out[~mp] = _terms_many(g, s[~mp])
+    for i in np.flatnonzero(mp):
+        out[i] = _evaluate_terms_mp(g, float(s[i]))
+    return out
 
 
 # --- evaluation: l-series route ----------------------------------------------
@@ -394,24 +418,18 @@ def _falling_factorials(n: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _series_value(g: GExpression, s: float) -> float:
-    """d^n/dl^n of the base function via the w = l - 1 power series."""
+def _series_many(g: GExpression, s: np.ndarray) -> np.ndarray:
+    """d^n/dl^n of the base function at every entry of s, via the w = l - 1
+    power series: sum_{j>=n} h_j j!/(j-n)! w0^(j-n), by Horner from the top."""
     n, a = g.n, g.a
-    w0 = 2.0 * math.sinh(0.5 * s) ** 2  # cosh(s) - 1, cancellation-free
+    w0 = 2.0 * np.sinh(0.5 * s) ** 2  # cosh(s) - 1, cancellation-free
     h = _h_series(a)
     falling = _falling_factorials(n)
-    # sum_{j>=n} h_j * j!/(j-n)! * w0^(j-n), evaluated by Horner from the top
-    acc = 0.0
+    acc = np.zeros_like(w0)
     for j in range(len(h) - 1, n - 1, -1):
-        acc = acc * w0 + h[j] * falling[j]
+        acc *= w0
+        acc += h[j] * falling[j]
     return math.sqrt(a / math.pi) * math.exp(g.E) * acc
-
-
-def evaluate_near_origin(g: GExpression, s: float) -> float:
-    """Analytic value of the expression on [0, S_MIN] via the series in l - 1."""
-    if s < 0.0 or s > S_MIN:
-        raise ValueError(f"s={s:g} outside [0, {S_MIN:g}]")
-    return _series_value(g, s)
 
 
 def series_ok(a: float, s):
@@ -424,114 +442,45 @@ def series_ok(a: float, s):
     return (s < SERIES_SWITCH) & (a * s * s <= 3.0)
 
 
-def evaluate_auto(g: GExpression, s: float) -> float:
-    """Evaluate through whichever route is accurate at this (a, s).
+# --- evaluation: entry points ---------------------------------------------------
 
-    The series in l - 1 has no small-s cancellation and is used near the
-    origin while its alternation stays mild; the term route (with its
-    precision escalation) covers everything else.
+def evaluate(g: GExpression, s: float) -> float:
+    """Sum the canonical terms times the prefactor at one s >= S_MIN.
+
+    Individual terms blow up like s^-(r-p) while their sum stays finite, so
+    for small s the summation is done in extended precision (the
+    coefficients are exact rationals); the binary64 path sums with
+    compensation.
     """
-    if series_ok(g.a, s):
-        return _series_value(g, s)
-    return _evaluate_terms(g, s)
+    if s < S_MIN:
+        raise ValueError(f"s={s:g} below S_MIN={S_MIN:g}; use evaluate_near_origin")
+    return float(_terms(g, np.array([float(s)]))[0])
 
 
-# --- evaluation: arrays of s ----------------------------------------------------
-
-def _series_many(g: GExpression, s: np.ndarray) -> np.ndarray:
-    """_series_value at every entry of s: the same Horner loop over arrays."""
-    n, a = g.n, g.a
-    w0 = 2.0 * np.sinh(0.5 * s) ** 2
-    h = _h_series(a)
-    falling = _falling_factorials(n)
-    acc = np.zeros_like(w0)
-    for j in range(len(h) - 1, n - 1, -1):
-        acc *= w0
-        acc += h[j] * falling[j]
-    return math.sqrt(a / math.pi) * math.exp(g.E) * acc
-
-
-def _terms_many(g: GExpression, s: np.ndarray) -> np.ndarray:
-    """The binary64 term route at every entry of s, all s > 0.
-
-    One (terms, nodes) matrix of exp(base + p log s + q log cosh s
-    - r log sinh s) c, the terms of _evaluate_terms, reduced over the terms
-    with a compensated sum.
-    """
-    c, p, q, r = g.f64_columns
-    expo = 0.5 * math.log(g.a / math.pi) - g.a * s * s + g.E + p * np.log(s)
-    if s.max(initial=0.0) > 20.0:
-        # cosh and sinh overflow: their logs from exp(-2s)
-        big = s > 20.0
-        sb = s[big]
-        tiny = np.exp(-2.0 * sb)
-        small = s[~big]
-        if q is not None:
-            log_ch = np.empty_like(s)
-            log_ch[big] = sb - math.log(2.0) + np.log1p(tiny)
-            log_ch[~big] = np.log(np.cosh(small))
-            expo += q * log_ch
-        log_sh = np.empty_like(s)
-        log_sh[big] = sb - math.log(2.0) + np.log1p(-tiny)
-        log_sh[~big] = np.log(np.sinh(small))
-    else:
-        if q is not None:
-            expo += q * np.log(np.cosh(s))
-        log_sh = np.log(np.sinh(s))
-    rows = np.exp(expo - r * log_sh) * c
-    return _compensated_row_sum(rows)
-
-
-def _compensated_row_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum over the rows of a (terms, nodes) array, in a pairwise tree.
-
-    Each addition keeps its exact rounding error (TwoSum, Knuth), as the
-    branches of _neumaier_sum do; the errors are summed alongside and added
-    once at the end.  Elementwise only, so a column's sum does not depend
-    on the other columns.
-    """
-    m = 1
-    while m < len(rows):
-        m *= 2
-    if m > len(rows):  # zero rows are exact in TwoSum
-        rows = np.concatenate((rows, np.zeros((m - len(rows), rows.shape[1]))))
-    total, comp = rows, None
-    while m > 1:
-        m //= 2
-        a, b = total[:m], total[m:]
-        t = a + b
-        z = t - a
-        e = (a - (t - z)) + (b - z)
-        comp = e if comp is None else comp[:m] + comp[m:] + e
-        total = t
-    return total[0] if comp is None else total[0] + comp[0]
+def evaluate_near_origin(g: GExpression, s: float) -> float:
+    """Analytic value of the expression on [0, S_MIN] via the series in l - 1."""
+    if s < 0.0 or s > S_MIN:
+        raise ValueError(f"s={s:g} outside [0, {S_MIN:g}]")
+    return float(_series_many(g, np.array([float(s)]))[0])
 
 
 def evaluate_many(g: GExpression, s: np.ndarray) -> np.ndarray:
-    """evaluate_auto at every entry of a float array s >= 0.
+    """The expression at every entry of a float array s >= 0.
 
-    Each entry takes the route evaluate_auto takes at it; the l-series and
-    the binary64 term route run over their entries as arrays, and the
-    entries that need extended precision go one by one through the scalar
-    term route.  numpy's exp, log, sinh and cosh are not math's, so values
-    may differ from evaluate_auto's in the last bits; an entry's value does
-    not depend on the other entries.
+    Each entry takes the route that is accurate there: the l-series where
+    ``series_ok`` (no small-s cancellation, mild alternation), else the
+    term route, which escalates to mpmath where the terms cancel.  The
+    l-series and the binary64 terms run over their entries as arrays; an
+    entry's value does not depend on the other entries.
     """
-    # each of the two predicates holds only below a cut in s, so at the
-    # smallest s they decide for the whole array
-    lo = s.min(initial=math.inf)
-    if not (series_ok(g.a, lo) or escalates(g, lo)):
-        return _terms_many(g, s)
+    # series_ok holds only below a cut in s, so the smallest s decides
+    if not series_ok(g.a, s.min(initial=math.inf)):
+        return _terms(g, s)
     series = series_ok(g.a, s)
-    mp = ~series & escalates(g, s)
-    f64 = ~(series | mp)
     out = np.empty_like(s)
-    if series.any():
-        out[series] = _series_many(g, s[series])
-    if f64.any():
-        out[f64] = _terms_many(g, s[f64])
-    for i in np.flatnonzero(mp):
-        out[i] = _evaluate_terms(g, float(s[i]))
+    out[series] = _series_many(g, s[series])
+    if not series.all():
+        out[~series] = _terms(g, s[~series])
     return out
 
 

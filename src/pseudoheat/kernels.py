@@ -18,10 +18,11 @@ is not evaluated numerically here.
 
 ``kernel(params, s)`` evaluates one s and raises a numerical failure.
 ``kernel_row(params, ss)`` evaluates many s at one tau and returns, per s,
-the value or the unraised failure.  For odd D the row is one batched Abel
-integration, whose nodes gfunc evaluates as arrays; ``kernel`` is a
-one-element row, and a value is bit-equal alone or in any row.  Even D
-evaluates each s in turn, through the closed forms.
+the value or the unraised failure.  Both parities evaluate G^(n) with one
+array evaluator, ``gfunc.evaluate_many``: even D hands it the row's s,
+odd D the nodes of one batched Abel integration over the row.  ``kernel``
+is a one-element row, but for the D = 4 closed form, which it calls
+directly; a value is bit-equal alone or in any row.
 """
 
 from __future__ import annotations
@@ -29,12 +30,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import gfunc
 from .quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec, integrate_abel
 
-__all__ = ["EvalParams", "KernelValue", "kernel", "kernel_row", "kernel_d4", "kernel_even", "kernel_odd"]
+__all__ = ["EvalParams", "KernelValue", "kernel", "kernel_row", "kernel_d4", "kernel_even"]
+
+# (value, err_est, failure or None) per s of a row, before assembly
+_RowValues = Iterable[tuple[float, float, Exception | None]]
 
 
 @dataclass(frozen=True)
@@ -99,27 +105,27 @@ def kernel_d4(params: EvalParams, s: float) -> KernelValue:
     if params.D != 4:
         raise ValueError("kernel_d4 requires D = 4")
     s = _check_s(s)
+    return KernelValue(_d4_value(params, s), 0.0, 4, s, params.tau)
+
+
+def _d4_value(params: EvalParams, s: float) -> float:
     a = params.a
     try:
         ratio = s / math.sinh(s) if s > 0.0 else 1.0
     except OverflowError:
         # past s ~ 710.48, s / sinh s = 2 s exp(-s) to binary64 precision;
         # in one exponent the product underflows to its true value, 0.0
-        value = (a / math.pi) ** 1.5 * s * (2.0 * math.exp(-s - a * s * s + params.E))
-    else:
-        value = (a / math.pi) ** 1.5 * ratio * math.exp(-a * s * s + params.E)
-    return KernelValue(value, 0.0, 4, s, params.tau)
+        return (a / math.pi) ** 1.5 * s * (2.0 * math.exp(-s - a * s * s + params.E))
+    return (a / math.pi) ** 1.5 * ratio * math.exp(-a * s * s + params.E)
 
 
 def kernel_even(params: EvalParams, s: float) -> KernelValue:
-    """(-1/(2 pi))^((D-2)/2) G^((D-2)/2)(s) for even D >= 4."""
+    """(-1/(2 pi))^((D-2)/2) G^((D-2)/2)(s) for even D >= 4: a one-element
+    even row through gfunc, also at D = 4; raises its located error."""
     if params.D % 2 != 0 or params.D < 4:
         raise ValueError("kernel_even requires even D >= 4")
     s = _check_s(s)
-    n = (params.D - 2) // 2
-    g = gfunc.expression(n, params.a, params.E)
-    value = (-1.0 / (2.0 * math.pi)) ** n * gfunc.evaluate_auto(g, s)
-    return KernelValue(value, 0.0, params.D, s, params.tau)
+    return _one(_assemble(params, [s], _even_row(params, [s]), "kernel_even"))
 
 
 def _located(exc: Exception, params: EvalParams, s: float, route: str) -> Exception:
@@ -133,59 +139,88 @@ def _located(exc: Exception, params: EvalParams, s: float, route: str) -> Except
     return located
 
 
+def _d4_row(params: EvalParams, ss: list[float]) -> _RowValues:
+    for s in ss:
+        try:
+            yield _d4_value(params, s), 0.0, None
+        except ArithmeticError as exc:
+            yield math.nan, 0.0, exc
+
+
+def _even_row(params: EvalParams, ss: list[float]) -> _RowValues:
+    n = (params.D - 2) // 2
+    g = gfunc.expression(n, params.a, params.E)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (-1.0 / (2.0 * math.pi)) ** n * gfunc.evaluate_many(g, np.array(ss))
+    return ((v, 0.0, None) for v in values.tolist())
+
+
+def _odd_row(params: EvalParams, ss: list[float], spec: QuadratureSpec) -> _RowValues:
+    k = (params.D - 1) // 2
+    f = functools.partial(gfunc.evaluate_many, gfunc.expression(k, params.a, params.E))
+    front = math.sqrt(2.0) * (-1.0 / (2.0 * math.pi)) ** k
+    rows = integrate_abel(f, ss, params.a, spec)
+    return ((front * v, abs(front) * err, failure) for v, err, failure in rows)
+
+
+def _assemble(
+    params: EvalParams, ss: list[float], row: _RowValues, route: str
+) -> list[KernelValue | Exception]:
+    """A KernelValue, or the located failure, per (value, err_est, failure) of a row.
+
+    A value that is not finite becomes an ``OverflowError``; one that
+    underflowed to -0.0 under a negative front factor becomes +0.0.
+    """
+    out = []
+    for s, (value, err, failure) in zip(ss, row):
+        if failure is None and not math.isfinite(value):
+            failure = OverflowError(f"binary64 overflow (value {value!r})")
+        if failure is None:
+            out.append(KernelValue(value + 0.0, err, params.D, s, params.tau))  # -0.0 + 0.0 is +0.0
+        else:
+            out.append(_located(failure, params, s, route))
+    return out
+
+
+def _one(row: list[KernelValue | Exception]) -> KernelValue:
+    (kv,) = row
+    if isinstance(kv, Exception):
+        raise kv
+    return kv
+
+
 def kernel_row(
     params: EvalParams, ss: Sequence[float], spec: QuadratureSpec = DEFAULT_SPEC
 ) -> list[KernelValue | Exception]:
     """The kernel at every s of ss, at one tau.
 
     Per s a KernelValue or, unraised, the located ``NonConvergenceError``
-    or ``ArithmeticError`` that ``kernel()`` would raise there.  For odd D
-    every s shares one batched Abel integration: sqrt(2) (-1/(2 pi))^k
-    times the Abel integral of G^(k), k = (D-1)/2.  A value does not
-    depend on the other s in the row.  Even D evaluates each s in turn.
+    or ``ArithmeticError`` that ``kernel()`` would raise there.  D = 4
+    evaluates its closed form at each s in turn.  Any other even D is
+    (-1/(2 pi))^n times one ``gfunc.evaluate_many`` call over the row,
+    n = (D-2)/2.  Odd D shares one batched Abel integration over the row:
+    sqrt(2) (-1/(2 pi))^k times the Abel integral of G^(k), k = (D-1)/2.
+    A value does not depend on the other s in the row.
     """
-    if params.D % 2 == 0:
-        out = []
-        for s in ss:
-            try:
-                out.append(kernel(params, s, spec))
-            except (NonConvergenceError, ArithmeticError) as exc:
-                out.append(exc)
-        return out
     ss = [_check_s(s) for s in ss]
-    k = (params.D - 1) // 2
-    f = functools.partial(gfunc.evaluate_many, gfunc.expression(k, params.a, params.E))
-    front = math.sqrt(2.0) * (-1.0 / (2.0 * math.pi)) ** k
-    out = []
-    for s, (integral, err, failure) in zip(ss, integrate_abel(f, ss, params.a, spec)):
-        if failure is None:
-            out.append(KernelValue(front * integral, abs(front) * err, params.D, s, params.tau))
-        else:
-            out.append(_located(failure, params, s, "kernel_odd"))
-    return out
-
-
-def kernel_odd(params: EvalParams, s: float, spec: QuadratureSpec = DEFAULT_SPEC) -> KernelValue:
-    """Odd D >= 3 at one s: a one-element ``kernel_row``; raises its located error."""
-    if params.D % 2 != 1:
-        raise ValueError("kernel_odd requires odd D >= 3")
-    (kv,) = kernel_row(params, (s,), spec)
-    if isinstance(kv, Exception):
-        raise kv
-    return kv
+    if params.D == 4:
+        return _assemble(params, ss, _d4_row(params, ss), "kernel_d4")
+    if params.D % 2 == 0:
+        return _assemble(params, ss, _even_row(params, ss), "kernel_even")
+    return _assemble(params, ss, _odd_row(params, ss, spec), "kernel_odd")
 
 
 def kernel(params: EvalParams, s: float, spec: QuadratureSpec = DEFAULT_SPEC) -> KernelValue:
-    """Dispatch to the closed form for this dimension.
+    """The kernel at one s: a one-element ``kernel_row``, but for the D = 4
+    closed form, which is called directly.
 
     A ``NonConvergenceError`` (keeping its value and error estimate) or an
     ``ArithmeticError`` (binary64 overflow) is raised again, as the same
     type, with D, tau, s and the route in its message.
     """
-    if params.D % 2 == 1:
-        return kernel_odd(params, s, spec)
-    route = kernel_d4 if params.D == 4 else kernel_even
+    if params.D != 4:
+        return _one(kernel_row(params, (s,), spec))
     try:
-        return route(params, s)
-    except (NonConvergenceError, ArithmeticError) as exc:
-        raise _located(exc, params, s, route.__name__) from exc
+        return kernel_d4(params, s)
+    except ArithmeticError as exc:
+        raise _located(exc, params, s, "kernel_d4") from exc

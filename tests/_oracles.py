@@ -95,6 +95,30 @@ def odd_reference(D: int, tau: float, s: float, m: float = 0.5, hbar: float = 1.
         return float(front * mpmath.sqrt(a / mpmath.pi) * mpmath.exp(-a * s0 * s0 + E) * integral)
 
 
+def even_reference(D: int, tau: float, s: float, m: float = 0.5, hbar: float = 1.0) -> float:
+    """Even-D kernel (-1/(2 pi))^n G^(n)(cosh s), n = (D-2)/2, to about 40 digits.
+
+    G(l) = sqrt(a/pi) exp(-a arccosh(l)^2 + E) is differentiated n times in
+    l by mpmath's finite differences, which work at (n+1) times the
+    precision with a step far below the distance to G's singularity at
+    l = -1.  arccosh(l)^2 is analytic through l = 1 and equals
+    -acos(l)^2 below it, where the stencil at s = 0 reaches.
+    """
+    if D < 4 or D % 2 == 1:
+        raise ValueError("even D >= 4 only")
+    n = (D - 2) // 2
+    with mpmath.workdps(40):
+        a = mpmath.mpf(m) / (2 * mpmath.mpf(hbar) * mpmath.mpf(tau))
+        E = -(mpmath.mpf(hbar) * (D - 1) * (D - 3) / (8 * mpmath.mpf(m))) * mpmath.mpf(tau)
+
+        def G(l):
+            sq = mpmath.acosh(l) ** 2 if l >= 1 else -mpmath.acos(l) ** 2
+            return mpmath.sqrt(a / mpmath.pi) * mpmath.exp(-a * sq + E)
+
+        derivative = mpmath.diff(G, mpmath.cosh(mpmath.mpf(s)), n)
+        return float((-1 / (2 * mpmath.pi)) ** n * derivative)
+
+
 def gaussian_moment(k: int, c: float, lower: float = 0.0) -> float:
     """Closed form of int_lower^inf t^k exp(-c t^2) dt for k in 0..4,
     assembled by integration by parts."""

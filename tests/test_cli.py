@@ -8,6 +8,8 @@ import pytest
 
 from pathlib import Path
 
+from pseudoheat.kernels import EvalParams, kernel_row
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 SCHEMA_PATH = "schemas/report.schema.json"
@@ -78,16 +80,34 @@ def test_table_with_s_zero_odd_dimension_finite():
 
 
 @pytest.mark.parametrize(
-    "dim, tau, s",
-    [("3", "100000", "1")],
+    "dim, tau, s, route",
+    [
+        pytest.param("3", "100000", "1", "kernel_odd", id="3-100000-1"),
+        # (a/pi)^(3/2) overflows: the even row's value is NaN, never printed
+        pytest.param("6", "1e-300", "1", "kernel_even", id="6-1e-300-1"),
+    ],
 )
-def test_eval_overflow_is_numerical_failure(dim, tau, s):
+def test_eval_overflow_is_numerical_failure(dim, tau, s, route):
     res = run_cli("eval", "--dim", dim, "--tau", tau, "--s", s)
     assert res.returncode == 3
     assert res.stderr.startswith("error:")
     assert "Traceback" not in res.stderr
     # the message names the point and the route that overflowed
-    assert f"D={dim}, tau={float(tau)!r}, s={float(s)!r} in kernel_odd" in res.stderr
+    assert f"D={dim}, tau={float(tau)!r}, s={float(s)!r} in {route}" in res.stderr
+
+
+@pytest.mark.parametrize("dim, s_grid", [("7", "700:705:2"), ("8", "700:800:3"), ("12", "700:800:3")])
+def test_underflowed_value_is_positive_zero(dim, s_grid):
+    # the front factor (-1/(2 pi))^n is negative at D = 7, 8 and 12; a value
+    # that underflows under it is +0.0, in the kernel and in the CSV
+    res = run_cli("table", "--dim", dim, "--tau-grid", "1:1:1", "--s-grid", s_grid, "--format", "csv")
+    assert res.returncode == 0, res.stderr
+    assert "-0.0" not in res.stdout
+    rows = [line.split(",") for line in res.stdout.strip().splitlines()[1:]]
+    assert [r[3] for r in rows] == ["0.0"] * len(rows)
+    values = [kv.value for kv in kernel_row(EvalParams(int(dim), 1.0), [float(r[2]) for r in rows])]
+    assert values == [0.0] * len(rows)
+    assert all(math.copysign(1.0, v) == 1.0 for v in values)
 
 
 def test_eval_d4_past_sinh_overflow_underflows_to_zero():

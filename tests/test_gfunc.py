@@ -134,12 +134,12 @@ def test_continuity_at_s_min():
 
 
 def test_series_and_terms_agree_in_overlap():
+    ss = np.array([0.25, 0.4, 0.6, 0.8])
     for a in (0.125, 0.25, 1.0):
         for n in range(6):
             g = gfunc.expression(n, a, -0.3)
-            for s in (0.25, 0.4, 0.6, 0.8):
+            for s, srs in zip(ss.tolist(), gfunc._series_many(g, ss).tolist()):
                 t = evaluate(g, s)
-                srs = gfunc._series_value(g, s)
                 assert abs(t - srs) <= 1e-9 * abs(t), (a, n, s)
 
 
@@ -223,54 +223,27 @@ def test_gterm_validation():
         GTerm((Fraction(1),), -1, 0, 0)
 
 
-def _fraction_loop_terms(g, s):
-    """The term route as it was before compilation: Fraction -> float per call.
-
-    Returns None where the route escalates to mpmath.
-    """
-    blowup = 0
-    for t in g.terms:
-        blowup = max(blowup, t.r - t.p)
-    if s < 1.0 and blowup * math.log10(1.0 / s) > 3.0:
-        return None
-    if s > 20.0:
-        log_ch = s - math.log(2.0) + math.log1p(math.exp(-2.0 * s))
-        log_sh = s - math.log(2.0) + math.log1p(-math.exp(-2.0 * s))
-    else:
-        log_ch = math.log(math.cosh(s))
-        log_sh = math.log(math.sinh(s))
-    base = 0.5 * math.log(g.a / math.pi) - g.a * s * s + g.E
-    log_s = math.log(s)
-    vals = []
-    for t in g.terms:
-        c = 0.0
-        for v in reversed(t.coeff):
-            c = c * g.a + float(v)
-        if c == 0.0:
-            continue
-        expo = base + t.p * log_s + t.q * log_ch - t.r * log_sh
-        vals.append(math.copysign(math.exp(expo), c) * abs(c))
-    return gfunc._neumaier_sum(vals)
-
-
 def test_compiled_terms_equal_fraction_loop_exactly():
-    compared = 0
+    # the binary64 coefficients c(a), as they were computed per call before
+    # compilation: Horner over the Fraction coefficients, each cast to float
     for n in range(11):
         for a in (0.05, 0.5, 2.0, 40.0):
             g = expression(n, a, -0.3)
-            for s in (0.3, 1.0, 5.0, 25.0):
-                want = _fraction_loop_terms(g, s)
-                if want is None:
-                    continue
-                assert gfunc._evaluate_terms(g, s) == want, (n, a, s)
-                compared += 1
-    # every (n, a) pair reaches the binary64 branch at s >= 1
-    assert compared >= 11 * 4 * 3
+            want = []
+            for t in g.terms:
+                c = 0.0
+                for v in reversed(t.coeff):
+                    c = c * g.a + float(v)
+                if c != 0.0:
+                    want.append((c, float(t.p), float(t.q), float(t.r)))
+            c, p, q, r = g.f64_columns
+            q = np.zeros_like(p) if q is None else q
+            got = list(zip(c[:, 0].tolist(), p[:, 0].tolist(), q[:, 0].tolist(), r[:, 0].tolist()))
+            assert got == want, (n, a)
 
 
 def test_series_weights_equal_nested_loop_exactly():
-    def nested(n, a, E, s):
-        w0 = 2.0 * math.sinh(0.5 * s) ** 2
+    def nested(n, a, E, w0):
         h = gfunc._h_series(a)
         acc = 0.0
         for j in range(len(h) - 1, n - 1, -1):
@@ -280,13 +253,16 @@ def test_series_weights_equal_nested_loop_exactly():
             acc = acc * w0 + h[j] * falling
         return math.sqrt(a / math.pi) * math.exp(E) * acc
 
+    ss = np.array([0.0, 0.01, 0.1, 0.19, 0.27])
+    w0s = (2.0 * np.sinh(0.5 * ss) ** 2).tolist()  # the w0 of _series_many, on the same array
     compared = 0
     for n in range(11):
         for a in (0.05, 0.5, 2.0, 40.0):
-            for s in (0.0, 0.01, 0.1, 0.19, 0.27):
+            got = gfunc._series_many(expression(n, a, -0.3), ss).tolist()
+            for s, w0, value in zip(ss.tolist(), w0s, got):
                 if not gfunc.series_ok(a, s):
                     continue
-                assert gfunc._series_value(expression(n, a, -0.3), s) == nested(n, a, -0.3, s), (n, a, s)
+                assert value == nested(n, a, -0.3, w0), (n, a, s)
                 compared += 1
     assert compared == 11 * (4 * 4)  # s = 0.27 is past SERIES_SWITCH
 

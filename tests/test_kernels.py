@@ -11,11 +11,10 @@ from pseudoheat.kernels import (
     kernel,
     kernel_d4,
     kernel_even,
-    kernel_odd,
     kernel_row,
 )
 from pseudoheat.quadrature import DEFAULT_SPEC, NonConvergenceError
-from _oracles import mckean_by_abel_inversion, odd_reference
+from _oracles import even_reference, mckean_by_abel_inversion, odd_reference
 
 
 def test_params_derived_quantities():
@@ -105,6 +104,15 @@ def test_kernel_even_d6_against_fd_oracle():
     assert got == pytest.approx(ref, rel=1e-6)
 
 
+@pytest.mark.parametrize("dim", [6, 8, 12, 20])
+def test_kernel_even_matches_independent_reference(dim):
+    ss = (0.0, 0.1, 0.3, 0.6, 1.0, 3.0, 6.0)
+    for tau in (0.01, 0.25, 1.0, 30.0):
+        for s, kv in zip(ss, kernel_row(EvalParams(dim, tau), ss)):
+            ref = even_reference(dim, tau, s)
+            assert abs(kv.value - ref) <= 1e-9 * abs(ref), (tau, s, kv.value, ref)
+
+
 # tau -> s values per odd D: every odd D route at tiny, moderate and large
 # tau, at the origin and in the Gaussian tail; (3, 0.01, 3) is the point
 # where perfbench/reference.py is off by 1.1e-5
@@ -144,28 +152,26 @@ def test_kernel_odd_err_est_covers_term_route_rounding():
 
 def test_kernel_odd_positive_and_continuous_at_origin():
     p = EvalParams(5, 1.0)
-    v0 = kernel_odd(p, 0.0).value
-    v1 = kernel_odd(p, 1e-3).value
+    v0 = kernel(p, 0.0).value
+    v1 = kernel(p, 1e-3).value
     assert v0 > 0.0
     assert v1 == pytest.approx(v0, rel=1e-5)
 
 
 def test_dispatcher_routes_by_dimension():
     assert kernel(EvalParams(3, 1.0), 0.5).D == 3
-    assert kernel(EvalParams(3, 1.0), 0.5).value == kernel_odd(EvalParams(3, 1.0), 0.5).value
+    assert kernel(EvalParams(3, 1.0), 0.5).err_est > 0.0  # the Abel quadrature's estimate
+    assert kernel(EvalParams(4, 1.0), 0.5) == kernel_d4(EvalParams(4, 1.0), 0.5)
     assert kernel(EvalParams(4, 1.0), 0.5).err_est == 0.0
-    assert kernel(EvalParams(6, 1.0), 0.5).value == kernel_even(EvalParams(6, 1.0), 0.5).value
-    assert kernel(EvalParams(5, 1.0), 0.5).value == kernel_odd(EvalParams(5, 1.0), 0.5).value
+    assert kernel(EvalParams(6, 1.0), 0.5) == kernel_even(EvalParams(6, 1.0), 0.5)
     with pytest.raises(ValueError):
         kernel(EvalParams(4, 1.0), -0.5)
     with pytest.raises(ValueError):
-        kernel_odd(EvalParams(4, 1.0), 1.0)
+        kernel(EvalParams(5, 1.0), -0.5)
     with pytest.raises(ValueError):
         kernel_d4(EvalParams(3, 1.0), 1.0)
     with pytest.raises(ValueError):
         kernel_even(EvalParams(5, 1.0), 1.0)
-    with pytest.raises(ValueError):
-        kernel_odd(EvalParams(6, 1.0), 1.0)
 
 
 def test_positivity_and_monotone_decay_sample():
@@ -215,7 +221,7 @@ def test_semigroup_general_units():
     assert rep.passed, rep
 
 
-# --- the batched odd-D row ------------------------------------------------------
+# --- the batched row ------------------------------------------------------------
 
 _ROW_TAUS = (1e-3, 0.5, 2.0, 30.0)
 # the origin, the l-series region, D = 9 nodes that escalate to mpmath
@@ -232,7 +238,7 @@ def _same(a, b):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("dim", [3, 5, 7, 9, 15])
+@pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8, 9, 15, 20])
 def test_kernel_row_values_do_not_depend_on_the_row(dim):
     seen_tail = False
     for tau in _ROW_TAUS:
@@ -303,7 +309,11 @@ def test_kernel_odd_matches_the_scalar_node_loop(dim):
     for tau, s in _ODD_REFERENCE_POINTS[dim]:
         p = EvalParams(dim, tau)
         g = gfunc.expression(k, p.a, p.E)
-        old = front * _parent_integrate_abel(lambda x: gfunc.evaluate_auto(g, x), s, p.a)[0]
+
+        def node(x):
+            return float(gfunc.evaluate_many(g, np.array([x]))[0])
+
+        old = front * _parent_integrate_abel(node, s, p.a)[0]
         kv = kernel(p, s)
         assert abs(kv.value - old) <= max(1e-12 * abs(old), kv.err_est), (tau, s, kv.value, old)
 
@@ -312,50 +322,60 @@ _EPS = sys.float_info.epsilon
 
 
 def _terms_tolerance(g, s):
-    """Bound on |evaluate_many - evaluate_auto| on the binary64 term route.
+    """Bound on the rounding error of the binary64 term route at s.
 
-    Both sum the same terms x_i = c_i exp(E_i), E_i = base + p log s
-    + q log cosh s - r log sinh s, with the same operations; only numpy's
-    log, cosh, sinh and exp differ from math's, by at most 4 ulp each side
-    (8 eps relative between them).  That moves each E_i by at most
-    8 eps (p |log s| + q (1 + |log cosh s|) + r (1 + |log sinh s|)), the
-    re-rounded sum by 4 eps (|base| + the same magnitudes), and exp by
-    8 eps: 16 eps M_i |x_i| in all, summed over the terms, plus the final
-    roundings of the two compensated sums (2 eps |value|).  Cancellation
-    among the terms enters through sum |x_i| against |value|.
+    It sums x_i = c_i exp(E_i), E_i = base + p log s + q log cosh s
+    - r log sinh s.  numpy's log, cosh, sinh and exp are within 4 ulp;
+    that moves each E_i by at most 4 eps (p |log s| + q (1 + |log cosh s|)
+    + r (1 + |log sinh s|)), its re-rounded sum by 4 eps (|base| + the same
+    magnitudes), and exp by 4 eps: 12 eps M_i |x_i|.  c_i is Horner in
+    binary64 over coefficients of either sign, off by at most 2 deg eps
+    times the same polynomial in |coeff|.  Both are taken at 16 eps, plus
+    the compensated sum's own 2 eps |value|; cancellation among the terms
+    enters through sum |x_i| against |value|.
     """
     log_s, log_ch, log_sh = math.log(s), math.log(math.cosh(s)), math.log(math.sinh(s))
     base = 0.5 * math.log(g.a / math.pi) - g.a * s * s + g.E
-    bound = 0.0
-    for c, p_, q_, r_ in g.f64_terms:
-        mags = p_ * abs(log_s) + q_ * (1.0 + abs(log_ch)) + r_ * (1.0 + abs(log_sh))
-        expo = base + p_ * log_s + q_ * log_ch - r_ * log_sh
-        bound += abs(c) * math.exp(expo) * (1.0 + abs(base) + mags)
-    return 16.0 * _EPS * bound + 2.0 * _EPS * abs(gfunc.evaluate_auto(g, s)) + sys.float_info.min
+    bound = value = 0.0
+    for t in g.terms:
+        c = gfunc._poly_eval(t.coeff_f64, g.a)
+        c_abs = gfunc._poly_eval(tuple(abs(v) for v in t.coeff_f64), g.a)
+        mags = t.p * abs(log_s) + t.q * (1.0 + abs(log_ch)) + t.r * (1.0 + abs(log_sh))
+        x = math.exp(base + t.p * log_s + t.q * log_ch - t.r * log_sh)
+        bound += x * (abs(c) * (1.0 + abs(base) + mags) + c_abs * len(t.coeff))
+        value += c * x
+    return 16.0 * _EPS * bound + 2.0 * _EPS * abs(value) + sys.float_info.min
 
 
 def _series_tolerance(g, s):
-    """Bound on |evaluate_many - evaluate_auto| on the l-series route.
+    """Bound on the error of the l-series route at s.
 
-    Both run the same Horner loop over c_m = h_{n+m} (n+m)!/m! in
-    w0 = 2 sinh(s/2)^2; numpy's sinh differs from math's by at most 8 eps,
-    so w0 by at most 20 eps, which moves each c_m w0^m by 20 m eps; each
-    Horner loop rounds c_m w0^m at most 2m + 2 times (4 (m + 1) eps for the
-    two).  Cancellation enters through sum |c_m w0^m| against the value.
+    It runs a Horner loop over c_m = h_{n+m} (n+m)!/m! in
+    w0 = 2 sinh(s/2)^2; numpy's sinh is within 4 ulp, so w0 is within
+    10 eps, which moves each c_m w0^m by 10 m eps; the loop rounds
+    c_m w0^m at most 2m + 2 times, and h_j carries about j eps from its
+    own recursion.  The sum of these is taken four times over, for the
+    rounding of the falling factorials and the prefactor.  The series is
+    cut at SERIES_ORDER_CAP; its next terms are far below the rounding
+    where ``series_ok`` holds.  Cancellation enters through
+    sum |c_m w0^m| against the value.
     """
     n, a = g.n, g.a
     h, falling = gfunc._h_series(a), gfunc._falling_factorials(n)
     w0 = 2.0 * math.sinh(0.5 * s) ** 2
     bound = sum(
-        (20.0 * m + 4.0 * (m + 1)) * abs(h[n + m] * falling[n + m]) * w0**m for m in range(len(h) - n)
+        (10.0 * m + 2.0 * (m + 1) + n + m) * abs(h[n + m] * falling[n + m]) * w0**m
+        for m in range(len(h) - n)
     )
-    return _EPS * math.sqrt(a / math.pi) * math.exp(g.E) * bound + sys.float_info.min
+    return 4.0 * _EPS * math.sqrt(a / math.pi) * math.exp(g.E) * bound + sys.float_info.min
 
 
 @pytest.mark.filterwarnings("error")
-def test_array_routes_are_evaluate_auto_routes(monkeypatch):
-    # every node the batched kernel hands gfunc: the route evaluate_many
-    # takes, against the one evaluate_auto takes at that node alone
+def test_array_routes_follow_the_route_predicates(monkeypatch):
+    # every node the batched kernel hands gfunc, even D and odd: the route
+    # evaluate_many takes must be the one series_ok and escalates name, and
+    # its value must be within that route's rounding of the term sum in
+    # mpmath with 40 more guard digits
     seen = []  # (expression, route, s, value)
 
     def spy(route, fn):
@@ -364,44 +384,34 @@ def test_array_routes_are_evaluate_auto_routes(monkeypatch):
             if route == "mp":
                 seen.append((g, route, s, out))
             else:
-                seen.extend((g, route, si, vi) for si, vi in zip(s.tolist(), np.atleast_1d(out).tolist()))
+                seen.extend((g, route, si, vi) for si, vi in zip(s.tolist(), out.tolist()))
             return out
 
         return wrapped
 
     monkeypatch.setattr(gfunc, "_series_many", spy("series", gfunc._series_many))
     monkeypatch.setattr(gfunc, "_terms_many", spy("f64", gfunc._terms_many))
-    monkeypatch.setattr(gfunc, "_evaluate_terms", spy("mp", gfunc._evaluate_terms))
-    for dim in (3, 9, 15):
+    monkeypatch.setattr(gfunc, "_evaluate_terms_mp", spy("mp", gfunc._evaluate_terms_mp))
+    for dim in (3, 9, 15, 8, 20):
         for tau in _ROW_TAUS:
             kernel_row(EvalParams(dim, tau), (0.0, 0.12, 0.21, 0.3, 1.0, 25.0))
     monkeypatch.undo()
     assert {route for _, route, _, _ in seen} == {"series", "f64", "mp"}
 
-    taken = []  # the route of one evaluate_auto call
-    series_value, terms_mp = gfunc._series_value, gfunc._evaluate_terms_mp
-
-    def series_spy(g, s):
-        taken.append("series")
-        return series_value(g, s)
-
-    def mp_spy(g, s, blowup):
-        taken.append("mp")
-        return terms_mp(g, s, blowup)
-
-    monkeypatch.setattr(gfunc, "_series_value", series_spy)
-    monkeypatch.setattr(gfunc, "_evaluate_terms_mp", mp_spy)
+    monkeypatch.setattr(gfunc, "_MP_GUARD_DIGITS", gfunc._MP_GUARD_DIGITS + 40)
     for route in ("series", "f64", "mp"):
         nodes = [node for node in seen if node[1] == route]
         for g, _, s, value in nodes[:: max(1, len(nodes) // 400)]:  # the mpmath nodes are slow
-            taken.clear()
-            auto = gfunc.evaluate_auto(g, s)
-            assert taken == ([] if route == "f64" else [route]), (g.n, g.a, s, route, taken)
+            series, mp = gfunc.series_ok(g.a, s), gfunc.escalates(g, s)
+            assert (series, mp and not series) == (route == "series", route == "mp"), (g.n, g.a, s, route)
+            if s == 0.0:  # no term sum at the origin
+                continue
+            exact = gfunc._evaluate_terms_mp(g, s)
             if route == "mp":
-                assert value == auto, (g.n, g.a, s)
+                assert abs(value - exact) <= 2.0 * _EPS * abs(exact) + sys.float_info.min, (g.n, g.a, s)
             else:
                 tol = _series_tolerance(g, s) if route == "series" else _terms_tolerance(g, s)
-                assert abs(value - auto) <= tol, (g.n, g.a, s, route, value, auto)
+                assert abs(value - exact) <= tol, (g.n, g.a, s, route, value, exact)
 
 
 @pytest.mark.filterwarnings("error")
