@@ -1,18 +1,25 @@
 #!/usr/bin/env python3
 """Run the full verification battery and print one line per check.
 
-Desk-scale driver: a few minutes end to end.  Exit status 0 iff every
-check passes.
+Desk-scale driver: a few seconds end to end, from the ``src`` tree of the
+checkout it sits in:
+
+    python3 scripts/run_verification.py
+
+Exit status 0 iff every check passes.
 """
 
 import math
 import sys
 import time
+from pathlib import Path
 
-from pseudoheat.geometry import HoricyclicPoint
-from pseudoheat.kernels import EvalParams
-from pseudoheat import verify
-from pseudoheat.lattice import x_marginal_check
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from pseudoheat.geometry import HoricyclicPoint  # noqa: E402
+from pseudoheat.kernels import EvalParams  # noqa: E402
+from pseudoheat import verify  # noqa: E402
+from pseudoheat.lattice import x_marginal_check  # noqa: E402
 
 
 def show(report, t0):

@@ -3,10 +3,11 @@
 Closed-form evaluation of the radial heat kernel family on the
 (D-1)-dimensional hyperbolic space for every ambient dimension D >= 3,
 together with the machinery that certifies the formulas: an exact term
-algebra for the iterated (1/sinh s) d/ds derivatives, adaptive quadrature
-with endpoint-singularity removal, residual checks of the defining
-integral equation and of the heat equation, semigroup convolution tests,
-and a time-sliced path-integral oracle.  The package exports the kernel
+algebra for the iterated (1/sinh s) d/ds derivatives, one trapezoidal
+quadrature rule in mapped variables (the odd dimensions' Abel integral
+included), residual checks of the defining integral equation and of the
+heat equation, semigroup convolution tests, and a time-sliced
+path-integral oracle.  The package exports the kernel
 entry points; the certification machinery lives in its submodules.
 """
 

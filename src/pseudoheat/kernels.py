@@ -111,12 +111,16 @@ def kernel_d4(params: EvalParams, s: float) -> KernelValue:
 def _d4_value(params: EvalParams, s: float) -> float:
     a = params.a
     try:
+        front = (a / math.pi) ** 1.5
+    except OverflowError:  # float ** raises where * would give inf
+        raise OverflowError(f"binary64 overflow ((a/pi)^1.5 at a={a!r})") from None
+    try:
         ratio = s / math.sinh(s) if s > 0.0 else 1.0
     except OverflowError:
         # past s ~ 710.48, s / sinh s = 2 s exp(-s) to binary64 precision;
         # in one exponent the product underflows to its true value, 0.0
-        return (a / math.pi) ** 1.5 * s * (2.0 * math.exp(-s - a * s * s + params.E))
-    return (a / math.pi) ** 1.5 * ratio * math.exp(-a * s * s + params.E)
+        return front * s * (2.0 * math.exp(-s - a * s * s + params.E))
+    return front * ratio * math.exp(-a * s * s + params.E)
 
 
 def kernel_even(params: EvalParams, s: float) -> KernelValue:
@@ -159,8 +163,11 @@ def _odd_row(params: EvalParams, ss: list[float], spec: QuadratureSpec) -> _RowV
     k = (params.D - 1) // 2
     f = functools.partial(gfunc.evaluate_many, gfunc.expression(k, params.a, params.E))
     front = math.sqrt(2.0) * (-1.0 / (2.0 * math.pi)) ** k
-    rows = integrate_abel(f, ss, params.a, spec)
-    return ((front * v, abs(front) * err, failure) for v, err, failure in rows)
+    for v, err, failure in integrate_abel(f, ss, params.a, spec):
+        v, err = front * v, abs(front) * err
+        if isinstance(failure, NonConvergenceError):  # it carries the Abel integral's
+            failure = NonConvergenceError(v, err)
+        yield v, err, failure
 
 
 def _assemble(

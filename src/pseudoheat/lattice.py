@@ -35,8 +35,8 @@ import numpy as np
 
 from .geometry import HoricyclicPoint, _arccosh_from_excess, sphere_surface_area
 from .kernels import EvalParams
-from .quadrature import QuadratureSpec, _geometric_breakpoints, gaussian_cutoff, integrate_finite
-from .verify import VerificationReport, _kernel_values
+from .quadrature import QuadratureSpec, gaussian_cutoff, integrate_tanh_sinh
+from .verify import VerificationReport, _kernel_array
 
 __all__ = ["LatticeSpec", "lattice_kernel", "x_marginal_check", "convergence_order"]
 
@@ -161,6 +161,11 @@ def _lattice_monte_carlo(
     return const * mean, const * math.sqrt(var / n)
 
 
+def _pointwise(f):
+    """A scalar function as an integrand: the array of its values at an array of nodes."""
+    return lambda xs: np.array([f(x) for x in xs.tolist()])
+
+
 def _lattice_nested(
     params: EvalParams,
     q1: HoricyclicPoint,
@@ -175,11 +180,11 @@ def _lattice_nested(
     n = spec.n_slices
     eps = params.tau / n
     a_eps = params.a * n
-    qspec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-30, max_subdivisions=80)
+    qspec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-30)
     z0, z1 = math.log(q1.y), math.log(q2.y)
     half_z = 0.5 * abs(z1 - z0) + 9.0 * math.sqrt(n / (2.0 * a_eps))
     zc = 0.5 * (z0 + z1)
-    z_pts = (zc - half_z, zc - half_z / 8, zc, zc + half_z / 8, zc + half_z)
+    z_lo, z_hi = zc - half_z, zc + half_z
 
     if n == 2:
         x0, x1 = q1.x[0], q2.x[0]
@@ -192,17 +197,15 @@ def _lattice_nested(
             rate1 = a_eps / (y * q2.y)
             xc = (rate0 * x0 + rate1 * x1) / (rate0 + rate1)
             half_x = abs(x1 - x0) + 10.0 / math.sqrt(rate0 + rate1)
-            x_pts = (xc - half_x, xc - half_x / 8, xc, xc + half_x / 8, xc + half_x)
 
             def f(x: float) -> float:
                 mid = HoricyclicPoint(y, (x,))
                 return _slice_factor(params, eps, q1, mid) * _slice_factor(params, eps, mid, q2)
 
-            val, _ = integrate_finite(lambda xs: [f(x) for x in xs], x_pts, qspec)
+            val, _ = integrate_tanh_sinh(_pointwise(f), xc - half_x, xc + half_x, qspec)
             return math.exp(-z) * val
 
-        value, err = integrate_finite(lambda zs: [inner(z) for z in zs], z_pts, qspec)
-        return value, err
+        return integrate_tanh_sinh(_pointwise(inner), z_lo, z_hi, qspec)
 
     # n == 3, heights only
     front = (a_eps / math.pi) ** 1.5 * math.sqrt(q1.y * q2.y) * math.exp(params.E)
@@ -218,10 +221,10 @@ def _lattice_nested(
         return math.sqrt(big_a / math.pi) * math.exp(-a_eps * s - big_a * r2)
 
     def outer(za: float) -> float:
-        val, _ = integrate_finite(lambda zbs: [inner(za, zb) for zb in zbs], z_pts, qspec)
+        val, _ = integrate_tanh_sinh(_pointwise(lambda zb: inner(za, zb)), z_lo, z_hi, qspec)
         return val
 
-    value, err = integrate_finite(lambda zas: [outer(za) for za in zas], z_pts, qspec)
+    value, err = integrate_tanh_sinh(_pointwise(outer), z_lo, z_hi, qspec)
     return front * value, front * err
 
 
@@ -268,32 +271,31 @@ def x_marginal_check(
     """
     if not (3 <= params.D <= 6):
         raise ValueError("x-marginal checks are kept desk-scale: D in {3..6}")
-    spec = spec or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-20, max_subdivisions=120)
+    spec = spec or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-20)
     a = params.a
     y1y2 = y1 * y2
     u0 = (y2 - y1) ** 2 / (2.0 * y1y2)
     s0 = _arccosh_from_excess(u0)
-
-    def s_of(r: float) -> float:
-        return _arccosh_from_excess(u0 + r * r / (2.0 * y1y2))
-
     s_max = gaussian_cutoff(s0, a, spec.truncation_sigma + 1.0)
-    r_max = math.sqrt(2.0 * y1y2 * (math.cosh(s_max) - math.cosh(s0)) + 2.0 * y1y2 * u0)
 
     if params.D == 3:
         front, power = 2.0, 0
     else:
         front, power = sphere_surface_area(params.D - 3), params.D - 3
 
-    def f(rs: list[float]) -> list[float]:
-        kvs = _kernel_values(params, [s_of(r) for r in rs])
-        return [kv * r**power if kv else 0.0 for r, kv in zip(rs, kvs)]
-
-    # R grows exponentially with the arc, so the domain dwarfs the support
-    # scale sqrt(2 y1 y2): seed panels down to a fraction of that scale
+    # R = sqrt(2 y1 y2) sinh v, so that k(R) - 1 = u0 + sinh^2 v: the arc
+    # s grows like 2 v, and the kernel's support is not a sliver of the
+    # range, which R would stretch exponentially
     r_scale = math.sqrt(2.0 * y1y2)
-    halvings = max(8, int(math.ceil(math.log2(max(r_max / r_scale, 2.0)))) + 6)
-    val, err = integrate_finite(f, _geometric_breakpoints(0.0, r_max, halvings), spec)
+    v_max = math.asinh(math.sqrt(2.0) * math.sinh(0.5 * s_max))  # sinh^2 v = cosh s_max - 1
+
+    def f(vs: np.ndarray) -> np.ndarray:
+        sh = np.sinh(vs)
+        w = u0 + sh * sh
+        kvs = _kernel_array(params, np.log1p(w + np.sqrt(w * (w + 2.0))))
+        return kvs * (r_scale * sh) ** power * (r_scale * np.cosh(vs))
+
+    val, err = integrate_tanh_sinh(f, 0.0, v_max, spec)
     lhs = front * val
     rhs = (
         y1y2 ** ((params.D - 2) / 2.0)

@@ -1,23 +1,31 @@
-"""Deterministic quadrature for Gaussian-decay radial integrands.
+"""Deterministic trapezoidal quadrature for analytic, Gaussian-decay integrands.
 
-Two rules.  An adaptive embedded Gauss-Legendre 10/21 pair bisects the
-worst interval; semi-infinite domains are truncated where the decay
-envelope drops below exp(-sigma^2/2), with the tail bound folded into the
-error estimate; its integrand gets the nodes of every panel it opens in
-one call.  The Abel integral int F(arccosh l) (l - l0)^(-1/2) dl of the
-odd-dimensional kernels is a trapezoidal rule in t, l = l0 + sinh^2 t,
-refined by halving the step.
+One rule: the trapezoid in a mapped variable, refined by halving the step,
+with |I_h - I_2h| plus a rounding floor as its error estimate.  The
+integrands here are analytic, so the rule converges geometrically
+(Trefethen & Weideman, SIAM Rev. 56, 2014), and the 2h grid is a subset of
+the h grid, so every halving evaluates only the new nodes.
 
-The Abel rule works on arrays: it takes many lower endpoints l0 = cosh d
-and hands the integrand F the nodes of all of them that have not yet
-converged as one float array per halving.  Each endpoint keeps its own
-steps, convergence test and error estimate, and gets back its own value or
+* ``integrate_tanh_sinh``: a finite interval through the tanh-sinh map
+  (Takahasi & Mori, 1974), whose nodes crowd both endpoints, so the rate
+  does not depend on how the integrand behaves there.  Semi-infinite
+  Gaussian-decay integrals are truncated first, at ``gaussian_cutoff``.
+* ``integrate_periodic``: the plain trapezoid on [lo, hi] for an integrand
+  whose even extension about lo has period 2 (hi - lo); spectral there.
+* ``integrate_abel``: the Abel integral int F(arccosh l) (l - l0)^(-1/2) dl
+  of the odd-dimensional kernels, a trapezoidal rule in t, l = l0 +
+  sinh^2 t.
+
+Every integrand takes a float array of nodes and returns their values as
+one array.  The Abel rule takes many lower endpoints l0 = cosh d and hands
+the integrand F the nodes of all of them that have not yet converged as
+one float array per halving.  Each endpoint keeps its own steps,
+convergence test and error estimate, and gets back its own value or
 failure, so one endpoint that does not converge does not fail the others.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 from dataclasses import dataclass
@@ -28,30 +36,24 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "NonConvergenceError",
-    "integrate_finite",
-    "integrate_semi_infinite",
+    "integrate_tanh_sinh",
+    "integrate_periodic",
     "integrate_abel",
     "abel_identity_check",
 ]
 
-_NODES_LO, _WEIGHTS_LO = (tuple(map(float, a)) for a in np.polynomial.legendre.leggauss(10))
-_NODES_HI, _WEIGHTS_HI = (tuple(map(float, a)) for a in np.polynomial.legendre.leggauss(21))
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget for one integral."""
+    """Tolerances and truncation for one integral."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-14
-    max_subdivisions: int = 60
     truncation_sigma: float = 12.0
 
     def __post_init__(self):
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
         if self.truncation_sigma <= 0.0:
             raise ValueError("truncation_sigma must be positive")
 
@@ -60,115 +62,146 @@ DEFAULT_SPEC = QuadratureSpec()
 
 
 class NonConvergenceError(RuntimeError):
-    """Subdivision budget exhausted with the error estimate above tolerance."""
+    """Halving budget exhausted with the error estimate above tolerance."""
 
     def __init__(self, value: float, err_est: float, message: str = ""):
-        super().__init__(message or f"quadrature did not converge (err_est={err_est:g})")
+        # err_est is an array where many integrals ran at once
+        super().__init__(message or f"quadrature did not converge (err_est={np.max(err_est):g})")
         self.value = value
         self.err_est = err_est
 
 
-# one panel's nodes, high-order rule first; each panel is summed in this order
-_NODES = _NODES_HI + _NODES_LO
+# tanh-sinh runs its trapezoid over t in [-3, 3], from the step 1/8: the
+# integrands of verify and lattice stop at 1/16 or 1/32, so a coarser start
+# would only add passes over them.  At |t| = 3 a node lies 4.6e-14
+# half-widths from its endpoint; the part of the integral cut off there is
+# bounded by twice that gap times |f| at the node (an integrable
+# singularity up to |x - lo|^(-1/2) included), which is the node's weight
+# dx/dt times 2 / (pi cosh 3)
+_TS_T_MAX = 3.0
+_TS_STEP = 0.125
+_TS_TAIL = 2.0 / (math.pi * math.cosh(_TS_T_MAX))
+# intervals of the first periodic trapezoid
+_PERIODIC_INTERVALS = 16
+# halvings after the first grid: h = 1/256 in t, 512 periodic intervals
+_MAX_HALVINGS = 5
+# rounding of the trapezoid sum, per unit of the summed magnitudes
+_ROUNDING = 2.0 * sys.float_info.epsilon
 
 
-def _rules(
-    f: Callable[[list[float]], Sequence[float]], panels: list[tuple[float, float]]
-) -> list[tuple[float, float]]:
-    """(value, err) of the 10/21 pair on each (lo, hi), from one call of f on all their nodes."""
-    nodes = []
-    for lo, hi in panels:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        nodes += [mid + half * x for x in _NODES]
-    fx = f(nodes)
-    if len(fx) != len(nodes):
-        raise ValueError(f"integrand returned {len(fx)} values for {len(nodes)} nodes")
-    values = iter(fx)  # zip stops on the weights, so each loop takes its own nodes
-    out = []
-    for lo, hi in panels:
-        half = 0.5 * (hi - lo)
-        hi_sum = 0.0
-        for w, y in zip(_WEIGHTS_HI, values):
-            hi_sum += w * y
-        lo_sum = 0.0
-        for w, y in zip(_WEIGHTS_LO, values):
-            lo_sum += w * y
-        value = half * hi_sum
-        err = abs(half * (hi_sum - lo_sum)) + 1e-16 * abs(value)
-        out.append((value, err))
-    return out
+def _tanh_sinh_nodes(t: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x = mid + half tanh(pi/2 sinh t) in [lo, hi] and their weights dx/dt."""
+    half = 0.5 * (hi - lo)
+    u = 0.5 * math.pi * np.sinh(t)
+    # distance to the nearer endpoint, half (1 - tanh|u|), without cancellation
+    gap = half / (np.exp(np.abs(u)) * np.cosh(u))
+    x = np.where(t < 0.0, lo + gap, hi - gap)
+    return x, half * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
 
 
-def integrate_finite(
-    f: Callable[[list[float]], Sequence[float]],
-    breakpoints: list[float] | tuple[float, ...],
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> tuple[float, float]:
-    """Adaptive integration over [breakpoints[0], breakpoints[-1]].
+def _trapezoid(f, mapping, t_lo: float, t_hi: float, n: int, spec: QuadratureSpec, tail: float, count):
+    """Trapezoid in t over [t_lo, t_hi] of f(x(t)) w(t), (x, w) = mapping(t), from
+    n (even) intervals, halving the step until the estimate meets spec.
 
-    f takes a list of nodes and returns their values, in order, as a
-    sequence of floats.  The first call holds the 31 nodes of every seed
-    panel, each later call the nodes of both halves of one bisection, so an
-    integrand that evaluates many points at once (``kernels.kernel_row``)
-    sees them together.  A scalar integrand g is passed as
-    ``lambda xs: [g(x) for x in xs]``.
-
-    Interior breakpoints seed the subdivision (useful when most of the mass
-    sits near one end of a long interval).  Deterministic: the worst
-    interval (largest error estimate, ties broken by insertion order) is
-    bisected until the summed estimate meets the tolerance.
+    tail times |f w| at t_lo and at t_hi bounds the integral cut off beyond
+    them (0 where nothing is cut).  count None: f(x) returns one value per
+    node.  Otherwise f(x, live) returns the values of the integrals
+    numbered live, shape (nodes, live), and each integral stops on its own.
     """
-    pts = [float(b) for b in breakpoints]
-    if len(pts) < 2 or any(b >= c for b, c in zip(pts, pts[1:])):
-        raise ValueError("breakpoints must be strictly increasing with at least 2 entries")
-    heap = []
-    counter = 0
-    total = 0.0
-    total_err = 0.0
-    seeds = list(zip(pts, pts[1:]))
-    for (lo, hi), (v, e) in zip(seeds, _rules(f, seeds)):
-        heapq.heappush(heap, (-e, counter, lo, hi, v))
-        counter += 1
-        total += v
-        total_err += e
-    splits = 0
-    resolution_err = 0.0  # estimates stuck at float resolution, kept in the total
-    while total_err > max(spec.rel_tol * abs(total), spec.abs_tol):
-        if splits >= spec.max_subdivisions or not heap:
-            raise NonConvergenceError(total, total_err)
-        neg_e, _, lo, hi, v = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # interval at float resolution: its estimate cannot improve;
-            # move it out of the work queue so the loop terminates
-            resolution_err += -neg_e
-            total_err += neg_e
-            if resolution_err > max(spec.rel_tol * abs(total), spec.abs_tol):
-                raise NonConvergenceError(total, total_err + resolution_err)
-            continue
-        (v1, e1), (v2, e2) = _rules(f, [(lo, mid), (mid, hi)])
-        total += v1 + v2 - v
-        total_err += e1 + e2 + neg_e  # neg_e = -(old error)
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2))
-        counter += 1
-        splits += 1
-    return total, total_err + resolution_err
+    scalar = count is None
+    if scalar:
+        f, count = (lambda x, live, f=f: np.asarray(f(x), dtype=float)[:, None]), 1
+    h = (t_hi - t_lo) / n
+    live = np.arange(count)
+
+    def weighted(j: np.ndarray) -> np.ndarray:
+        x, w = mapping(t_lo + j * h)
+        fx = np.asarray(f(x, live), dtype=float)
+        if fx.shape != (len(x), len(live)):
+            raise ValueError(f"integrand returned shape {fx.shape} for {len(x)} nodes, {len(live)} integrals")
+        return fx * w[:, None]
+
+    # the first grid: its even nodes (the 2h grid) first, the end nodes at half weight
+    j = np.arange(n + 1)
+    g = weighted(np.concatenate((j[::2], j[1::2])))
+    cut = tail * np.abs(g[[0, n // 2]]).sum(axis=0)
+    g[[0, n // 2]] *= 0.5
+    total, magnitude = g.sum(axis=0), np.abs(g).sum(axis=0)
+    value = 2.0 * h * g[: n // 2 + 1].sum(axis=0)
+    err = np.empty(count)
+    for level in range(_MAX_HALVINGS + 1):
+        if level:
+            # the new nodes are the odd ones of the finer grid
+            h *= 0.5
+            n *= 2
+            g = weighted(np.arange(1, n, 2))
+            total[live] += g.sum(axis=0)
+            magnitude[live] += np.abs(g).sum(axis=0)
+        coarse = value[live]
+        value[live] = h * total[live]
+        err[live] = np.abs(value[live] - coarse) + h * _ROUNDING * magnitude[live] + cut[live]
+        live = live[err[live] > max(spec.rel_tol * np.max(np.abs(value)), spec.abs_tol)]
+        if not live.size:
+            return (float(value[0]), float(err[0])) if scalar else (value, err)
+    if scalar:
+        value, err = float(value[0]), float(err[0])
+    raise NonConvergenceError(value, err)
 
 
-def _geometric_breakpoints(lo: float, hi: float, n_halvings: int = 6) -> list[float]:
-    """lo plus the points lo + span/2^k, concentrating panels near lo."""
-    span = hi - lo
-    pts = [lo]
-    for k in range(n_halvings, 0, -1):
-        cand = lo + span / float(2**k)
-        if cand > pts[-1]:
-            pts.append(cand)
-    if hi > pts[-1]:
-        pts.append(hi)
-    return pts
+def _interval(lo: float, hi: float) -> tuple[float, float]:
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError("need finite lo < hi")
+    return lo, hi
+
+
+def integrate_tanh_sinh(
+    f: Callable[..., np.ndarray],
+    lo: float,
+    hi: float,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+    count: int | None = None,
+):
+    """Integral of f over [lo, hi] by the tanh-sinh trapezoid: (value, err_est).
+
+    f maps a float array of nodes to the array of their values.  The first
+    call holds the 49 nodes of the step 1/8 in t, each later call the new
+    nodes of one halving; no node is evaluated twice, and f is never
+    called at lo or hi unless a node rounds onto them.  The step halves
+    until |I_h - I_2h|, plus a rounding floor and a bound on the tails cut
+    at |t| = 3, meets max(rel_tol |I|, abs_tol).  After the last halving a
+    ``NonConvergenceError`` carries the value and the estimate.
+
+    With count, f integrates count functions at once: f(x, live) returns,
+    in shape (len(x), len(live)), the values at x of the functions
+    numbered live (an int array), those that have not converged yet.  Each
+    stops when its estimate meets max(rel_tol max_j |I_j|, abs_tol), the
+    largest value of all setting the scale; value and err_est are arrays.
+    """
+    lo, hi = _interval(lo, hi)
+    mapping = lambda t: _tanh_sinh_nodes(t, lo, hi)
+    n = round(2.0 * _TS_T_MAX / _TS_STEP)
+    return _trapezoid(f, mapping, -_TS_T_MAX, _TS_T_MAX, n, spec, _TS_TAIL, count)
+
+
+def integrate_periodic(
+    f: Callable[..., np.ndarray],
+    lo: float,
+    hi: float,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+    count: int | None = None,
+):
+    """Integral of f over [lo, hi] by the plain trapezoid: (value, err_est).
+
+    For f whose even extension about lo is analytic and 2 (hi - lo)
+    periodic (a function of cos(pi (x - lo) / (hi - lo))), where the rule
+    is spectral.  Starts from 16 intervals and halves the step as
+    ``integrate_tanh_sinh`` does, with the same contract (count included);
+    the nodes include lo and hi, and nothing is cut.
+    """
+    lo, hi = _interval(lo, hi)
+    identity = lambda x: (x, np.ones_like(x))
+    return _trapezoid(f, identity, lo, hi, _PERIODIC_INTERVALS, spec, 0.0, count)
 
 
 def gaussian_cutoff(lower: float, decay_rate: float, sigma: float, linear_growth: float = 0.0) -> float:
@@ -181,30 +214,6 @@ def gaussian_cutoff(lower: float, decay_rate: float, sigma: float, linear_growth
         2.0 * decay_rate
     )
     return max(t, lower + 1.0 / math.sqrt(decay_rate))
-
-
-def integrate_semi_infinite(
-    f: Callable[[list[float]], Sequence[float]],
-    lower: float,
-    decay_rate: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    linear_growth: float = 0.0,
-) -> tuple[float, float]:
-    """Integral of f over [lower, inf) for |f| <= C exp(-rate t^2 + growth t).
-
-    f takes a list of nodes and returns their values, as for
-    ``integrate_finite``.  The domain is truncated where the envelope has
-    fallen by exp(-truncation_sigma^2/2) relative to the lower endpoint; an
-    envelope tail bound is added to the returned error estimate.
-    """
-    if decay_rate <= 0.0:
-        raise ValueError("decay_rate must be positive")
-    cutoff = gaussian_cutoff(lower, decay_rate, spec.truncation_sigma, linear_growth)
-    value, err = integrate_finite(f, _geometric_breakpoints(lower, cutoff), spec)
-    denom = 2.0 * decay_rate * cutoff - linear_growth
-    (f_cut,) = f([cutoff])
-    tail = abs(f_cut) / denom if denom > 0.0 else abs(f_cut)
-    return value, err + tail
 
 
 # integrate_abel stretches its tail by t = T sinh(u/T).  Up to t ~ 1, where
@@ -396,8 +405,11 @@ def abel_identity_check(
     if decay_rate <= 0.0:
         raise ValueError("decay_rate must be positive")
 
+    # after either substitution the integrand decays like exp(-decay_rate w^2)
+    cutoff = gaussian_cutoff(0.0, decay_rate, spec.truncation_sigma)
+
     def semi_infinite(g: Callable[[float], float]) -> float:
-        value, _ = integrate_semi_infinite(lambda xs: [g(x) for x in xs], 0.0, decay_rate, spec)
+        value, _ = integrate_tanh_sinh(lambda xs: np.array([g(x) for x in xs.tolist()]), 0.0, cutoff, spec)
         return value
 
     inner = lambda l: 2.0 * semi_infinite(lambda w: f(l + w * w))

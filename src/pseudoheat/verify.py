@@ -28,10 +28,9 @@ from .kernels import EvalParams, kernel, kernel_row
 from .quadrature import (
     NonConvergenceError,
     QuadratureSpec,
-    _geometric_breakpoints,
     gaussian_cutoff,
-    integrate_finite,
-    integrate_semi_infinite,
+    integrate_periodic,
+    integrate_tanh_sinh,
 )
 
 __all__ = [
@@ -48,7 +47,7 @@ __all__ = [
 ]
 
 # tight spec for kernels sampled inside finite-difference stencils
-_KERNEL_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-18, max_subdivisions=200)
+_KERNEL_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-18)
 
 
 def _kernel_values(params: EvalParams, ss: Sequence[float]) -> Iterator[float]:
@@ -59,6 +58,16 @@ def _kernel_values(params: EvalParams, ss: Sequence[float]) -> Iterator[float]:
         if isinstance(kv, Exception):
             raise kv
         yield kv.value
+
+
+def _kernel_array(params: EvalParams, ss: np.ndarray) -> np.ndarray:
+    """``_kernel_values`` of an array, as an array of the same shape.
+
+    Each distinct s is evaluated once (a value does not depend on its
+    row), so a failure is raised at the smallest failing s.
+    """
+    distinct, inverse = np.unique(ss, return_inverse=True)
+    return np.array(list(_kernel_values(params, distinct.tolist())))[inverse].reshape(ss.shape)
 
 
 @dataclass(frozen=True)
@@ -98,20 +107,16 @@ def _abel_lhs(params: EvalParams, l: float, spec: QuadratureSpec) -> tuple[float
     s_max = gaussian_cutoff(sl, a, spec.truncation_sigma, linear_growth=0.5 * params.D)
     v_max = math.sqrt(s_max - sl)
 
-    def integrand(vs: list[float]) -> list[float]:
-        sigs = [sl + v * v for v in vs]
-        out = []
-        for v, sig, kv in zip(vs, sigs, _kernel_values(params, sigs)):
-            if kv == 0.0 or sig <= sl:
-                out.append(0.0)
-                continue
-            wfac = (2.0 * math.sinh(0.5 * (sig + sl)) * math.sinh(0.5 * (sig - sl))) ** nu
-            out.append(kv * wfac * math.sinh(sig) * 2.0 * v)
-        return out
+    def integrand(vs: np.ndarray) -> np.ndarray:
+        v2 = vs * vs  # sigma - s_l, exactly: nodes crowd v = 0
+        sigs = sl + v2
+        kvs = _kernel_array(params, sigs)
+        with np.errstate(divide="ignore", invalid="ignore"):  # v = 0 gives 0 ** nu
+            wfac = (2.0 * np.sinh(0.5 * (sigs + sl)) * np.sinh(0.5 * v2)) ** nu
+            out = kvs * wfac * np.sinh(sigs) * 2.0 * vs
+        return np.where((kvs == 0.0) | (v2 == 0.0), 0.0, out)
 
-    value, err = integrate_finite(integrand, _geometric_breakpoints(0.0, v_max), spec)
-    (tail,) = integrand([v_max])
-    return value, err + abs(tail)
+    return integrate_tanh_sinh(integrand, 0.0, v_max, spec)
 
 
 def _abel_rhs(params: EvalParams, l: float) -> float:
@@ -134,7 +139,7 @@ def abel_residual(
     """Residual of the defining integral equation on a grid of l >= 1."""
     if tolerance is None:
         tolerance = 1e-6 if params.D % 2 == 0 else 1e-5
-    spec = spec or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-16, max_subdivisions=120)
+    spec = spec or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-16)
     points = []
     worst = 0.0
     for l in l_grid:
@@ -182,8 +187,8 @@ def _pde_pieces(params: EvalParams, s: float, tau: float) -> tuple[float, float,
     a_of = lambda t: params.m / (2.0 * params.hbar * t)
 
     # realized kernel accuracy: roundoff for the closed forms, ~1e-13 for
-    # the adaptive-quadrature-backed odd dimensions (requested 1e-11; the
-    # embedded-pair estimate is conservative by a few orders)
+    # the odd dimensions' Abel quadrature (requested 1e-11; its halving
+    # estimate |I_h - I_2h| is conservative by a few orders)
     noise = 2.2e-16 if params.D % 2 == 0 else 1e-13
     rh = (480.0 * noise) ** (1.0 / 6.0)
     a = a_of(tau)
@@ -292,120 +297,52 @@ def horicyclic_pde_residual(
 
 # --- semigroup -----------------------------------------------------------
 
-class _RadialTable:
-    """Clamped cubic spline through kernel values on a uniform radial grid.
-
-    Used for the quadrature-backed odd dimensions: the convolution's inner
-    theta integrand is still scalar, so it would call ``kernel()`` once per
-    node, each a one-element ``kernel_row``; even-D kernels are cheap
-    enough to evaluate directly.  The grid is one ``kernel_row`` call.
-    """
-
-    def __init__(self, params: EvalParams, rho_max: float, step: float = 0.01):
-        n = max(64, int(math.ceil(rho_max / step)) + 1)
-        self.xs = np.linspace(0.0, rho_max, n)
-        ys = np.array(list(_kernel_values(params, self.xs.tolist())))
-        self.h = float(self.xs[1] - self.xs[0])
-        self.ys = ys
-        self.m = self._second_derivatives(ys, self.h)
-        self.rho_max = rho_max
-
-    @staticmethod
-    def _second_derivatives(y: np.ndarray, h: float) -> np.ndarray:
-        n = len(y)
-        diag = np.full(n, 4.0)
-        rhs = np.zeros(n)
-        rhs[1:-1] = 6.0 * (y[2:] - 2.0 * y[1:-1] + y[:-2]) / (h * h)
-        # clamped left end (radial kernels are even: K'(0) = 0)
-        diag[0] = 2.0
-        rhs[0] = 6.0 * ((y[1] - y[0]) / h) / h
-        # natural right end (deep in the Gaussian tail)
-        diag[-1] = 1.0
-        rhs[-1] = 0.0
-        sub = np.ones(n)
-        sub[-1] = 0.0  # natural row: M[n-1] = 0
-        sup = np.ones(n)
-        # Thomas algorithm
-        cp = np.zeros(n)
-        dp = np.zeros(n)
-        cp[0] = sup[0] / diag[0]
-        dp[0] = rhs[0] / diag[0]
-        for i in range(1, n):
-            denom = diag[i] - sub[i] * cp[i - 1]
-            cp[i] = sup[i] / denom if i < n - 1 else 0.0
-            dp[i] = (rhs[i] - sub[i] * dp[i - 1]) / denom
-        m = np.zeros(n)
-        m[-1] = dp[-1]
-        for i in range(n - 2, -1, -1):
-            m[i] = dp[i] - cp[i] * m[i + 1]
-        return m
-
-    def __call__(self, rho: float) -> float:
-        if rho >= self.rho_max:
-            return 0.0
-        rho = abs(rho)
-        i = min(int(rho / self.h), len(self.xs) - 2)
-        x0 = self.xs[i]
-        t1 = self.xs[i + 1] - rho
-        t0 = rho - x0
-        h = self.h
-        return float(
-            self.m[i] * t1**3 / (6 * h)
-            + self.m[i + 1] * t0**3 / (6 * h)
-            + (self.ys[i] / h - self.m[i] * h / 6) * t1
-            + (self.ys[i + 1] / h - self.m[i + 1] * h / 6) * t0
-        )
-
-
-def _radial_evaluator(params: EvalParams, rho_max: float) -> Callable[[float], float]:
-    if params.D % 2 == 0:
-        return lambda rho: kernel(params, rho).value
-    return _RadialTable(params, rho_max)
-
-
 def _convolve_kernels(
-    params1: EvalParams,
-    params2: EvalParams,
-    d: float,
-    spec: QuadratureSpec,
-    k1: Callable[[float], float],
-    k2: Callable[[float], float],
+    params1: EvalParams, params2: EvalParams, d: float, spec: QuadratureSpec
 ) -> tuple[float, float]:
-    """Geodesic polar convolution int K1(r) K2(rho(r, theta)) dV."""
+    """Geodesic polar convolution int K1(r) K2(rho(r, theta)) dV: (value, err_est).
+
+    r runs on the tanh-sinh rule.  For each batch of r nodes, theta runs on
+    the plain trapezoid at odd D, where the integrand sin^(D-3) theta K2 is
+    even and 2 pi periodic in theta, and on tanh-sinh at even D; each r
+    stops on its own test, scaled by the batch's largest integral.  K1 is
+    one ``kernel_row`` call per batch, K2 one per theta pass over the r
+    not yet converged.  r integrates the theta integrals less and plus
+    their estimates, so that half the spread of the two carries the theta
+    rule's error into the estimate, next to the r rule's own.
+    """
     D = params1.D
     cd, sd = math.cosh(d), math.sinh(d)
-    inner_spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-30, max_subdivisions=80)
-    if D == 3:
-        ang_weight = lambda th: 1.0
-        ang_front = 2.0
-    else:
-        ang_weight = lambda th: math.sin(th) ** (D - 3)
-        ang_front = sphere_surface_area(D - 3)
+    r_max = gaussian_cutoff(0.0, params1.a, spec.truncation_sigma, linear_growth=float(D - 2))
+    ang_front = 2.0 if D == 3 else sphere_surface_area(D - 3)
+    theta_rule = integrate_periodic if D % 2 else integrate_tanh_sinh
 
-    def theta_integral(r: float) -> float:
-        cr, sr = math.cosh(r), math.sinh(r)
+    def outer(rs: np.ndarray, live: np.ndarray) -> np.ndarray:
+        radial = ang_front * _kernel_array(params1, rs) * np.sinh(rs) ** (D - 2)
+        cc, ss = np.cosh(rs) * cd, np.sinh(rs) * sd
 
-        def f(th: float) -> float:
-            u = cr * cd - sr * sd * math.cos(th)
-            rho = math.acosh(u) if u > 1.0 else 0.0
-            return ang_weight(th) * k2(rho)
+        def theta_integrand(ths: np.ndarray, cols: np.ndarray) -> np.ndarray:
+            # (theta, r) grid of cosh rho, by the hyperbolic law of cosines
+            u = cc[cols] - np.outer(np.cos(ths), ss[cols])
+            k2 = _kernel_array(params2, np.arccosh(np.maximum(u, 1.0)))
+            return k2 * np.outer(np.sin(ths) ** (D - 3), radial[cols])
 
-        val, _ = integrate_finite(
-            lambda ths: [f(th) for th in ths], (0.0, 0.5 * math.pi, math.pi), inner_spec
-        )
-        return ang_front * val
+        try:
+            theta, theta_err = theta_rule(theta_integrand, 0.0, math.pi, spec, count=len(rs))
+        except NonConvergenceError as exc:  # the convolution fails, with no bounds
+            raise NonConvergenceError(np.array([-math.inf, math.inf]), np.full(2, math.inf)) from exc
+        return np.stack((theta - theta_err, theta + theta_err), axis=1)[:, live]
 
-    def outer(r: float) -> float:
-        if r == 0.0:
-            return 0.0
-        k1v = k1(r)
-        if k1v == 0.0:
-            return 0.0
-        return k1v * math.sinh(r) ** (D - 2) * theta_integral(r)
-
-    return integrate_semi_infinite(
-        lambda rs: [outer(r) for r in rs], 0.0, params1.a, spec, linear_growth=float(D - 2)
-    )
+    failure = None
+    try:
+        (lower, upper), err = integrate_tanh_sinh(outer, 0.0, r_max, spec, count=2)
+    except NonConvergenceError as exc:
+        (lower, upper), err, failure = exc.value, exc.err_est, exc
+    lower, upper = float(lower), float(upper)
+    value, err_est = 0.5 * (lower + upper), 0.5 * (upper - lower) + float(max(err))
+    if failure is not None:
+        raise NonConvergenceError(value, err_est) from failure
+    return value, err_est
 
 
 def chapman_kolmogorov_many(
@@ -415,11 +352,7 @@ def chapman_kolmogorov_many(
     spec: QuadratureSpec | None = None,
     tolerance: float | None = None,
 ) -> list[VerificationReport]:
-    """Semigroup check K_tau1 * K_tau2 = K_(tau1+tau2) at several separations.
-
-    The radial tables for the two factors are built once and shared by all
-    separations.
-    """
+    """Semigroup check K_tau1 * K_tau2 = K_(tau1+tau2) at several separations."""
     if (params1.D, params1.m, params1.hbar) != (params2.D, params2.m, params2.hbar):
         raise ValueError("factors must share dimension and units")
     if params1.D not in (3, 4, 5):
@@ -427,17 +360,13 @@ def chapman_kolmogorov_many(
     D = params1.D
     if tolerance is None:
         tolerance = 1e-3 if D == 3 else 1e-4
-    spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-30, max_subdivisions=120)
-    d_max = max(d_values)
-    r_max = gaussian_cutoff(0.0, params1.a, spec.truncation_sigma, linear_growth=float(D - 2))
-    k1 = _radial_evaluator(params1, r_max + 1.0)
-    k2 = _radial_evaluator(params2, r_max + d_max + 1.0)
+    spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-30)
     target_params = params1.with_tau(params1.tau + params2.tau)
     out = []
     for d in d_values:
         target = kernel(target_params, d, _KERNEL_SPEC).value
         try:
-            conv, err = _convolve_kernels(params1, params2, d, spec, k1, k2)
+            conv, err = _convolve_kernels(params1, params2, d, spec)
             rel = abs(conv - target) / abs(target)
         except NonConvergenceError as exc:
             conv, err, rel = exc.value, exc.err_est, math.inf
@@ -467,16 +396,11 @@ def chapman_kolmogorov(
 
 def total_mass(params: EvalParams, spec: QuadratureSpec | None = None) -> float:
     """Omega_(D-2) int_0^inf K(s) sinh(s)^(D-2) ds."""
-    spec = spec or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-20, max_subdivisions=120)
+    spec = spec or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-20)
     om = sphere_surface_area(params.D - 2)
-
-    def f(ss: list[float]) -> list[float]:
-        return [
-            kv * math.sinh(s) ** (params.D - 2) if kv else 0.0
-            for s, kv in zip(ss, _kernel_values(params, ss))
-        ]
-
-    val, _ = integrate_semi_infinite(f, 0.0, params.a, spec, linear_growth=float(params.D - 2))
+    s_max = gaussian_cutoff(0.0, params.a, spec.truncation_sigma, linear_growth=float(params.D - 2))
+    f = lambda ss: _kernel_array(params, ss) * np.sinh(ss) ** (params.D - 2)
+    val, _ = integrate_tanh_sinh(f, 0.0, s_max, spec)
     return om * val
 
 

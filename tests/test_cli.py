@@ -96,6 +96,29 @@ def test_eval_overflow_is_numerical_failure(dim, tau, s, route):
     assert f"D={dim}, tau={float(tau)!r}, s={float(s)!r} in {route}" in res.stderr
 
 
+def test_eval_d4_overflow_says_binary64_overflow():
+    res = run_cli("eval", "--dim", "4", "--tau", "1e-300", "--s", "1")
+    assert res.returncode == 3
+    assert res.stderr.startswith("error: binary64 overflow")
+    assert "Numerical result out of range" not in res.stderr
+    assert "D=4, tau=1e-300, s=1.0 in kernel_d4" in res.stderr
+
+
+def test_odd_nonconvergence_reports_the_kernels_estimate():
+    # the Abel integral's own estimate here is 3.0e-20; the kernel's, scaled
+    # by the front factor sqrt(2) (2 pi)^-7, is 1.1e-25
+    tight = ("--rel-tol", "1e-13", "--abs-tol", "1e-300")
+    res = run_cli("eval", "--dim", "15", "--tau", "0.5", "--s", "0", *tight)
+    assert res.returncode == 3
+    err = float(res.stderr.split("err_est=")[1].split(")")[0])
+    assert 1e-26 < err < 1e-24
+    res = run_cli("table", "--dim", "15", "--tau-grid", "0.5:0.5:1", "--s-grid", "0:0:1", *tight)
+    assert res.returncode == 3
+    (row,) = json.loads(res.stdout)["rows"]
+    assert row["value"] is None and 1e-26 < row["err_est"] < 1e-24
+    assert row["error"].startswith(f"quadrature did not converge (err_est={row['err_est']:g})")
+
+
 @pytest.mark.parametrize("dim, s_grid", [("7", "700:705:2"), ("8", "700:800:3"), ("12", "700:800:3")])
 def test_underflowed_value_is_positive_zero(dim, s_grid):
     # the front factor (-1/(2 pi))^n is negative at D = 7, 8 and 12; a value

@@ -13,7 +13,7 @@ from pseudoheat.kernels import (
     kernel_even,
     kernel_row,
 )
-from pseudoheat.quadrature import DEFAULT_SPEC, NonConvergenceError
+from pseudoheat.quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec
 from _oracles import even_reference, mckean_by_abel_inversion, odd_reference
 
 
@@ -84,6 +84,31 @@ def test_kernel_d4_past_sinh_overflow_underflows_to_zero():
     p = EvalParams(4, 1.0)
     want = (p.a / math.pi) ** 1.5 * (30.0 / math.sinh(30.0)) * math.exp(-p.a * 30.0 * 30.0 + p.E)
     assert kernel_d4(p, 30.0).value == want
+
+
+def test_kernel_d4_overflow_is_a_binary64_overflow():
+    # (a/pi)^1.5 overflows at tau = 1e-300; float ** raises OverflowError
+    # with an errno tuple, which the kernel replaces by its own message
+    p = EvalParams(4, 1e-300)
+    with pytest.raises(OverflowError, match=r"^binary64 overflow .* at D=4, tau=1e-300, s=1.0 in kernel_d4$"):
+        kernel(p, 1.0)
+    (failure,) = kernel_row(p, [1.0])
+    assert isinstance(failure, OverflowError) and str(failure).startswith("binary64 overflow")
+
+
+def test_odd_nonconvergence_carries_the_kernels_value_and_estimate():
+    # the failure is scaled by the front factor sqrt(2) (-1/(2 pi))^7 like
+    # the value, not left as the raw Abel integral's (3.0e-20 here)
+    p = EvalParams(15, 0.5)
+    tight = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
+    with pytest.raises(NonConvergenceError) as info:
+        kernel(p, 0.0, tight)
+    value = kernel(p, 0.0).value
+    assert info.value.value == pytest.approx(value, rel=1e-9)
+    assert 0.0 < info.value.err_est < 1e-12 * value
+    assert f"err_est={info.value.err_est:g}" in str(info.value)
+    (failure,) = kernel_row(p, [0.0], tight)
+    assert (failure.value, failure.err_est) == (info.value.value, info.value.err_est)
 
 
 def test_kernel_even_reduces_to_d4_closed_form():

@@ -116,6 +116,30 @@ def test_chapman_kolmogorov_d4():
         assert rep.passed and rep.residual <= 1e-4, rep
 
 
+@pytest.mark.parametrize("tau", [0.5, 1.0])
+@pytest.mark.parametrize("dim", [3, 5])
+def test_chapman_kolmogorov_odd_dimensions_to_1e7(dim, tau):
+    # tau is the total time, as in `verify ck --tau`; the acceptance test
+    # pins only 1e-3 (D = 3) and 1e-4 (D = 5)
+    half = EvalParams(dim, tau / 2.0)
+    target_params = EvalParams(dim, tau)
+    for rep in chapman_kolmogorov_many(half, half, [0.0, 1.0, 2.0]):
+        assert rep.passed and rep.residual <= 1e-7, rep
+        # the estimate, with the target's own, covers the difference
+        target = kernel(target_params, rep.details["d"], verify._KERNEL_SPEC)
+        miss = abs(rep.details["convolution"] - target.value)
+        assert miss <= rep.details["quad_err"] + target.err_est, rep
+
+
+def test_chapman_kolmogorov_nonconvergence_fails_the_report():
+    # below the rounding floor no theta integral converges: the report
+    # fails with no value rather than one the rule did not certify
+    half = EvalParams(4, 0.25)
+    (rep,) = chapman_kolmogorov_many(half, half, [1.0], QuadratureSpec(rel_tol=1e-17, abs_tol=1e-300))
+    assert not rep.passed and rep.residual == math.inf
+    assert math.isnan(rep.details["convolution"]) and rep.details["quad_err"] == math.inf
+
+
 def test_chapman_kolmogorov_validation():
     with pytest.raises(ValueError):
         chapman_kolmogorov(EvalParams(4, 0.5), EvalParams(3, 0.5), 1.0)
@@ -144,7 +168,7 @@ def test_gfunc_reports_pass():
 # --- batched kernel integrands ------------------------------------------------
 
 # abel_residual's default spec
-_ABEL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-16, max_subdivisions=120)
+_ABEL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-16)
 
 
 def _pointwise_row(params, ss, spec):
@@ -160,7 +184,7 @@ def _pointwise_row(params, ss, spec):
 
 @pytest.mark.parametrize("dim", [3, 4, 5])
 def test_batched_integrands_equal_the_pointwise_integrals(dim, monkeypatch):
-    # one kernel_row per Gauss-Legendre batch gives the same bits as one
+    # one kernel_row per batch of quadrature nodes gives the same bits as one
     # kernel() call per node
     params = EvalParams(dim, 0.5)
     l = math.cosh(1.0)
