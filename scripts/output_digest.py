@@ -8,6 +8,10 @@ of the checkout it sits in:
   even orders that escalate to mpmath most) on
   ``--tau-grid 0.25:2:4 --s-grid 0:6:13`` and on
   ``--tau-grid 0.0001:0.01:2 --s-grid 0:0.3:7``;
+* ``eval --dim {3,4,5} --tau 0.5 --s 1 --format csv``, the single-point
+  ``kernel()`` path;
+* ``oracle --dim {3,4} --tau 0.25 --n 2,4 --samples 20000 --seed 9
+  --threads 1 --format csv``, the lattice Monte Carlo;
 * ``verify all --dims 3,4,5`` at ``--tau 0.5`` and ``--tau 1.0``, the two
   tau of the benchmark's ``certify`` workload.
 
@@ -27,7 +31,8 @@ A change that moves output bits is gated on values instead:
 
 ``--values FILE`` also writes every parsed number to FILE as JSON: each
 table cell's ``value`` and ``err_est``, and each verification report's
-residual and verdict.  ``--compare OLD NEW`` runs nothing; per command it
+residual and verdict.  The ``eval`` and ``oracle`` outputs are digested
+only.  ``--compare OLD NEW`` runs nothing; per command it
 prints the largest relative change in value, how many cells changed by
 more than their own error estimate (the sum of the two sides' ``err_est``),
 how many cells have a value on one side only, and every verification
@@ -65,6 +70,13 @@ def commands() -> list[list[str]]:
                 "table", "--dim", str(dim), "--tau-grid", tau_grid, "--s-grid", s_grid,
                 "--format", "csv", "--threads", "1",
             ])
+    for dim in ("3", "4", "5"):
+        out.append(["eval", "--dim", dim, "--tau", "0.5", "--s", "1", "--format", "csv"])
+    for dim in ("3", "4"):
+        out.append([
+            "oracle", "--dim", dim, "--tau", "0.25", "--n", "2,4", "--samples", "20000",
+            "--seed", "9", "--threads", "1", "--format", "csv",
+        ])
     for tau in ("0.5", "1.0"):
         out.append(["verify", "all", "--dims", "3,4,5", "--tau", tau])
     return out
@@ -183,7 +195,8 @@ def main() -> int:
         text, code = run(argv)
         sha = hashlib.sha256(text.encode()).hexdigest()
         print(f"{sha} exit={code} {' '.join(argv)}", flush=True)
-        values[" ".join(argv)] = {"exit": code, "items": parse(argv, text)}
+        if argv[0] in ("table", "verify"):
+            values[" ".join(argv)] = {"exit": code, "items": parse(argv, text)}
     if args.values:
         Path(args.values).write_text(json.dumps(values, indent=1) + "\n")
     return 0

@@ -137,14 +137,14 @@ def cmd_table(args) -> int:
     return 3 if failed else 0
 
 
-def _verify_reports(suite: str, dims: list[int], tau: float):
+def _verify_reports(suite: str, dims: list[int], tau: float, m: float, hbar: float):
     reports = []
     if suite in ("abel", "all"):
         for d in dims:
-            reports.append(verify_mod.abel_residual(EvalParams(d, tau)))
+            reports.append(verify_mod.abel_residual(EvalParams(d, tau, m, hbar)))
     if suite in ("pde-radial", "all"):
         for d in dims:
-            reports.append(verify_mod.radial_pde_residual(EvalParams(d, tau)))
+            reports.append(verify_mod.radial_pde_residual(EvalParams(d, tau, m, hbar)))
     if suite in ("pde-horicyclic", "all"):
         for d in dims:
             if d in (3, 4):
@@ -152,16 +152,16 @@ def _verify_reports(suite: str, dims: list[int], tau: float):
                     (HoricyclicPoint(1.0, (0.0,) * (d - 2)), HoricyclicPoint(2.0, (1.0,) * (d - 2))),
                     (HoricyclicPoint(0.8, (0.5,) * (d - 2)), HoricyclicPoint(1.4, (-0.3,) * (d - 2))),
                 ]
-                reports.append(verify_mod.horicyclic_pde_residual(EvalParams(d, tau), pairs))
+                reports.append(verify_mod.horicyclic_pde_residual(EvalParams(d, tau, m, hbar), pairs))
     if suite in ("ck", "all"):
         for d in dims:
             if d in (3, 4, 5):
-                half = EvalParams(d, tau / 2.0)
+                half = EvalParams(d, tau / 2.0, m, hbar)
                 reports.extend(verify_mod.chapman_kolmogorov_many(half, half, [0.0, 1.0, 2.0]))
     if suite in ("mass", "all"):
         for d in dims:
             if 3 <= d <= 6:
-                reports.append(verify_mod.mass_multiplicativity(EvalParams(d, tau)))
+                reports.append(verify_mod.mass_multiplicativity(EvalParams(d, tau, m, hbar)))
     if suite in ("gfunc", "all"):
         reports.extend(verify_mod.gfunc_reports())
     return reports
@@ -173,7 +173,7 @@ def cmd_verify(args) -> int:
     dims = _parse_ints(args.dims)
     if any(d < 3 for d in dims):
         raise ValueError("D must be >= 3")
-    reports = _verify_reports(args.suite, dims, args.tau)
+    reports = _verify_reports(args.suite, dims, args.tau, args.m, args.hbar)
     _emit_json(
         {
             "defaults": _defaults_block(args),
@@ -188,6 +188,9 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     if args.dim not in (3, 4):
         raise ValueError("oracle runs support --dim 3 or 4 only")
+    n_list = _parse_ints(args.n)
+    if len(set(n_list)) < 2:
+        raise ValueError("--n needs at least two distinct slice counts to fit an order")
     params = EvalParams(args.dim, args.tau, args.m, args.hbar)
     x1 = _parse_floats(args.x1) if args.x1 else [0.0] * (args.dim - 2)
     x2 = _parse_floats(args.x2) if args.x2 else [0.3] + [0.0] * (args.dim - 3)
@@ -196,7 +199,7 @@ def cmd_oracle(args) -> int:
     closed = kernel(params, geodesic_distance(q1, q2), _quad_spec(args)).value
     n_threads = _threads(args)
     rows = []
-    for n in _parse_ints(args.n):
+    for n in n_list:
         spec = LatticeSpec(n, samples=args.samples, seed=args.seed)
         value, err = lattice_kernel(params, q1, q2, spec, threads=n_threads)
         rows.append((n, value, err, closed, value / closed - 1.0))

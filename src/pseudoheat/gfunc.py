@@ -388,7 +388,9 @@ def _arccosh_sq_series(order: int) -> tuple[Fraction, ...]:
     )
 
 
-# callers reuse one rate at a time (a table row, a ck table, a kernel call)
+# callers reuse one rate at a time (a table row, the nodes of a kernel
+# call); over two certify rounds it served 496 hits to 40 misses, 223 of
+# the hits for another expression at the same rate
 @lru_cache(maxsize=128)
 def _h_series(a: float) -> tuple[float, ...]:
     """Taylor coefficients of exp(-a v(w)) around w = l - 1 = 0."""

@@ -21,8 +21,7 @@ is not evaluated numerically here.
 the value or the unraised failure.  Both parities evaluate G^(n) with one
 array evaluator, ``gfunc.evaluate_many``: even D hands it the row's s,
 odd D the nodes of one batched Abel integration over the row.  ``kernel``
-is a one-element row, but for the D = 4 closed form, which it calls
-directly; a value is bit-equal alone or in any row.
+is a one-element row, so a value is bit-equal alone or in any row.
 """
 
 from __future__ import annotations
@@ -218,16 +217,10 @@ def kernel_row(
 
 
 def kernel(params: EvalParams, s: float, spec: QuadratureSpec = DEFAULT_SPEC) -> KernelValue:
-    """The kernel at one s: a one-element ``kernel_row``, but for the D = 4
-    closed form, which is called directly.
+    """The kernel at one s: a one-element ``kernel_row``.
 
     A ``NonConvergenceError`` (keeping its value and error estimate) or an
     ``ArithmeticError`` (binary64 overflow) is raised again, as the same
     type, with D, tau, s and the route in its message.
     """
-    if params.D != 4:
-        return _one(kernel_row(params, (s,), spec))
-    try:
-        return kernel_d4(params, s)
-    except ArithmeticError as exc:
-        raise _located(exc, params, s, "kernel_d4") from exc
+    return _one(kernel_row(params, (s,), spec))

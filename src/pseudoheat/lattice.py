@@ -35,7 +35,7 @@ import numpy as np
 
 from .geometry import HoricyclicPoint, _arccosh_from_excess, sphere_surface_area
 from .kernels import EvalParams
-from .quadrature import QuadratureSpec, gaussian_cutoff, integrate_tanh_sinh
+from .quadrature import TRUNCATION_SIGMA, QuadratureSpec, _pointwise, gaussian_cutoff, integrate_tanh_sinh
 from .verify import VerificationReport, _kernel_array
 
 __all__ = ["LatticeSpec", "lattice_kernel", "x_marginal_check", "convergence_order"]
@@ -161,11 +161,6 @@ def _lattice_monte_carlo(
     return const * mean, const * math.sqrt(var / n)
 
 
-def _pointwise(f):
-    """A scalar function as an integrand: the array of its values at an array of nodes."""
-    return lambda xs: np.array([f(x) for x in xs.tolist()])
-
-
 def _lattice_nested(
     params: EvalParams,
     q1: HoricyclicPoint,
@@ -248,20 +243,20 @@ def lattice_kernel(
 
 
 def convergence_order(devs: Sequence[tuple[int, float]]) -> float:
-    """Least-squares slope of log|deviation| against log(1/N)."""
+    """Least-squares slope of log|deviation| against log(1/N), over at least
+    two distinct N."""
+    if len({n for n, _ in devs}) < 2:
+        raise ValueError("a convergence order needs deviations at two or more distinct slice counts")
     xs = np.log([1.0 / n for n, _ in devs])
     ys = np.log([abs(d) for _, d in devs])
     slope, _ = np.polyfit(xs, ys, 1)
     return float(slope)
 
 
-def x_marginal_check(
-    params: EvalParams,
-    y1: float,
-    y2: float,
-    spec: QuadratureSpec | None = None,
-    tolerance: float = 1e-5,
-) -> VerificationReport:
+_X_MARGINAL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-20)
+
+
+def x_marginal_check(params: EvalParams, y1: float, y2: float) -> VerificationReport:
     """Marginal of the kernel over the flat offset against the z-line form.
 
     Integrating the closed-form kernel over the x-offset (radially, through
@@ -271,12 +266,11 @@ def x_marginal_check(
     """
     if not (3 <= params.D <= 6):
         raise ValueError("x-marginal checks are kept desk-scale: D in {3..6}")
-    spec = spec or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-20)
     a = params.a
     y1y2 = y1 * y2
     u0 = (y2 - y1) ** 2 / (2.0 * y1y2)
     s0 = _arccosh_from_excess(u0)
-    s_max = gaussian_cutoff(s0, a, spec.truncation_sigma + 1.0)
+    s_max = gaussian_cutoff(s0, a, TRUNCATION_SIGMA + 1.0)
 
     if params.D == 3:
         front, power = 2.0, 0
@@ -295,7 +289,7 @@ def x_marginal_check(
         kvs = _kernel_array(params, np.log1p(w + np.sqrt(w * (w + 2.0))))
         return kvs * (r_scale * sh) ** power * (r_scale * np.cosh(vs))
 
-    val, err = integrate_tanh_sinh(f, 0.0, v_max, spec)
+    val, err = integrate_tanh_sinh(f, 0.0, v_max, _X_MARGINAL_SPEC)
     lhs = front * val
     rhs = (
         y1y2 ** ((params.D - 2) / 2.0)
@@ -304,4 +298,4 @@ def x_marginal_check(
     )
     rel = abs(lhs - rhs) / abs(rhs)
     details = {"tau": params.tau, "y1": y1, "y2": y2, "lhs": lhs, "rhs": rhs, "quad_err": err}
-    return VerificationReport.make("x-marginal", params.D, rel, tolerance, details)
+    return VerificationReport.make("x-marginal", params.D, rel, 1e-5, details)

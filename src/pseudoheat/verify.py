@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import mpmath
 import numpy as np
@@ -48,26 +48,25 @@ __all__ = [
 
 # tight spec for kernels sampled inside finite-difference stencils
 _KERNEL_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-18)
-
-
-def _kernel_values(params: EvalParams, ss: Sequence[float]) -> Iterator[float]:
-    """``kernel(params, s, _KERNEL_SPEC).value`` for each s of ss, from one
-    ``kernel_row`` call; a failure is raised when its s is reached, in the
-    order a loop of ``kernel()`` calls would raise it."""
-    for kv in kernel_row(params, ss, _KERNEL_SPEC):
-        if isinstance(kv, Exception):
-            raise kv
-        yield kv.value
+# the integrals of the abel and mass checks
+_ABEL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-16)
+_MASS_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-20)
 
 
 def _kernel_array(params: EvalParams, ss: np.ndarray) -> np.ndarray:
-    """``_kernel_values`` of an array, as an array of the same shape.
+    """``kernel(params, s, _KERNEL_SPEC).value`` for each s of an array, as an
+    array of the same shape, from one ``kernel_row`` call.
 
     Each distinct s is evaluated once (a value does not depend on its
     row), so a failure is raised at the smallest failing s.
     """
     distinct, inverse = np.unique(ss, return_inverse=True)
-    return np.array(list(_kernel_values(params, distinct.tolist())))[inverse].reshape(ss.shape)
+    values = []
+    for kv in kernel_row(params, distinct.tolist(), _KERNEL_SPEC):
+        if isinstance(kv, Exception):
+            raise kv
+        values.append(kv.value)
+    return np.array(values)[inverse].reshape(ss.shape)
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ def _abel_lhs(params: EvalParams, l: float, spec: QuadratureSpec) -> tuple[float
     a = params.a
     nu = (params.D - 4) / 2.0
     sl = math.acosh(l) if l > 1.0 else 0.0
-    s_max = gaussian_cutoff(sl, a, spec.truncation_sigma, linear_growth=0.5 * params.D)
+    s_max = gaussian_cutoff(sl, a, linear_growth=0.5 * params.D)
     v_max = math.sqrt(s_max - sl)
 
     def integrand(vs: np.ndarray) -> np.ndarray:
@@ -133,13 +132,11 @@ def _abel_rhs(params: EvalParams, l: float) -> float:
 def abel_residual(
     params: EvalParams,
     l_grid: Sequence[float] = DEFAULT_L_GRID,
-    spec: QuadratureSpec | None = None,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Residual of the defining integral equation on a grid of l >= 1."""
     if tolerance is None:
         tolerance = 1e-6 if params.D % 2 == 0 else 1e-5
-    spec = spec or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-16)
     points = []
     worst = 0.0
     for l in l_grid:
@@ -148,7 +145,7 @@ def abel_residual(
         args = RadialArgs(s=math.acosh(l) if l > 1.0 else 0.0, l=l)
         rhs = _abel_rhs(params, l)
         try:
-            lhs, err = _abel_lhs(params, l, spec)
+            lhs, err = _abel_lhs(params, l, _ABEL_SPEC)
             rel = abs(lhs - rhs) / abs(rhs)
         except NonConvergenceError as exc:
             lhs, err, rel = exc.value, exc.err_est, math.inf
@@ -204,9 +201,9 @@ def _pde_pieces(params: EvalParams, s: float, tau: float) -> tuple[float, float,
     h_t = min(rh / f5_over_f**0.2, 0.2 * tau)
 
     # the five s-stencil points at tau in one row; the tau stencil changes tau per point
-    kp2, kp1, val, km1, km2 = _kernel_values(
-        params.with_tau(tau), [s + 2 * h_s, s + h_s, s, s - h_s, s - 2 * h_s]
-    )
+    kp2, kp1, val, km1, km2 = _kernel_array(
+        params.with_tau(tau), np.array([s + 2 * h_s, s + h_s, s, s - h_s, s - 2 * h_s])
+    ).tolist()
     k_t = _fd1(lambda t: kernel(params.with_tau(t), s, _KERNEL_SPEC).value, tau, h_t)
     k_s = _d1(kp2, kp1, km1, km2, h_s)
     k_ss = _d2(kp2, kp1, val, km1, km2, h_s)
@@ -220,7 +217,6 @@ def radial_pde_residual(
     params: EvalParams,
     s_grid: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 3.5, 5.0),
     tau_grid: Sequence[float] = (0.1, 0.5, 1.0, 2.0),
-    tolerance: float | None = None,
 ) -> VerificationReport:
     """dK/dtau = kappa [K_ss + (D-2) coth(s) K_s] + c K with c fitted once.
 
@@ -228,10 +224,9 @@ def radial_pde_residual(
     carries the fit and its spread, which double as a check that the
     generator shift is a constant.
     """
-    if tolerance is None:
-        # the D = 4 closed form is the high-accuracy anchor; the higher even
-        # orders accumulate a little more term cancellation at the corners
-        tolerance = 1e-7 if params.D == 4 else (1e-6 if params.D % 2 == 0 else 1e-5)
+    # the D = 4 closed form is the high-accuracy anchor; the higher even
+    # orders accumulate a little more term cancellation at the corners
+    tolerance = 1e-7 if params.D == 4 else (1e-6 if params.D % 2 == 0 else 1e-5)
     kappa = params.kappa
     points = []
     c_fit = None
@@ -262,7 +257,6 @@ def radial_pde_residual(
 def horicyclic_pde_residual(
     params: EvalParams,
     pairs: Sequence[tuple[HoricyclicPoint, HoricyclicPoint]],
-    tolerance: float = 1e-4,
 ) -> VerificationReport:
     """Same heat equation, but with the Laplacian applied through the
     explicit half-space coordinate stencil instead of the radial reduction."""
@@ -292,7 +286,7 @@ def horicyclic_pde_residual(
             {"s": geodesic_distance(q1, q2), "residual": res, "c_pointwise": c_here}
         )
     details = {"tau": params.tau, "fitted_c": c_fit, "n_pairs": len(pairs), "points": points}
-    return VerificationReport.make("pde-horicyclic", params.D, worst, tolerance, details)
+    return VerificationReport.make("pde-horicyclic", params.D, worst, 1e-4, details)
 
 
 # --- semigroup -----------------------------------------------------------
@@ -313,7 +307,7 @@ def _convolve_kernels(
     """
     D = params1.D
     cd, sd = math.cosh(d), math.sinh(d)
-    r_max = gaussian_cutoff(0.0, params1.a, spec.truncation_sigma, linear_growth=float(D - 2))
+    r_max = gaussian_cutoff(0.0, params1.a, linear_growth=float(D - 2))
     ang_front = 2.0 if D == 3 else sphere_surface_area(D - 3)
     theta_rule = integrate_periodic if D % 2 else integrate_tanh_sinh
 
@@ -382,25 +376,18 @@ def chapman_kolmogorov_many(
     return out
 
 
-def chapman_kolmogorov(
-    params1: EvalParams,
-    params2: EvalParams,
-    d: float,
-    spec: QuadratureSpec | None = None,
-    tolerance: float | None = None,
-) -> VerificationReport:
-    return chapman_kolmogorov_many(params1, params2, [d], spec, tolerance)[0]
+def chapman_kolmogorov(params1: EvalParams, params2: EvalParams, d: float) -> VerificationReport:
+    return chapman_kolmogorov_many(params1, params2, [d])[0]
 
 
 # --- normalization --------------------------------------------------------
 
-def total_mass(params: EvalParams, spec: QuadratureSpec | None = None) -> float:
+def total_mass(params: EvalParams) -> float:
     """Omega_(D-2) int_0^inf K(s) sinh(s)^(D-2) ds."""
-    spec = spec or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-20)
     om = sphere_surface_area(params.D - 2)
-    s_max = gaussian_cutoff(0.0, params.a, spec.truncation_sigma, linear_growth=float(params.D - 2))
+    s_max = gaussian_cutoff(0.0, params.a, linear_growth=float(params.D - 2))
     f = lambda ss: _kernel_array(params, ss) * np.sinh(ss) ** (params.D - 2)
-    val, _ = integrate_tanh_sinh(f, 0.0, s_max, spec)
+    val, _ = integrate_tanh_sinh(f, 0.0, s_max, _MASS_SPEC)
     return om * val
 
 
@@ -446,9 +433,12 @@ def mass_multiplicativity(
 
 # --- derivative oracle ----------------------------------------------------
 
-def richardson_dl_derivative(
-    a: float, E: float, n: int, s: float, h0: float | None = None, levels: int = 4, dps: int = 40
-) -> float:
+# Richardson levels and working digits of richardson_dl_derivative
+_RICHARDSON_LEVELS = 4
+_RICHARDSON_DPS = 40
+
+
+def richardson_dl_derivative(a: float, E: float, n: int, s: float) -> float:
     """n-th derivative of the base Gaussian in l = cosh s by central
     finite differences in l with Richardson extrapolation.
 
@@ -456,7 +446,7 @@ def richardson_dl_derivative(
     l = 1 without rounding loss; the integrand is evaluated from the closed
     form in l, independently of the term algebra and of the l-series.
     """
-    with mpmath.workdps(dps):
+    with mpmath.workdps(_RICHARDSON_DPS):
         am = mpmath.mpf(a)
         Em = mpmath.mpf(E)
 
@@ -465,9 +455,7 @@ def richardson_dl_derivative(
             return mpmath.sqrt(am / mpmath.pi) * mpmath.exp(-am * sig * sig + Em)
 
         l0 = mpmath.cosh(mpmath.mpf(s))
-        if h0 is None:
-            h0 = min(1e-4, float(l0 - 1) / (2 * max(n, 1)))
-        h0 = mpmath.mpf(h0)
+        h0 = mpmath.mpf(min(1e-4, float(l0 - 1) / (2 * max(n, 1))))
         binom = [math.comb(n, i) for i in range(n + 1)]
 
         def diff_at(h):
@@ -477,8 +465,8 @@ def richardson_dl_derivative(
                 acc += (-1) ** (n - i) * binom[i] * G(l0 + off)
             return acc / h**n
 
-        tableau = [diff_at(h0 / 2**k) for k in range(levels)]
-        for m in range(1, levels):
+        tableau = [diff_at(h0 / 2**k) for k in range(_RICHARDSON_LEVELS)]
+        for m in range(1, _RICHARDSON_LEVELS):
             fac = mpmath.mpf(4) ** m
             tableau = [
                 (fac * tableau[k + 1] - tableau[k]) / (fac - 1)
@@ -487,11 +475,14 @@ def richardson_dl_derivative(
         return float(tableau[0])
 
 
+# s where gfunc_reports compares the term route with the l-series (their
+# overlap) and with the finite-difference oracle
+_S_OVERLAP = (0.25, 0.4, 0.6, 0.8)
+_S_ORACLE = (0.1, 0.5, 1.0, 2.5, 5.0)
+
+
 def gfunc_reports(
-    a_values: Sequence[float] = (0.125, 0.25, 1.0),
-    n_max: int = 5,
-    s_overlap: Sequence[float] = (0.25, 0.4, 0.6, 0.8),
-    s_oracle: Sequence[float] = (0.1, 0.5, 1.0, 2.5, 5.0),
+    a_values: Sequence[float] = (0.125, 0.25, 1.0), n_max: int = 5
 ) -> list[VerificationReport]:
     """Two self-consistency reports for the derivative algebra.
 
@@ -503,16 +494,16 @@ def gfunc_reports(
     overlap_pts = []
     oracle_worst = 0.0
     oracle_pts = []
-    overlap, oracle = np.array(s_overlap, dtype=float), np.array(s_oracle, dtype=float)
+    overlap, oracle = np.array(_S_OVERLAP), np.array(_S_ORACLE)
     for a in a_values:
         for n in range(n_max + 1):
             g = gfunc.expression(n, a, 0.0)
             pairs = zip(gfunc._terms(g, overlap).tolist(), gfunc._series_many(g, overlap).tolist())
-            for s, (t, srs) in zip(s_overlap, pairs):
+            for s, (t, srs) in zip(_S_OVERLAP, pairs):
                 rel = abs(t - srs) / abs(t)
                 overlap_worst = max(overlap_worst, rel)
                 overlap_pts.append({"a": a, "n": n, "s": s, "rel": rel})
-            for s, t in zip(s_oracle, gfunc._terms(g, oracle).tolist()):
+            for s, t in zip(_S_ORACLE, gfunc._terms(g, oracle).tolist()):
                 ref = richardson_dl_derivative(a, 0.0, n, s)
                 rel = abs(t - ref) / abs(ref)
                 oracle_worst = max(oracle_worst, rel)

@@ -215,6 +215,30 @@ def test_oracle_deterministic_and_dimension_guard():
     assert res3.returncode == 2
 
 
+@pytest.mark.parametrize("n", ["", "4", "4,4"])
+def test_oracle_needs_two_distinct_slice_counts(n):
+    # an order in 1/N is fitted to at least two distinct N; checked before sampling
+    res = run_cli("oracle", "--dim", "3", "--n", n, "--samples", "10000", "--format", "csv")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_verify_runs_at_the_printed_units():
+    base = run_cli("verify", "abel", "--dims", "3", "--tau", "1")
+    heavy = run_cli("verify", "abel", "--dims", "3", "--tau", "1", "--m", "1")
+    assert base.returncode == 0 and heavy.returncode == 0
+    doc = json.loads(heavy.stdout)
+    assert doc["defaults"]["m"] == 1.0
+    (report,) = doc["reports"]
+    assert report["passed"]
+    lhs = [p["lhs"] for p in report["details"]["points"]]
+    (base_report,) = json.loads(base.stdout)["reports"]
+    base_lhs = [p["lhs"] for p in base_report["details"]["points"]]
+    assert all(x != y for x, y in zip(lhs, base_lhs))
+
+
 def test_table_row_keeps_its_cells_around_a_nonconverged_one():
     # one tau row is one batched call; the s = 1 cell stops on its own test
     # (its rounding floor is above rel 1e-13) and the row's other cells stay

@@ -283,9 +283,15 @@ def test_kernel_row_values_do_not_depend_on_the_row(dim):
 
 def _parent_integrate_abel(F, d, decay_rate, spec=DEFAULT_SPEC):
     """The scalar Abel trapezoid rule as it stood before batching, node by node."""
-    from pseudoheat.quadrature import _ABEL_MAX_HALVINGS, _ABEL_ROUNDING, _ABEL_STRETCH, gaussian_cutoff
+    from pseudoheat.quadrature import (
+        _ABEL_MAX_HALVINGS,
+        _ABEL_ROUNDING,
+        _ABEL_STRETCH,
+        TRUNCATION_SIGMA,
+        gaussian_cutoff,
+    )
 
-    s_max = gaussian_cutoff(d, decay_rate, spec.truncation_sigma)
+    s_max = gaussian_cutoff(d, decay_rate, TRUNCATION_SIGMA)
     t_max = math.asinh(math.sqrt(2.0 * math.sinh(0.5 * (s_max + d)) * math.sinh(0.5 * (s_max - d))))
     u_max = _ABEL_STRETCH * math.asinh(t_max / _ABEL_STRETCH)
     w_d = 2.0 * math.sinh(0.5 * d) ** 2

@@ -83,6 +83,9 @@ def test_deviation_shrinks_with_slices():
 def test_convergence_order_fit_on_synthetic_data():
     devs = [(n, 0.5 / n) for n in (2, 4, 8, 16)]
     assert convergence_order(devs) == pytest.approx(1.0, abs=1e-12)
+    for too_few in ([], [(4, 0.1)], [(4, 0.1), (4, 0.2)]):
+        with pytest.raises(ValueError):
+            convergence_order(too_few)
 
 
 def test_x_marginal_equal_heights_d4():
