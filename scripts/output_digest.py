@@ -5,7 +5,8 @@ Runs, in-process through ``pseudoheat.cli.main`` and from the ``src`` tree
 of the checkout it sits in:
 
 * ``table --format csv --threads 1`` for D = 3..12, 14 and 20 (the
-  even orders that escalate to mpmath most) on
+  even orders whose terms cancel over the widest s, where gfunc takes
+  Cauchy's integral) on
   ``--tau-grid 0.25:2:4 --s-grid 0:6:13`` and on
   ``--tau-grid 0.0001:0.01:2 --s-grid 0:0.3:7``;
 * ``eval --dim {3,4,5} --tau 0.5 --s 1 --format csv``, the single-point

@@ -387,7 +387,10 @@ def total_mass(params: EvalParams) -> float:
     om = sphere_surface_area(params.D - 2)
     s_max = gaussian_cutoff(0.0, params.a, linear_growth=float(params.D - 2))
     f = lambda ss: _kernel_array(params, ss) * np.sinh(ss) ** (params.D - 2)
-    val, _ = integrate_tanh_sinh(f, 0.0, s_max, _MASS_SPEC)
+    try:
+        val, _ = integrate_tanh_sinh(f, 0.0, s_max, _MASS_SPEC)
+    except NonConvergenceError as exc:
+        raise NonConvergenceError(om * exc.value, om * exc.err_est) from exc
     return om * val
 
 
@@ -403,12 +406,19 @@ def mass_multiplicativity(
     constant the heat-equation fit produces, so they equal 1 only when
     that constant vanishes.  The mass is manifestly independent of the
     fixed endpoint because the integrand depends on the distance alone.
+    A mass whose quadrature does not converge keeps its last estimate, is
+    listed with its error estimate under ``nonconverged``, and gives every
+    pair it enters the residual inf.
     """
     masses: dict[float, float] = {}
+    nonconverged: dict[float, float] = {}
 
     def mass_at(tau: float) -> float:
         if tau not in masses:
-            masses[tau] = total_mass(params.with_tau(tau))
+            try:
+                masses[tau] = total_mass(params.with_tau(tau))
+            except NonConvergenceError as exc:
+                masses[tau], nonconverged[tau] = exc.value, exc.err_est
         return masses[tau]
 
     worst = 0.0
@@ -418,6 +428,8 @@ def mass_multiplicativity(
             lhs = mass_at(t1 + t2)
             rhs = mass_at(t1) * mass_at(t2)
             rel = abs(lhs - rhs) / abs(lhs)
+            if nonconverged.keys() & {t1, t2, t1 + t2}:
+                rel = math.inf
             worst = max(worst, rel)
             pair_records.append({"tau1": t1, "tau2": t2, "rel_residual": rel})
     unit_dev = max(abs(mass_at(t) - 1.0) for t in tau_list)
@@ -428,6 +440,8 @@ def mass_multiplicativity(
         "unit_mass_max_dev": unit_dev,
         "fitted_mass_rate": growth,
     }
+    if nonconverged:
+        details["nonconverged"] = {f"{t:g}": err for t, err in sorted(nonconverged.items())}
     return VerificationReport.make("mass", params.D, worst, tolerance, details)
 
 

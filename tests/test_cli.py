@@ -63,7 +63,7 @@ def test_table_rows_and_determinism():
 
 
 def test_table_same_bytes_at_any_thread_count():
-    # worker threads would share mpmath's process-global working precision
+    # a row's values must not depend on which worker thread computed it
     args = ("table", "--dim", "20", "--tau-grid", "0.25:2:3", "--s-grid", "0:0.3:16", "--format", "csv")
     res1 = run_cli(*args, "--threads", "1")
     res2 = run_cli(*args, "--threads", "2")
@@ -237,6 +237,19 @@ def test_verify_runs_at_the_printed_units():
     (base_report,) = json.loads(base.stdout)["reports"]
     base_lhs = [p["lhs"] for p in base_report["details"]["points"]]
     assert all(x != y for x, y in zip(lhs, base_lhs))
+
+
+def test_verify_mass_reports_a_mass_that_did_not_converge():
+    # at hbar = 2 the D = 5 mass at tau = 2 stops above its quadrature
+    # tolerance: the check fails and names that tau, the others still report
+    res = run_cli("verify", "mass", "--dims", "3,4,5", "--tau", "1", "--hbar", "2")
+    assert res.returncode == 1
+    assert "error:" not in res.stderr and "Traceback" not in res.stderr
+    reports = {r["D"]: r for r in json.loads(res.stdout)["reports"]}
+    assert reports[3]["passed"] and reports[4]["passed"]
+    assert not reports[5]["passed"] and reports[5]["residual"] == math.inf
+    (err_est,) = reports[5]["details"]["nonconverged"].values()
+    assert list(reports[5]["details"]["nonconverged"]) == ["2"] and 0.0 < err_est < 1e-6
 
 
 def test_table_row_keeps_its_cells_around_a_nonconverged_one():

@@ -1,6 +1,9 @@
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,9 @@ from pseudoheat.gfunc import (
     evaluate_near_origin,
     expression,
 )
+from pseudoheat.kernels import EvalParams
 from pseudoheat.verify import richardson_dl_derivative
+from _oracles import even_reference
 
 
 def test_g_base_values():
@@ -303,3 +308,52 @@ def test_escalation_switch_applies_the_digit_loss_rule_exactly():
                 continue
             rule = s < 1.0 and blowup * math.log10(1.0 / s) > 3.0
             assert (s < switch) == rule, (blowup, s, switch)
+
+
+# the Cauchy route's relative error: at most 1.4e-11 over the 137 points of
+# the sweep below (n = 9, a = 500)
+_CAUCHY_REL = 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+def test_cauchy_route_against_the_reference_and_alone_or_in_a_row():
+    # G^(n) at the s where the terms cancel and the l-series does not hold,
+    # for every order of D <= 20 and rates from tau = 5 down to tau = 5e-4
+    # (m = 1/2), against the independent finite-difference reference; each
+    # value is also bit-equal alone and inside a 16-entry row of all routes
+    checked = set()
+    for n in range(1, 10):
+        for a in (0.05, 0.125, 0.5, 2.0, 20.0, 500.0):
+            p = EvalParams(2 * n + 2, 0.25 / a)
+            g = expression(n, p.a, p.E)
+            switch = gfunc._escalation_switch(g.cancellation_exponent)
+            ss = np.array([f * switch for f in (0.05, 0.2, 0.4, 0.6, 0.8, 0.99)])
+            ss = ss[gfunc.escalates(g, ss) & ~gfunc.series_ok(g.a, ss)]
+            values = gfunc.evaluate_many(g, ss)
+            for s, value in zip(ss.tolist(), values.tolist()):
+                ref = even_reference(2 * n + 2, p.tau, s) / (-0.5 / math.pi) ** n
+                assert abs(value - ref) <= _CAUCHY_REL * abs(ref), (n, a, s, value, ref)
+                row = np.linspace(0.0, 3.0, 16)
+                row[7] = s
+                alone = gfunc.evaluate_many(g, np.array([s]))[0]
+                assert alone == value == gfunc.evaluate_many(g, row)[7], (n, a, s)
+                checked.add(n)
+    # G' has no cancelling terms, and G'' cancels only below s = 0.032,
+    # where the l-series holds up to a = 3000
+    assert checked == set(range(3, 10))
+
+
+def test_importing_the_kernels_leaves_mpmath_unloaded():
+    # mpmath serves verify's Richardson oracle and the tests only; the
+    # kernels do not load it, which keeps it out of every import's cost
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        "import pseudoheat\n"
+        "from pseudoheat.kernels import kernel_row\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

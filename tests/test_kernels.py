@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -164,7 +165,7 @@ def test_kernel_odd_matches_independent_reference(dim):
 @pytest.mark.xfail(
     strict=True,
     reason="node values carry gfunc's own rounding (its binary64 term route loses up to "
-    "~5 digits just above the mpmath switch), which no quadrature estimate sees; "
+    "~5 digits just above the escalation switch), which no quadrature estimate sees; "
     "err_est misses it by 2-20% at these points",
 )
 def test_kernel_odd_err_est_covers_term_route_rounding():
@@ -249,7 +250,7 @@ def test_semigroup_general_units():
 # --- the batched row ------------------------------------------------------------
 
 _ROW_TAUS = (1e-3, 0.5, 2.0, 30.0)
-# the origin, the l-series region, D = 9 nodes that escalate to mpmath
+# the origin, the l-series region, D = 9 nodes where the terms cancel
 # (s in [0.2, 0.32)), the log1p branch of the term route (s > 20), and a
 # tail where the value is below 1e-60 (tau 0.5, s 17)
 _ROW_S = (0.0, 0.05, 0.12, 0.21, 0.3, 1.0, 3.0, 17.0, 25.0)
@@ -401,48 +402,65 @@ def _series_tolerance(g, s):
     return 4.0 * _EPS * math.sqrt(a / math.pi) * math.exp(g.E) * bound + sys.float_info.min
 
 
+def _term_sum_mp(g, s):
+    """The canonical terms of g summed in mpmath at one s > 0, from their
+    exact rational coefficients, with 65 digits on top of the
+    blowup * log10(1/s) that the terms cancel."""
+    digits = 65 + math.ceil(g.cancellation_exponent * math.log10(1.0 / s))
+    with mpmath.workdps(digits):
+        sm, am = mpmath.mpf(s), mpmath.mpf(g.a)
+        ch, sh = mpmath.cosh(sm), mpmath.sinh(sm)
+        total = mpmath.mpf(0)
+        for t in g.terms:
+            coeff = mpmath.mpf(0)
+            for v in reversed(t.coeff):
+                coeff = coeff * am + mpmath.mpf(v.numerator) / v.denominator
+            total += coeff * sm**t.p * ch**t.q / sh**t.r
+        return float(mpmath.sqrt(am / mpmath.pi) * mpmath.exp(-am * sm * sm + g.E) * total)
+
+
+# the Cauchy route's relative error: at most 6.2e-12 over the 304 nodes of
+# the test below (n = 9, a = 250)
+_CAUCHY_REL = 1e-10
+
+
 @pytest.mark.filterwarnings("error")
 def test_array_routes_follow_the_route_predicates(monkeypatch):
     # every node the batched kernel hands gfunc, even D and odd: the route
     # evaluate_many takes must be the one series_ok and escalates name, and
-    # its value must be within that route's rounding of the term sum in
-    # mpmath with 40 more guard digits
+    # its value must be within that route's error of the term sum in mpmath
     seen = []  # (expression, route, s, value)
 
     def spy(route, fn):
         def wrapped(g, s):
             out = fn(g, s)
-            if route == "mp":
-                seen.append((g, route, s, out))
-            else:
-                seen.extend((g, route, si, vi) for si, vi in zip(s.tolist(), out.tolist()))
+            seen.extend((g, route, si, vi) for si, vi in zip(s.tolist(), out.tolist()))
             return out
 
         return wrapped
 
     monkeypatch.setattr(gfunc, "_series_many", spy("series", gfunc._series_many))
     monkeypatch.setattr(gfunc, "_terms_many", spy("f64", gfunc._terms_many))
-    monkeypatch.setattr(gfunc, "_evaluate_terms_mp", spy("mp", gfunc._evaluate_terms_mp))
+    monkeypatch.setattr(gfunc, "_cauchy_many", spy("cauchy", gfunc._cauchy_many))
     for dim in (3, 9, 15, 8, 20):
         for tau in _ROW_TAUS:
             kernel_row(EvalParams(dim, tau), (0.0, 0.12, 0.21, 0.3, 1.0, 25.0))
     monkeypatch.undo()
-    assert {route for _, route, _, _ in seen} == {"series", "f64", "mp"}
+    assert {route for _, route, _, _ in seen} == {"series", "f64", "cauchy"}
 
-    monkeypatch.setattr(gfunc, "_MP_GUARD_DIGITS", gfunc._MP_GUARD_DIGITS + 40)
-    for route in ("series", "f64", "mp"):
+    for route in ("series", "f64", "cauchy"):
         nodes = [node for node in seen if node[1] == route]
-        for g, _, s, value in nodes[:: max(1, len(nodes) // 400)]:  # the mpmath nodes are slow
-            series, mp = gfunc.series_ok(g.a, s), gfunc.escalates(g, s)
-            assert (series, mp and not series) == (route == "series", route == "mp"), (g.n, g.a, s, route)
+        for g, _, s, value in nodes[:: max(1, len(nodes) // 400)]:  # the mpmath sums are slow
+            series, cauchy = gfunc.series_ok(g.a, s), gfunc.escalates(g, s)
+            assert (series, cauchy and not series) == (route == "series", route == "cauchy"), (g.n, g.a, s, route)
             if s == 0.0:  # no term sum at the origin
                 continue
-            exact = gfunc._evaluate_terms_mp(g, s)
-            if route == "mp":
-                assert abs(value - exact) <= 2.0 * _EPS * abs(exact) + sys.float_info.min, (g.n, g.a, s)
+            exact = _term_sum_mp(g, s)
+            if route == "cauchy":
+                tol = _CAUCHY_REL * abs(exact) + sys.float_info.min
             else:
                 tol = _series_tolerance(g, s) if route == "series" else _terms_tolerance(g, s)
-                assert abs(value - exact) <= tol, (g.n, g.a, s, route, value, exact)
+            assert abs(value - exact) <= tol, (g.n, g.a, s, route, value, exact)
 
 
 @pytest.mark.filterwarnings("error")
