@@ -174,6 +174,8 @@ def cmd_verify(args) -> int:
     if any(d < 3 for d in dims):
         raise ValueError("D must be >= 3")
     reports = _verify_reports(args.suite, dims, args.tau, args.m, args.hbar)
+    if not reports:
+        raise ValueError(f"verify {args.suite} has no check at --dims {args.dims!r}")
     _emit_json(
         {
             "defaults": _defaults_block(args),

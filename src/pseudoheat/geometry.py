@@ -16,7 +16,6 @@ __all__ = [
     "HoricyclicPoint",
     "HyperboloidPoint",
     "IsometryRecord",
-    "RadialArgs",
     "Translation",
     "Dilation",
     "Inversion",
@@ -97,47 +96,6 @@ def minkowski_dot(p1: HyperboloidPoint, p2: HyperboloidPoint) -> float:
     """Z1^0 Z2^0 - sum_i Z1^i Z2^i."""
     a, b = p1.z, p2.z
     return a[0] * b[0] - sum(u * v for u, v in zip(a[1:], b[1:]))
-
-
-@dataclass(frozen=True)
-class RadialArgs:
-    """Chain of radial variables appearing in the integral equation.
-
-    s is a running geodesic arc with l = cosh s; k >= l is the integration
-    variable; d is the fixed pair separation with u = cosh d.  Unpopulated
-    members are None; populated pairs must be consistent.
-    """
-
-    s: float | None = None
-    l: float | None = None
-    k: float | None = None
-    u: float | None = None
-    d: float | None = None
-
-    def __post_init__(self):
-        for arc, sec, names in ((self.s, self.l, "s/l"), (self.d, self.u, "d/u")):
-            if arc is not None and arc < 0.0:
-                raise ValueError(f"arc in {names} must be nonnegative")
-            if sec is not None and sec < 1.0:
-                raise ValueError(f"cosh member in {names} must be >= 1")
-            if arc is not None and sec is not None:
-                want = math.cosh(arc)
-                if abs(sec - want) > 1e-14 * want:
-                    raise ValueError(f"{names} pair inconsistent: cosh({arc}) != {sec}")
-        if self.k is not None:
-            if self.l is not None and self.k < self.l:
-                raise ValueError("integration variable k must satisfy k >= l")
-            if self.k < 1.0:
-                raise ValueError("integration variable k must be >= 1")
-
-    @classmethod
-    def from_arc(cls, s: float, k: float | None = None) -> "RadialArgs":
-        return cls(s=s, l=math.cosh(s), k=k)
-
-    @classmethod
-    def for_pair(cls, q1: HoricyclicPoint, q2: HoricyclicPoint, k: float | None = None) -> "RadialArgs":
-        d = geodesic_distance(q1, q2)
-        return cls(k=k, u=math.cosh(d), d=d)
 
 
 def to_hyperboloid(q: HoricyclicPoint) -> HyperboloidPoint:

@@ -262,17 +262,6 @@ def _abel_nodes(F, u_stretched: np.ndarray, w_d, decay_rate: float) -> tuple[np.
     return v, np.abs(v) * (1.0 + decay_rate * s * s)
 
 
-def _abel_sums(F, us: list, w_ds: list, decay_rate: float, cuts: list[int]) -> tuple[list, list, np.ndarray]:
-    """Evaluate the node arrays us (each of one endpoint, u / T, cosh d - 1 = w_ds[i])
-    in one call of F; sum the integrand, and it weighted, over the segments
-    that start at cuts in their concatenation."""
-    if len(us) == 1:
-        v, vw = _abel_nodes(F, us[0], w_ds[0], decay_rate)
-    else:
-        v, vw = _abel_nodes(F, np.concatenate(us), np.repeat(w_ds, [len(u) for u in us]), decay_rate)
-    return np.add.reduceat(v, cuts).tolist(), np.add.reduceat(vw, cuts).tolist(), v
-
-
 def integrate_abel(
     F: Callable[[np.ndarray], np.ndarray],
     ds: Sequence[float],
@@ -311,82 +300,73 @@ def integrate_abel(
     return out
 
 
-@dataclass(slots=True)
-class _AbelPoint:
-    """One endpoint's running trapezoid state: step h over n intervals,
-    sums of the integrand and of it weighted by 1 + a s^2, latest value and
-    its error estimate, and the tail-bounding node value at u_max."""
-
-    index: int
-    h: float
-    n: int
-    w_d: float  # cosh d - 1
-    total: float = 0.0
-    weighted: float = 0.0
-    value: float = 0.0
-    err: float = 0.0
-    last: float = 0.0
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes laid out endpoint after endpoint, counts[i] of endpoint i: the
+    first position of each endpoint, and each node's endpoint and its index
+    within that endpoint."""
+    starts = np.add.accumulate(counts) - counts
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return starts, owner, np.arange(len(owner)) - starts[owner]
 
 
 def _abel_pass(F, ds: list[float], decay_rate: float, spec: QuadratureSpec) -> list:
     out: list = [None] * len(ds)
     h_base = min(0.2, 0.25 / math.sqrt(decay_rate))
-    live = []
+    grids = []
     for i, d in enumerate(ds):
         try:
-            live.append(_AbelPoint(i, *_abel_grid(d, decay_rate, h_base)))
+            grids.append((i, *_abel_grid(d, decay_rate, h_base)))
         except ArithmeticError as exc:
             out[i] = (math.nan, math.inf, exc)
-    if not live:
+    if not grids:
         return out
+    # per live endpoint: its place in ds, step h over n intervals, cosh d - 1
+    index, h, n, w_d = (np.array(column) for column in zip(*grids))
     # the whole h0 grid in one pass; per endpoint its origin, its even
     # nodes (the 2h0 grid) and its odd nodes, in that order
-    us, cuts, ends, offset = [], [], [], 0
-    for pt in live:
-        j = np.arange(pt.n + 1)
-        # u / T, as (j h) / T is j (h / T) exactly: T is a power of two
-        us.append(np.concatenate((j[::2], j[1::2])) * (pt.h / _ABEL_STRETCH))
-        cuts += (offset, offset + 1, offset + 1 + pt.n // 2)
-        ends.append(offset + pt.n // 2)
-        offset += pt.n + 1
-    sums, wsums, v = _abel_sums(F, us, [pt.w_d for pt in live], decay_rate, cuts)
-    for k, pt in enumerate(live):
-        origin, evens, _ = sums[3 * k : 3 * k + 3]
-        origin_w, evens_w, _ = wsums[3 * k : 3 * k + 3]
-        pt.total = evens + 0.5 * origin
-        pt.weighted = evens_w + 0.5 * origin_w
-        pt.value = 2.0 * pt.h * pt.total
-        pt.last = float(v[ends[k]])  # the node at u_max bounds the truncated tail
-    more, more_w = sums[2::3], wsums[2::3]
+    half = n // 2
+    starts, owner, k = _ragged(n + 1)
+    j = 2 * k % (n + 1)[owner]  # 0, 2, ..., n, then 1, 3, ..., n - 1
+    # u / T, as (j h) / T is j (h / T) exactly: T is a power of two
+    v, vw = _abel_nodes(F, j * (h / _ABEL_STRETCH)[owner], w_d[owner], decay_rate)
+    # each endpoint's sums: its origin, its evens and its odds
+    cuts = np.repeat(starts, 3)
+    cuts[1::3] += 1
+    cuts[2::3] += 1 + half
+    sums = (np.add.reduceat(x, cuts).reshape(-1, 3).T for x in (v, vw))
+    (origin, evens, more), (origin_w, evens_w, more_w) = sums
+    # the running sums of the integrand and of it weighted by 1 + a s^2
+    total = evens + 0.5 * origin
+    weighted = evens_w + 0.5 * origin_w
+    value = 2.0 * h * total
+    # |integrand| at u_max bounds the truncated tail
+    tail = np.abs(v[starts + half])
 
     for level in range(_ABEL_MAX_HALVINGS + 1):
         if level:
-            # halve every step; the new nodes are the odd ones of the finer grid
-            us, cuts, offset = [], [], 0
-            for pt in live:
-                pt.h *= 0.5
-                pt.n *= 2
-                us.append(np.arange(1, pt.n, 2) * (pt.h / _ABEL_STRETCH))
-                cuts.append(offset)
-                offset += pt.n // 2
-            more, more_w, _ = _abel_sums(F, us, [pt.w_d for pt in live], decay_rate, cuts)
-        unfinished = []
-        for pt, m, m_w in zip(live, more, more_w):
-            pt.total += m
-            pt.weighted += m_w
-            coarse, pt.value = pt.value, pt.h * pt.total
-            pt.err = abs(pt.value - coarse) + pt.h * (_ABEL_ROUNDING * pt.weighted + abs(pt.last))
-            if not (math.isfinite(pt.total) and math.isfinite(pt.weighted)):
-                out[pt.index] = (pt.value, pt.err, OverflowError("integrand overflowed binary64"))
-            elif pt.err <= max(spec.rel_tol * abs(pt.value), spec.abs_tol):
-                out[pt.index] = (pt.value, pt.err, None)
-            else:
-                unfinished.append(pt)
-        live = unfinished
-        if not live:
-            return out
-    for pt in live:
-        out[pt.index] = (pt.value, pt.err, NonConvergenceError(pt.value, pt.err))
+            # halve every step; the new nodes, n per endpoint, are the odd
+            # ones of the finer grid
+            starts, owner, k = _ragged(n)
+            h = 0.5 * h
+            n = 2 * n
+            v, vw = _abel_nodes(F, (2 * k + 1) * (h / _ABEL_STRETCH)[owner], w_d[owner], decay_rate)
+            more, more_w = np.add.reduceat(v, starts), np.add.reduceat(vw, starts)
+        total = total + more
+        weighted = weighted + more_w
+        coarse, value = value, h * total
+        err = np.abs(value - coarse) + h * (_ABEL_ROUNDING * weighted + tail)
+        finite = np.isfinite(total) & np.isfinite(weighted)
+        done = ~finite | (err <= np.maximum(spec.rel_tol * np.abs(value), spec.abs_tol))
+        finished = np.count_nonzero(done)
+        if finished:
+            for i, val, e, ok in zip(*(x[done].tolist() for x in (index, value, err, finite))):
+                out[i] = (val, e, None if ok else OverflowError("integrand overflowed binary64"))
+            if finished == len(done):
+                return out
+            state = (index, h, n, w_d, total, weighted, value, err, tail)
+            index, h, n, w_d, total, weighted, value, err, tail = (x[~done] for x in state)
+    for i, val, e in zip(index.tolist(), value.tolist(), err.tolist()):
+        out[i] = (val, e, NonConvergenceError(val, e))
     return out
 
 

@@ -13,13 +13,11 @@ import math
 from dataclasses import dataclass, asdict
 from typing import Callable, Sequence
 
-import mpmath
 import numpy as np
 
 from . import gfunc
 from .geometry import (
     HoricyclicPoint,
-    RadialArgs,
     geodesic_distance,
     laplace_beltrami_apply,
     sphere_surface_area,
@@ -142,7 +140,6 @@ def abel_residual(
     for l in l_grid:
         if l < 1.0:
             raise ValueError("l grid entries must be >= 1")
-        args = RadialArgs(s=math.acosh(l) if l > 1.0 else 0.0, l=l)
         rhs = _abel_rhs(params, l)
         try:
             lhs, err = _abel_lhs(params, l, _ABEL_SPEC)
@@ -151,7 +148,7 @@ def abel_residual(
             lhs, err, rel = exc.value, exc.err_est, math.inf
         worst = max(worst, rel)
         points.append(
-            {"l": args.l, "s": args.s, "lhs": lhs, "rhs": rhs, "rel_residual": rel, "quad_err": err}
+            {"l": l, "s": math.acosh(l), "lhs": lhs, "rhs": rhs, "rel_residual": rel, "quad_err": err}
         )
     details = {"tau": params.tau, "grid": f"l in {list(l_grid)}", "points": points}
     return VerificationReport.make("abel", params.D, worst, tolerance, details)
@@ -460,6 +457,10 @@ def richardson_dl_derivative(a: float, E: float, n: int, s: float) -> float:
     l = 1 without rounding loss; the integrand is evaluated from the closed
     form in l, independently of the term algebra and of the l-series.
     """
+    # imported here, not at module level: only this oracle uses mpmath, and
+    # the CLI's other jobs should not pay for loading it
+    import mpmath
+
     with mpmath.workdps(_RICHARDSON_DPS):
         am = mpmath.mpf(a)
         Em = mpmath.mpf(E)

@@ -191,6 +191,15 @@ def test_verify_abel_json_schema():
     assert all(r["passed"] for r in doc["reports"])
 
 
+@pytest.mark.parametrize("suite, dims", [("ck", "7"), ("pde-horicyclic", "5,6"), ("abel", "")])
+def test_verify_that_checks_nothing_is_a_usage_error(suite, dims):
+    # ck runs at D 3-5 and pde-horicyclic at D 3 and 4 only; no report is no pass
+    res = run_cli("verify", suite, "--dims", dims)
+    assert res.returncode == 2
+    assert res.stderr == f"error: verify {suite} has no check at --dims {dims!r}\n"
+    assert res.stdout == ""
+
+
 def test_verify_conjunction_exit_code():
     # the gfunc suite is dimension-free and must pass
     res = run_cli("verify", "gfunc", "--dims", "3")

@@ -244,27 +244,6 @@ def test_sphere_surface_area():
     assert sphere_surface_area(3) == pytest.approx(2.0 * math.pi**2)
 
 
-def test_radial_args_consistency():
-    from pseudoheat.geometry import RadialArgs
-
-    args = RadialArgs.from_arc(1.0, k=2.5)
-    assert args.l == pytest.approx(math.cosh(1.0), rel=1e-15)
-    with pytest.raises(ValueError):
-        RadialArgs(s=1.0, l=1.6)  # cosh(1) = 1.543...
-    with pytest.raises(ValueError):
-        RadialArgs(l=1.5, k=1.2)  # k below l
-    with pytest.raises(ValueError):
-        RadialArgs(k=0.5)
-    with pytest.raises(ValueError):
-        RadialArgs(d=-1.0)
-    with pytest.raises(ValueError):
-        RadialArgs(u=0.9)
-    q1, q2 = HoricyclicPoint(1.0, (0.0,)), HoricyclicPoint(math.e, (0.0,))
-    pair = RadialArgs.for_pair(q1, q2)
-    assert pair.d == pytest.approx(1.0, rel=1e-14)
-    assert pair.u == pytest.approx(math.cosh(1.0), rel=1e-14)
-
-
 def test_normalize_pair_vertical_nonzero_offset():
     # equal flat coordinates: a single translation suffices
     q1 = HoricyclicPoint(0.5, (1.5, -2.0))

@@ -344,13 +344,14 @@ def test_cauchy_route_against_the_reference_and_alone_or_in_a_row():
 
 
 def test_importing_the_kernels_leaves_mpmath_unloaded():
-    # mpmath serves verify's Richardson oracle and the tests only; the
-    # kernels do not load it, which keeps it out of every import's cost
+    # mpmath serves verify's Richardson oracle and the tests only; neither
+    # the kernels nor the CLI load it, which keeps it out of every job's cost
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         "import sys\n"
         "import pseudoheat\n"
         "from pseudoheat.kernels import kernel_row\n"
+        "import pseudoheat.cli\n"
         "print('mpmath' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

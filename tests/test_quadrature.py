@@ -306,6 +306,20 @@ def test_abel_one_failed_endpoint_keeps_the_others():
 
 
 @pytest.mark.filterwarnings("error")
+def test_abel_overflowed_endpoint_keeps_the_others():
+    # F is inf past s = 5: the endpoint d = 4 reaches it and overflows, d = 800
+    # fails in its grid (sinh overflows), and d = 0 and 1 end before s = 5
+    F = lambda s: np.exp(-4.0 * s * s) * np.where(s > 5.0, np.inf, 1.0)
+    results = integrate_abel(F, [0.0, 4.0, 1.0, 800.0], 4.0)
+    for d, got in zip((0.0, 1.0), (results[0], results[2])):
+        assert got == integrate_abel(F, [d], 4.0)[0] and got[2] is None, d
+    overflowed, no_grid = results[1][2], results[3][2]
+    assert type(overflowed) is OverflowError and str(overflowed) == "integrand overflowed binary64"
+    assert type(no_grid) is OverflowError and str(no_grid) != str(overflowed)
+    assert math.isnan(results[3][0]) and results[3][1] == math.inf
+
+
+@pytest.mark.filterwarnings("error")
 def test_abel_reduceat_sums_a_segment_as_it_sums_it_alone():
     # integrate_abel sums each endpoint's nodes with np.add.reduceat over the
     # concatenation of a pass; that sum must not depend on the neighbours.
