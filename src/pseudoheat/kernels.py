@@ -16,12 +16,14 @@ included, solves the Abel-type integral equation in l.  The oscillatory
 real-time propagator is this family continued back through tau -> i T; it
 is not evaluated numerically here.
 
-``kernel(params, s)`` evaluates one s and raises a numerical failure.
-``kernel_row(params, ss)`` evaluates many s at one tau and returns, per s,
-the value or the unraised failure.  Both parities evaluate G^(n) with one
-array evaluator, ``gfunc.evaluate_many``: even D hands it the row's s,
-odd D the nodes of one batched Abel integration over the row.  ``kernel``
-is a one-element row, so a value is bit-equal alone or in any row.
+All evaluation runs on one array row of s at one tau: value and err_est
+arrays, and the located failure at each index that failed.  D = 4 is one
+numpy expression over the row; other even D hand its s to the array
+evaluator ``gfunc.evaluate_many``, odd D the nodes of one batched Abel
+integration.  ``kernel(params, s)`` (one s, failure raised),
+``kernel_row`` (per s the value or the unraised failure) and
+``kernel_array`` (the values as an array) are views of the row, so a value
+is bit-equal alone or in any row.
 """
 
 from __future__ import annotations
@@ -29,17 +31,21 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import gfunc
-from .quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec, integrate_abel
+from .quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec, _integrate_abel_arrays
 
-__all__ = ["EvalParams", "KernelValue", "kernel", "kernel_row", "kernel_d4", "kernel_even"]
+__all__ = ["EvalParams", "KernelValue", "SAMPLED_SPEC", "kernel", "kernel_row", "kernel_array", "kernel_d4",
+           "kernel_even"]
 
-# (value, err_est, failure or None) per s of a row, before assembly
-_RowValues = Iterable[tuple[float, float, Exception | None]]
+# the spec of kernels sampled in the integrands and stencils of verify and lattice
+SAMPLED_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-18)
+
+# value and err_est per s of a row, and the failure at each index that failed
+_Row = tuple[np.ndarray, np.ndarray, dict[int, Exception]]
 
 
 @dataclass(frozen=True)
@@ -92,34 +98,87 @@ class KernelValue:
     tau: float
 
 
-def _check_s(s: float) -> float:
-    s = float(s)
-    if s < 0.0 or not math.isfinite(s):
-        raise ValueError("geodesic distance must be nonnegative and finite")
-    return s
-
-
-def kernel_d4(params: EvalParams, s: float) -> KernelValue:
+def _d4_row(params: EvalParams, ss: np.ndarray, spec: QuadratureSpec) -> _Row:
     """Closed form (a/pi)^(3/2) (s/sinh s) exp(-a s^2 + E) for D = 4."""
-    if params.D != 4:
-        raise ValueError("kernel_d4 requires D = 4")
-    s = _check_s(s)
-    return KernelValue(_d4_value(params, s), 0.0, 4, s, params.tau)
-
-
-def _d4_value(params: EvalParams, s: float) -> float:
     a = params.a
     try:
         front = (a / math.pi) ** 1.5
     except OverflowError:  # float ** raises where * would give inf
-        raise OverflowError(f"binary64 overflow ((a/pi)^1.5 at a={a!r})") from None
-    try:
-        ratio = s / math.sinh(s) if s > 0.0 else 1.0
-    except OverflowError:
-        # past s ~ 710.48, s / sinh s = 2 s exp(-s) to binary64 precision;
-        # in one exponent the product underflows to its true value, 0.0
-        return front * s * (2.0 * math.exp(-s - a * s * s + params.E))
-    return front * ratio * math.exp(-a * s * s + params.E)
+        exc = OverflowError(f"binary64 overflow ((a/pi)^1.5 at a={a!r})")
+        return np.full(len(ss), math.nan), np.zeros(len(ss)), dict.fromkeys(range(len(ss)), exc)
+    # past s ~ 710.48 sinh overflows and s / sinh s is 0.0: the kernel there,
+    # front 2 s exp(-s - a s^2 + E), is below exp(-1300) at any a (a E = -3/16)
+    with np.errstate(over="ignore", invalid="ignore"):  # sinh overflows, 0 / sinh 0
+        value = front * np.where(ss > 0.0, ss / np.sinh(ss), 1.0) * np.exp(-a * ss * ss + params.E)
+    return value, np.zeros(len(ss)), {}
+
+
+def _even_row(params: EvalParams, ss: np.ndarray, spec: QuadratureSpec) -> _Row:
+    """(-1/(2 pi))^n G^(n)(s), n = (D-2)/2, from one ``gfunc.evaluate_many`` call."""
+    n = (params.D - 2) // 2
+    g = gfunc.expression(n, params.a, params.E)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported by _row
+        return (-1.0 / (2.0 * math.pi)) ** n * gfunc.evaluate_many(g, ss), np.zeros(len(ss)), {}
+
+
+def _odd_row(params: EvalParams, ss: np.ndarray, spec: QuadratureSpec) -> _Row:
+    """sqrt(2) (-1/(2 pi))^k times the Abel integral of G^(k), k = (D-1)/2, in one batch."""
+    k = (params.D - 1) // 2
+    f = functools.partial(gfunc.evaluate_many, gfunc.expression(k, params.a, params.E))
+    front = math.sqrt(2.0) * (-1.0 / (2.0 * math.pi)) ** k
+    value, err, failures = _integrate_abel_arrays(f, ss, params.a, spec)
+    value, err = front * value, abs(front) * err
+    for i, failure in failures.items():
+        if isinstance(failure, NonConvergenceError):  # it carries the Abel integral's
+            failures[i] = NonConvergenceError(float(value[i]), float(err[i]))
+    return value, err, failures
+
+
+_ROUTES = {"kernel_d4": _d4_row, "kernel_even": _even_row, "kernel_odd": _odd_row}
+
+
+def _located(exc: Exception, params: EvalParams, s: float, route: str) -> Exception:
+    """``exc`` again, as the same type, with D, tau, s and the route in its
+    message, and D, tau and s as attributes."""
+    msg = f"{exc} at D={params.D}, tau={params.tau!r}, s={float(s)!r} in {route}"
+    nonconverged = isinstance(exc, NonConvergenceError)
+    located = NonConvergenceError(exc.value, exc.err_est, msg) if nonconverged else type(exc)(msg)
+    located.D, located.tau, located.s = params.D, params.tau, float(s)
+    located.__cause__ = exc
+    return located
+
+
+def _row(params: EvalParams, ss: np.ndarray, spec: QuadratureSpec, route: str | None = None) -> _Row:
+    """The kernel at every s of the float array ss, by the route of params.D
+    or the one named: value and err_est arrays, and the located failure at
+    each index that failed, an ``OverflowError`` where the value is not
+    finite.  -0.0 (an underflow under a negative front factor) is +0.0."""
+    # the minimum is nan if any s is nan
+    if not (np.minimum.reduce(ss, initial=0.0) >= 0.0 and np.maximum.reduce(ss, initial=0.0) < math.inf):
+        raise ValueError("geodesic distance must be nonnegative and finite")
+    route = route or ("kernel_d4" if params.D == 4 else "kernel_odd" if params.D % 2 else "kernel_even")
+    value, err, failures = _ROUTES[route](params, ss, spec)
+    value = value + 0.0  # -0.0 + 0.0 is +0.0
+    finite = np.isfinite(value)
+    if np.count_nonzero(finite) < len(value):
+        for i in np.flatnonzero(~finite).tolist():
+            failures.setdefault(i, OverflowError(f"binary64 overflow (value {float(value[i])!r})"))
+    return value, err, {i: _located(exc, params, ss[i], route) for i, exc in failures.items()}
+
+
+def _one(params: EvalParams, s: float, spec: QuadratureSpec, route: str | None = None) -> KernelValue:
+    ss = np.array([s], dtype=float)
+    value, err, failures = _row(params, ss, spec, route)
+    if failures:
+        raise failures[0]
+    return KernelValue(float(value[0]), float(err[0]), params.D, float(ss[0]), params.tau)
+
+
+def kernel_d4(params: EvalParams, s: float) -> KernelValue:
+    """The D = 4 closed form at one s, a one-element row; raises its located error."""
+    if params.D != 4:
+        raise ValueError("kernel_d4 requires D = 4")
+    return _one(params, s, DEFAULT_SPEC, "kernel_d4")
 
 
 def kernel_even(params: EvalParams, s: float) -> KernelValue:
@@ -127,100 +186,41 @@ def kernel_even(params: EvalParams, s: float) -> KernelValue:
     even row through gfunc, also at D = 4; raises its located error."""
     if params.D % 2 != 0 or params.D < 4:
         raise ValueError("kernel_even requires even D >= 4")
-    s = _check_s(s)
-    return _one(_assemble(params, [s], _even_row(params, [s]), "kernel_even"))
-
-
-def _located(exc: Exception, params: EvalParams, s: float, route: str) -> Exception:
-    """``exc`` again, as the same type, with D, tau, s and the route in its message."""
-    msg = f"{exc} at D={params.D}, tau={params.tau!r}, s={float(s)!r} in {route}"
-    if isinstance(exc, NonConvergenceError):
-        located = NonConvergenceError(exc.value, exc.err_est, msg)
-    else:
-        located = type(exc)(msg)
-    located.__cause__ = exc
-    return located
-
-
-def _d4_row(params: EvalParams, ss: list[float]) -> _RowValues:
-    for s in ss:
-        try:
-            yield _d4_value(params, s), 0.0, None
-        except ArithmeticError as exc:
-            yield math.nan, 0.0, exc
-
-
-def _even_row(params: EvalParams, ss: list[float]) -> _RowValues:
-    n = (params.D - 2) // 2
-    g = gfunc.expression(n, params.a, params.E)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = (-1.0 / (2.0 * math.pi)) ** n * gfunc.evaluate_many(g, np.array(ss))
-    return ((v, 0.0, None) for v in values.tolist())
-
-
-def _odd_row(params: EvalParams, ss: list[float], spec: QuadratureSpec) -> _RowValues:
-    k = (params.D - 1) // 2
-    f = functools.partial(gfunc.evaluate_many, gfunc.expression(k, params.a, params.E))
-    front = math.sqrt(2.0) * (-1.0 / (2.0 * math.pi)) ** k
-    for v, err, failure in integrate_abel(f, ss, params.a, spec):
-        v, err = front * v, abs(front) * err
-        if isinstance(failure, NonConvergenceError):  # it carries the Abel integral's
-            failure = NonConvergenceError(v, err)
-        yield v, err, failure
-
-
-def _assemble(
-    params: EvalParams, ss: list[float], row: _RowValues, route: str
-) -> list[KernelValue | Exception]:
-    """A KernelValue, or the located failure, per (value, err_est, failure) of a row.
-
-    A value that is not finite becomes an ``OverflowError``; one that
-    underflowed to -0.0 under a negative front factor becomes +0.0.
-    """
-    out = []
-    for s, (value, err, failure) in zip(ss, row):
-        if failure is None and not math.isfinite(value):
-            failure = OverflowError(f"binary64 overflow (value {value!r})")
-        if failure is None:
-            out.append(KernelValue(value + 0.0, err, params.D, s, params.tau))  # -0.0 + 0.0 is +0.0
-        else:
-            out.append(_located(failure, params, s, route))
-    return out
-
-
-def _one(row: list[KernelValue | Exception]) -> KernelValue:
-    (kv,) = row
-    if isinstance(kv, Exception):
-        raise kv
-    return kv
+    return _one(params, s, DEFAULT_SPEC, "kernel_even")
 
 
 def kernel_row(
     params: EvalParams, ss: Sequence[float], spec: QuadratureSpec = DEFAULT_SPEC
 ) -> list[KernelValue | Exception]:
-    """The kernel at every s of ss, at one tau.
-
-    Per s a KernelValue or, unraised, the located ``NonConvergenceError``
-    or ``ArithmeticError`` that ``kernel()`` would raise there.  D = 4
-    evaluates its closed form at each s in turn.  Any other even D is
-    (-1/(2 pi))^n times one ``gfunc.evaluate_many`` call over the row,
-    n = (D-2)/2.  Odd D shares one batched Abel integration over the row:
-    sqrt(2) (-1/(2 pi))^k times the Abel integral of G^(k), k = (D-1)/2.
-    A value does not depend on the other s in the row.
+    """The kernel at every s of ss, at one tau: per s a KernelValue or,
+    unraised, the located ``NonConvergenceError`` or ``ArithmeticError``
+    that ``kernel()`` would raise there.  A value does not depend on the
+    other s in the row.
     """
-    ss = [_check_s(s) for s in ss]
-    if params.D == 4:
-        return _assemble(params, ss, _d4_row(params, ss), "kernel_d4")
-    if params.D % 2 == 0:
-        return _assemble(params, ss, _even_row(params, ss), "kernel_even")
-    return _assemble(params, ss, _odd_row(params, ss, spec), "kernel_odd")
+    ss = np.asarray(ss, dtype=float)
+    value, err, failures = _row(params, ss, spec)
+    D, tau = params.D, params.tau
+    return [
+        failures[i] if i in failures else KernelValue(v, e, D, s, tau)
+        for i, (s, v, e) in enumerate(zip(ss.tolist(), value.tolist(), err.tolist()))
+    ]
+
+
+def kernel_array(params: EvalParams, ss: np.ndarray) -> np.ndarray:
+    """``kernel(params, s, SAMPLED_SPEC).value`` for each s of an array, as
+    an array of the same shape, from one row of the distinct s and with no
+    ``KernelValue``; raises the failure at the smallest failing s.
+    """
+    distinct, inverse = np.unique(ss, return_inverse=True)
+    value, _, failures = _row(params, distinct, SAMPLED_SPEC)
+    if failures:
+        raise failures[min(failures)]
+    return value[inverse].reshape(ss.shape)
 
 
 def kernel(params: EvalParams, s: float, spec: QuadratureSpec = DEFAULT_SPEC) -> KernelValue:
-    """The kernel at one s: a one-element ``kernel_row``.
-
-    A ``NonConvergenceError`` (keeping its value and error estimate) or an
-    ``ArithmeticError`` (binary64 overflow) is raised again, as the same
-    type, with D, tau, s and the route in its message.
+    """The kernel at one s: a one-element row.  Raises its located
+    ``NonConvergenceError`` (keeping the value and error estimate) or
+    ``ArithmeticError`` (binary64 overflow).
     """
-    return _one(kernel_row(params, (s,), spec))
+    return _one(params, s, spec)

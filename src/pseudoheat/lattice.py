@@ -34,9 +34,9 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import HoricyclicPoint, _arccosh_from_excess, sphere_surface_area
-from .kernels import EvalParams
+from .kernels import EvalParams, kernel_array
 from .quadrature import TRUNCATION_SIGMA, QuadratureSpec, _pointwise, gaussian_cutoff, integrate_tanh_sinh
-from .verify import VerificationReport, _kernel_array
+from .verify import VerificationReport
 
 __all__ = ["LatticeSpec", "lattice_kernel", "x_marginal_check", "convergence_order"]
 
@@ -286,7 +286,7 @@ def x_marginal_check(params: EvalParams, y1: float, y2: float) -> VerificationRe
     def f(vs: np.ndarray) -> np.ndarray:
         sh = np.sinh(vs)
         w = u0 + sh * sh
-        kvs = _kernel_array(params, np.log1p(w + np.sqrt(w * (w + 2.0))))
+        kvs = kernel_array(params, np.log1p(w + np.sqrt(w * (w + 2.0))))
         return kvs * (r_scale * sh) ** power * (r_scale * np.cosh(vs))
 
     val, err = integrate_tanh_sinh(f, 0.0, v_max, _X_MARGINAL_SPEC)

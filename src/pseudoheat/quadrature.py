@@ -207,17 +207,16 @@ def integrate_periodic(
 
 
 def gaussian_cutoff(
-    lower: float, decay_rate: float, sigma: float = TRUNCATION_SIGMA, linear_growth: float = 0.0
-) -> float:
+    lower: float | np.ndarray, decay_rate: float, sigma: float = TRUNCATION_SIGMA, linear_growth: float = 0.0
+) -> float | np.ndarray:
     """Upper limit T where the envelope exp(-rate t^2 + growth t) has dropped
-    by exp(-sigma^2/2) relative to its maximum over [max(lower, 0), inf)."""
-    l0 = max(lower, 0.0)
-    peak = max(l0, 0.5 * linear_growth / decay_rate)
+    by exp(-sigma^2/2) relative to its maximum over [max(lower, 0), inf);
+    elementwise for an array of lower limits."""
+    peak = np.maximum(lower, max(0.0, 0.5 * linear_growth / decay_rate))
     target = decay_rate * peak * peak - linear_growth * peak + 0.5 * sigma * sigma
-    t = (linear_growth + math.sqrt(linear_growth * linear_growth + 4.0 * decay_rate * target)) / (
-        2.0 * decay_rate
-    )
-    return max(t, lower + 1.0 / math.sqrt(decay_rate))
+    root = np.sqrt(linear_growth * linear_growth + 4.0 * decay_rate * target)
+    t = (linear_growth + root) / (2.0 * decay_rate)
+    return np.maximum(t, lower + 1.0 / math.sqrt(decay_rate))
 
 
 # integrate_abel stretches its tail by t = T sinh(u/T).  Up to t ~ 1, where
@@ -236,17 +235,6 @@ _ABEL_ROUNDING = 2.0 * sys.float_info.epsilon
 # table row shares each pass; with no bound, the peak RSS of one certify
 # and table run rose from 36.7 to 50.0 MiB
 _ABEL_BATCH = 64
-
-
-def _abel_grid(d: float, decay_rate: float, h_base: float) -> tuple[float, int, float]:
-    """First step h0 and even node count n (h0 n = u_max) of one endpoint, and cosh d - 1."""
-    s_max = gaussian_cutoff(d, decay_rate)
-    # sinh^2 t_max = cosh s_max - cosh d, in product form
-    t_max = math.asinh(math.sqrt(2.0 * math.sinh(0.5 * (s_max + d)) * math.sinh(0.5 * (s_max - d))))
-    u_max = _ABEL_STRETCH * math.asinh(t_max / _ABEL_STRETCH)
-    # an even node count, so that the 2h0 grid is a subset of the h0 grid
-    n = 2 * math.ceil(0.5 * u_max / h_base)
-    return u_max / n, n, 2.0 * math.sinh(0.5 * d) ** 2
 
 
 def _abel_nodes(F, u_stretched: np.ndarray, w_d, decay_rate: float) -> tuple[np.ndarray, np.ndarray]:
@@ -287,87 +275,111 @@ def integrate_abel(
     failure is None, or an unraised NonConvergenceError (value and
     err_est after the last halving) or OverflowError.
     """
-    ds = [float(d) for d in ds]
-    if any(d < 0.0 for d in ds):
+    value, err, failures = _integrate_abel_arrays(F, ds, decay_rate, spec)
+    return [(v, e, failures.get(i)) for i, (v, e) in enumerate(zip(value.tolist(), err.tolist()))]
+
+
+def _integrate_abel_arrays(F, ds: Sequence[float], decay_rate: float, spec: QuadratureSpec):
+    """``integrate_abel`` as arrays, for the kernels' rows: the value and
+    err_est of every endpoint, and the failure of each that failed, by index."""
+    ds = np.asarray(ds, dtype=float)
+    if np.count_nonzero(ds < 0.0):
         raise ValueError("lower endpoint must be nonnegative")
     if decay_rate <= 0.0:
         raise ValueError("decay_rate must be positive")
-    out = []
+    (value, err), failures = np.empty((2, len(ds))), {}
     # an overflow leaves a non-finite sum, which is reported for its endpoint
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(ds), _ABEL_BATCH):
-            out.extend(_abel_pass(F, ds[lo : lo + _ABEL_BATCH], decay_rate, spec))
-    return out
+            index = np.arange(lo, min(lo + _ABEL_BATCH, len(ds)))
+            _abel_pass(F, ds, index, decay_rate, spec, (value, err, failures))
+    return value, err, failures
 
 
-def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes laid out endpoint after endpoint, counts[i] of endpoint i: the
-    first position of each endpoint, and each node's endpoint and its index
-    within that endpoint."""
-    starts = np.add.accumulate(counts) - counts
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return starts, owner, np.arange(len(owner)) - starts[owner]
+# a halving halves each endpoint's step h (and h / T) and doubles its interval count n
+_HALVING = np.array([[0.5], [2.0], [0.5]])
 
 
-def _abel_pass(F, ds: list[float], decay_rate: float, spec: QuadratureSpec) -> list:
-    out: list = [None] * len(ds)
-    h_base = min(0.2, 0.25 / math.sqrt(decay_rate))
-    grids = []
-    for i, d in enumerate(ds):
-        try:
-            grids.append((i, *_abel_grid(d, decay_rate, h_base)))
-        except ArithmeticError as exc:
-            out[i] = (math.nan, math.inf, exc)
-    if not grids:
-        return out
-    # per live endpoint: its place in ds, step h over n intervals, cosh d - 1
-    index, h, n, w_d = (np.array(column) for column in zip(*grids))
-    # the whole h0 grid in one pass; per endpoint its origin, its even
-    # nodes (the 2h0 grid) and its odd nodes, in that order
-    half = n // 2
-    starts, owner, k = _ragged(n + 1)
-    j = 2 * k % (n + 1)[owner]  # 0, 2, ..., n, then 1, 3, ..., n - 1
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes laid out endpoint after endpoint, counts[i] (at least one) of
+    endpoint i: the first position of each endpoint, and each node's index
+    within its endpoint.  x.repeat(counts) gives each node its endpoint's x."""
+    ends = np.add.accumulate(counts)
+    starts = ends - counts
+    return starts, np.arange(ends[-1]) - starts.repeat(counts)
+
+
+def _abel_pass(F, ds: np.ndarray, index: np.ndarray, decay_rate: float, spec: QuadratureSpec, out) -> None:
+    """integrate_abel over the endpoints ds[index], into out: the value and
+    err_est arrays and the failures by index of _integrate_abel_arrays."""
+    value_out, err_out, failures = out
+    d = ds[index]
+    s_max = gaussian_cutoff(d, decay_rate)
+    sh_plus, sh_minus, sh_half = np.sinh(0.5 * np.array((s_max + d, s_max - d, d)))
+    # u_max / 2, where u_max = T asinh(t_max / T) and sinh^2 t_max = cosh s_max
+    # - cosh d, in product form
+    half_u = 0.5 * _ABEL_STRETCH * np.arcsinh(np.arcsinh(np.sqrt(2.0 * sh_plus * sh_minus)) / _ABEL_STRETCH)
+    # the first step h0 = u_max / n over an even interval count n = 2 half, so
+    # that the 2h0 grid is a subset of the h0 grid; h0 is nan where the grid
+    # overflows binary64
+    half = np.ceil(half_u / min(0.2, 0.25 / math.sqrt(decay_rate)))
+    h, w_d = half_u / half, 2.0 * sh_half**2  # w_d = cosh d - 1
+    failed = np.isnan(h)
+    if np.count_nonzero(failed):
+        for i in index[failed].tolist():
+            value_out[i], err_out[i] = math.nan, math.inf
+            failures[i] = OverflowError(f"binary64 overflow (Abel grid at d={float(ds[i])!r})")
+        index, h, half, w_d = index[~failed], h[~failed], half[~failed], w_d[~failed]
+        if not index.size:
+            return
+    # the whole h0 grid in one pass; per endpoint its origin, its even nodes
+    # (the 2h0 grid) and its odd nodes, in that order
+    half = half.astype(np.intp)
+    counts = 2 * half + 1
+    starts, k = _ragged(counts)
+    j = 2 * k % counts.repeat(counts)  # 0, 2, ..., n, then 1, 3, ..., n - 1
     # u / T, as (j h) / T is j (h / T) exactly: T is a power of two
-    v, vw = _abel_nodes(F, j * (h / _ABEL_STRETCH)[owner], w_d[owner], decay_rate)
-    # each endpoint's sums: its origin, its evens and its odds
-    cuts = np.repeat(starts, 3)
-    cuts[1::3] += 1
-    cuts[2::3] += 1 + half
-    sums = (np.add.reduceat(x, cuts).reshape(-1, 3).T for x in (v, vw))
-    (origin, evens, more), (origin_w, evens_w, more_w) = sums
-    # the running sums of the integrand and of it weighted by 1 + a s^2
-    total = evens + 0.5 * origin
-    weighted = evens_w + 0.5 * origin_w
-    value = 2.0 * h * total
-    # |integrand| at u_max bounds the truncated tail
+    step = h / _ABEL_STRETCH
+    v, vw = _abel_nodes(F, j * step.repeat(counts), w_d.repeat(counts), decay_rate)
+    # each endpoint's sums: its origin, its evens and its odds (rows: the
+    # integrand, and it weighted by 1 + a s^2)
+    first_even = starts + 1
+    cuts = np.array((starts, first_even, first_even + half)).T.ravel()
+    origin, evens, odds = np.add.reduceat((v, vw), cuts, axis=1).reshape(2, -1, 3).transpose(2, 0, 1)
+    coarse = evens + 0.5 * origin
+    # per live endpoint (a column): |integrand| at u_max (which bounds the
+    # truncated tail), the last value, the sums, h, n, h / T and cosh d - 1
     tail = np.abs(v[starts + half])
+    state = np.concatenate((tail, 2.0 * h * coarse[0], (coarse + odds).ravel(), h, counts - 1.0, step, w_d))
+    state = state.reshape(8, -1)
 
     for level in range(_ABEL_MAX_HALVINGS + 1):
         if level:
             # halve every step; the new nodes, n per endpoint, are the odd
             # ones of the finer grid
-            starts, owner, k = _ragged(n)
-            h = 0.5 * h
-            n = 2 * n
-            v, vw = _abel_nodes(F, (2 * k + 1) * (h / _ABEL_STRETCH)[owner], w_d[owner], decay_rate)
-            more, more_w = np.add.reduceat(v, starts), np.add.reduceat(vw, starts)
-        total = total + more
-        weighted = weighted + more_w
-        coarse, value = value, h * total
+            counts = state[5].astype(np.intp)
+            state[4:7] *= _HALVING
+            starts, k = _ragged(counts)
+            step, w_node = state[6:].repeat(counts, axis=1)
+            v, vw = _abel_nodes(F, (2 * k + 1) * step, w_node, decay_rate)
+            state[2:4] += np.add.reduceat((v, vw), starts, axis=1)
+        tail, coarse, total, weighted, h = state[0], state[1], state[2], state[3], state[4]
+        value = h * total
         err = np.abs(value - coarse) + h * (_ABEL_ROUNDING * weighted + tail)
-        finite = np.isfinite(total) & np.isfinite(weighted)
+        state[1] = value
+        # every level writes its estimate; an endpoint's last one stands
+        value_out[index], err_out[index] = value, err
+        finite = np.isfinite(err)  # the sums overflowed where it is not
         done = ~finite | (err <= np.maximum(spec.rel_tol * np.abs(value), spec.abs_tol))
         finished = np.count_nonzero(done)
         if finished:
-            for i, val, e, ok in zip(*(x[done].tolist() for x in (index, value, err, finite))):
-                out[i] = (val, e, None if ok else OverflowError("integrand overflowed binary64"))
+            for i in index[~finite].tolist():
+                failures[i] = OverflowError("integrand overflowed binary64")
             if finished == len(done):
-                return out
-            state = (index, h, n, w_d, total, weighted, value, err, tail)
-            index, h, n, w_d, total, weighted, value, err, tail = (x[~done] for x in state)
-    for i, val, e in zip(index.tolist(), value.tolist(), err.tolist()):
-        out[i] = (val, e, NonConvergenceError(val, e))
-    return out
+                return
+            index, state = index[~done], state[:, ~done]
+    for i in index.tolist():
+        failures[i] = NonConvergenceError(float(value_out[i]), float(err_out[i]))
 
 
 def _pointwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:

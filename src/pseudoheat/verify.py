@@ -22,7 +22,7 @@ from .geometry import (
     laplace_beltrami_apply,
     sphere_surface_area,
 )
-from .kernels import EvalParams, kernel, kernel_row
+from .kernels import SAMPLED_SPEC, EvalParams, kernel, kernel_array
 from .quadrature import (
     NonConvergenceError,
     QuadratureSpec,
@@ -44,27 +44,9 @@ __all__ = [
     "DEFAULT_L_GRID",
 ]
 
-# tight spec for kernels sampled inside finite-difference stencils
-_KERNEL_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-18)
 # the integrals of the abel and mass checks
 _ABEL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-16)
 _MASS_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-20)
-
-
-def _kernel_array(params: EvalParams, ss: np.ndarray) -> np.ndarray:
-    """``kernel(params, s, _KERNEL_SPEC).value`` for each s of an array, as an
-    array of the same shape, from one ``kernel_row`` call.
-
-    Each distinct s is evaluated once (a value does not depend on its
-    row), so a failure is raised at the smallest failing s.
-    """
-    distinct, inverse = np.unique(ss, return_inverse=True)
-    values = []
-    for kv in kernel_row(params, distinct.tolist(), _KERNEL_SPEC):
-        if isinstance(kv, Exception):
-            raise kv
-        values.append(kv.value)
-    return np.array(values)[inverse].reshape(ss.shape)
 
 
 @dataclass(frozen=True)
@@ -107,7 +89,7 @@ def _abel_lhs(params: EvalParams, l: float, spec: QuadratureSpec) -> tuple[float
     def integrand(vs: np.ndarray) -> np.ndarray:
         v2 = vs * vs  # sigma - s_l, exactly: nodes crowd v = 0
         sigs = sl + v2
-        kvs = _kernel_array(params, sigs)
+        kvs = kernel_array(params, sigs)
         with np.errstate(divide="ignore", invalid="ignore"):  # v = 0 gives 0 ** nu
             wfac = (2.0 * np.sinh(0.5 * (sigs + sl)) * np.sinh(0.5 * v2)) ** nu
             out = kvs * wfac * np.sinh(sigs) * 2.0 * vs
@@ -198,10 +180,10 @@ def _pde_pieces(params: EvalParams, s: float, tau: float) -> tuple[float, float,
     h_t = min(rh / f5_over_f**0.2, 0.2 * tau)
 
     # the five s-stencil points at tau in one row; the tau stencil changes tau per point
-    kp2, kp1, val, km1, km2 = _kernel_array(
+    kp2, kp1, val, km1, km2 = kernel_array(
         params.with_tau(tau), np.array([s + 2 * h_s, s + h_s, s, s - h_s, s - 2 * h_s])
     ).tolist()
-    k_t = _fd1(lambda t: kernel(params.with_tau(t), s, _KERNEL_SPEC).value, tau, h_t)
+    k_t = _fd1(lambda t: kernel(params.with_tau(t), s, SAMPLED_SPEC).value, tau, h_t)
     k_s = _d1(kp2, kp1, km1, km2, h_s)
     k_ss = _d2(kp2, kp1, val, km1, km2, h_s)
     lap = k_ss + (params.D - 2) / math.tanh(s) * k_s
@@ -265,7 +247,7 @@ def horicyclic_pde_residual(
     c_fit = None
     for q1, q2 in pairs:
         def field(q: HoricyclicPoint, tau: float = params.tau) -> float:
-            return kernel(params.with_tau(tau), geodesic_distance(q1, q), _KERNEL_SPEC).value
+            return kernel(params.with_tau(tau), geodesic_distance(q1, q), SAMPLED_SPEC).value
 
         h = (2e-3 if quad_backed else 1e-4) * max(1.0, q2.y)
         lap = laplace_beltrami_apply(field, q2, h)
@@ -297,7 +279,7 @@ def _convolve_kernels(
     the plain trapezoid at odd D, where the integrand sin^(D-3) theta K2 is
     even and 2 pi periodic in theta, and on tanh-sinh at even D; each r
     stops on its own test, scaled by the batch's largest integral.  K1 is
-    one ``kernel_row`` call per batch, K2 one per theta pass over the r
+    one ``kernel_array`` call per batch, K2 one per theta pass over the r
     not yet converged.  r integrates the theta integrals less and plus
     their estimates, so that half the spread of the two carries the theta
     rule's error into the estimate, next to the r rule's own.
@@ -309,13 +291,13 @@ def _convolve_kernels(
     theta_rule = integrate_periodic if D % 2 else integrate_tanh_sinh
 
     def outer(rs: np.ndarray, live: np.ndarray) -> np.ndarray:
-        radial = ang_front * _kernel_array(params1, rs) * np.sinh(rs) ** (D - 2)
+        radial = ang_front * kernel_array(params1, rs) * np.sinh(rs) ** (D - 2)
         cc, ss = np.cosh(rs) * cd, np.sinh(rs) * sd
 
         def theta_integrand(ths: np.ndarray, cols: np.ndarray) -> np.ndarray:
             # (theta, r) grid of cosh rho, by the hyperbolic law of cosines
             u = cc[cols] - np.outer(np.cos(ths), ss[cols])
-            k2 = _kernel_array(params2, np.arccosh(np.maximum(u, 1.0)))
+            k2 = kernel_array(params2, np.arccosh(np.maximum(u, 1.0)))
             return k2 * np.outer(np.sin(ths) ** (D - 3), radial[cols])
 
         try:
@@ -355,7 +337,7 @@ def chapman_kolmogorov_many(
     target_params = params1.with_tau(params1.tau + params2.tau)
     out = []
     for d in d_values:
-        target = kernel(target_params, d, _KERNEL_SPEC).value
+        target = kernel(target_params, d, SAMPLED_SPEC).value
         try:
             conv, err = _convolve_kernels(params1, params2, d, spec)
             rel = abs(conv - target) / abs(target)
@@ -383,7 +365,7 @@ def total_mass(params: EvalParams) -> float:
     """Omega_(D-2) int_0^inf K(s) sinh(s)^(D-2) ds."""
     om = sphere_surface_area(params.D - 2)
     s_max = gaussian_cutoff(0.0, params.a, linear_growth=float(params.D - 2))
-    f = lambda ss: _kernel_array(params, ss) * np.sinh(ss) ** (params.D - 2)
+    f = lambda ss: kernel_array(params, ss) * np.sinh(ss) ** (params.D - 2)
     try:
         val, _ = integrate_tanh_sinh(f, 0.0, s_max, _MASS_SPEC)
     except NonConvergenceError as exc:

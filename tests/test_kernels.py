@@ -5,11 +5,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from pseudoheat import gfunc
+from pseudoheat import gfunc, kernels
 from pseudoheat.kernels import (
+    SAMPLED_SPEC,
     EvalParams,
     KernelValue,
     kernel,
+    kernel_array,
     kernel_d4,
     kernel_even,
     kernel_row,
@@ -471,3 +473,53 @@ def test_kernel_odd_long_time_nodes_stay_finite():
         vals = [kv.value for kv in kernel_row(EvalParams(dim, 1000.0), (0.0, 1.0, 6.0))]
         assert all(math.isfinite(v) and v >= 0.0 for v in vals), (dim, vals)
     assert kernel(EvalParams(3, 1000.0), 0.0).value == pytest.approx(6.972001165339247e-06, rel=1e-9)
+
+
+# --- the array view -------------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
+def test_kernel_array_is_the_rows_values(dim):
+    # repeated and unsorted s, in the shape of a quadrature's node grid
+    ss = np.array([[1.0, 0.3, 0.0, 17.0], [0.3, 6.0, 1.0, 0.05]])
+    for tau in (0.01, 0.5, 30.0):
+        p = EvalParams(dim, tau)
+        got = kernel_array(p, ss)
+        assert got.shape == ss.shape
+        assert got.ravel().tolist() == [kv.value for kv in kernel_row(p, ss.ravel().tolist(), SAMPLED_SPEC)]
+
+
+def test_kernel_array_raises_the_failure_at_the_smallest_failing_s(monkeypatch):
+    # (a/pi)^1.5 overflows at every s of a D = 4 row at tau = 1e-300
+    with pytest.raises(OverflowError, match=r"^binary64 overflow .* at D=4, tau=1e-300, s=0.5 in kernel_d4$"):
+        kernel_array(EvalParams(4, 1e-300), np.array([2.0, 0.5, 1.0]))
+    # an odd row that fails at every s >= 1
+    odd_row = kernels._ROUTES["kernel_odd"]
+
+    def failing_from_one(params, ss, spec):
+        value, err, failures = odd_row(params, ss, spec)
+        for i in np.flatnonzero(ss >= 1.0).tolist():
+            failures[i] = NonConvergenceError(0.5, 0.25)
+        return value, err, failures
+
+    monkeypatch.setitem(kernels._ROUTES, "kernel_odd", failing_from_one)
+    with pytest.raises(NonConvergenceError, match=r" at D=5, tau=0.5, s=1.0 in kernel_odd$") as info:
+        kernel_array(EvalParams(5, 0.5), np.array([2.0, 0.5, 1.0, 2.0, 0.0]))
+    assert (info.value.value, info.value.err_est) == (0.5, 0.25)
+    assert kernel_array(EvalParams(5, 0.5), np.array([0.5, 0.0])).tolist() == [
+        kernel(EvalParams(5, 0.5), s, SAMPLED_SPEC).value for s in (0.5, 0.0)
+    ]
+
+
+def test_located_failures_carry_d_tau_and_s():
+    tight = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
+    with pytest.raises(NonConvergenceError) as info:
+        kernel(EvalParams(15, 0.5), 0.0, tight)
+    assert (info.value.D, info.value.tau, info.value.s) == (15, 0.5, 0.0)
+    assert str(info.value).endswith(") at D=15, tau=0.5, s=0.0 in kernel_odd")
+    (failure,) = kernel_row(EvalParams(15, 0.5), [0.0], tight)
+    assert (failure.D, failure.tau, failure.s) == (15, 0.5, 0.0)
+    with pytest.raises(OverflowError) as info:
+        kernel(EvalParams(4, 1e-300), 1.0)
+    assert (info.value.D, info.value.tau, info.value.s) == (4, 1e-300, 1.0)

@@ -332,3 +332,21 @@ def test_abel_reduceat_sums_a_segment_as_it_sums_it_alone():
         sums = np.add.reduceat(v, cuts)
         for i, (lo, hi) in enumerate(zip(cuts, [*cuts[1:], len(v)])):
             assert sums[i] == np.add.reduceat(v[lo:hi].copy(), [0])[0]
+
+
+def _cutoff_in_floats(lower, rate, sigma, growth):
+    """gaussian_cutoff as it stood in Python floats, before it took arrays."""
+    peak = max(max(lower, 0.0), 0.5 * growth / rate)
+    target = rate * peak * peak - growth * peak + 0.5 * sigma * sigma
+    t = (growth + math.sqrt(growth * growth + 4.0 * rate * target)) / (2.0 * rate)
+    return max(t, lower + 1.0 / math.sqrt(rate))
+
+
+@pytest.mark.parametrize("growth", [0.0, 0.5, 3.0])
+def test_gaussian_cutoff_on_an_array_is_the_float_call_elementwise(growth):
+    lower = np.concatenate(([0.0, 700.0], np.random.default_rng(5).uniform(0.0, 700.0, 40)))
+    for rate in np.geomspace(1e-4, 1e4, 9).tolist():
+        for sigma in (TRUNCATION_SIGMA, TRUNCATION_SIGMA + 1.0):
+            got = gaussian_cutoff(lower, rate, sigma, growth).tolist()
+            floats = [gaussian_cutoff(d, rate, sigma, growth) for d in lower.tolist()]
+            assert got == floats == [_cutoff_in_floats(d, rate, sigma, growth) for d in lower.tolist()]

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from pseudoheat.geometry import HoricyclicPoint, geodesic_distance, normalize_pair
-from pseudoheat import verify
+from pseudoheat import kernels, verify
 from pseudoheat.kernels import EvalParams, kernel
 from pseudoheat.quadrature import NonConvergenceError, QuadratureSpec
 from pseudoheat.verify import (
@@ -126,7 +127,7 @@ def test_chapman_kolmogorov_odd_dimensions_to_1e7(dim, tau):
     for rep in chapman_kolmogorov_many(half, half, [0.0, 1.0, 2.0]):
         assert rep.passed and rep.residual <= 1e-7, rep
         # the estimate, with the target's own, covers the difference
-        target = kernel(target_params, rep.details["d"], verify._KERNEL_SPEC)
+        target = kernel(target_params, rep.details["d"], kernels.SAMPLED_SPEC)
         miss = abs(rep.details["convolution"] - target.value)
         assert miss <= rep.details["quad_err"] + target.err_est, rep
 
@@ -171,20 +172,21 @@ def test_gfunc_reports_pass():
 _ABEL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-16)
 
 
-def _pointwise_row(params, ss, spec):
-    """kernel_row as a loop of scalar kernel() calls, failures returned unraised."""
-    out = []
-    for s in ss:
-        try:
-            out.append(kernel(params, s, spec))
-        except (NonConvergenceError, ArithmeticError) as exc:
-            out.append(exc)
-    return out
+_real_row = kernels._row
+
+
+def _pointwise_row(params, ss, spec, route=None):
+    """The kernels' array row as one one-element row per s, which is what
+    kernel() evaluates at each s."""
+    rows = [_real_row(params, ss[i : i + 1], spec, route) for i in range(len(ss))]
+    value = np.array([v[0] for v, _, _ in rows])
+    err = np.array([e[0] for _, e, _ in rows])
+    return value, err, {i: f[0] for i, (_, _, f) in enumerate(rows) if f}
 
 
 @pytest.mark.parametrize("dim", [3, 4, 5])
 def test_batched_integrands_equal_the_pointwise_integrals(dim, monkeypatch):
-    # one kernel_row per batch of quadrature nodes gives the same bits as one
+    # one array row per batch of quadrature nodes gives the same bits as one
     # kernel() call per node
     params = EvalParams(dim, 0.5)
     l = math.cosh(1.0)
@@ -197,22 +199,20 @@ def test_batched_integrands_equal_the_pointwise_integrals(dim, monkeypatch):
         )
 
     batched = integrals()
-    monkeypatch.setattr(verify, "kernel_row", _pointwise_row)
+    monkeypatch.setattr(kernels, "_row", _pointwise_row)
     assert integrals() == batched
 
 
 def test_nonconvergence_inside_a_batch_reaches_abel_residual(monkeypatch):
     # a kernel failure at one node of a batch fails that grid point's
     # integral, as a scalar kernel() call raising there did
-    real_row = verify.kernel_row
+    def row_failing_at_the_fourth_node(params, ss, spec, route=None):
+        value, err, failures = _real_row(params, ss, spec, route)
+        if len(ss) > 3:
+            failures[3] = NonConvergenceError(0.5, 0.25, "injected")
+        return value, err, failures
 
-    def row_failing_at_the_fourth_node(params, ss, spec):
-        out = real_row(params, ss, spec)
-        if len(out) > 3:
-            out[3] = NonConvergenceError(0.5, 0.25, "injected")
-        return out
-
-    monkeypatch.setattr(verify, "kernel_row", row_failing_at_the_fourth_node)
+    monkeypatch.setattr(kernels, "_row", row_failing_at_the_fourth_node)
     rep = abel_residual(EvalParams(3, 1.0), l_grid=(1.0, math.cosh(1.0)))
     assert not rep.passed and rep.residual == math.inf
     for point in rep.details["points"]:
