@@ -17,11 +17,9 @@ from .geometry import HoricyclicPoint, geodesic_distance
 from .kernels import EvalParams, KernelValue, kernel, kernel_row
 from .lattice import LatticeSpec, convergence_order, lattice_kernel
 from .quadrature import NonConvergenceError, QuadratureSpec
-from . import verify as verify_mod
+from . import verify
 
 CSV_HEADER = "D,tau,s,value,err_est"
-
-_SUITES = ("abel", "pde-radial", "pde-horicyclic", "ck", "mass", "gfunc", "all")
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -137,43 +135,8 @@ def cmd_table(args) -> int:
     return 3 if failed else 0
 
 
-def _verify_reports(suite: str, dims: list[int], tau: float, m: float, hbar: float):
-    reports = []
-    if suite in ("abel", "all"):
-        for d in dims:
-            reports.append(verify_mod.abel_residual(EvalParams(d, tau, m, hbar)))
-    if suite in ("pde-radial", "all"):
-        for d in dims:
-            reports.append(verify_mod.radial_pde_residual(EvalParams(d, tau, m, hbar)))
-    if suite in ("pde-horicyclic", "all"):
-        for d in dims:
-            if d in (3, 4):
-                pairs = [
-                    (HoricyclicPoint(1.0, (0.0,) * (d - 2)), HoricyclicPoint(2.0, (1.0,) * (d - 2))),
-                    (HoricyclicPoint(0.8, (0.5,) * (d - 2)), HoricyclicPoint(1.4, (-0.3,) * (d - 2))),
-                ]
-                reports.append(verify_mod.horicyclic_pde_residual(EvalParams(d, tau, m, hbar), pairs))
-    if suite in ("ck", "all"):
-        for d in dims:
-            if d in (3, 4, 5):
-                half = EvalParams(d, tau / 2.0, m, hbar)
-                reports.extend(verify_mod.chapman_kolmogorov_many(half, half, [0.0, 1.0, 2.0]))
-    if suite in ("mass", "all"):
-        for d in dims:
-            if 3 <= d <= 6:
-                reports.append(verify_mod.mass_multiplicativity(EvalParams(d, tau, m, hbar)))
-    if suite in ("gfunc", "all"):
-        reports.extend(verify_mod.gfunc_reports())
-    return reports
-
-
 def cmd_verify(args) -> int:
-    if args.suite not in _SUITES:
-        raise ValueError(f"unknown suite {args.suite!r}; choose from {', '.join(_SUITES)}")
-    dims = _parse_ints(args.dims)
-    if any(d < 3 for d in dims):
-        raise ValueError("D must be >= 3")
-    reports = _verify_reports(args.suite, dims, args.tau, args.m, args.hbar)
+    reports = verify.suite_reports(args.suite, _parse_ints(args.dims), args.tau, args.m, args.hbar)
     if not reports:
         raise ValueError(f"verify {args.suite} has no check at --dims {args.dims!r}")
     _emit_json(
@@ -188,8 +151,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.dim not in (3, 4):
-        raise ValueError("oracle runs support --dim 3 or 4 only")
     n_list = _parse_ints(args.n)
     if len(set(n_list)) < 2:
         raise ValueError("--n needs at least two distinct slice counts to fit an order")
@@ -262,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)
-    p.add_argument("suite", type=str, help=f"one of {', '.join(_SUITES)}")
+    p.add_argument("suite", type=str, help=f"one of {', '.join((*verify.SUITES, 'all'))}")
     p.add_argument("--dims", type=str, default="3,4")
     p.add_argument("--tau", type=float, default=1.0)
     p.set_defaults(func=cmd_verify)

@@ -33,12 +33,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import HoricyclicPoint, _arccosh_from_excess, sphere_surface_area
-from .kernels import EvalParams, kernel_array
-from .quadrature import TRUNCATION_SIGMA, QuadratureSpec, _pointwise, gaussian_cutoff, integrate_tanh_sinh
-from .verify import VerificationReport
+from .geometry import HoricyclicPoint
+from .kernels import EvalParams
+from .quadrature import QuadratureSpec, _pointwise, integrate_tanh_sinh
 
-__all__ = ["LatticeSpec", "lattice_kernel", "x_marginal_check", "convergence_order"]
+__all__ = ["LatticeSpec", "lattice_kernel", "convergence_order"]
 
 _MC_BLOCK = 1 << 16
 
@@ -251,51 +250,3 @@ def convergence_order(devs: Sequence[tuple[int, float]]) -> float:
     ys = np.log([abs(d) for _, d in devs])
     slope, _ = np.polyfit(xs, ys, 1)
     return float(slope)
-
-
-_X_MARGINAL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-20)
-
-
-def x_marginal_check(params: EvalParams, y1: float, y2: float) -> VerificationReport:
-    """Marginal of the kernel over the flat offset against the z-line form.
-
-    Integrating the closed-form kernel over the x-offset (radially, through
-    k(R) = (R^2 + (y2-y1)^2)/(2 y1 y2) + 1) must reproduce
-    (y1 y2)^((D-2)/2) times the free one-dimensional Gaussian in z = ln y
-    with the constant shift E.
-    """
-    if not (3 <= params.D <= 6):
-        raise ValueError("x-marginal checks are kept desk-scale: D in {3..6}")
-    a = params.a
-    y1y2 = y1 * y2
-    u0 = (y2 - y1) ** 2 / (2.0 * y1y2)
-    s0 = _arccosh_from_excess(u0)
-    s_max = gaussian_cutoff(s0, a, TRUNCATION_SIGMA + 1.0)
-
-    if params.D == 3:
-        front, power = 2.0, 0
-    else:
-        front, power = sphere_surface_area(params.D - 3), params.D - 3
-
-    # R = sqrt(2 y1 y2) sinh v, so that k(R) - 1 = u0 + sinh^2 v: the arc
-    # s grows like 2 v, and the kernel's support is not a sliver of the
-    # range, which R would stretch exponentially
-    r_scale = math.sqrt(2.0 * y1y2)
-    v_max = math.asinh(math.sqrt(2.0) * math.sinh(0.5 * s_max))  # sinh^2 v = cosh s_max - 1
-
-    def f(vs: np.ndarray) -> np.ndarray:
-        sh = np.sinh(vs)
-        w = u0 + sh * sh
-        kvs = kernel_array(params, np.log1p(w + np.sqrt(w * (w + 2.0))))
-        return kvs * (r_scale * sh) ** power * (r_scale * np.cosh(vs))
-
-    val, err = integrate_tanh_sinh(f, 0.0, v_max, _X_MARGINAL_SPEC)
-    lhs = front * val
-    rhs = (
-        y1y2 ** ((params.D - 2) / 2.0)
-        * math.sqrt(a / math.pi)
-        * math.exp(-a * math.log(y2 / y1) ** 2 + params.E)
-    )
-    rel = abs(lhs - rhs) / abs(rhs)
-    details = {"tau": params.tau, "y1": y1, "y2": y2, "lhs": lhs, "rhs": rhs, "quad_err": err}
-    return VerificationReport.make("x-marginal", params.D, rel, 1e-5, details)

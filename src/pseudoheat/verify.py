@@ -4,12 +4,15 @@ Each check returns a :class:`VerificationReport` whose ``passed`` flag is
 exactly ``residual <= tolerance``.  The checks are independent routes to
 the same objects: the defining integral equation in l = cosh s, the radial
 and coordinate-space heat equations (with the generator shift fitted, not
-assumed), the semigroup convolution, and total-mass multiplicativity.
+assumed), the semigroup convolution, total-mass multiplicativity, and the
+x-marginal against the horicyclic z-line Gaussian.  :data:`SUITES` is the
+battery that ``pseudoheat verify`` runs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, asdict
 from typing import Callable, Sequence
 
@@ -18,12 +21,14 @@ import numpy as np
 from . import gfunc
 from .geometry import (
     HoricyclicPoint,
+    _arccosh_from_excess,
     geodesic_distance,
     laplace_beltrami_apply,
     sphere_surface_area,
 )
 from .kernels import SAMPLED_SPEC, EvalParams, kernel, kernel_array
 from .quadrature import (
+    TRUNCATION_SIGMA,
     NonConvergenceError,
     QuadratureSpec,
     gaussian_cutoff,
@@ -39,14 +44,26 @@ __all__ = [
     "chapman_kolmogorov",
     "chapman_kolmogorov_many",
     "mass_multiplicativity",
+    "x_marginal_check",
     "gfunc_reports",
     "richardson_dl_derivative",
     "DEFAULT_L_GRID",
+    "SUITES",
+    "suite_reports",
 ]
 
-# the integrals of the abel and mass checks
+# dimensions each check covers: the desk-scale checks' guards and SUITES read them
+EVERY_D = range(3, sys.maxsize)
+HORICYCLIC_DIMS = range(3, 5)
+CK_DIMS = range(3, 6)
+MASS_DIMS = range(3, 7)
+X_MARGINAL_DIMS = range(3, 7)
+
+# the integrals of the abel, mass and x-marginal checks; the abel check scales
+# abs_tol by its rhs, which exp(E) takes far below 1e-7 at high D
 _ABEL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-16)
 _MASS_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-20)
+_X_MARGINAL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-20)
 
 
 @dataclass(frozen=True)
@@ -66,6 +83,11 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
+
+
+def _require_dim(D: int, dims: range, what: str) -> None:
+    if D not in dims:
+        raise ValueError(f"{what} are kept desk-scale: D in {dims.start}..{dims[-1]}")
 
 
 DEFAULT_L_GRID = (1.0, math.cosh(0.5), math.cosh(1.0), math.cosh(2.0), math.cosh(3.0))
@@ -118,21 +140,29 @@ def abel_residual(
     if tolerance is None:
         tolerance = 1e-6 if params.D % 2 == 0 else 1e-5
     points = []
+    underflowed = []
     worst = 0.0
     for l in l_grid:
         if l < 1.0:
             raise ValueError("l grid entries must be >= 1")
         rhs = _abel_rhs(params, l)
-        try:
-            lhs, err = _abel_lhs(params, l, _ABEL_SPEC)
-            rel = abs(lhs - rhs) / abs(rhs)
-        except NonConvergenceError as exc:
-            lhs, err, rel = exc.value, exc.err_est, math.inf
+        if rhs == 0.0:  # nothing to compare the integral with
+            underflowed.append(l)
+            lhs, err, rel = None, None, math.inf
+        else:
+            try:
+                spec = QuadratureSpec(_ABEL_SPEC.rel_tol, _ABEL_SPEC.abs_tol * abs(rhs))
+                lhs, err = _abel_lhs(params, l, spec)
+                rel = abs(lhs - rhs) / abs(rhs)
+            except NonConvergenceError as exc:
+                lhs, err, rel = exc.value, exc.err_est, math.inf
         worst = max(worst, rel)
         points.append(
             {"l": l, "s": math.acosh(l), "lhs": lhs, "rhs": rhs, "rel_residual": rel, "quad_err": err}
         )
     details = {"tau": params.tau, "grid": f"l in {list(l_grid)}", "points": points}
+    if underflowed:
+        details["underflowed"] = underflowed
     return VerificationReport.make("abel", params.D, worst, tolerance, details)
 
 
@@ -239,22 +269,27 @@ def horicyclic_pde_residual(
 ) -> VerificationReport:
     """Same heat equation, but with the Laplacian applied through the
     explicit half-space coordinate stencil instead of the radial reduction."""
-    if params.D not in (3, 4):
-        raise ValueError("coordinate-space stencils are kept desk-scale: D in {3, 4}")
+    _require_dim(params.D, HORICYCLIC_DIMS, "coordinate-space stencils")
     quad_backed = params.D == 3
     points = []
+    underflowed = []
     worst = 0.0
     c_fit = None
     for q1, q2 in pairs:
         def field(q: HoricyclicPoint, tau: float = params.tau) -> float:
             return kernel(params.with_tau(tau), geodesic_distance(q1, q), SAMPLED_SPEC).value
 
+        val = field(q2)
+        if val == 0.0:  # no scale to measure the equation against
+            underflowed.append(geodesic_distance(q1, q2))
+            worst = math.inf
+            points.append({"s": underflowed[-1], "residual": math.inf, "c_pointwise": None})
+            continue
         h = (2e-3 if quad_backed else 1e-4) * max(1.0, q2.y)
         lap = laplace_beltrami_apply(field, q2, h)
         rate_t = params.a * geodesic_distance(q1, q2) ** 2 / params.tau + 1.0 / params.tau
         h_t = min(1.4e-3 / rate_t, 0.2 * params.tau)
         k_t = _fd1(lambda t: field(q2, t), params.tau, h_t)
-        val = field(q2)
         c_here = (k_t - params.kappa * lap) / val
         if c_fit is None:
             c_fit = c_here
@@ -265,6 +300,8 @@ def horicyclic_pde_residual(
             {"s": geodesic_distance(q1, q2), "residual": res, "c_pointwise": c_here}
         )
     details = {"tau": params.tau, "fitted_c": c_fit, "n_pairs": len(pairs), "points": points}
+    if underflowed:
+        details["underflowed"] = underflowed
     return VerificationReport.make("pde-horicyclic", params.D, worst, 1e-4, details)
 
 
@@ -328,8 +365,7 @@ def chapman_kolmogorov_many(
     """Semigroup check K_tau1 * K_tau2 = K_(tau1+tau2) at several separations."""
     if (params1.D, params1.m, params1.hbar) != (params2.D, params2.m, params2.hbar):
         raise ValueError("factors must share dimension and units")
-    if params1.D not in (3, 4, 5):
-        raise ValueError("convolution checks are kept desk-scale: D in {3, 4, 5}")
+    _require_dim(params1.D, CK_DIMS, "convolution checks")
     D = params1.D
     if tolerance is None:
         tolerance = 1e-3 if D == 3 else 1e-4
@@ -340,7 +376,7 @@ def chapman_kolmogorov_many(
         target = kernel(target_params, d, SAMPLED_SPEC).value
         try:
             conv, err = _convolve_kernels(params1, params2, d, spec)
-            rel = abs(conv - target) / abs(target)
+            rel = abs(conv - target) / abs(target) if target != 0.0 else math.inf
         except NonConvergenceError as exc:
             conv, err, rel = exc.value, exc.err_est, math.inf
         details = {
@@ -351,6 +387,8 @@ def chapman_kolmogorov_many(
             "target": target,
             "quad_err": err,
         }
+        if target == 0.0:  # nothing to compare the convolution with
+            details["underflowed"] = [d]
         out.append(VerificationReport.make("ck", D, rel, tolerance, details))
     return out
 
@@ -389,6 +427,7 @@ def mass_multiplicativity(
     listed with its error estimate under ``nonconverged``, and gives every
     pair it enters the residual inf.
     """
+    _require_dim(params.D, MASS_DIMS, "mass checks")
     masses: dict[float, float] = {}
     nonconverged: dict[float, float] = {}
 
@@ -422,6 +461,52 @@ def mass_multiplicativity(
     if nonconverged:
         details["nonconverged"] = {f"{t:g}": err for t, err in sorted(nonconverged.items())}
     return VerificationReport.make("mass", params.D, worst, tolerance, details)
+
+
+# --- flat-offset marginal ---------------------------------------------------
+
+def x_marginal_check(params: EvalParams, y1: float, y2: float) -> VerificationReport:
+    """Marginal of the kernel over the flat offset against the z-line form.
+
+    Integrating the closed-form kernel over the x-offset (radially, through
+    k(R) = (R^2 + (y2-y1)^2)/(2 y1 y2) + 1) must reproduce
+    (y1 y2)^((D-2)/2) times the free one-dimensional Gaussian in z = ln y
+    with the constant shift E.
+    """
+    _require_dim(params.D, X_MARGINAL_DIMS, "x-marginal checks")
+    a = params.a
+    y1y2 = y1 * y2
+    u0 = (y2 - y1) ** 2 / (2.0 * y1y2)
+    s0 = _arccosh_from_excess(u0)
+    s_max = gaussian_cutoff(s0, a, TRUNCATION_SIGMA + 1.0)
+
+    if params.D == 3:
+        front, power = 2.0, 0
+    else:
+        front, power = sphere_surface_area(params.D - 3), params.D - 3
+
+    # R = sqrt(2 y1 y2) sinh v, so that k(R) - 1 = u0 + sinh^2 v: the arc
+    # s grows like 2 v, and the kernel's support is not a sliver of the
+    # range, which R would stretch exponentially
+    r_scale = math.sqrt(2.0 * y1y2)
+    v_max = math.asinh(math.sqrt(2.0) * math.sinh(0.5 * s_max))  # sinh^2 v = cosh s_max - 1
+
+    def f(vs: np.ndarray) -> np.ndarray:
+        sh = np.sinh(vs)
+        w = u0 + sh * sh
+        kvs = kernel_array(params, np.log1p(w + np.sqrt(w * (w + 2.0))))
+        return kvs * (r_scale * sh) ** power * (r_scale * np.cosh(vs))
+
+    val, err = integrate_tanh_sinh(f, 0.0, v_max, _X_MARGINAL_SPEC)
+    lhs = front * val
+    rhs = (
+        y1y2 ** ((params.D - 2) / 2.0)
+        * math.sqrt(a / math.pi)
+        * math.exp(-a * math.log(y2 / y1) ** 2 + params.E)
+    )
+    rel = abs(lhs - rhs) / abs(rhs)
+    details = {"tau": params.tau, "y1": y1, "y2": y2, "lhs": lhs, "rhs": rhs, "quad_err": err}
+    return VerificationReport.make("x-marginal", params.D, rel, 1e-5, details)
 
 
 # --- derivative oracle ----------------------------------------------------
@@ -513,3 +598,61 @@ def gfunc_reports(
             "gfunc-fd-oracle", 0, oracle_worst, 1e-6, {"points": oracle_pts}
         ),
     ]
+
+
+# --- the battery ----------------------------------------------------------
+
+# the point pairs of pde-horicyclic, the separations of ck (each factor at
+# tau/2) and the heights of x-marginal (offset at D = 3, equal above)
+def _horicyclic_pairs(D: int) -> list[tuple[HoricyclicPoint, HoricyclicPoint]]:
+    flat = D - 2
+    return [
+        (HoricyclicPoint(1.0, (0.0,) * flat), HoricyclicPoint(2.0, (1.0,) * flat)),
+        (HoricyclicPoint(0.8, (0.5,) * flat), HoricyclicPoint(1.4, (-0.3,) * flat)),
+    ]
+
+
+_CK_SEPARATIONS = (0.0, 1.0, 2.0)
+
+
+def _ck_reports(params: EvalParams) -> list[VerificationReport]:
+    half = params.with_tau(params.tau / 2.0)
+    return chapman_kolmogorov_many(half, half, _CK_SEPARATIONS)
+
+
+# suite name -> (dimensions it covers, its reports at one EvalParams), in the
+# order ``all`` runs them.  gfunc does not depend on D (None): it runs once,
+# with no argument.  Each build looks its check up when it runs, so a wrapper
+# set on this module's attribute sees the call.
+SUITES: dict[str, tuple[range | None, Callable[..., list[VerificationReport]]]] = {
+    "abel": (EVERY_D, lambda p: [abel_residual(p)]),
+    "pde-radial": (EVERY_D, lambda p: [radial_pde_residual(p)]),
+    "pde-horicyclic": (HORICYCLIC_DIMS, lambda p: [horicyclic_pde_residual(p, _horicyclic_pairs(p.D))]),
+    "ck": (CK_DIMS, _ck_reports),
+    "mass": (MASS_DIMS, lambda p: [mass_multiplicativity(p)]),
+    "x-marginal": (X_MARGINAL_DIMS, lambda p: [x_marginal_check(p, 1.0, math.e if p.D == 3 else 1.0)]),
+    "gfunc": (None, lambda: gfunc_reports()),
+}
+
+
+def suite_reports(
+    suite: str, dims: Sequence[int], tau: float, m: float = 0.5, hbar: float = 1.0
+) -> list[VerificationReport]:
+    """Reports of one suite of :data:`SUITES`, or of every suite for
+    ``"all"``, suite by suite and, within a suite, in the order of ``dims``;
+    a D the suite does not cover is skipped."""
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join((*SUITES, 'all'))}")
+    if any(d < 3 for d in dims):
+        raise ValueError("D must be >= 3")
+    reports = []
+    for name, (covered, build) in SUITES.items():
+        if suite not in (name, "all"):
+            continue
+        if covered is None:
+            reports.extend(build())
+        else:
+            for d in dims:
+                if d in covered:
+                    reports.extend(build(EvalParams(d, tau, m, hbar)))
+    return reports

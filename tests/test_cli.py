@@ -191,9 +191,23 @@ def test_verify_abel_json_schema():
     assert all(r["passed"] for r in doc["reports"])
 
 
-@pytest.mark.parametrize("suite, dims", [("ck", "7"), ("pde-horicyclic", "5,6"), ("abel", "")])
+def test_verify_x_marginal_json_schema():
+    res = run_cli("verify", "x-marginal", "--dims", "3,4,5,6")
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
+    with open(REPO_ROOT / SCHEMA_PATH) as fh:
+        schema = json.load(fh)
+    jsonschema.validate(doc, schema)
+    assert [(r["check"], r["D"]) for r in doc["reports"]] == [("x-marginal", d) for d in (3, 4, 5, 6)]
+    assert all(r["passed"] for r in doc["reports"])
+
+
+@pytest.mark.parametrize(
+    "suite, dims", [("ck", "7"), ("pde-horicyclic", "5,6"), ("abel", ""), ("x-marginal", "7")]
+)
 def test_verify_that_checks_nothing_is_a_usage_error(suite, dims):
-    # ck runs at D 3-5 and pde-horicyclic at D 3 and 4 only; no report is no pass
+    # ck runs at D 3-5, pde-horicyclic at D 3 and 4 and x-marginal at D 3-6
+    # only; no report is no pass
     res = run_cli("verify", suite, "--dims", dims)
     assert res.returncode == 2
     assert res.stderr == f"error: verify {suite} has no check at --dims {dims!r}\n"
@@ -246,6 +260,31 @@ def test_verify_runs_at_the_printed_units():
     (base_report,) = json.loads(base.stdout)["reports"]
     base_lhs = [p["lhs"] for p in base_report["details"]["points"]]
     assert all(x != y for x, y in zip(lhs, base_lhs))
+
+
+@pytest.mark.parametrize(
+    "suite, dims, tau, points",
+    [
+        ("abel", "3,4", "3e-3", [math.cosh(3.0)]),
+        ("ck", "4", "1e-3", [2.0]),
+        ("pde-horicyclic", "3", "1e-4", None),
+    ],
+)
+def test_verify_names_a_reference_value_that_underflowed(suite, dims, tau, points):
+    # a reference value of 0.0 fails its report with residual inf and is
+    # named in the details, instead of ending the run on a division by zero
+    res = run_cli("verify", suite, "--dims", dims, "--tau", tau)
+    assert res.returncode == 1
+    assert "error:" not in res.stderr and "Traceback" not in res.stderr
+    reports = json.loads(res.stdout)["reports"]
+    failed = [r for r in reports if "underflowed" in r["details"]]
+    assert len(failed) == len(dims.split(","))
+    for r in failed:
+        assert not r["passed"] and r["residual"] == math.inf
+        if points is not None:
+            assert r["details"]["underflowed"] == points
+        else:  # every pair of the check
+            assert len(r["details"]["underflowed"]) == r["details"]["n_pairs"]
 
 
 def test_verify_mass_reports_a_mass_that_did_not_converge():

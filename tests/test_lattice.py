@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from pseudoheat.geometry import HoricyclicPoint, geodesic_distance
@@ -9,7 +7,6 @@ from pseudoheat.lattice import (
     _slice_factor,
     convergence_order,
     lattice_kernel,
-    x_marginal_check,
 )
 
 Q1 = HoricyclicPoint(1.0, (0.0,))
@@ -86,31 +83,3 @@ def test_convergence_order_fit_on_synthetic_data():
     for too_few in ([], [(4, 0.1)], [(4, 0.1), (4, 0.2)]):
         with pytest.raises(ValueError):
             convergence_order(too_few)
-
-
-def test_x_marginal_equal_heights_d4():
-    rep = x_marginal_check(EvalParams(4, 1.0), 1.0, 1.0)
-    assert rep.passed and rep.residual <= 1e-6
-
-
-def test_x_marginal_d3_offset_heights():
-    rep = x_marginal_check(EvalParams(3, 0.5), 1.0, math.e)
-    assert rep.passed and rep.residual <= 1e-5
-
-
-def test_x_marginal_all_dimensions():
-    for d in (3, 4, 5, 6):
-        rep = x_marginal_check(EvalParams(d, 0.5), 1.0, 1.3)
-        assert rep.passed and rep.residual <= 1e-5, rep
-
-
-def test_x_marginal_scale_invariance():
-    base = x_marginal_check(EvalParams(4, 1.0), 1.0, 1.5)
-    for lam in (0.5, 2.0):
-        scaled = x_marginal_check(EvalParams(4, 1.0), lam * 1.0, lam * 1.5)
-        assert scaled.residual == pytest.approx(base.residual, abs=1e-10)
-
-
-def test_x_marginal_rejects_large_dimension():
-    with pytest.raises(ValueError):
-        x_marginal_check(EvalParams(7, 0.5), 1.0, 1.0)

@@ -17,6 +17,7 @@ from pseudoheat.verify import (
     mass_multiplicativity,
     radial_pde_residual,
     total_mass,
+    x_marginal_check,
 )
 
 
@@ -46,6 +47,16 @@ def test_abel_residual_d3():
 def test_abel_residual_d7_single_point():
     rep = abel_residual(EvalParams(7, 1.0), l_grid=(math.cosh(1.0),))
     assert rep.passed and rep.residual <= 1e-5
+
+
+@pytest.mark.parametrize("dim, tau", [(10, 2.0), (12, 1.0), (15, 0.5)])
+def test_abel_residual_at_high_dimension(dim, tau):
+    # exp(E) takes the integral far below 1e-7, where a fixed abs_tol of
+    # 1e-16 would outweigh rel_tol 1e-9 and stop the quadrature early; the
+    # abs_tol is relative to the rhs instead
+    rep = abel_residual(EvalParams(dim, tau))
+    assert min(p["rhs"] for p in rep.details["points"]) < 1e-12
+    assert rep.passed, rep.residual
 
 
 def test_abel_residual_rejects_bad_grid():
@@ -166,9 +177,46 @@ def test_gfunc_reports_pass():
     assert oracle.check == "gfunc-fd-oracle" and oracle.passed
 
 
+def test_x_marginal_equal_heights_d4():
+    rep = x_marginal_check(EvalParams(4, 1.0), 1.0, 1.0)
+    assert rep.passed and rep.residual <= 1e-6
+
+
+def test_x_marginal_d3_offset_heights():
+    rep = x_marginal_check(EvalParams(3, 0.5), 1.0, math.e)
+    assert rep.passed and rep.residual <= 1e-5
+
+
+def test_x_marginal_all_dimensions():
+    for d in (3, 4, 5, 6):
+        rep = x_marginal_check(EvalParams(d, 0.5), 1.0, 1.3)
+        assert rep.passed and rep.residual <= 1e-5, rep
+
+
+def test_x_marginal_scale_invariance():
+    base = x_marginal_check(EvalParams(4, 1.0), 1.0, 1.5)
+    for lam in (0.5, 2.0):
+        scaled = x_marginal_check(EvalParams(4, 1.0), lam * 1.0, lam * 1.5)
+        assert scaled.residual == pytest.approx(base.residual, abs=1e-10)
+
+
+def test_x_marginal_rejects_large_dimension():
+    with pytest.raises(ValueError):
+        x_marginal_check(EvalParams(7, 0.5), 1.0, 1.0)
+
+
+def test_all_is_every_suite_in_table_order():
+    every = [r for name in verify.SUITES for r in verify.suite_reports(name, [3, 4], 1.0)]
+    assert verify.suite_reports("all", [3, 4], 1.0) == every
+    assert list(dict.fromkeys(r.check for r in every)) == [
+        "abel", "pde-radial", "pde-horicyclic", "ck", "mass", "x-marginal",
+        "gfunc-overlap", "gfunc-fd-oracle",
+    ]
+
+
 # --- batched kernel integrands ------------------------------------------------
 
-# abel_residual's default spec
+# abel_residual's tolerances, before its abs_tol is scaled by the rhs
 _ABEL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-16)
 
 
