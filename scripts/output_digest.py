@@ -14,7 +14,10 @@ of the checkout it sits in:
 * ``oracle --dim {3,4} --tau 0.25 --n 2,4 --samples 20000 --seed 9
   --threads 1 --format csv``, the lattice Monte Carlo;
 * ``verify all --dims 3,4,5`` at ``--tau 0.5`` and ``--tau 1.0``, the two
-  tau of the benchmark's ``certify`` workload.
+  tau of the benchmark's ``certify`` workload;
+* ``verify pde-radial --dims 6,7,8,9 --tau 0.5``, whose stencils hold
+  even-D gfunc rows over many rates (``verify all`` has only the D = 4
+  closed form among its even D).
 
 Each printed line reads ``<sha256 of stdout> exit=<code> <arguments>``.
 Run it in two checkouts and diff the outputs:
@@ -80,6 +83,7 @@ def commands() -> list[list[str]]:
         ])
     for tau in ("0.5", "1.0"):
         out.append(["verify", "all", "--dims", "3,4,5", "--tau", tau])
+    out.append(["verify", "pde-radial", "--dims", "6,7,8,9", "--tau", "0.5"])
     return out
 
 

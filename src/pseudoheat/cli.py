@@ -105,13 +105,16 @@ def cmd_table(args) -> int:
     taus = _parse_grid(args.tau_grid)
     ss = _parse_grid(args.s_grid)
     spec = _quad_spec(args)
-    rows = []  # tau-major row order
-    for tau in taus:
-        for s, kv in zip(ss, kernel_row(EvalParams(args.dim, tau, args.m, args.hbar), ss, spec)):
-            if isinstance(kv, KernelValue):
-                rows.append((args.dim, tau, s, kv.value, kv.err_est, None))
-            else:  # an overflow has no estimate
-                rows.append((args.dim, tau, s, None, getattr(kv, "err_est", math.inf), str(kv)))
+    # the whole grid in one kernel row, tau-major
+    cells = [(tau, s) for tau in taus for s in ss]
+    params = EvalParams(args.dim, taus[0], args.m, args.hbar)
+    row = kernel_row(params, [s for _, s in cells], spec, tau=[tau for tau, _ in cells])
+    rows = []
+    for (tau, s), kv in zip(cells, row):
+        if isinstance(kv, KernelValue):
+            rows.append((args.dim, tau, s, kv.value, kv.err_est, None))
+        else:  # an overflow has no estimate
+            rows.append((args.dim, tau, s, None, getattr(kv, "err_est", math.inf), str(kv)))
 
     failed = any(r[5] is not None for r in rows)
     if args.format == "csv":

@@ -24,6 +24,8 @@ __all__ = [
     "geodesic_distance",
     "normalize_pair",
     "laplace_beltrami_apply",
+    "laplace_beltrami_stencil",
+    "laplace_beltrami_combine",
     "log_height",
     "minkowski_dot",
     "sphere_surface_area",
@@ -230,31 +232,45 @@ def normalize_pair(
 
 # --- differential operator --------------------------------------------------
 
-def laplace_beltrami_apply(
-    f: Callable[[HoricyclicPoint], float], q: HoricyclicPoint, h: float
-) -> float:
-    """Second-order central-difference Laplace-Beltrami operator at q.
-
-    Approximates y^2 (d^2/dy^2 + sum_mu d^2/dx_mu^2) f - (D-3) y df/dy
-    with a 2(D-1)+1 point stencil; truncation error O(h^2).
-    """
+def laplace_beltrami_stencil(q: HoricyclicPoint, h: float) -> list[HoricyclicPoint]:
+    """The 2(D-1)+1 points of the Laplace-Beltrami stencil at q with step h:
+    q, then y + h and y - h, then x_mu + h and x_mu - h for each mu."""
     if h <= 0.0:
         raise ValueError("step size must be positive")
     if q.y - h <= 0.0:
         raise ValueError("stencil leaves the half-space (y - h <= 0)")
-    d = q.dim
-    c = f(q)
-    up = f(HoricyclicPoint(q.y + h, q.x))
-    dn = f(HoricyclicPoint(q.y - h, q.x))
-    lap = (up - 2.0 * c + dn) / (h * h)
-    dy = (up - dn) / (2.0 * h)
-    for mu in range(d - 2):
+    points = [q, HoricyclicPoint(q.y + h, q.x), HoricyclicPoint(q.y - h, q.x)]
+    for mu in range(q.dim - 2):
         xp = list(q.x)
         xp[mu] += h
         xm = list(q.x)
         xm[mu] -= h
-        lap += (f(HoricyclicPoint(q.y, xp)) - 2.0 * c + f(HoricyclicPoint(q.y, xm))) / (h * h)
-    return q.y * q.y * lap - (d - 3) * q.y * dy
+        points += [HoricyclicPoint(q.y, xp), HoricyclicPoint(q.y, xm)]
+    return points
+
+
+def laplace_beltrami_combine(values: Sequence[float], q: HoricyclicPoint, h: float) -> float:
+    """The operator at q from a field's values at the points of
+    ``laplace_beltrami_stencil(q, h)``, in that order.
+
+    Approximates y^2 (d^2/dy^2 + sum_mu d^2/dx_mu^2) f - (D-3) y df/dy;
+    truncation error O(h^2).
+    """
+    c, up, dn, *flat = values
+    lap = (up - 2.0 * c + dn) / (h * h)
+    dy = (up - dn) / (2.0 * h)
+    for fp, fm in zip(flat[::2], flat[1::2]):
+        lap += (fp - 2.0 * c + fm) / (h * h)
+    return q.y * q.y * lap - (q.dim - 3) * q.y * dy
+
+
+def laplace_beltrami_apply(
+    f: Callable[[HoricyclicPoint], float], q: HoricyclicPoint, h: float
+) -> float:
+    """Second-order central-difference Laplace-Beltrami operator at q: the
+    scalar field f at the points of ``laplace_beltrami_stencil``, combined
+    by ``laplace_beltrami_combine``."""
+    return laplace_beltrami_combine([f(p) for p in laplace_beltrami_stencil(q, h)], q, h)
 
 
 def sphere_surface_area(n: int) -> float:

@@ -16,17 +16,22 @@ regular at s = 0 and remains accurate out to s of order 1.  Where the
 takes the n-th derivative in l from Cauchy's integral formula instead, by
 the trapezoid rule on a circle around l = cosh s.
 
-``evaluate_many`` is the one evaluator: at every entry of an array of s it
-picks the route with ``series_ok`` and ``escalates`` and runs each route
-as numpy operations over its entries.  ``evaluate`` (the term route) and
-``evaluate_near_origin`` (the l-series) take one float s, as one-element
-arrays.
+``evaluate_many`` is the one evaluator: at every entry of an array of s,
+each entry at its own rate a and shift E, it picks the route with
+``series_ok`` and ``escalates`` and runs each route as numpy operations
+over its entries.  An expression holds one rate or several; the data that
+depends on the rate alone (the coefficients c(a), the l-series
+coefficients and the prefactor) is built once per expression for all its
+rates, with the operations a lone rate uses, and gathered per entry, so
+a value is bit-equal whatever the other entries' rates.  ``evaluate``
+(the term route) and ``evaluate_near_origin`` (the l-series) take one
+float s, as one-element arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -145,12 +150,24 @@ class GExpression:
 
     The common prefactor sqrt(a/pi) * exp(-a s^2 + E) is kept symbolic as
     the pair (a, E); terms multiply it.  The terms are those of
-    ``derivative_terms(n)``.
+    ``derivative_terms(n)``.  a and E are floats, or tuples of equal length
+    holding the rates and shifts that the entries of ``evaluate_many`` pick
+    by index.  The per-rate data below has one column per rate.
     """
 
     n: int
-    a: float
-    E: float
+    a: float | tuple[float, ...]
+    E: float | tuple[float, ...]
+    # a and E as float arrays, and 0.5 log(a / pi) (the log of the
+    # prefactor's sqrt(a/pi)), one entry per rate
+    rates: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    log_front: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a = self.a if isinstance(self.a, tuple) else (self.a,)
+        E = self.E if isinstance(self.E, tuple) else (self.E,)
+        object.__setattr__(self, "rates", (np.array(a, dtype=float), np.array(E, dtype=float)))
+        object.__setattr__(self, "log_front", np.array([0.5 * math.log(x / math.pi) for x in a]))
 
     @property
     def terms(self) -> tuple[GTerm, ...]:
@@ -164,16 +181,35 @@ class GExpression:
 
     @cached_property
     def f64_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
-        """c(a) in binary64 and the powers p, q, r per term, as (terms, 1)
-        float arrays, zero coefficients dropped; q is None when no term has a
-        cosh factor."""
+        """c(a) in binary64 per term and rate, shape (terms, rates), and the
+        powers p, q, r per term, (terms, 1) arrays; q is None when no term has
+        a cosh factor.  A rate's zero coefficients are dropped: its nonzero
+        ones come first, in term order, and zero terms with p = q = r = 0
+        pad it to the longest rate's, which makes p, q and r per rate too."""
         _, p, q, r = _term_table(self.n)
-        c = [_poly_eval(t.coeff_f64, self.a) for t in self.terms]
-        if 0.0 in c:
-            keep = np.array(c) != 0.0
-            c, p, r = np.array(c)[keep], p[keep], r[keep]
-            q = None if q is None else q[keep]
-        return np.array(c)[:, None], p, q, r
+        a = self.rates[0].tolist()
+        c = np.array([[_poly_eval(t.coeff_f64, x) for x in a] for t in self.terms])
+        if c.all():
+            return c, p, q, r
+        # each rate's nonzero terms first, in term order
+        order = np.argsort(c == 0.0, axis=0, kind="stable")[: np.count_nonzero(c, axis=0).max()]
+        c = np.take_along_axis(c, order, axis=0)
+        pad = c == 0.0
+        p, q, r = (None if x is None else np.where(pad, 0.0, x[order, 0]) for x in (p, q, r))
+        return c, p, (None if q is None or not q.any() else q), r
+
+    @cached_property
+    def front(self) -> np.ndarray:
+        """sqrt(a/pi) exp(E) per rate, the prefactor at s = 0."""
+        a, E = (x.tolist() for x in self.rates)
+        return np.array([math.sqrt(x / math.pi) * math.exp(y) for x, y in zip(a, E)])
+
+    @cached_property
+    def series_weights(self) -> np.ndarray:
+        """h_j(a) j!/(j-n)! for j = 0..SERIES_ORDER_CAP and every rate, shape
+        (SERIES_ORDER_CAP + 1, rates): the l-series of G^(n) in w = l - 1."""
+        h = np.reshape(_h_series(self.a), (SERIES_ORDER_CAP + 1, -1))
+        return h * np.array(_falling_factorials(self.n))[:, None]
 
 
 def _merge(parts: dict[tuple[int, int, int], Poly]) -> tuple[GTerm, ...]:
@@ -235,13 +271,23 @@ def _term_table(n: int) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray]
     return blowup, p, (q if q.any() else None), r
 
 
-def expression(n: int, a: float, E: float) -> GExpression:
-    """G^(n) at rate a and shift E, using the cached term sets."""
-    if not a > 0.0:
-        raise ValueError("rate a must be positive (diffusive branch)")
+def expression(n: int, a, E) -> GExpression:
+    """G^(n) at rate a and shift E, using the cached term sets; a and E are
+    floats, or equal-length float arrays of the rates and shifts that
+    ``evaluate_many``'s entries pick by index."""
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
-    return GExpression(n, float(a), float(E))
+    if isinstance(a, (int, float)):
+        a, E = float(a), float(E)
+        rates = (a,)
+    else:
+        a, E = (tuple(np.asarray(x, dtype=float).tolist()) for x in (a, E))
+        rates = a
+        if len(a) != len(E):
+            raise ValueError("one shift E per rate a")
+    if not all(x > 0.0 for x in rates):
+        raise ValueError("rate a must be positive (diffusive branch)")
+    return GExpression(n, a, E)
 
 
 # --- evaluation: term route -------------------------------------------------
@@ -276,8 +322,16 @@ def escalates(g: GExpression, s):
     return s < _escalation_switch(g.cancellation_exponent)
 
 
-def _terms_many(g: GExpression, s: np.ndarray) -> np.ndarray:
-    """The binary64 term route at every entry of s, all s > 0.
+def _per_entry(x: np.ndarray, rate: np.ndarray | None) -> np.ndarray:
+    """Per-rate data x (one column per rate, along its last axis) at each
+    entry's rate index; rate None (an expression with one rate): its
+    column, which broadcasts over the entries."""
+    return x[..., 0] if rate is None else x[..., rate]
+
+
+def _terms_many(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) -> np.ndarray:
+    """The binary64 term route at every entry of s, all s > 0, entry i at
+    the rate numbered rate[i] of g.
 
     One (terms, nodes) matrix of exp(base + p log s + q log cosh s
     - r log sinh s) c, reduced over the terms with a compensated sum.
@@ -285,7 +339,10 @@ def _terms_many(g: GExpression, s: np.ndarray) -> np.ndarray:
     from overflowing separately; their combined exponent is moderate.
     """
     c, p, q, r = g.f64_columns
-    expo = 0.5 * math.log(g.a / math.pi) - g.a * s * s + g.E + p * np.log(s)
+    if c.shape[1] > 1:  # per entry; p, q and r too where a rate dropped a term
+        c, p, q, r = (x if x is None or x.shape[1] == 1 else x[:, rate] for x in (c, p, q, r))
+    a, E, log_front = (_per_entry(x, rate) for x in (*g.rates, g.log_front))
+    expo = log_front - a * s * s + E + p * np.log(s)
     if s.max(initial=0.0) > 20.0:
         # cosh and sinh overflow: their logs from exp(-2s)
         big = s > 20.0
@@ -340,7 +397,7 @@ _CAUCHY_NODES = 64
 _CAUCHY_ROOTS = np.exp(2j * math.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES)[:, None]
 
 
-def _cauchy_many(g: GExpression, s: np.ndarray) -> np.ndarray:
+def _cauchy_many(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) -> np.ndarray:
     """G^(n) in l = cosh s at every entry of s >= 0, by Cauchy's integral.
 
     G(z) = sqrt(a/pi) exp(-a arccosh(z)^2 + E) is analytic off the cut
@@ -353,9 +410,11 @@ def _cauchy_many(g: GExpression, s: np.ndarray) -> np.ndarray:
     its exponent, and the real parts are summed over the nodes by the
     compensated tree, elementwise in the entries, so an entry's value does
     not depend on the other entries (numpy's ``sum(axis=0)`` orders a
-    one-entry column differently from a wider array).  n >= 1.
+    one-entry column differently from a wider array).  n >= 1; entry i at
+    the rate numbered rate[i] of g.
     """
-    n, a = g.n, g.a
+    n = g.n
+    a = _per_entry(g.rates[0], rate)
     l = np.cosh(s)
     slope = np.divide(2.0 * s, np.sinh(s), out=np.full_like(s, 2.0), where=s > 0.0)
     r = np.minimum(0.25 * n / (a * slope), 0.5 * (l + 1.0))
@@ -364,22 +423,27 @@ def _cauchy_many(g: GExpression, s: np.ndarray) -> np.ndarray:
     c = expo.real.max(axis=0)
     twiddle = _CAUCHY_ROOTS[(-n * np.arange(_CAUCHY_NODES)) % _CAUCHY_NODES]
     total = _compensated_row_sum((np.exp(expo - c) * twiddle).real)
-    scale = math.lgamma(n + 1) - math.log(_CAUCHY_NODES) + 0.5 * math.log(a / math.pi) + g.E
-    return np.exp(scale + c - n * np.log(r)) * total
+    scale = math.lgamma(n + 1) - math.log(_CAUCHY_NODES) + g.log_front + g.rates[1]
+    return np.exp(_per_entry(scale, rate) + c - n * np.log(r)) * total
 
 
-def _terms(g: GExpression, s: np.ndarray) -> np.ndarray:
+def _subset(rate: np.ndarray | None, mask: np.ndarray) -> np.ndarray | None:
+    """The rate indices of the entries where mask holds."""
+    return None if rate is None else rate[mask]
+
+
+def _terms(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) -> np.ndarray:
     """The term route at every entry of an array s > 0: the binary64 terms,
     and Cauchy's integral at the entries where the terms cancel
-    (``escalates``)."""
+    (``escalates``); entry i at the rate numbered rate[i] of g."""
     # escalates holds only below a cut in s, so the smallest s decides
     if not escalates(g, s.min(initial=math.inf)):
-        return _terms_many(g, s)
+        return _terms_many(g, s, rate)
     cancels = escalates(g, s)
     out = np.empty_like(s)
     if not cancels.all():
-        out[~cancels] = _terms_many(g, s[~cancels])
-    out[cancels] = _cauchy_many(g, s[cancels])
+        out[~cancels] = _terms_many(g, s[~cancels], _subset(rate, ~cancels))
+    out[cancels] = _cauchy_many(g, s[cancels], _subset(rate, cancels))
     return out
 
 
@@ -399,24 +463,33 @@ def _arccosh_sq_series(order: int) -> tuple[Fraction, ...]:
     )
 
 
-# callers reuse one rate at a time (a table row, the nodes of a kernel
-# call); over two certify rounds it served 496 hits to 40 misses, 223 of
-# the hits for another expression at the same rate
+# keyed by an expression's rates (a float, or the tuple of a row's rates):
+# the rows of one check or quadrature reuse one tau, and a row over many tau
+# takes one entry
 @lru_cache(maxsize=128)
-def _h_series(a: float) -> tuple[float, ...]:
-    """Taylor coefficients of exp(-a v(w)) around w = l - 1 = 0."""
+def _h_series(a: float | tuple[float, ...]) -> np.ndarray:
+    """Taylor coefficients h_0..h_SERIES_ORDER_CAP of exp(-a v(w)) around
+    w = l - 1 = 0, shape (SERIES_ORDER_CAP + 1,), or one column per rate of
+    a tuple a.  The array is shared: read-only.
+
+    The recurrence h_m = (1/m) sum_{k=1..m} k g_k h_(m-k), g_k = -a v_k,
+    runs in every rate at once; each sum adds its terms in order from 0.0
+    (``np.add.accumulate`` is sequential), as one rate's loop in floats
+    would.
+    """
     order = SERIES_ORDER_CAP
-    v = _arccosh_sq_series(order)
-    gcoef = [-a * float(vk) for vk in v]
-    h = [0.0] * (order + 1)
+    a = np.array(a, dtype=float)
+    v = np.array([float(vk) for vk in _arccosh_sq_series(order)]).reshape((-1,) + (1,) * a.ndim)
+    kg = np.arange(order + 1.0).reshape(v.shape) * (-a * v)  # k g_k
+    h = np.empty((order + 1,) + a.shape)
     h[0] = 1.0
+    # terms[0] stays 0.0, the sum's start
+    terms = np.zeros((order + 1,) + a.shape)
     for m in range(1, order + 1):
-        acc = 0.0
-        for k in range(1, m + 1):
-            if gcoef[k]:
-                acc += k * gcoef[k] * h[m - k]
-        h[m] = acc / m
-    return tuple(h)
+        np.multiply(kg[1 : m + 1], h[m - 1 :: -1], out=terms[1 : m + 1])
+        h[m] = np.add.accumulate(terms[: m + 1], axis=0)[m] / m
+    h.flags.writeable = False
+    return h
 
 
 @lru_cache(maxsize=None)
@@ -431,22 +504,22 @@ def _falling_factorials(n: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _series_many(g: GExpression, s: np.ndarray) -> np.ndarray:
+def _series_many(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) -> np.ndarray:
     """d^n/dl^n of the base function at every entry of s, via the w = l - 1
-    power series: sum_{j>=n} h_j j!/(j-n)! w0^(j-n), by Horner from the top."""
-    n, a = g.n, g.a
+    power series: sum_{j>=n} h_j j!/(j-n)! w0^(j-n), by Horner from the top;
+    entry i at the rate numbered rate[i] of g."""
     w0 = 2.0 * np.sinh(0.5 * s) ** 2  # cosh(s) - 1, cancellation-free
-    h = _h_series(a)
-    falling = _falling_factorials(n)
+    weights = _per_entry(g.series_weights, rate)
     acc = np.zeros_like(w0)
-    for j in range(len(h) - 1, n - 1, -1):
+    for j in range(SERIES_ORDER_CAP, g.n - 1, -1):
         acc *= w0
-        acc += h[j] * falling[j]
-    return math.sqrt(a / math.pi) * math.exp(g.E) * acc
+        acc += weights[j]
+    return _per_entry(g.front, rate) * acc
 
 
-def series_ok(a: float, s):
-    """Whether the l-series route is trustworthy at this (a, s); s a float or array.
+def series_ok(a, s):
+    """Whether the l-series route is trustworthy at this (a, s); a and s
+    floats or arrays.
 
     The series alternates with effective argument ~ 2 a (cosh s - 1); for
     large argument it cancels like the termwise sum of exp(-x), so it is
@@ -457,6 +530,11 @@ def series_ok(a: float, s):
 
 # --- evaluation: entry points ---------------------------------------------------
 
+def _check_rates(g: GExpression, rate: np.ndarray | None) -> None:
+    if rate is None and isinstance(g.a, tuple) and len(g.a) > 1:
+        raise ValueError("an expression of several rates needs each entry's rate index")
+
+
 def evaluate(g: GExpression, s: float) -> float:
     """Sum the canonical terms times the prefactor at one s >= S_MIN.
 
@@ -464,6 +542,7 @@ def evaluate(g: GExpression, s: float) -> float:
     for small s (``escalates``) the value comes from Cauchy's integral
     instead; the binary64 terms are summed with compensation.
     """
+    _check_rates(g, None)
     if s < S_MIN:
         raise ValueError(f"s={s:g} below S_MIN={S_MIN:g}; use evaluate_near_origin")
     return float(_terms(g, np.array([float(s)]))[0])
@@ -471,28 +550,34 @@ def evaluate(g: GExpression, s: float) -> float:
 
 def evaluate_near_origin(g: GExpression, s: float) -> float:
     """Analytic value of the expression on [0, S_MIN] via the series in l - 1."""
+    _check_rates(g, None)
     if s < 0.0 or s > S_MIN:
         raise ValueError(f"s={s:g} outside [0, {S_MIN:g}]")
     return float(_series_many(g, np.array([float(s)]))[0])
 
 
-def evaluate_many(g: GExpression, s: np.ndarray) -> np.ndarray:
-    """The expression at every entry of a float array s >= 0.
+def evaluate_many(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) -> np.ndarray:
+    """The expression at every entry of a float array s >= 0, entry i at
+    the rate and shift numbered rate[i] of g (an int array like s; None
+    where g has one rate).
 
     Each entry takes the route that is accurate there: the l-series where
     ``series_ok`` (no small-s cancellation, mild alternation), else the
     term route, which takes Cauchy's integral where the terms cancel.
     Each route runs over its entries as arrays; an entry's value does not
-    depend on the other entries.
+    depend on the other entries or their rates.
     """
-    # series_ok holds only below a cut in s, so the smallest s decides
-    if not series_ok(g.a, s.min(initial=math.inf)):
-        return _terms(g, s)
-    series = series_ok(g.a, s)
+    _check_rates(g, rate)
+    # series_ok holds only below a cut in s, so the smallest s may decide
+    if not s.min(initial=math.inf) < SERIES_SWITCH:
+        return _terms(g, s, rate)
+    series = series_ok(_per_entry(g.rates[0], rate), s)
+    if not series.any():
+        return _terms(g, s, rate)
     out = np.empty_like(s)
-    out[series] = _series_many(g, s[series])
+    out[series] = _series_many(g, s[series], _subset(rate, series))
     if not series.all():
-        out[~series] = _terms(g, s[~series])
+        out[~series] = _terms(g, s[~series], _subset(rate, ~series))
     return out
 
 

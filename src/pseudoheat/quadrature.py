@@ -64,13 +64,18 @@ TRUNCATION_SIGMA = 12.0
 
 
 class NonConvergenceError(RuntimeError):
-    """Halving budget exhausted with the error estimate above tolerance."""
+    """Halving budget exhausted with the error estimate above tolerance.
 
-    def __init__(self, value: float, err_est: float, message: str = ""):
+    Carries the value and err_est after the last halving and, where the
+    rule that failed set it, the number of halvings it ran (else None).
+    """
+
+    def __init__(self, value: float, err_est: float, message: str = "", halvings: int | None = None):
         # err_est is an array where many integrals ran at once
         super().__init__(message or f"quadrature did not converge (err_est={np.max(err_est):g})")
         self.value = value
         self.err_est = err_est
+        self.halvings = halvings
 
 
 # tanh-sinh runs its trapezoid over t in [-3, 3], from the step 1/8: the
@@ -147,7 +152,7 @@ def _trapezoid(f, mapping, t_lo: float, t_hi: float, n: int, spec: QuadratureSpe
             return (float(value[0]), float(err[0])) if scalar else (value, err)
     if scalar:
         value, err = float(value[0]), float(err[0])
-    raise NonConvergenceError(value, err)
+    raise NonConvergenceError(value, err, halvings=_MAX_HALVINGS)
 
 
 def _interval(lo: float, hi: float) -> tuple[float, float]:
@@ -207,16 +212,19 @@ def integrate_periodic(
 
 
 def gaussian_cutoff(
-    lower: float | np.ndarray, decay_rate: float, sigma: float = TRUNCATION_SIGMA, linear_growth: float = 0.0
+    lower: float | np.ndarray,
+    decay_rate: float | np.ndarray,
+    sigma: float = TRUNCATION_SIGMA,
+    linear_growth: float | np.ndarray = 0.0,
 ) -> float | np.ndarray:
     """Upper limit T where the envelope exp(-rate t^2 + growth t) has dropped
     by exp(-sigma^2/2) relative to its maximum over [max(lower, 0), inf);
-    elementwise for an array of lower limits."""
-    peak = np.maximum(lower, max(0.0, 0.5 * linear_growth / decay_rate))
+    elementwise where the lower limits, rates or growths are arrays."""
+    peak = np.maximum(lower, np.maximum(0.0, 0.5 * linear_growth / decay_rate))
     target = decay_rate * peak * peak - linear_growth * peak + 0.5 * sigma * sigma
     root = np.sqrt(linear_growth * linear_growth + 4.0 * decay_rate * target)
     t = (linear_growth + root) / (2.0 * decay_rate)
-    return np.maximum(t, lower + 1.0 / math.sqrt(decay_rate))
+    return np.maximum(t, lower + 1.0 / np.sqrt(decay_rate))
 
 
 # integrate_abel stretches its tail by t = T sinh(u/T).  Up to t ~ 1, where
@@ -237,35 +245,37 @@ _ABEL_ROUNDING = 2.0 * sys.float_info.epsilon
 _ABEL_BATCH = 64
 
 
-def _abel_nodes(F, u_stretched: np.ndarray, w_d, decay_rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integrand at the nodes u = T u_stretched of endpoints with cosh d - 1 = w_d
-    (per node, or one float for all); and it weighted by 1 + a s^2."""
+def _abel_nodes(F, u_stretched: np.ndarray, w_d, decay_rate, endpoint) -> tuple[np.ndarray, np.ndarray]:
+    """Integrand at the nodes u = T u_stretched, given per node its
+    endpoint's cosh d - 1 = w_d, decay rate a and index (which F takes
+    too); and it weighted by 1 + a s^2."""
     x = np.sinh(u_stretched)
     t = _ABEL_STRETCH * x
     sh = np.sinh(t)
     w = w_d + sh * sh  # l - 1
     # two square roots: w (w + 2) overflows where cosh s_max is ~1e233 (tau ~ 1000)
     s = np.log1p(w + np.sqrt(w) * np.sqrt(w + 2.0))
-    v = 2.0 * F(s) * np.cosh(t) * np.hypot(1.0, x)
+    v = 2.0 * F(s, endpoint) * np.cosh(t) * np.hypot(1.0, x)
     return v, np.abs(v) * (1.0 + decay_rate * s * s)
 
 
 def integrate_abel(
     F: Callable[[np.ndarray], np.ndarray],
     ds: Sequence[float],
-    decay_rate: float,
+    decay_rate: float | np.ndarray,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> list[tuple[float, float, Exception | None]]:
     """Integral of F(arccosh l) (l - cosh d)^(-1/2) over l in [cosh d, inf), for each d in ds.
 
     F maps a float array of s = arccosh l to its values and must decay
-    like exp(-decay_rate s^2).  With l = cosh d + sinh^2 t the integrand,
-    2 F cosh t, is even, decays like a Gaussian and is analytic in
-    |Im t| < pi/2, so the trapezoidal rule converges geometrically
-    (Trefethen & Weideman, SIAM Rev. 56, 2014).  It runs in u,
-    t = T sinh(u/T) (after Takahasi & Mori, 1974), from the step
-    min(0.2, 0.25/sqrt(decay_rate)), halving it until |I_h - I_2h| plus a
-    rounding floor meets the tolerance; I_2h reuses the nodes of I_h.
+    like exp(-decay_rate s^2); decay_rate is one float, or one per d.  With
+    l = cosh d + sinh^2 t the integrand, 2 F cosh t, is even, decays like
+    a Gaussian and is analytic in |Im t| < pi/2, so the trapezoidal rule
+    converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).
+    It runs in u, t = T sinh(u/T) (after Takahasi & Mori, 1974), from the
+    step min(0.2, 0.25/sqrt(decay_rate)), halving it until |I_h - I_2h|
+    plus a rounding floor meets the tolerance; I_2h reuses the nodes of
+    I_h.
 
     Each pass hands F, as one array, the new nodes of every endpoint not
     yet converged, for up to _ABEL_BATCH endpoints at a time; each
@@ -273,26 +283,30 @@ def integrate_abel(
     independently of the others, an endpoint's result does not depend on
     the other endpoints.  Returns (value, err_est, failure) per endpoint:
     failure is None, or an unraised NonConvergenceError (value and
-    err_est after the last halving) or OverflowError.
+    err_est after the last halving, and the halvings run) or OverflowError.
     """
-    value, err, failures = _integrate_abel_arrays(F, ds, decay_rate, spec)
+    value, err, failures = _integrate_abel_arrays(lambda s, endpoint: F(s), ds, decay_rate, spec)
     return [(v, e, failures.get(i)) for i, (v, e) in enumerate(zip(value.tolist(), err.tolist()))]
 
 
-def _integrate_abel_arrays(F, ds: Sequence[float], decay_rate: float, spec: QuadratureSpec):
+def _integrate_abel_arrays(F, ds: Sequence[float], decay_rate, spec: QuadratureSpec):
     """``integrate_abel`` as arrays, for the kernels' rows: the value and
-    err_est of every endpoint, and the failure of each that failed, by index."""
+    err_est of every endpoint, and the failure of each that failed, by index.
+    F(s, endpoint) also takes the index into ds of each node's endpoint, and
+    decay_rate is a float or one rate per endpoint."""
     ds = np.asarray(ds, dtype=float)
+    rates = np.empty_like(ds)
+    rates[:] = decay_rate
     if np.count_nonzero(ds < 0.0):
         raise ValueError("lower endpoint must be nonnegative")
-    if decay_rate <= 0.0:
+    if not np.minimum.reduce(rates, initial=math.inf) > 0.0:
         raise ValueError("decay_rate must be positive")
     (value, err), failures = np.empty((2, len(ds))), {}
     # an overflow leaves a non-finite sum, which is reported for its endpoint
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(ds), _ABEL_BATCH):
             index = np.arange(lo, min(lo + _ABEL_BATCH, len(ds)))
-            _abel_pass(F, ds, index, decay_rate, spec, (value, err, failures))
+            _abel_pass(F, ds, rates, index, spec, (value, err, failures))
     return value, err, failures
 
 
@@ -309,12 +323,13 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.arange(ends[-1]) - starts.repeat(counts)
 
 
-def _abel_pass(F, ds: np.ndarray, index: np.ndarray, decay_rate: float, spec: QuadratureSpec, out) -> None:
-    """integrate_abel over the endpoints ds[index], into out: the value and
-    err_est arrays and the failures by index of _integrate_abel_arrays."""
+def _abel_pass(F, ds: np.ndarray, rates: np.ndarray, index: np.ndarray, spec: QuadratureSpec, out) -> None:
+    """integrate_abel over the endpoints ds[index], each at its decay rate
+    rates[index], into out: the value and err_est arrays and the failures by
+    index of _integrate_abel_arrays."""
     value_out, err_out, failures = out
-    d = ds[index]
-    s_max = gaussian_cutoff(d, decay_rate)
+    d, rate = ds[index], rates[index]
+    s_max = gaussian_cutoff(d, rate)
     sh_plus, sh_minus, sh_half = np.sinh(0.5 * np.array((s_max + d, s_max - d, d)))
     # u_max / 2, where u_max = T asinh(t_max / T) and sinh^2 t_max = cosh s_max
     # - cosh d, in product form
@@ -322,14 +337,14 @@ def _abel_pass(F, ds: np.ndarray, index: np.ndarray, decay_rate: float, spec: Qu
     # the first step h0 = u_max / n over an even interval count n = 2 half, so
     # that the 2h0 grid is a subset of the h0 grid; h0 is nan where the grid
     # overflows binary64
-    half = np.ceil(half_u / min(0.2, 0.25 / math.sqrt(decay_rate)))
+    half = np.ceil(half_u / np.minimum(0.2, 0.25 / np.sqrt(rate)))
     h, w_d = half_u / half, 2.0 * sh_half**2  # w_d = cosh d - 1
     failed = np.isnan(h)
     if np.count_nonzero(failed):
         for i in index[failed].tolist():
             value_out[i], err_out[i] = math.nan, math.inf
             failures[i] = OverflowError(f"binary64 overflow (Abel grid at d={float(ds[i])!r})")
-        index, h, half, w_d = index[~failed], h[~failed], half[~failed], w_d[~failed]
+        index, h, half, w_d, rate = index[~failed], h[~failed], half[~failed], w_d[~failed], rate[~failed]
         if not index.size:
             return
     # the whole h0 grid in one pass; per endpoint its origin, its even nodes
@@ -340,7 +355,9 @@ def _abel_pass(F, ds: np.ndarray, index: np.ndarray, decay_rate: float, spec: Qu
     j = 2 * k % counts.repeat(counts)  # 0, 2, ..., n, then 1, 3, ..., n - 1
     # u / T, as (j h) / T is j (h / T) exactly: T is a power of two
     step = h / _ABEL_STRETCH
-    v, vw = _abel_nodes(F, j * step.repeat(counts), w_d.repeat(counts), decay_rate)
+    per_endpoint = np.array((step, w_d, rate))  # each node takes its endpoint's
+    step_node, w_node, rate_node = per_endpoint.repeat(counts, axis=1)
+    v, vw = _abel_nodes(F, j * step_node, w_node, rate_node, index.repeat(counts))
     # each endpoint's sums: its origin, its evens and its odds (rows: the
     # integrand, and it weighted by 1 + a s^2)
     first_even = starts + 1
@@ -348,10 +365,12 @@ def _abel_pass(F, ds: np.ndarray, index: np.ndarray, decay_rate: float, spec: Qu
     origin, evens, odds = np.add.reduceat((v, vw), cuts, axis=1).reshape(2, -1, 3).transpose(2, 0, 1)
     coarse = evens + 0.5 * origin
     # per live endpoint (a column): |integrand| at u_max (which bounds the
-    # truncated tail), the last value, the sums, h, n, h / T and cosh d - 1
+    # truncated tail), the last value, the sums, h, n, h / T, cosh d - 1 and
+    # the decay rate
     tail = np.abs(v[starts + half])
-    state = np.concatenate((tail, 2.0 * h * coarse[0], (coarse + odds).ravel(), h, counts - 1.0, step, w_d))
-    state = state.reshape(8, -1)
+    state = np.concatenate(
+        (tail, 2.0 * h * coarse[0], (coarse + odds).ravel(), h, counts - 1.0, per_endpoint.ravel())
+    ).reshape(9, -1)
 
     for level in range(_ABEL_MAX_HALVINGS + 1):
         if level:
@@ -360,8 +379,8 @@ def _abel_pass(F, ds: np.ndarray, index: np.ndarray, decay_rate: float, spec: Qu
             counts = state[5].astype(np.intp)
             state[4:7] *= _HALVING
             starts, k = _ragged(counts)
-            step, w_node = state[6:].repeat(counts, axis=1)
-            v, vw = _abel_nodes(F, (2 * k + 1) * step, w_node, decay_rate)
+            step_node, w_node, rate_node = state[6:].repeat(counts, axis=1)
+            v, vw = _abel_nodes(F, (2 * k + 1) * step_node, w_node, rate_node, index.repeat(counts))
             state[2:4] += np.add.reduceat((v, vw), starts, axis=1)
         tail, coarse, total, weighted, h = state[0], state[1], state[2], state[3], state[4]
         value = h * total
@@ -379,7 +398,7 @@ def _abel_pass(F, ds: np.ndarray, index: np.ndarray, decay_rate: float, spec: Qu
                 return
             index, state = index[~done], state[:, ~done]
     for i in index.tolist():
-        failures[i] = NonConvergenceError(float(value_out[i]), float(err_out[i]))
+        failures[i] = NonConvergenceError(float(value_out[i]), float(err_out[i]), halvings=_ABEL_MAX_HALVINGS)
 
 
 def _pointwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, asdict
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,10 +24,11 @@ from .geometry import (
     HoricyclicPoint,
     _arccosh_from_excess,
     geodesic_distance,
-    laplace_beltrami_apply,
+    laplace_beltrami_combine,
+    laplace_beltrami_stencil,
     sphere_surface_area,
 )
-from .kernels import SAMPLED_SPEC, EvalParams, kernel, kernel_array
+from .kernels import EvalParams, kernel_array
 from .quadrature import (
     TRUNCATION_SIGMA,
     NonConvergenceError,
@@ -112,10 +114,17 @@ def _abel_lhs(params: EvalParams, l: float, spec: QuadratureSpec) -> tuple[float
         v2 = vs * vs  # sigma - s_l, exactly: nodes crowd v = 0
         sigs = sl + v2
         kvs = kernel_array(params, sigs)
-        with np.errstate(divide="ignore", invalid="ignore"):  # v = 0 gives 0 ** nu
+        dropped = (kvs == 0.0) | (v2 == 0.0)  # the integrand is 0 there
+        # v = 0 gives 0 ** nu; far out, where K is 0, the power overflows
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             wfac = (2.0 * np.sinh(0.5 * (sigs + sl)) * np.sinh(0.5 * v2)) ** nu
+        overflowed = np.isinf(wfac) & ~dropped
+        if np.count_nonzero(overflowed):
+            at = f"D={params.D}, tau={params.tau!r}, l={l!r}, sigma={float(sigs[overflowed].min())!r}"
+            raise OverflowError(f"binary64 overflow ((k - l)^{nu!r} at {at})")
+        with np.errstate(invalid="ignore"):  # inf weights where K is 0
             out = kvs * wfac * np.sinh(sigs) * 2.0 * vs
-        return np.where((kvs == 0.0) | (v2 == 0.0), 0.0, out)
+        return np.where(dropped, 0.0, out)
 
     return integrate_tanh_sinh(integrand, 0.0, v_max, spec)
 
@@ -178,26 +187,25 @@ def _d2(fp2: float, fp1: float, f0: float, fm1: float, fm2: float, h: float) -> 
     return (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * h * h)
 
 
-def _fd1(g: Callable[[float], float], x: float, h: float) -> float:
-    return _d1(g(x + 2 * h), g(x + h), g(x - h), g(x - 2 * h), h)
+def _tau_stencil(tau: float, h: float) -> list[float]:
+    """The tau at which _d1 takes its values: tau + 2h, tau + h, tau - h, tau - 2h."""
+    return [tau + 2 * h, tau + h, tau - h, tau - 2 * h]
 
 
-def _pde_pieces(params: EvalParams, s: float, tau: float) -> tuple[float, float, float, float]:
-    """(K, dK/dtau, radial Laplacian of K, scale) by 4th-order stencils.
+def _pde_steps(params: EvalParams, s: float, tau: float) -> tuple[float, float]:
+    """The steps h_s and h_tau of the 4th-order stencils at (s, tau).
 
     Steps balance the h^4 truncation against the kernel's own noise floor
     (roundoff for the closed forms, the quadrature tolerance for the
     integral-backed odd dimensions): the optimum of h^4 r^6 / 90 + 5 n/h^2
     sits at r h = (480 n)^(1/6) with r the local log-derivative rate.
     """
-    a_of = lambda t: params.m / (2.0 * params.hbar * t)
-
     # realized kernel accuracy: roundoff for the closed forms, ~1e-13 for
     # the odd dimensions' Abel quadrature (requested 1e-11; its halving
     # estimate |I_h - I_2h| is conservative by a few orders)
     noise = 2.2e-16 if params.D % 2 == 0 else 1e-13
     rh = (480.0 * noise) ** (1.0 / 6.0)
-    a = a_of(tau)
+    a = params.with_tau(tau).a
     # 6th-derivative scale in s: (2as)^6 far out, 15 (2a)^3 near the origin
     rate_s = max(2.0 * a * s, (15.0 * (2.0 * a) ** 3) ** (1.0 / 6.0)) + (params.D - 2)
     h_s = min(rh / rate_s, 0.2 * s)
@@ -208,18 +216,31 @@ def _pde_pieces(params: EvalParams, s: float, tau: float) -> tuple[float, float,
     shift = abs(params.with_tau(tau).E)
     f5_over_f = ((big_a + pref + shift) ** 5 + 120.0 * big_a + 24.0 * pref) / tau**5
     h_t = min(rh / f5_over_f**0.2, 0.2 * tau)
+    return h_s, h_t
 
-    # the five s-stencil points at tau in one row; the tau stencil changes tau per point
-    kp2, kp1, val, km1, km2 = kernel_array(
-        params.with_tau(tau), np.array([s + 2 * h_s, s + h_s, s, s - h_s, s - 2 * h_s])
-    ).tolist()
-    k_t = _fd1(lambda t: kernel(params.with_tau(t), s, SAMPLED_SPEC).value, tau, h_t)
-    k_s = _d1(kp2, kp1, km1, km2, h_s)
-    k_ss = _d2(kp2, kp1, val, km1, km2, h_s)
-    lap = k_ss + (params.D - 2) / math.tanh(s) * k_s
+
+def _pde_pieces(
+    params: EvalParams, points: Sequence[tuple[float, float]]
+) -> list[tuple[float, float, float, float]]:
+    """(K, dK/dtau, radial Laplacian of K, scale) at each (s, tau) of points,
+    by 4th-order stencils in s and in tau (steps from ``_pde_steps``), every
+    stencil point of every point in one kernel row."""
+    steps = [_pde_steps(params, s, tau) for s, tau in points]
+    ss, taus = [], []
+    for (s, tau), (h_s, h_t) in zip(points, steps):
+        ss += [s + 2 * h_s, s + h_s, s, s - h_s, s - 2 * h_s] + [s] * 4
+        taus += [tau] * 5 + _tau_stencil(tau, h_t)
+    values = kernel_array(params, np.array(ss), np.array(taus)).reshape(-1, 9).tolist()
     kappa = params.kappa
-    scale = max(abs(k_t), kappa * abs(k_ss), kappa * (params.D - 2) * abs(k_s / math.tanh(s)), abs(val))
-    return val, k_t, lap, scale
+    out = []
+    for (s, tau), (h_s, h_t), (kp2, kp1, val, km1, km2, *at_taus) in zip(points, steps, values):
+        k_t = _d1(*at_taus, h_t)
+        k_s = _d1(kp2, kp1, km1, km2, h_s)
+        k_ss = _d2(kp2, kp1, val, km1, km2, h_s)
+        lap = k_ss + (params.D - 2) / math.tanh(s) * k_s
+        scale = max(abs(k_t), kappa * abs(k_ss), kappa * (params.D - 2) * abs(k_s / math.tanh(s)), abs(val))
+        out.append((val, k_t, lap, scale))
+    return out
 
 
 def radial_pde_residual(
@@ -242,17 +263,16 @@ def radial_pde_residual(
     worst = 0.0
     c_lo = math.inf
     c_hi = -math.inf
-    for tau in tau_grid:
-        for s in s_grid:
-            val, k_t, lap, scale = _pde_pieces(params, s, tau)
-            c_here = (k_t - kappa * lap) / val
-            if c_fit is None:
-                c_fit = c_here
-            res = abs(k_t - kappa * lap - c_fit * val) / scale
-            worst = max(worst, res)
-            c_lo = min(c_lo, c_here)
-            c_hi = max(c_hi, c_here)
-            points.append({"s": s, "tau": tau, "residual": res, "c_pointwise": c_here})
+    grid = [(s, tau) for tau in tau_grid for s in s_grid]
+    for (s, tau), (val, k_t, lap, scale) in zip(grid, _pde_pieces(params, grid)):
+        c_here = (k_t - kappa * lap) / val
+        if c_fit is None:
+            c_fit = c_here
+        res = abs(k_t - kappa * lap - c_fit * val) / scale
+        worst = max(worst, res)
+        c_lo = min(c_lo, c_here)
+        c_hi = max(c_hi, c_here)
+        points.append({"s": s, "tau": tau, "residual": res, "c_pointwise": c_here})
     details = {
         "grid": f"s in {list(s_grid)}, tau in {list(tau_grid)}",
         "fitted_c": c_fit,
@@ -268,28 +288,39 @@ def horicyclic_pde_residual(
     pairs: Sequence[tuple[HoricyclicPoint, HoricyclicPoint]],
 ) -> VerificationReport:
     """Same heat equation, but with the Laplacian applied through the
-    explicit half-space coordinate stencil instead of the radial reduction."""
+    explicit half-space coordinate stencil instead of the radial reduction.
+
+    The kernel at every point of every pair's stencils, the Laplacian's
+    around q2 at tau and the time derivative's at q2, is one kernel row."""
     _require_dim(params.D, HORICYCLIC_DIMS, "coordinate-space stencils")
     quad_backed = params.D == 3
+    tau = params.tau
+    steps = []  # per pair: the Laplacian's stencil size and step, h_tau
+    ss, taus = [], []
+    for q1, q2 in pairs:
+        h = (2e-3 if quad_backed else 1e-4) * max(1.0, q2.y)
+        space = laplace_beltrami_stencil(q2, h)
+        s12 = geodesic_distance(q1, q2)
+        rate_t = params.a * s12**2 / tau + 1.0 / tau
+        h_t = min(1.4e-3 / rate_t, 0.2 * tau)
+        steps.append((len(space), h, h_t))
+        ss += [geodesic_distance(q1, q) for q in space] + [s12] * 4
+        taus += [tau] * len(space) + _tau_stencil(tau, h_t)
+    values = iter(kernel_array(params, np.array(ss), np.array(taus)).tolist())
     points = []
     underflowed = []
     worst = 0.0
     c_fit = None
-    for q1, q2 in pairs:
-        def field(q: HoricyclicPoint, tau: float = params.tau) -> float:
-            return kernel(params.with_tau(tau), geodesic_distance(q1, q), SAMPLED_SPEC).value
-
-        val = field(q2)
+    for (q1, q2), (size, h, h_t) in zip(pairs, steps):
+        at_space, at_taus = list(islice(values, size)), list(islice(values, 4))
+        val = at_space[0]  # the kernel at q2
         if val == 0.0:  # no scale to measure the equation against
             underflowed.append(geodesic_distance(q1, q2))
             worst = math.inf
             points.append({"s": underflowed[-1], "residual": math.inf, "c_pointwise": None})
             continue
-        h = (2e-3 if quad_backed else 1e-4) * max(1.0, q2.y)
-        lap = laplace_beltrami_apply(field, q2, h)
-        rate_t = params.a * geodesic_distance(q1, q2) ** 2 / params.tau + 1.0 / params.tau
-        h_t = min(1.4e-3 / rate_t, 0.2 * params.tau)
-        k_t = _fd1(lambda t: field(q2, t), params.tau, h_t)
+        lap = laplace_beltrami_combine(at_space, q2, h)
+        k_t = _d1(*at_taus, h_t)
         c_here = (k_t - params.kappa * lap) / val
         if c_fit is None:
             c_fit = c_here
@@ -323,7 +354,13 @@ def _convolve_kernels(
     """
     D = params1.D
     cd, sd = math.cosh(d), math.sinh(d)
-    r_max = gaussian_cutoff(0.0, params1.a, linear_growth=float(D - 2))
+    # K1(r) K2(rho) is below exp(-a1 r^2 - a2 (r - d)^2) (rho >= |r - d|)
+    # times sinh^(D-2) r: past K1's own cutoff, cover that product's peak,
+    # near r = d tau1 / (tau1 + tau2), where it is sharp (small tau)
+    r_max = max(
+        gaussian_cutoff(0.0, params1.a, linear_growth=float(D - 2)),
+        gaussian_cutoff(0.0, params1.a + params2.a, linear_growth=2.0 * params2.a * d + (D - 2)),
+    )
     ang_front = 2.0 if D == 3 else sphere_surface_area(D - 3)
     theta_rule = integrate_periodic if D % 2 else integrate_tanh_sinh
 
@@ -362,7 +399,10 @@ def chapman_kolmogorov_many(
     spec: QuadratureSpec | None = None,
     tolerance: float | None = None,
 ) -> list[VerificationReport]:
-    """Semigroup check K_tau1 * K_tau2 = K_(tau1+tau2) at several separations."""
+    """Semigroup check K_tau1 * K_tau2 = K_(tau1+tau2) at several separations.
+
+    The convolution's abs_tol is relative to the target: at small tau the
+    values (1e-107 at tau 1e-3, d = 1) sit far below any fixed one."""
     if (params1.D, params1.m, params1.hbar) != (params2.D, params2.m, params2.hbar):
         raise ValueError("factors must share dimension and units")
     _require_dim(params1.D, CK_DIMS, "convolution checks")
@@ -371,11 +411,12 @@ def chapman_kolmogorov_many(
         tolerance = 1e-3 if D == 3 else 1e-4
     spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-30)
     target_params = params1.with_tau(params1.tau + params2.tau)
+    targets = kernel_array(target_params, np.array(d_values, dtype=float)).tolist()
     out = []
-    for d in d_values:
-        target = kernel(target_params, d, SAMPLED_SPEC).value
+    for d, target in zip(d_values, targets):
         try:
-            conv, err = _convolve_kernels(params1, params2, d, spec)
+            scaled = QuadratureSpec(spec.rel_tol, spec.abs_tol * abs(target) or spec.abs_tol)
+            conv, err = _convolve_kernels(params1, params2, d, scaled)
             rel = abs(conv - target) / abs(target) if target != 0.0 else math.inf
         except NonConvergenceError as exc:
             conv, err, rel = exc.value, exc.err_est, math.inf

@@ -160,6 +160,17 @@ def test_table_keeps_finite_cells_around_an_overflowing_one():
     assert all(r["value"] is not None for r in doc["rows"][:2])
 
 
+def test_table_cell_that_fails_names_its_own_tau():
+    # the whole grid is one kernel row; (a/pi)^1.5 overflows at tau = 1e-300 only
+    res = run_cli("table", "--dim", "4", "--tau-grid", "1e-300:1:2", "--s-grid", "0:1:2")
+    assert res.returncode == 3
+    rows = json.loads(res.stdout)["rows"]
+    assert [(r["tau"], r["s"]) for r in rows] == [(1e-300, 0.0), (1e-300, 1.0), (1.0, 0.0), (1.0, 1.0)]
+    for r in rows[:2]:
+        assert r["value"] is None and r["error"].endswith(f"at D=4, tau=1e-300, s={r['s']!r} in kernel_d4")
+    assert [r["value"] for r in rows[2:]] == [kv.value for kv in kernel_row(EvalParams(4, 1.0), [0.0, 1.0])]
+
+
 def test_eval_nonconvergence_names_the_point():
     tight = ("--rel-tol", "1e-18", "--abs-tol", "1e-300")
     res = run_cli("eval", "--dim", "5", "--tau", "0.5", "--s", "1", *tight)

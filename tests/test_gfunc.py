@@ -358,3 +358,46 @@ def test_importing_the_kernels_leaves_mpmath_unloaded():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def _h_series_loop(a):
+    """The l-series coefficients by the recurrence in Python floats, one rate."""
+    gcoef = [-a * float(vk) for vk in gfunc._arccosh_sq_series(gfunc.SERIES_ORDER_CAP)]
+    h = [1.0]
+    for m in range(1, gfunc.SERIES_ORDER_CAP + 1):
+        acc = 0.0
+        for k in range(1, m + 1):
+            if gcoef[k]:
+                acc += k * gcoef[k] * h[m - k]
+        h.append(acc / m)
+    return h
+
+
+def test_h_series_in_every_rate_is_the_float_recurrence():
+    rates = (1e-4, 0.05, 1 / 3, 0.5, 2.0, 40.0, 3000.0)
+    table = gfunc._h_series(rates)
+    assert table.shape == (gfunc.SERIES_ORDER_CAP + 1, len(rates))
+    for column, a in zip(table.T.tolist(), rates):
+        assert column == _h_series_loop(a) == gfunc._h_series(a).tolist(), a
+
+
+@pytest.mark.filterwarnings("error")
+def test_evaluate_many_at_a_rate_per_entry_equals_one_rate_expressions():
+    # entries at mixed rates through every route; a = 1/3 (n = 3) and 3/4
+    # (n = 6) each drop a term whose coefficient is 0.0 in binary64, so their
+    # columns are compacted and padded within the many-rate term matrix
+    rates = (0.05, 1 / 3, 0.75, 2.0, 500.0)
+    shifts = (0.0, -0.25, -1.5, -3.0, -0.5)
+    s = np.concatenate(([0.0, 1e-3], np.geomspace(0.01, 30.0, 40)))
+    rng = np.random.default_rng(4)
+    for n in range(10):
+        g = expression(n, rates, shifts)
+        rate = rng.integers(len(rates), size=len(s))
+        got = gfunc.evaluate_many(g, s, rate).tolist()
+        for si, k, value in zip(s.tolist(), rate.tolist(), got):
+            alone = gfunc.evaluate_many(expression(n, rates[k], shifts[k]), np.array([si]))[0]
+            assert value == alone, (n, rates[k], si)
+    with pytest.raises(ValueError, match="rate index"):
+        gfunc.evaluate_many(expression(2, rates, shifts), s)
+    assert len(expression(3, 1 / 3, 0.0).f64_columns[0]) < len(gfunc.derivative_terms(3))
+    assert len(expression(6, 0.75, 0.0).f64_columns[0]) < len(gfunc.derivative_terms(6))

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pseudoheat import gfunc, kernels
+from pseudoheat import gfunc, kernels, quadrature
 from pseudoheat.kernels import (
     SAMPLED_SPEC,
     EvalParams,
@@ -428,15 +428,20 @@ _CAUCHY_REL = 1e-10
 
 @pytest.mark.filterwarnings("error")
 def test_array_routes_follow_the_route_predicates(monkeypatch):
-    # every node the batched kernel hands gfunc, even D and odd: the route
-    # evaluate_many takes must be the one series_ok and escalates name, and
-    # its value must be within that route's error of the term sum in mpmath
-    seen = []  # (expression, route, s, value)
+    # every node the batched kernel hands gfunc, even D and odd, in rows
+    # that mix the tau: the route evaluate_many takes must be the one
+    # series_ok and escalates name at the entry's own rate, and its value
+    # must be within that route's error of the term sum in mpmath
+    seen = []  # (one-rate expression of the entry, route, s, value)
 
     def spy(route, fn):
-        def wrapped(g, s):
-            out = fn(g, s)
-            seen.extend((g, route, si, vi) for si, vi in zip(s.tolist(), out.tolist()))
+        def wrapped(g, s, rate=None):
+            out = fn(g, s, rate)
+            a, E = (np.broadcast_to(gfunc._per_entry(x, rate), s.shape).tolist() for x in g.rates)
+            seen.extend(
+                (gfunc.expression(g.n, ai, Ei), route, si, vi)
+                for ai, Ei, si, vi in zip(a, E, s.tolist(), out.tolist())
+            )
             return out
 
         return wrapped
@@ -444,9 +449,9 @@ def test_array_routes_follow_the_route_predicates(monkeypatch):
     monkeypatch.setattr(gfunc, "_series_many", spy("series", gfunc._series_many))
     monkeypatch.setattr(gfunc, "_terms_many", spy("f64", gfunc._terms_many))
     monkeypatch.setattr(gfunc, "_cauchy_many", spy("cauchy", gfunc._cauchy_many))
+    ss = (0.0, 0.12, 0.21, 0.3, 1.0, 25.0)
     for dim in (3, 9, 15, 8, 20):
-        for tau in _ROW_TAUS:
-            kernel_row(EvalParams(dim, tau), (0.0, 0.12, 0.21, 0.3, 1.0, 25.0))
+        kernel_row(EvalParams(dim, 1.0), ss * len(_ROW_TAUS), tau=np.repeat(_ROW_TAUS, len(ss)))
     monkeypatch.undo()
     assert {route for _, route, _, _ in seen} == {"series", "f64", "cauchy"}
 
@@ -523,3 +528,78 @@ def test_located_failures_carry_d_tau_and_s():
     with pytest.raises(OverflowError) as info:
         kernel(EvalParams(4, 1e-300), 1.0)
     assert (info.value.D, info.value.tau, info.value.s) == (4, 1e-300, 1.0)
+
+
+# --- rows over (tau, s) pairs ---------------------------------------------------
+
+# tau from 1e-4 to 30; at tau = 0.75 the rate of D = 7 and 8 is a = 1/3, where
+# one term of G''' is 0.0 in binary64 and drops out of that rate's sum
+_MIXED_TAUS = (1e-4, 1e-3, 0.01, 0.1, 0.5, 0.75, 2.0, 30.0)
+_MIXED_S = (0.0, 0.01, 0.05, 0.12, 0.21, 0.3, 0.6, 1.0, 3.0, 8.0, 25.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8, 11, 20])
+def test_mixed_tau_row_equals_lone_calls(dim, monkeypatch):
+    # one shuffled row of every (tau, s) pair: each entry is bit-equal to the
+    # lone kernel() call at its own tau, through every gfunc route
+    routes = set()
+    for name in ("_series_many", "_terms_many", "_cauchy_many"):
+        def spy(g, s, rate=None, fn=getattr(gfunc, name), name=name):
+            routes.update([name] if len(s) else [])
+            return fn(g, s, rate)
+
+        monkeypatch.setattr(gfunc, name, spy)
+    pairs = [(tau, s) for tau in _MIXED_TAUS for s in _MIXED_S]
+    order = np.random.default_rng(dim).permutation(len(pairs)).tolist()
+    taus, ss = (np.array([pairs[i][k] for i in order]) for k in (0, 1))
+    p = EvalParams(dim, 1.0)
+    row = kernel_row(p, ss, tau=taus)
+    values = kernel_array(p, ss, taus)
+    monkeypatch.undo()
+    for tau, s, kv, value in zip(taus.tolist(), ss.tolist(), row, values.tolist()):
+        assert _same(kernel(p.with_tau(tau), s), kv), (tau, s, kv)
+        assert value == kernel(p.with_tau(tau), s, SAMPLED_SPEC).value, (tau, s)
+    # G' has no cancelling terms (D = 3, 5, 6 take no Cauchy); D = 4 is closed
+    want = set() if dim == 4 else {"_series_many", "_terms_many"} | ({"_cauchy_many"} if dim >= 7 else set())
+    assert routes == want
+
+
+def test_failures_inside_a_mixed_row_carry_their_own_tau():
+    # D = 4: (a/pi)^1.5 overflows at tau = 1e-300 alone
+    row = kernel_row(EvalParams(4, 1.0), [0.5, 0.5, 1.0], tau=[0.5, 1e-300, 2.0])
+    failure = row[1]
+    assert isinstance(failure, OverflowError) and (failure.D, failure.tau, failure.s) == (4, 1e-300, 0.5)
+    assert str(failure) == (
+        "binary64 overflow ((a/pi)^1.5 at a=2.4999999999999998e+299) at D=4, tau=1e-300, s=0.5 in kernel_d4"
+    )
+    assert str(failure) == str(kernel_row(EvalParams(4, 1e-300), [0.5])[0])
+    assert (row[0], row[2]) == (kernel(EvalParams(4, 0.5), 0.5), kernel(EvalParams(4, 2.0), 1.0))
+    # D = 15 at rel 1e-13 / abs 1e-300: the Abel integral at tau 0.5, s 0 does
+    # not converge; the other entries are their lone calls
+    tight = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
+    p = EvalParams(15, 1.0)
+    taus, ss = [2.0, 0.5, 0.5, 1.0], [1.0, 0.0, 1.0, 0.5]
+    row = kernel_row(p, ss, tight, tau=taus)
+    for tau, s, kv in zip(taus, ss, row):
+        try:
+            alone = kernel(p.with_tau(tau), s, tight)
+        except NonConvergenceError as exc:
+            alone = exc
+        assert _same(alone, kv), (tau, s, kv)
+    failure = row[1]
+    assert isinstance(failure, NonConvergenceError) and (failure.D, failure.tau, failure.s) == (15, 0.5, 0.0)
+    with pytest.raises(NonConvergenceError) as info:
+        kernel(EvalParams(15, 0.5), 0.0, tight)
+    assert (failure.value, failure.err_est, failure.halvings) == (
+        info.value.value, info.value.err_est, info.value.halvings
+    )
+
+
+def test_abel_failures_carry_their_halvings():
+    tight = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
+    with pytest.raises(NonConvergenceError) as info:
+        kernel(EvalParams(15, 0.5), 0.0, tight)
+    assert info.value.halvings == quadrature._ABEL_MAX_HALVINGS == 6
+    (failure,) = kernel_row(EvalParams(15, 0.5), [0.0], tight)
+    assert failure.halvings == 6

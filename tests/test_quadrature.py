@@ -350,3 +350,27 @@ def test_gaussian_cutoff_on_an_array_is_the_float_call_elementwise(growth):
             got = gaussian_cutoff(lower, rate, sigma, growth).tolist()
             floats = [gaussian_cutoff(d, rate, sigma, growth) for d in lower.tolist()]
             assert got == floats == [_cutoff_in_floats(d, rate, sigma, growth) for d in lower.tolist()]
+
+
+@pytest.mark.parametrize("growth", [0.0, 3.0])
+def test_gaussian_cutoff_takes_a_rate_per_lower_limit(growth):
+    rng = np.random.default_rng(6)
+    lower, rate = rng.uniform(0.0, 700.0, 40), np.geomspace(1e-4, 1e4, 40)
+    got = gaussian_cutoff(lower, rate, TRUNCATION_SIGMA, growth).tolist()
+    want = [_cutoff_in_floats(d, a, TRUNCATION_SIGMA, growth) for d, a in zip(lower.tolist(), rate.tolist())]
+    assert got == want
+
+
+def test_abel_endpoints_at_their_own_rates_equal_lone_calls():
+    # one pass over endpoints with a decay rate each gives every endpoint the
+    # bits of its lone call at that rate, failures included
+    F = lambda s: np.exp(-0.3 * s * s)
+    ds = [0.0, 0.5, 2.0, 0.5, 1.0]
+    rates = [0.3, 0.3, 1.0, 4.0, 1e-3]
+    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)
+    got = integrate_abel(F, ds, np.array(rates), spec)
+    for d, rate, (value, err, failure) in zip(ds, rates, got):
+        ((want_value, want_err, want_failure),) = integrate_abel(F, [d], rate, spec)
+        assert (value, err) == (want_value, want_err), (d, rate)
+        assert type(failure) is type(want_failure) and str(failure) == str(want_failure)
+    assert any(f is None for _, _, f in got) and any(f is not None for _, _, f in got)

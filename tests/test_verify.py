@@ -59,6 +59,26 @@ def test_abel_residual_at_high_dimension(dim, tau):
     assert rep.passed, rep.residual
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+def test_abel_residual_to_d30_without_warnings(tau):
+    # far out the weight (k - l)^((D-4)/2) overflows binary64 (D >= 24 at
+    # tau 2), where the kernel is already 0.0: silent there, and every D passes
+    for dim in range(3, 31):
+        rep = abel_residual(EvalParams(dim, tau))
+        assert rep.passed, (dim, rep.residual)
+
+
+def test_abel_weight_overflow_where_the_kernel_is_not_zero_is_located(monkeypatch):
+    # a kernel that never underflows leaves the overflowed weight in the
+    # integrand: the check names the point instead of integrating inf
+    monkeypatch.setattr(verify, "kernel_array", lambda params, ss: np.ones_like(ss))
+    spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-300)
+    where = r"^binary64 overflow \(\(k - l\)\^13.0 at D=30, tau=2.0, l=1.0, sigma="
+    with pytest.raises(OverflowError, match=where):
+        verify._abel_lhs(EvalParams(30, 2.0), 1.0, spec)
+
+
 def test_abel_residual_rejects_bad_grid():
     with pytest.raises(ValueError):
         abel_residual(EvalParams(4, 1.0), l_grid=(0.5,))
@@ -143,6 +163,17 @@ def test_chapman_kolmogorov_odd_dimensions_to_1e7(dim, tau):
         assert miss <= rep.details["quad_err"] + target.err_est, rep
 
 
+@pytest.mark.parametrize("tau, d_values", [(1e-3, (0.0, 1.0)), (1e-2, (0.0, 1.0, 2.0))])
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_chapman_kolmogorov_at_small_tau(dim, tau, d_values):
+    # tau is the total time: each factor at tau/2.  The product of the
+    # factors peaks near r = d/2, past K1's own cutoff (0.38 at D = 3, tau
+    # 1e-3), and the values (1e-107 at d = 1) sit far below a fixed abs_tol
+    half = EvalParams(dim, tau / 2.0)
+    for rep in chapman_kolmogorov_many(half, half, d_values):
+        assert rep.passed, rep
+
+
 def test_chapman_kolmogorov_nonconvergence_fails_the_report():
     # below the rounding floor no theta integral converges: the report
     # fails with no value rather than one the rule did not certify
@@ -223,10 +254,11 @@ _ABEL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-16)
 _real_row = kernels._row
 
 
-def _pointwise_row(params, ss, spec, route=None):
-    """The kernels' array row as one one-element row per s, which is what
-    kernel() evaluates at each s."""
-    rows = [_real_row(params, ss[i : i + 1], spec, route) for i in range(len(ss))]
+def _pointwise_row(params, tau, ss, spec, route=None):
+    """The kernels' array row as one one-element row per (tau, s), which is
+    what kernel() evaluates at each (tau, s)."""
+    taus = np.broadcast_to(tau, ss.shape).tolist()
+    rows = [_real_row(params.with_tau(t), t, ss[i : i + 1], spec, route) for i, t in enumerate(taus)]
     value = np.array([v[0] for v, _, _ in rows])
     err = np.array([e[0] for _, e, _ in rows])
     return value, err, {i: f[0] for i, (_, _, f) in enumerate(rows) if f}
@@ -234,8 +266,8 @@ def _pointwise_row(params, ss, spec, route=None):
 
 @pytest.mark.parametrize("dim", [3, 4, 5])
 def test_batched_integrands_equal_the_pointwise_integrals(dim, monkeypatch):
-    # one array row per batch of quadrature nodes gives the same bits as one
-    # kernel() call per node
+    # one array row per batch of quadrature nodes, or per check's stencils
+    # over many tau, gives the same bits as one kernel() call per node
     params = EvalParams(dim, 0.5)
     l = math.cosh(1.0)
 
@@ -243,7 +275,9 @@ def test_batched_integrands_equal_the_pointwise_integrals(dim, monkeypatch):
         return (
             total_mass(params),
             verify._abel_lhs(params, l, _ABEL_SPEC),
-            verify._pde_pieces(params, 1.0, 0.5),
+            verify._pde_pieces(params, [(1.0, 0.5), (0.1, 0.1), (3.5, 2.0)]),
+            verify.chapman_kolmogorov_many(params, params, [0.0, 1.0])[0].details["target"],
+            dim < 5 and verify.horicyclic_pde_residual(params, verify._horicyclic_pairs(dim)),
         )
 
     batched = integrals()
@@ -254,8 +288,8 @@ def test_batched_integrands_equal_the_pointwise_integrals(dim, monkeypatch):
 def test_nonconvergence_inside_a_batch_reaches_abel_residual(monkeypatch):
     # a kernel failure at one node of a batch fails that grid point's
     # integral, as a scalar kernel() call raising there did
-    def row_failing_at_the_fourth_node(params, ss, spec, route=None):
-        value, err, failures = _real_row(params, ss, spec, route)
+    def row_failing_at_the_fourth_node(params, tau, ss, spec, route=None):
+        value, err, failures = _real_row(params, tau, ss, spec, route)
         if len(ss) > 3:
             failures[3] = NonConvergenceError(0.5, 0.25, "injected")
         return value, err, failures
