@@ -9,6 +9,8 @@ of the checkout it sits in:
   Cauchy's integral) on
   ``--tau-grid 0.25:2:4 --s-grid 0:6:13`` and on
   ``--tau-grid 0.0001:0.01:2 --s-grid 0:0.3:7``;
+* ``table --dim 20 --tau-grid 0.25:2:4 --s-grid 0.6:1:9``, s in steps of
+  0.05 over the band where G^(9)'s binary64 terms cancel by 1e4-1e7;
 * ``eval --dim {3,4,5} --tau 0.5 --s 1 --format csv``, the single-point
   ``kernel()`` path;
 * ``oracle --dim {3,4} --tau 0.25 --n 2,4 --samples 20000 --seed 9
@@ -74,6 +76,10 @@ def commands() -> list[list[str]]:
                 "table", "--dim", str(dim), "--tau-grid", tau_grid, "--s-grid", s_grid,
                 "--format", "csv", "--threads", "1",
             ])
+    out.append([
+        "table", "--dim", "20", "--tau-grid", "0.25:2:4", "--s-grid", "0.6:1:9",
+        "--format", "csv", "--threads", "1",
+    ])
     for dim in ("3", "4", "5"):
         out.append(["eval", "--dim", dim, "--tau", "0.5", "--s", "1", "--format", "csv"])
     for dim in ("3", "4"):

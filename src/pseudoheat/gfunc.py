@@ -12,20 +12,22 @@ where each coefficient c(a) is a polynomial in the rate a with exact
 rational coefficients.  Two independent evaluation routes are provided:
 direct term summation in binary64, and a power series in l - 1, which is
 regular at s = 0 and remains accurate out to s of order 1.  Where the
-1/sinh^r terms cancel catastrophically (``escalates``), the term route
-takes the n-th derivative in l from Cauchy's integral formula instead, by
-the trapezoid rule on a circle around l = cosh s.
+binary64 terms cancel -- their magnitudes sum to more than
+``_CANCELLATION_LIMIT`` times their sum, measured at each entry from the
+terms themselves -- the term route takes the n-th derivative in l from
+Cauchy's integral formula instead, by the trapezoid rule on a circle
+around l = cosh s.
 
 ``evaluate_many`` is the one evaluator: at every entry of an array of s,
-each entry at its own rate a and shift E, it picks the route with
-``series_ok`` and ``escalates`` and runs each route as numpy operations
-over its entries.  An expression holds one rate or several; the data that
-depends on the rate alone (the coefficients c(a), the l-series
-coefficients and the prefactor) is built once per expression for all its
-rates, with the operations a lone rate uses, and gathered per entry, so
-a value is bit-equal whatever the other entries' rates.  ``evaluate``
-(the term route) and ``evaluate_near_origin`` (the l-series) take one
-float s, as one-element arrays.
+each entry at its own rate a and shift E, it picks the l-series where
+``series_ok`` holds and the term route elsewhere, and runs each route as
+numpy operations over its entries.  An expression holds one rate or
+several; the data that depends on the rate alone (the coefficients c(a),
+the l-series coefficients and the prefactor) is built once per
+expression for all its rates, with the operations a lone rate uses, and
+gathered per entry, so a value is bit-equal whatever the other entries'
+rates.  ``evaluate`` (the term route) and ``evaluate_near_origin`` (the
+l-series) take one float s, as one-element arrays.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "evaluate_near_origin",
     "evaluate_many",
     "series_ok",
-    "escalates",
     "dump",
 ]
 
@@ -174,29 +175,14 @@ class GExpression:
         """The canonical term set of G^(n), shared by every rate."""
         return derivative_terms(self.n)
 
-    @property
-    def cancellation_exponent(self) -> int:
-        """Largest r - p over terms: the s->0 blowup order of individual terms."""
-        return _term_table(self.n)[0]
-
     @cached_property
     def f64_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
         """c(a) in binary64 per term and rate, shape (terms, rates), and the
         powers p, q, r per term, (terms, 1) arrays; q is None when no term has
-        a cosh factor.  A rate's zero coefficients are dropped: its nonzero
-        ones come first, in term order, and zero terms with p = q = r = 0
-        pad it to the longest rate's, which makes p, q and r per rate too."""
-        _, p, q, r = _term_table(self.n)
+        a cosh factor.  Every rate keeps every term, in term order."""
         a = self.rates[0].tolist()
         c = np.array([[_poly_eval(t.coeff_f64, x) for x in a] for t in self.terms])
-        if c.all():
-            return c, p, q, r
-        # each rate's nonzero terms first, in term order
-        order = np.argsort(c == 0.0, axis=0, kind="stable")[: np.count_nonzero(c, axis=0).max()]
-        c = np.take_along_axis(c, order, axis=0)
-        pad = c == 0.0
-        p, q, r = (None if x is None else np.where(pad, 0.0, x[order, 0]) for x in (p, q, r))
-        return c, p, (None if q is None or not q.any() else q), r
+        return (c, *_term_table(self.n))
 
     @cached_property
     def front(self) -> np.ndarray:
@@ -261,14 +247,12 @@ def derivative_terms(n: int) -> tuple[GTerm, ...]:
 
 
 @lru_cache(maxsize=None)
-def _term_table(n: int) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray]:
-    """Rate-free data of derivative_terms(n): the cancellation exponent, and
-    the powers p, q, r as (terms, 1) float columns, q None when no term has
-    a cosh factor."""
+def _term_table(n: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Rate-free data of derivative_terms(n): the powers p, q, r as
+    (terms, 1) float columns, q None when no term has a cosh factor."""
     terms = derivative_terms(n)
-    blowup = max([0] + [t.r - t.p for t in terms])
     p, q, r = (np.array([[float(getattr(t, k))] for t in terms]) for k in "pqr")
-    return blowup, p, (q if q.any() else None), r
+    return p, (q if q.any() else None), r
 
 
 def expression(n: int, a, E) -> GExpression:
@@ -292,34 +276,9 @@ def expression(n: int, a, E) -> GExpression:
 
 # --- evaluation: term route -------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _escalation_switch(blowup: int) -> float:
-    """The s below which the term route leaves the binary64 terms for
-    Cauchy's integral (``_cauchy_many``).
-
-    Terms blow up like s^-blowup, so about blowup * log10(1/s) digits are
-    lost; the route escalates when that exceeds 3.  Returned is the least
-    float s at which the rule no longer holds, so that ``s < switch``
-    applies it exactly, to a float or an array, and s = 0 needs no
-    logarithm.
-    """
-    def loses(s: float) -> bool:
-        return s < 1.0 and blowup * math.log10(1.0 / s) > 3.0
-
-    if blowup == 0:
-        return 0.0
-    s = 10.0 ** (-3.0 / blowup)
-    while loses(s):
-        s = math.nextafter(s, 1.0)
-    while not loses(math.nextafter(s, 0.0)):
-        s = math.nextafter(s, 0.0)
-    return s
-
-
-def escalates(g: GExpression, s):
-    """Whether the binary64 terms cancel too far at s (float or array), so
-    that the term route takes Cauchy's integral there."""
-    return s < _escalation_switch(g.cancellation_exponent)
+# the term route takes Cauchy's integral where sum |term| exceeds this times
+# |sum|: the binary64 terms have lost more than 3 of their digits there
+_CANCELLATION_LIMIT = 1e3
 
 
 def _per_entry(x: np.ndarray, rate: np.ndarray | None) -> np.ndarray:
@@ -329,9 +288,10 @@ def _per_entry(x: np.ndarray, rate: np.ndarray | None) -> np.ndarray:
     return x[..., 0] if rate is None else x[..., rate]
 
 
-def _terms_many(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) -> np.ndarray:
+def _terms_many(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The binary64 term route at every entry of s, all s > 0, entry i at
-    the rate numbered rate[i] of g.
+    the rate numbered rate[i] of g: the sum of the terms, and the sum of
+    their magnitudes, which measures how far they cancel.
 
     One (terms, nodes) matrix of exp(base + p log s + q log cosh s
     - r log sinh s) c, reduced over the terms with a compensated sum.
@@ -339,8 +299,8 @@ def _terms_many(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) -
     from overflowing separately; their combined exponent is moderate.
     """
     c, p, q, r = g.f64_columns
-    if c.shape[1] > 1:  # per entry; p, q and r too where a rate dropped a term
-        c, p, q, r = (x if x is None or x.shape[1] == 1 else x[:, rate] for x in (c, p, q, r))
+    if c.shape[1] > 1:
+        c = c[:, rate]
     a, E, log_front = (_per_entry(x, rate) for x in (*g.rates, g.log_front))
     expo = log_front - a * s * s + E + p * np.log(s)
     if s.max(initial=0.0) > 20.0:
@@ -362,7 +322,15 @@ def _terms_many(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) -
             expo += q * np.log(np.cosh(s))
         log_sh = np.log(np.sinh(s))
     rows = np.exp(expo - r * log_sh) * c
-    return _compensated_row_sum(rows)
+    # sum |rows| folded in halves, elementwise (numpy's sum(axis=0) orders a
+    # one-entry column differently from a wider array)
+    magnitude = np.abs(rows)
+    m = len(magnitude)
+    while m > 1:
+        h = m // 2
+        magnitude[:h] += magnitude[m - h : m]
+        m -= h
+    return _compensated_row_sum(rows), magnitude[0]
 
 
 def _compensated_row_sum(rows: np.ndarray) -> np.ndarray:
@@ -392,7 +360,8 @@ def _compensated_row_sum(rows: np.ndarray) -> np.ndarray:
 # trapezoid nodes on the Cauchy circle.  Against the exact terms summed to
 # 65 digits, for a in [0.05, 500]: at 32 nodes the rule's own error, 2^-32
 # at the largest radius, left 6e-11 at n = 4..9; at 64 only rounding is
-# left, 1.4e-11 at n <= 9 and 5.3e-10 at n = 14
+# left, 1.4e-11 at n <= 9 and 5.3e-10 at n = 14.  _cauchy_many evaluates
+# nodes 0..32 of them
 _CAUCHY_NODES = 64
 _CAUCHY_ROOTS = np.exp(2j * math.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES)[:, None]
 
@@ -406,22 +375,27 @@ def _cauchy_many(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) 
     radius r = min(n / (4 a phi'(l)), (l + 1) / 2), with
     phi'(l) = 2 s / sinh s the slope of arccosh(l)^2, keeps the nodes off
     the cut and the rule stable at high n (Bornemann, Found. Comput. Math.
-    11, 2011).  Each entry's largest Re(-a arccosh(z)^2) is factored out of
-    its exponent, and the real parts are summed over the nodes by the
+    11, 2011).  G(conj z) = conj G(z), so nodes k and M - k add conjugate
+    terms: only k = 0..M/2 are evaluated, the real parts of k = 1..M/2-1
+    counted twice.  Node M/2 is real and may lie on numpy's arccosh cut
+    (-inf, 1], across which arccosh^2 is continuous, so its term is real.
+    Each entry's largest Re(-a arccosh(z)^2) is factored out of its
+    exponent, and the real parts are summed over the nodes by the
     compensated tree, elementwise in the entries, so an entry's value does
     not depend on the other entries (numpy's ``sum(axis=0)`` orders a
     one-entry column differently from a wider array).  n >= 1; entry i at
     the rate numbered rate[i] of g.
     """
-    n = g.n
+    n, half = g.n, _CAUCHY_NODES // 2
     a = _per_entry(g.rates[0], rate)
     l = np.cosh(s)
     slope = np.divide(2.0 * s, np.sinh(s), out=np.full_like(s, 2.0), where=s > 0.0)
     r = np.minimum(0.25 * n / (a * slope), 0.5 * (l + 1.0))
-    u = np.arccosh(l + r * _CAUCHY_ROOTS)
+    u = np.arccosh(l + r * _CAUCHY_ROOTS[: half + 1])
     expo = -a * u * u
     c = expo.real.max(axis=0)
-    twiddle = _CAUCHY_ROOTS[(-n * np.arange(_CAUCHY_NODES)) % _CAUCHY_NODES]
+    twiddle = _CAUCHY_ROOTS[(-n * np.arange(half + 1)) % _CAUCHY_NODES]
+    twiddle[1:half] *= 2.0  # nodes M - k
     total = _compensated_row_sum((np.exp(expo - c) * twiddle).real)
     scale = math.lgamma(n + 1) - math.log(_CAUCHY_NODES) + g.log_front + g.rates[1]
     return np.exp(_per_entry(scale, rate) + c - n * np.log(r)) * total
@@ -434,17 +408,14 @@ def _subset(rate: np.ndarray | None, mask: np.ndarray) -> np.ndarray | None:
 
 def _terms(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) -> np.ndarray:
     """The term route at every entry of an array s > 0: the binary64 terms,
-    and Cauchy's integral at the entries where the terms cancel
-    (``escalates``); entry i at the rate numbered rate[i] of g."""
-    # escalates holds only below a cut in s, so the smallest s decides
-    if not escalates(g, s.min(initial=math.inf)):
-        return _terms_many(g, s, rate)
-    cancels = escalates(g, s)
-    out = np.empty_like(s)
-    if not cancels.all():
-        out[~cancels] = _terms_many(g, s[~cancels], _subset(rate, ~cancels))
-    out[cancels] = _cauchy_many(g, s[cancels], _subset(rate, cancels))
-    return out
+    and Cauchy's integral at the entries where they cancel, sum |term| >
+    _CANCELLATION_LIMIT |sum| (an exact 0 of nonzero terms included; an
+    all-zero or nan sum is kept); entry i at the rate numbered rate[i] of g."""
+    total, magnitude = _terms_many(g, s, rate)
+    cancels = magnitude > _CANCELLATION_LIMIT * np.abs(total)
+    if cancels.any():
+        total[cancels] = _cauchy_many(g, s[cancels], _subset(rate, cancels))
+    return total
 
 
 # --- evaluation: l-series route ----------------------------------------------
@@ -539,7 +510,7 @@ def evaluate(g: GExpression, s: float) -> float:
     """Sum the canonical terms times the prefactor at one s >= S_MIN.
 
     Individual terms blow up like s^-(r-p) while their sum stays finite, so
-    for small s (``escalates``) the value comes from Cauchy's integral
+    where they cancel (``_terms``) the value comes from Cauchy's integral
     instead; the binary64 terms are summed with compensation.
     """
     _check_rates(g, None)
@@ -563,7 +534,8 @@ def evaluate_many(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None)
 
     Each entry takes the route that is accurate there: the l-series where
     ``series_ok`` (no small-s cancellation, mild alternation), else the
-    term route, which takes Cauchy's integral where the terms cancel.
+    term route, which takes Cauchy's integral where the terms measure
+    cancellation above ``_CANCELLATION_LIMIT``.
     Each route runs over its entries as arrays; an entry's value does not
     depend on the other entries or their rates.
     """

@@ -105,17 +105,17 @@ def test_eval_d4_overflow_says_binary64_overflow():
 
 
 def test_odd_nonconvergence_reports_the_kernels_estimate():
-    # the Abel integral's own estimate here is 3.0e-20; the kernel's, scaled
-    # by the front factor sqrt(2) (2 pi)^-7, is 1.1e-25
+    # the Abel integral's own estimate here is 9.6e-178; the kernel's, scaled
+    # by the front factor sqrt(2) (2 pi)^-3, is 5.5e-180
     tight = ("--rel-tol", "1e-13", "--abs-tol", "1e-300")
-    res = run_cli("eval", "--dim", "15", "--tau", "0.5", "--s", "0", *tight)
+    res = run_cli("eval", "--dim", "7", "--tau", "0.1", "--s", "12", *tight)
     assert res.returncode == 3
     err = float(res.stderr.split("err_est=")[1].split(")")[0])
-    assert 1e-26 < err < 1e-24
-    res = run_cli("table", "--dim", "15", "--tau-grid", "0.5:0.5:1", "--s-grid", "0:0:1", *tight)
+    assert 1e-180 < err < 1e-179
+    res = run_cli("table", "--dim", "7", "--tau-grid", "0.1:0.1:1", "--s-grid", "12:12:1", *tight)
     assert res.returncode == 3
     (row,) = json.loads(res.stdout)["rows"]
-    assert row["value"] is None and 1e-26 < row["err_est"] < 1e-24
+    assert row["value"] is None and 1e-180 < row["err_est"] < 1e-179
     assert row["error"].startswith(f"quadrature did not converge (err_est={row['err_est']:g})")
 
 

@@ -239,8 +239,7 @@ def test_compiled_terms_equal_fraction_loop_exactly():
                 c = 0.0
                 for v in reversed(t.coeff):
                     c = c * g.a + float(v)
-                if c != 0.0:
-                    want.append((c, float(t.p), float(t.q), float(t.r)))
+                want.append((c, float(t.p), float(t.q), float(t.r)))
             c, p, q, r = g.f64_columns
             q = np.zeros_like(p) if q is None else q
             got = list(zip(c[:, 0].tolist(), p[:, 0].tolist(), q[:, 0].tolist(), r[:, 0].tolist()))
@@ -290,57 +289,56 @@ def test_compensated_row_sum_on_cancelling_columns():
             assert abs(value - exact) <= bound, (n_rows, value, exact)
 
 
-def test_escalation_switch_applies_the_digit_loss_rule_exactly():
-    # escalates(g, s) is s < switch; the rule it stands for is
-    # s < 1 and blowup * log10(1/s) > 3, checked at random s and at the
-    # floats around each switch
-    rng = np.random.default_rng(11)
-    for blowup in range(0, 41):
-        switch = gfunc._escalation_switch(blowup)
-        near = [switch]
-        for _ in range(20):
-            near += [math.nextafter(near[-1], 1.0)]
-        below = [switch]
-        for _ in range(20):
-            below += [math.nextafter(below[-1], 0.0)]
-        for s in [*near, *below, *rng.uniform(0.0, 1.0, 200).tolist(), 0.999, 1.0, 2.0]:
-            if s <= 0.0:
-                continue
-            rule = s < 1.0 and blowup * math.log10(1.0 / s) > 3.0
-            assert (s < switch) == rule, (blowup, s, switch)
+def test_terms_route_takes_cauchy_where_the_terms_measure_cancellation(monkeypatch):
+    # _terms sends an entry to Cauchy's integral where sum |term| exceeds
+    # _CANCELLATION_LIMIT |sum|: an exact 0 of nonzero terms cancels; an
+    # all-zero column and a nan sum stay with the terms
+    limit = gfunc._CANCELLATION_LIMIT
+    total = np.array([1.0, 1.0, -1.0, 0.0, 0.0, math.nan, 2.0])
+    magnitude = np.array([limit, 1.0001 * limit, 1.0001 * limit, 1.0, 0.0, 1.0, math.inf])
+    monkeypatch.setattr(gfunc, "_terms_many", lambda g, s, rate=None: (total.copy(), magnitude))
+    monkeypatch.setattr(gfunc, "_cauchy_many", lambda g, s, rate=None: -s)
+    got = gfunc._terms(expression(4, 0.5, 0.0), np.arange(1.0, 8.0)).tolist()
+    assert got[:5] == [1.0, -2.0, -3.0, -4.0, 0.0]
+    assert math.isnan(got[5]) and got[6] == -7.0
 
 
-# the Cauchy route's relative error: at most 1.4e-11 over the 137 points of
-# the sweep below (n = 9, a = 500)
+# the Cauchy route's relative error: at most 2.8e-12 over the 104 points of
+# the sweep below (n = 9, a = 0.05, s = 0.2)
 _CAUCHY_REL = 1e-10
 
 
 @pytest.mark.filterwarnings("error")
 def test_cauchy_route_against_the_reference_and_alone_or_in_a_row():
-    # G^(n) at the s where the terms cancel and the l-series does not hold,
-    # for every order of D <= 20 and rates from tau = 5 down to tau = 5e-4
-    # (m = 1/2), against the independent finite-difference reference; each
-    # value is also bit-equal alone and inside a 16-entry row of all routes
+    # G^(n) at the s where the terms measure cancellation above the limit
+    # and the l-series does not hold, for every order of D <= 20 and rates
+    # from tau = 5 down to tau = 5e-4 (m = 1/2), against the independent
+    # finite-difference reference; each value is Cauchy's, and bit-equal
+    # alone and inside a 16-entry row of all routes
     checked = set()
     for n in range(1, 10):
         for a in (0.05, 0.125, 0.5, 2.0, 20.0, 500.0):
             p = EvalParams(2 * n + 2, 0.25 / a)
             g = expression(n, p.a, p.E)
-            switch = gfunc._escalation_switch(g.cancellation_exponent)
-            ss = np.array([f * switch for f in (0.05, 0.2, 0.4, 0.6, 0.8, 0.99)])
-            ss = ss[gfunc.escalates(g, ss) & ~gfunc.series_ok(g.a, ss)]
+            ss = np.array([0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5])
+            total, magnitude = gfunc._terms_many(g, ss)
+            ss = ss[(magnitude > gfunc._CANCELLATION_LIMIT * np.abs(total)) & ~gfunc.series_ok(g.a, ss)]
             values = gfunc.evaluate_many(g, ss)
             for s, value in zip(ss.tolist(), values.tolist()):
                 ref = even_reference(2 * n + 2, p.tau, s) / (-0.5 / math.pi) ** n
                 assert abs(value - ref) <= _CAUCHY_REL * abs(ref), (n, a, s, value, ref)
                 row = np.linspace(0.0, 3.0, 16)
                 row[7] = s
-                alone = gfunc.evaluate_many(g, np.array([s]))[0]
+                alone = gfunc._cauchy_many(g, np.array([s]))[0]
                 assert alone == value == gfunc.evaluate_many(g, row)[7], (n, a, s)
-                checked.add(n)
-    # G' has no cancelling terms, and G'' cancels only below s = 0.032,
-    # where the l-series holds up to a = 3000
-    assert checked == set(range(3, 10))
+                checked.add((n, a))
+    # G' has no cancelling terms, and G'' measures 1e3 only below s = 0.05,
+    # where the l-series holds; G''' cancels outside it at a <= 0.5 only,
+    # and no order does at a = 500
+    want = {(3, 0.05), (3, 0.125), (3, 0.5)}
+    want |= {(n, a) for n in range(4, 10) for a in (0.05, 0.125, 0.5, 2.0)}
+    want |= {(n, 20.0) for n in (7, 8, 9)}
+    assert checked == want
 
 
 def test_importing_the_kernels_leaves_mpmath_unloaded():
@@ -384,8 +382,8 @@ def test_h_series_in_every_rate_is_the_float_recurrence():
 @pytest.mark.filterwarnings("error")
 def test_evaluate_many_at_a_rate_per_entry_equals_one_rate_expressions():
     # entries at mixed rates through every route; a = 1/3 (n = 3) and 3/4
-    # (n = 6) each drop a term whose coefficient is 0.0 in binary64, so their
-    # columns are compacted and padded within the many-rate term matrix
+    # (n = 6) each have a term whose coefficient is 0.0 in binary64, which
+    # keeps its place in the many-rate term matrix
     rates = (0.05, 1 / 3, 0.75, 2.0, 500.0)
     shifts = (0.0, -0.25, -1.5, -3.0, -0.5)
     s = np.concatenate(([0.0, 1e-3], np.geomspace(0.01, 30.0, 40)))
@@ -399,5 +397,3 @@ def test_evaluate_many_at_a_rate_per_entry_equals_one_rate_expressions():
             assert value == alone, (n, rates[k], si)
     with pytest.raises(ValueError, match="rate index"):
         gfunc.evaluate_many(expression(2, rates, shifts), s)
-    assert len(expression(3, 1 / 3, 0.0).f64_columns[0]) < len(gfunc.derivative_terms(3))
-    assert len(expression(6, 0.75, 0.0).f64_columns[0]) < len(gfunc.derivative_terms(6))
