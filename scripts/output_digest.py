@@ -12,14 +12,18 @@ of the checkout it sits in:
 * ``table --dim 20 --tau-grid 0.25:2:4 --s-grid 0.6:1:9``, s in steps of
   0.05 over the band where G^(9)'s binary64 terms cancel by 1e4-1e7;
 * ``eval --dim {3,4,5} --tau 0.5 --s 1 --format csv``, the single-point
-  ``kernel()`` path;
+  ``kernel()`` path, and ``eval --dim 20 --tau 2 --s 0.7 --format csv``,
+  a lone even-D gfunc entry whose terms cancel;
 * ``oracle --dim {3,4} --tau 0.25 --n 2,4 --samples 20000 --seed 9
   --threads 1 --format csv``, the lattice Monte Carlo;
 * ``verify all --dims 3,4,5`` at ``--tau 0.5`` and ``--tau 1.0``, the two
   tau of the benchmark's ``certify`` workload;
 * ``verify pde-radial --dims 6,7,8,9 --tau 0.5``, whose stencils hold
   even-D gfunc rows over many rates (``verify all`` has only the D = 4
-  closed form among its even D).
+  closed form among its even D);
+* ``verify abel --dims 6,7,8,9,10,14,20 --tau 0.5``, whose integrands
+  evaluate one-tau gfunc rows at even D >= 6 and odd D >= 7, hundreds of
+  their entries through Cauchy's integral.
 
 Each printed line reads ``<sha256 of stdout> exit=<code> <arguments>``.
 Run it in two checkouts and diff the outputs:
@@ -82,6 +86,7 @@ def commands() -> list[list[str]]:
     ])
     for dim in ("3", "4", "5"):
         out.append(["eval", "--dim", dim, "--tau", "0.5", "--s", "1", "--format", "csv"])
+    out.append(["eval", "--dim", "20", "--tau", "2", "--s", "0.7", "--format", "csv"])
     for dim in ("3", "4"):
         out.append([
             "oracle", "--dim", dim, "--tau", "0.25", "--n", "2,4", "--samples", "20000",
@@ -90,6 +95,7 @@ def commands() -> list[list[str]]:
     for tau in ("0.5", "1.0"):
         out.append(["verify", "all", "--dims", "3,4,5", "--tau", tau])
     out.append(["verify", "pde-radial", "--dims", "6,7,8,9", "--tau", "0.5"])
+    out.append(["verify", "abel", "--dims", "6,7,8,9,10,14,20", "--tau", "0.5"])
     return out
 
 

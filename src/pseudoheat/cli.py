@@ -162,7 +162,13 @@ def cmd_oracle(args) -> int:
     x2 = _parse_floats(args.x2) if args.x2 else [0.3] + [0.0] * (args.dim - 3)
     q1 = HoricyclicPoint(args.y1 if args.y1 is not None else 1.0, x1)
     q2 = HoricyclicPoint(args.y2 if args.y2 is not None else 1.2, x2)
-    closed = kernel(params, geodesic_distance(q1, q2), _quad_spec(args)).value
+    s = geodesic_distance(q1, q2)
+    closed = kernel(params, s, _quad_spec(args)).value
+    if closed == 0.0:  # each row's deviation is relative to it
+        raise ArithmeticError(
+            f"closed-form kernel underflows binary64 at D={args.dim}, tau={args.tau!r}, s={s!r}: "
+            "no reference for the lattice deviation"
+        )
     n_threads = _threads(args)
     rows = []
     for n in n_list:

@@ -21,13 +21,14 @@ around l = cosh s.
 ``evaluate_many`` is the one evaluator: at every entry of an array of s,
 each entry at its own rate a and shift E, it picks the l-series where
 ``series_ok`` holds and the term route elsewhere, and runs each route as
-numpy operations over its entries.  An expression holds one rate or
-several; the data that depends on the rate alone (the coefficients c(a),
-the l-series coefficients and the prefactor) is built once per
-expression for all its rates, with the operations a lone rate uses, and
-gathered per entry, so a value is bit-equal whatever the other entries'
-rates.  ``evaluate`` (the term route) and ``evaluate_near_origin`` (the
-l-series) take one float s, as one-element arrays.
+numpy operations over its entries.  An expression holds its distinct
+rates, and every entry carries its rate index; the data that depends on
+the rate alone (the coefficients c(a), the l-series coefficients and the
+prefactor) is built once per expression for all its rates, with the
+operations a lone rate uses, and gathered per entry, so a value is
+bit-equal whatever the other entries' rates.  ``evaluate`` (the term
+route) and ``evaluate_near_origin`` (the l-series) take one float s, as
+one-element arrays, of an expression with one rate.
 """
 
 from __future__ import annotations
@@ -151,24 +152,22 @@ class GExpression:
 
     The common prefactor sqrt(a/pi) * exp(-a s^2 + E) is kept symbolic as
     the pair (a, E); terms multiply it.  The terms are those of
-    ``derivative_terms(n)``.  a and E are floats, or tuples of equal length
-    holding the rates and shifts that the entries of ``evaluate_many`` pick
-    by index.  The per-rate data below has one column per rate.
+    ``derivative_terms(n)``.  a and E are tuples of equal length holding
+    the rates and shifts that the entries of ``evaluate_many`` pick by
+    index.  The per-rate data below has one column per rate.
     """
 
     n: int
-    a: float | tuple[float, ...]
-    E: float | tuple[float, ...]
+    a: tuple[float, ...]
+    E: tuple[float, ...]
     # a and E as float arrays, and 0.5 log(a / pi) (the log of the
     # prefactor's sqrt(a/pi)), one entry per rate
     rates: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     log_front: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = self.a if isinstance(self.a, tuple) else (self.a,)
-        E = self.E if isinstance(self.E, tuple) else (self.E,)
-        object.__setattr__(self, "rates", (np.array(a, dtype=float), np.array(E, dtype=float)))
-        object.__setattr__(self, "log_front", np.array([0.5 * math.log(x / math.pi) for x in a]))
+        object.__setattr__(self, "rates", (np.array(self.a, dtype=float), np.array(self.E, dtype=float)))
+        object.__setattr__(self, "log_front", np.array([0.5 * math.log(x / math.pi) for x in self.a]))
 
     @property
     def terms(self) -> tuple[GTerm, ...]:
@@ -194,8 +193,7 @@ class GExpression:
     def series_weights(self) -> np.ndarray:
         """h_j(a) j!/(j-n)! for j = 0..SERIES_ORDER_CAP and every rate, shape
         (SERIES_ORDER_CAP + 1, rates): the l-series of G^(n) in w = l - 1."""
-        h = np.reshape(_h_series(self.a), (SERIES_ORDER_CAP + 1, -1))
-        return h * np.array(_falling_factorials(self.n))[:, None]
+        return _h_series(self.a) * np.array(_falling_factorials(self.n))[:, None]
 
 
 def _merge(parts: dict[tuple[int, int, int], Poly]) -> tuple[GTerm, ...]:
@@ -257,19 +255,14 @@ def _term_table(n: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
 
 def expression(n: int, a, E) -> GExpression:
     """G^(n) at rate a and shift E, using the cached term sets; a and E are
-    floats, or equal-length float arrays of the rates and shifts that
-    ``evaluate_many``'s entries pick by index."""
+    equal-length float arrays of the rates and shifts that
+    ``evaluate_many``'s entries pick by index, or floats, one rate."""
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
-    if isinstance(a, (int, float)):
-        a, E = float(a), float(E)
-        rates = (a,)
-    else:
-        a, E = (tuple(np.asarray(x, dtype=float).tolist()) for x in (a, E))
-        rates = a
-        if len(a) != len(E):
-            raise ValueError("one shift E per rate a")
-    if not all(x > 0.0 for x in rates):
+    a, E = (tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist()) for x in (a, E))
+    if len(a) != len(E):
+        raise ValueError("one shift E per rate a")
+    if not all(x > 0.0 for x in a):
         raise ValueError("rate a must be positive (diffusive branch)")
     return GExpression(n, a, E)
 
@@ -281,14 +274,7 @@ def expression(n: int, a, E) -> GExpression:
 _CANCELLATION_LIMIT = 1e3
 
 
-def _per_entry(x: np.ndarray, rate: np.ndarray | None) -> np.ndarray:
-    """Per-rate data x (one column per rate, along its last axis) at each
-    entry's rate index; rate None (an expression with one rate): its
-    column, which broadcasts over the entries."""
-    return x[..., 0] if rate is None else x[..., rate]
-
-
-def _terms_many(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _terms_many(g: GExpression, s: np.ndarray, rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The binary64 term route at every entry of s, all s > 0, entry i at
     the rate numbered rate[i] of g: the sum of the terms, and the sum of
     their magnitudes, which measures how far they cancel.
@@ -299,9 +285,9 @@ def _terms_many(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) -
     from overflowing separately; their combined exponent is moderate.
     """
     c, p, q, r = g.f64_columns
-    if c.shape[1] > 1:
+    if c.shape[1] > 1:  # one column broadcasts as it stands
         c = c[:, rate]
-    a, E, log_front = (_per_entry(x, rate) for x in (*g.rates, g.log_front))
+    a, E, log_front = (x[rate] for x in (*g.rates, g.log_front))
     expo = log_front - a * s * s + E + p * np.log(s)
     if s.max(initial=0.0) > 20.0:
         # cosh and sinh overflow: their logs from exp(-2s)
@@ -366,7 +352,7 @@ _CAUCHY_NODES = 64
 _CAUCHY_ROOTS = np.exp(2j * math.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES)[:, None]
 
 
-def _cauchy_many(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) -> np.ndarray:
+def _cauchy_many(g: GExpression, s: np.ndarray, rate: np.ndarray) -> np.ndarray:
     """G^(n) in l = cosh s at every entry of s >= 0, by Cauchy's integral.
 
     G(z) = sqrt(a/pi) exp(-a arccosh(z)^2 + E) is analytic off the cut
@@ -387,7 +373,7 @@ def _cauchy_many(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) 
     the rate numbered rate[i] of g.
     """
     n, half = g.n, _CAUCHY_NODES // 2
-    a = _per_entry(g.rates[0], rate)
+    a = g.rates[0][rate]
     l = np.cosh(s)
     slope = np.divide(2.0 * s, np.sinh(s), out=np.full_like(s, 2.0), where=s > 0.0)
     r = np.minimum(0.25 * n / (a * slope), 0.5 * (l + 1.0))
@@ -398,15 +384,10 @@ def _cauchy_many(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) 
     twiddle[1:half] *= 2.0  # nodes M - k
     total = _compensated_row_sum((np.exp(expo - c) * twiddle).real)
     scale = math.lgamma(n + 1) - math.log(_CAUCHY_NODES) + g.log_front + g.rates[1]
-    return np.exp(_per_entry(scale, rate) + c - n * np.log(r)) * total
+    return np.exp(scale[rate] + c - n * np.log(r)) * total
 
 
-def _subset(rate: np.ndarray | None, mask: np.ndarray) -> np.ndarray | None:
-    """The rate indices of the entries where mask holds."""
-    return None if rate is None else rate[mask]
-
-
-def _terms(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) -> np.ndarray:
+def _terms(g: GExpression, s: np.ndarray, rate: np.ndarray) -> np.ndarray:
     """The term route at every entry of an array s > 0: the binary64 terms,
     and Cauchy's integral at the entries where they cancel, sum |term| >
     _CANCELLATION_LIMIT |sum| (an exact 0 of nonzero terms included; an
@@ -414,7 +395,7 @@ def _terms(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) -> np.
     total, magnitude = _terms_many(g, s, rate)
     cancels = magnitude > _CANCELLATION_LIMIT * np.abs(total)
     if cancels.any():
-        total[cancels] = _cauchy_many(g, s[cancels], _subset(rate, cancels))
+        total[cancels] = _cauchy_many(g, s[cancels], rate[cancels])
     return total
 
 
@@ -434,14 +415,13 @@ def _arccosh_sq_series(order: int) -> tuple[Fraction, ...]:
     )
 
 
-# keyed by an expression's rates (a float, or the tuple of a row's rates):
-# the rows of one check or quadrature reuse one tau, and a row over many tau
-# takes one entry
+# keyed by an expression's rates: the rows of one check or quadrature reuse
+# one tau, and a row over many tau takes one entry
 @lru_cache(maxsize=128)
-def _h_series(a: float | tuple[float, ...]) -> np.ndarray:
+def _h_series(a: tuple[float, ...]) -> np.ndarray:
     """Taylor coefficients h_0..h_SERIES_ORDER_CAP of exp(-a v(w)) around
-    w = l - 1 = 0, shape (SERIES_ORDER_CAP + 1,), or one column per rate of
-    a tuple a.  The array is shared: read-only.
+    w = l - 1 = 0, one column per rate of a: shape (SERIES_ORDER_CAP + 1,
+    rates).  The array is shared: read-only.
 
     The recurrence h_m = (1/m) sum_{k=1..m} k g_k h_(m-k), g_k = -a v_k,
     runs in every rate at once; each sum adds its terms in order from 0.0
@@ -450,12 +430,12 @@ def _h_series(a: float | tuple[float, ...]) -> np.ndarray:
     """
     order = SERIES_ORDER_CAP
     a = np.array(a, dtype=float)
-    v = np.array([float(vk) for vk in _arccosh_sq_series(order)]).reshape((-1,) + (1,) * a.ndim)
-    kg = np.arange(order + 1.0).reshape(v.shape) * (-a * v)  # k g_k
-    h = np.empty((order + 1,) + a.shape)
+    v = np.array([float(vk) for vk in _arccosh_sq_series(order)])[:, None]
+    kg = np.arange(order + 1.0)[:, None] * (-a * v)  # k g_k
+    h = np.empty((order + 1, len(a)))
     h[0] = 1.0
     # terms[0] stays 0.0, the sum's start
-    terms = np.zeros((order + 1,) + a.shape)
+    terms = np.zeros((order + 1, len(a)))
     for m in range(1, order + 1):
         np.multiply(kg[1 : m + 1], h[m - 1 :: -1], out=terms[1 : m + 1])
         h[m] = np.add.accumulate(terms[: m + 1], axis=0)[m] / m
@@ -475,17 +455,17 @@ def _falling_factorials(n: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _series_many(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) -> np.ndarray:
+def _series_many(g: GExpression, s: np.ndarray, rate: np.ndarray) -> np.ndarray:
     """d^n/dl^n of the base function at every entry of s, via the w = l - 1
     power series: sum_{j>=n} h_j j!/(j-n)! w0^(j-n), by Horner from the top;
     entry i at the rate numbered rate[i] of g."""
     w0 = 2.0 * np.sinh(0.5 * s) ** 2  # cosh(s) - 1, cancellation-free
-    weights = _per_entry(g.series_weights, rate)
+    weights = g.series_weights[:, rate]
     acc = np.zeros_like(w0)
     for j in range(SERIES_ORDER_CAP, g.n - 1, -1):
         acc *= w0
         acc += weights[j]
-    return _per_entry(g.front, rate) * acc
+    return g.front[rate] * acc
 
 
 def series_ok(a, s):
@@ -501,9 +481,11 @@ def series_ok(a, s):
 
 # --- evaluation: entry points ---------------------------------------------------
 
-def _check_rates(g: GExpression, rate: np.ndarray | None) -> None:
-    if rate is None and isinstance(g.a, tuple) and len(g.a) > 1:
+def _one_entry(g: GExpression, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """s as a one-element array, and its rate index, of g's one rate."""
+    if len(g.a) > 1:
         raise ValueError("an expression of several rates needs each entry's rate index")
+    return np.array([float(s)]), np.zeros(1, dtype=np.intp)
 
 
 def evaluate(g: GExpression, s: float) -> float:
@@ -513,24 +495,23 @@ def evaluate(g: GExpression, s: float) -> float:
     where they cancel (``_terms``) the value comes from Cauchy's integral
     instead; the binary64 terms are summed with compensation.
     """
-    _check_rates(g, None)
+    entry = _one_entry(g, s)
     if s < S_MIN:
         raise ValueError(f"s={s:g} below S_MIN={S_MIN:g}; use evaluate_near_origin")
-    return float(_terms(g, np.array([float(s)]))[0])
+    return float(_terms(g, *entry)[0])
 
 
 def evaluate_near_origin(g: GExpression, s: float) -> float:
     """Analytic value of the expression on [0, S_MIN] via the series in l - 1."""
-    _check_rates(g, None)
+    entry = _one_entry(g, s)
     if s < 0.0 or s > S_MIN:
         raise ValueError(f"s={s:g} outside [0, {S_MIN:g}]")
-    return float(_series_many(g, np.array([float(s)]))[0])
+    return float(_series_many(g, *entry)[0])
 
 
-def evaluate_many(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None) -> np.ndarray:
+def evaluate_many(g: GExpression, s: np.ndarray, rate: np.ndarray) -> np.ndarray:
     """The expression at every entry of a float array s >= 0, entry i at
-    the rate and shift numbered rate[i] of g (an int array like s; None
-    where g has one rate).
+    the rate and shift numbered rate[i] of g (an int array like s).
 
     Each entry takes the route that is accurate there: the l-series where
     ``series_ok`` (no small-s cancellation, mild alternation), else the
@@ -539,17 +520,16 @@ def evaluate_many(g: GExpression, s: np.ndarray, rate: np.ndarray | None = None)
     Each route runs over its entries as arrays; an entry's value does not
     depend on the other entries or their rates.
     """
-    _check_rates(g, rate)
     # series_ok holds only below a cut in s, so the smallest s may decide
     if not s.min(initial=math.inf) < SERIES_SWITCH:
         return _terms(g, s, rate)
-    series = series_ok(_per_entry(g.rates[0], rate), s)
+    series = series_ok(g.rates[0][rate], s)
     if not series.any():
         return _terms(g, s, rate)
     out = np.empty_like(s)
-    out[series] = _series_many(g, s[series], _subset(rate, series))
+    out[series] = _series_many(g, s[series], rate[series])
     if not series.all():
-        out[~series] = _terms(g, s[~series], _subset(rate, ~series))
+        out[~series] = _terms(g, s[~series], rate[~series])
     return out
 
 

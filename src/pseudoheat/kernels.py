@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import gfunc
-from .quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec, _integrate_abel_arrays
+from .quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec, integrate_abel
 
 __all__ = ["EvalParams", "KernelValue", "SAMPLED_SPEC", "kernel", "kernel_row", "kernel_array", "kernel_d4",
            "kernel_even"]
@@ -112,13 +112,13 @@ class KernelValue:
 
 class _Rates(NamedTuple):
     """A row's dimension, the rates a and shifts E of its distinct tau (in
-    increasing tau), and each entry's index into them: an int array like
-    the row, or None where the row has one tau, whose rate broadcasts."""
+    increasing tau), and each entry's index into them, an int array like
+    the row."""
 
     D: int
     a: np.ndarray
     E: np.ndarray
-    which: np.ndarray | None
+    which: np.ndarray
 
 
 def _d4_row(rates: _Rates, ss: np.ndarray, spec: QuadratureSpec) -> _Row:
@@ -130,9 +130,8 @@ def _d4_row(rates: _Rates, ss: np.ndarray, spec: QuadratureSpec) -> _Row:
         except OverflowError:  # float ** raises where * would give inf; every entry at a fails
             front.append(math.nan)
             exc = OverflowError(f"binary64 overflow ((a/pi)^1.5 at a={a!r})")
-            entries = range(len(ss)) if rates.which is None else np.flatnonzero(rates.which == r).tolist()
-            failures.update(dict.fromkeys(entries, exc))
-    front, a, E = (gfunc._per_entry(x, rates.which) for x in (np.array(front), rates.a, rates.E))
+            failures.update(dict.fromkeys(np.flatnonzero(rates.which == r).tolist(), exc))
+    front, a, E = (x[rates.which] for x in (np.array(front), rates.a, rates.E))
     # past s ~ 710.48 sinh overflows and s / sinh s is 0.0: the kernel there,
     # front 2 s exp(-s - a s^2 + E), is below exp(-1300) at any a (a E = -3/16)
     with np.errstate(over="ignore", invalid="ignore"):  # sinh overflows, 0 / sinh 0
@@ -156,8 +155,8 @@ def _odd_row(rates: _Rates, ss: np.ndarray, spec: QuadratureSpec) -> _Row:
     g = gfunc.expression(k, rates.a, rates.E)
     front = math.sqrt(2.0) * (-1.0 / (2.0 * math.pi)) ** k
     which = rates.which
-    F = lambda s, endpoint: gfunc.evaluate_many(g, s, None if which is None else which[endpoint])
-    value, err, failures = _integrate_abel_arrays(F, ss, gfunc._per_entry(rates.a, which), spec)
+    F = lambda s, endpoint: gfunc.evaluate_many(g, s, which[endpoint])
+    value, err, failures = integrate_abel(F, ss, rates.a[which], spec)
     value, err = front * value, abs(front) * err
     for i, failure in failures.items():
         if isinstance(failure, NonConvergenceError):  # it carries the Abel integral's
@@ -197,8 +196,8 @@ def _row(params: EvalParams, tau, ss: np.ndarray, spec: QuadratureSpec, route: s
         if taus.size and not (taus[0] > 0.0 and taus[-1] < math.inf):  # nan sorts last
             raise ValueError("tau must be positive and finite")
         which = which.reshape(ss.shape)
-    else:
-        taus, which = np.array([tau], dtype=float), None
+    else:  # a row of one rate
+        taus, which = np.array([tau], dtype=float), np.zeros(len(ss), dtype=np.intp)
     route = route or ("kernel_d4" if params.D == 4 else "kernel_odd" if params.D % 2 else "kernel_even")
     rates = _Rates(params.D, _rate(params, taus), _shift(params, taus), which)
     value, err, failures = _ROUTES[route](rates, ss, spec)
@@ -208,7 +207,7 @@ def _row(params: EvalParams, tau, ss: np.ndarray, spec: QuadratureSpec, route: s
         for i in np.flatnonzero(~finite).tolist():
             failures.setdefault(i, OverflowError(f"binary64 overflow (value {float(value[i])!r})"))
     return value, err, {
-        i: _located(exc, params.D, float(taus[0 if which is None else which[i]]), float(ss[i]), route)
+        i: _located(exc, params.D, float(taus[which[i]]), float(ss[i]), route)
         for i, exc in failures.items()
     }
 

@@ -19,9 +19,10 @@ the h grid, so every halving evaluates only the new nodes.
 Every integrand takes a float array of nodes and returns their values as
 one array.  The Abel rule takes many lower endpoints l0 = cosh d and hands
 the integrand F the nodes of all of them that have not yet converged as
-one float array per halving.  Each endpoint keeps its own steps,
-convergence test and error estimate, and gets back its own value or
-failure, so one endpoint that does not converge does not fail the others.
+one float array per halving, with the index of each node's endpoint.
+Each endpoint keeps its own steps, convergence test and error estimate,
+and gets back its own value or failure, so one endpoint that does not
+converge does not fail the others.
 """
 
 from __future__ import annotations
@@ -52,8 +53,10 @@ class QuadratureSpec:
     abs_tol: float = 1e-14
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        for name in ("rel_tol", "abs_tol"):
+            v = getattr(self, name)
+            if not (v > 0.0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be positive and finite")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -260,15 +263,17 @@ def _abel_nodes(F, u_stretched: np.ndarray, w_d, decay_rate, endpoint) -> tuple[
 
 
 def integrate_abel(
-    F: Callable[[np.ndarray], np.ndarray],
+    F: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ds: Sequence[float],
     decay_rate: float | np.ndarray,
     spec: QuadratureSpec = DEFAULT_SPEC,
-) -> list[tuple[float, float, Exception | None]]:
+) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
     """Integral of F(arccosh l) (l - cosh d)^(-1/2) over l in [cosh d, inf), for each d in ds.
 
-    F maps a float array of s = arccosh l to its values and must decay
-    like exp(-decay_rate s^2); decay_rate is one float, or one per d.  With
+    F(s, endpoint) maps a float array of s = arccosh l, and the index into
+    ds of each node's endpoint (an int array like s), to its values; it
+    must decay like exp(-decay_rate s^2), where decay_rate is one float, or
+    one per d.  With
     l = cosh d + sinh^2 t the integrand, 2 F cosh t, is even, decays like
     a Gaussian and is analytic in |Im t| < pi/2, so the trapezoidal rule
     converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).
@@ -281,19 +286,11 @@ def integrate_abel(
     yet converged, for up to _ABEL_BATCH endpoints at a time; each
     endpoint stops on its own test.  If F evaluates each entry
     independently of the others, an endpoint's result does not depend on
-    the other endpoints.  Returns (value, err_est, failure) per endpoint:
-    failure is None, or an unraised NonConvergenceError (value and
-    err_est after the last halving, and the halvings run) or OverflowError.
+    the other endpoints.  Returns the value and err_est arrays, one entry
+    per endpoint, and the failure of each endpoint that failed, by index:
+    an unraised NonConvergenceError (value and err_est after the last
+    halving, and the halvings run) or OverflowError.
     """
-    value, err, failures = _integrate_abel_arrays(lambda s, endpoint: F(s), ds, decay_rate, spec)
-    return [(v, e, failures.get(i)) for i, (v, e) in enumerate(zip(value.tolist(), err.tolist()))]
-
-
-def _integrate_abel_arrays(F, ds: Sequence[float], decay_rate, spec: QuadratureSpec):
-    """``integrate_abel`` as arrays, for the kernels' rows: the value and
-    err_est of every endpoint, and the failure of each that failed, by index.
-    F(s, endpoint) also takes the index into ds of each node's endpoint, and
-    decay_rate is a float or one rate per endpoint."""
     ds = np.asarray(ds, dtype=float)
     rates = np.empty_like(ds)
     rates[:] = decay_rate
@@ -326,7 +323,7 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _abel_pass(F, ds: np.ndarray, rates: np.ndarray, index: np.ndarray, spec: QuadratureSpec, out) -> None:
     """integrate_abel over the endpoints ds[index], each at its decay rate
     rates[index], into out: the value and err_est arrays and the failures by
-    index of _integrate_abel_arrays."""
+    index of integrate_abel."""
     value_out, err_out, failures = out
     d, rate = ds[index], rates[index]
     s_max = gaussian_cutoff(d, rate)

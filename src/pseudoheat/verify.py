@@ -155,12 +155,13 @@ def abel_residual(
         if l < 1.0:
             raise ValueError("l grid entries must be >= 1")
         rhs = _abel_rhs(params, l)
-        if rhs == 0.0:  # nothing to compare the integral with
+        abs_tol = _ABEL_SPEC.abs_tol * abs(rhs)
+        if abs_tol == 0.0:  # rhs is 0.0, or too small to scale the tolerance by
             underflowed.append(l)
             lhs, err, rel = None, None, math.inf
         else:
             try:
-                spec = QuadratureSpec(_ABEL_SPEC.rel_tol, _ABEL_SPEC.abs_tol * abs(rhs))
+                spec = QuadratureSpec(_ABEL_SPEC.rel_tol, abs_tol)
                 lhs, err = _abel_lhs(params, l, spec)
                 rel = abs(lhs - rhs) / abs(rhs)
             except NonConvergenceError as exc:
@@ -618,15 +619,17 @@ def gfunc_reports(
     oracle_worst = 0.0
     oracle_pts = []
     overlap, oracle = np.array(_S_OVERLAP), np.array(_S_ORACLE)
+    # every entry at the expression's one rate
+    at_overlap, at_oracle = np.zeros(len(overlap), dtype=np.intp), np.zeros(len(oracle), dtype=np.intp)
     for a in a_values:
         for n in range(n_max + 1):
             g = gfunc.expression(n, a, 0.0)
-            pairs = zip(gfunc._terms(g, overlap).tolist(), gfunc._series_many(g, overlap).tolist())
-            for s, (t, srs) in zip(_S_OVERLAP, pairs):
+            terms, series = gfunc._terms(g, overlap, at_overlap), gfunc._series_many(g, overlap, at_overlap)
+            for s, t, srs in zip(_S_OVERLAP, terms.tolist(), series.tolist()):
                 rel = abs(t - srs) / abs(t)
                 overlap_worst = max(overlap_worst, rel)
                 overlap_pts.append({"a": a, "n": n, "s": s, "rel": rel})
-            for s, t in zip(_S_ORACLE, gfunc._terms(g, oracle).tolist()):
+            for s, t in zip(_S_ORACLE, gfunc._terms(g, oracle, at_oracle).tolist()):
                 ref = richardson_dl_derivative(a, 0.0, n, s)
                 rel = abs(t - ref) / abs(ref)
                 oracle_worst = max(oracle_worst, rel)

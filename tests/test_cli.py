@@ -51,6 +51,21 @@ def test_eval_rejects_low_dimension():
     assert "D must be >= 3" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("eval", "--dim", "3", "--tau", "1", "--s", "1", "--rel-tol", "nan"),
+        ("eval", "--dim", "6", "--tau", "1", "--s", "1", "--abs-tol", "nan"),
+        ("table", "--dim", "5", "--tau-grid", "0.5:1:2", "--s-grid", "0:1:2", "--rel-tol", "nan"),
+    ],
+)
+def test_nan_tolerance_is_a_usage_error(args):
+    # a nan tolerance is rejected before any kernel runs, at every D
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert res.stderr.endswith("must be positive and finite\n") and res.stdout == ""
+
+
 def test_table_rows_and_determinism():
     args = ("table", "--dim", "4", "--tau-grid", "0.5:1.5:3", "--s-grid", "0:2:3", "--format", "csv")
     res1 = run_cli(*args)
@@ -259,6 +274,16 @@ def test_oracle_needs_two_distinct_slice_counts(n):
     assert res.stdout == ""
 
 
+def test_oracle_names_a_closed_value_that_underflowed():
+    # the lattice deviation is relative to the closed-form value: where that
+    # underflows to 0.0 the oracle stops before sampling and names the point
+    res = run_cli("oracle", "--dim", "3", "--tau", "0.01", "--y2", "1000", "--samples", "10000",
+                  "--n", "2,4", "--threads", "1")
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr.startswith("error: closed-form kernel underflows binary64 at D=3, tau=0.01, s=")
+    assert "Traceback" not in res.stderr
+
+
 def test_verify_runs_at_the_printed_units():
     base = run_cli("verify", "abel", "--dims", "3", "--tau", "1")
     heavy = run_cli("verify", "abel", "--dims", "3", "--tau", "1", "--m", "1")
@@ -279,6 +304,7 @@ def test_verify_runs_at_the_printed_units():
         ("abel", "3,4", "3e-3", [math.cosh(3.0)]),
         ("ck", "4", "1e-3", [2.0]),
         ("pde-horicyclic", "3", "1e-4", None),
+        ("abel", "3,4", "3.1e-3", [math.cosh(3.0)]),
     ],
 )
 def test_verify_names_a_reference_value_that_underflowed(suite, dims, tau, points):

@@ -24,6 +24,11 @@ from pseudoheat.verify import richardson_dl_derivative
 from _oracles import even_reference
 
 
+def _one_rate(s):
+    """The rate index of every entry of s, at an expression's one rate."""
+    return np.zeros(len(s), dtype=np.intp)
+
+
 def test_g_base_values():
     g = expression(0, 1.0, 0.0)
     assert evaluate_near_origin(g, 0.0) == pytest.approx(math.sqrt(1.0 / math.pi), rel=1e-15)
@@ -143,7 +148,7 @@ def test_series_and_terms_agree_in_overlap():
     for a in (0.125, 0.25, 1.0):
         for n in range(6):
             g = gfunc.expression(n, a, -0.3)
-            for s, srs in zip(ss.tolist(), gfunc._series_many(g, ss).tolist()):
+            for s, srs in zip(ss.tolist(), gfunc._series_many(g, ss, _one_rate(ss)).tolist()):
                 t = evaluate(g, s)
                 assert abs(t - srs) <= 1e-9 * abs(t), (a, n, s)
 
@@ -238,7 +243,7 @@ def test_compiled_terms_equal_fraction_loop_exactly():
             for t in g.terms:
                 c = 0.0
                 for v in reversed(t.coeff):
-                    c = c * g.a + float(v)
+                    c = c * g.a[0] + float(v)
                 want.append((c, float(t.p), float(t.q), float(t.r)))
             c, p, q, r = g.f64_columns
             q = np.zeros_like(p) if q is None else q
@@ -248,7 +253,7 @@ def test_compiled_terms_equal_fraction_loop_exactly():
 
 def test_series_weights_equal_nested_loop_exactly():
     def nested(n, a, E, w0):
-        h = gfunc._h_series(a)
+        h = gfunc._h_series((a,))[:, 0]
         acc = 0.0
         for j in range(len(h) - 1, n - 1, -1):
             falling = 1.0
@@ -262,7 +267,7 @@ def test_series_weights_equal_nested_loop_exactly():
     compared = 0
     for n in range(11):
         for a in (0.05, 0.5, 2.0, 40.0):
-            got = gfunc._series_many(expression(n, a, -0.3), ss).tolist()
+            got = gfunc._series_many(expression(n, a, -0.3), ss, _one_rate(ss)).tolist()
             for s, w0, value in zip(ss.tolist(), w0s, got):
                 if not gfunc.series_ok(a, s):
                     continue
@@ -296,9 +301,10 @@ def test_terms_route_takes_cauchy_where_the_terms_measure_cancellation(monkeypat
     limit = gfunc._CANCELLATION_LIMIT
     total = np.array([1.0, 1.0, -1.0, 0.0, 0.0, math.nan, 2.0])
     magnitude = np.array([limit, 1.0001 * limit, 1.0001 * limit, 1.0, 0.0, 1.0, math.inf])
-    monkeypatch.setattr(gfunc, "_terms_many", lambda g, s, rate=None: (total.copy(), magnitude))
-    monkeypatch.setattr(gfunc, "_cauchy_many", lambda g, s, rate=None: -s)
-    got = gfunc._terms(expression(4, 0.5, 0.0), np.arange(1.0, 8.0)).tolist()
+    monkeypatch.setattr(gfunc, "_terms_many", lambda g, s, rate: (total.copy(), magnitude))
+    monkeypatch.setattr(gfunc, "_cauchy_many", lambda g, s, rate: -s)
+    s = np.arange(1.0, 8.0)
+    got = gfunc._terms(expression(4, 0.5, 0.0), s, _one_rate(s)).tolist()
     assert got[:5] == [1.0, -2.0, -3.0, -4.0, 0.0]
     assert math.isnan(got[5]) and got[6] == -7.0
 
@@ -321,16 +327,16 @@ def test_cauchy_route_against_the_reference_and_alone_or_in_a_row():
             p = EvalParams(2 * n + 2, 0.25 / a)
             g = expression(n, p.a, p.E)
             ss = np.array([0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5])
-            total, magnitude = gfunc._terms_many(g, ss)
-            ss = ss[(magnitude > gfunc._CANCELLATION_LIMIT * np.abs(total)) & ~gfunc.series_ok(g.a, ss)]
-            values = gfunc.evaluate_many(g, ss)
+            total, magnitude = gfunc._terms_many(g, ss, _one_rate(ss))
+            ss = ss[(magnitude > gfunc._CANCELLATION_LIMIT * np.abs(total)) & ~gfunc.series_ok(p.a, ss)]
+            values = gfunc.evaluate_many(g, ss, _one_rate(ss))
             for s, value in zip(ss.tolist(), values.tolist()):
                 ref = even_reference(2 * n + 2, p.tau, s) / (-0.5 / math.pi) ** n
                 assert abs(value - ref) <= _CAUCHY_REL * abs(ref), (n, a, s, value, ref)
                 row = np.linspace(0.0, 3.0, 16)
                 row[7] = s
-                alone = gfunc._cauchy_many(g, np.array([s]))[0]
-                assert alone == value == gfunc.evaluate_many(g, row)[7], (n, a, s)
+                alone = gfunc._cauchy_many(g, np.array([s]), _one_rate([s]))[0]
+                assert alone == value == gfunc.evaluate_many(g, row, _one_rate(row))[7], (n, a, s)
                 checked.add((n, a))
     # G' has no cancelling terms, and G'' measures 1e3 only below s = 0.05,
     # where the l-series holds; G''' cancels outside it at a <= 0.5 only,
@@ -376,7 +382,7 @@ def test_h_series_in_every_rate_is_the_float_recurrence():
     table = gfunc._h_series(rates)
     assert table.shape == (gfunc.SERIES_ORDER_CAP + 1, len(rates))
     for column, a in zip(table.T.tolist(), rates):
-        assert column == _h_series_loop(a) == gfunc._h_series(a).tolist(), a
+        assert column == _h_series_loop(a) == gfunc._h_series((a,))[:, 0].tolist(), a
 
 
 @pytest.mark.filterwarnings("error")
@@ -393,7 +399,7 @@ def test_evaluate_many_at_a_rate_per_entry_equals_one_rate_expressions():
         rate = rng.integers(len(rates), size=len(s))
         got = gfunc.evaluate_many(g, s, rate).tolist()
         for si, k, value in zip(s.tolist(), rate.tolist(), got):
-            alone = gfunc.evaluate_many(expression(n, rates[k], shifts[k]), np.array([si]))[0]
+            alone = gfunc.evaluate_many(expression(n, rates[k], shifts[k]), np.array([si]), _one_rate([si]))[0]
             assert value == alone, (n, rates[k], si)
     with pytest.raises(ValueError, match="rate index"):
-        gfunc.evaluate_many(expression(2, rates, shifts), s)
+        evaluate(expression(2, rates, shifts), 1.0)

@@ -374,7 +374,7 @@ def test_kernel_odd_matches_the_scalar_node_loop(dim):
         g = gfunc.expression(k, p.a, p.E)
 
         def node(x):
-            return float(gfunc.evaluate_many(g, np.array([x]))[0])
+            return float(gfunc.evaluate_many(g, np.array([x]), np.zeros(1, dtype=np.intp))[0])
 
         old = front * _parent_integrate_abel(node, s, p.a)[0]
         kv = kernel(p, s)
@@ -397,12 +397,13 @@ def _terms_tolerance(g, s):
     the compensated sum's own 2 eps |value|; cancellation among the terms
     enters through sum |x_i| against |value|.
     """
+    (a,), (E,) = g.a, g.E
     log_s, log_ch, log_sh = math.log(s), math.log(math.cosh(s)), math.log(math.sinh(s))
-    base = 0.5 * math.log(g.a / math.pi) - g.a * s * s + g.E
+    base = 0.5 * math.log(a / math.pi) - a * s * s + E
     bound = value = 0.0
     for t in g.terms:
-        c = gfunc._poly_eval(t.coeff_f64, g.a)
-        c_abs = gfunc._poly_eval(tuple(abs(v) for v in t.coeff_f64), g.a)
+        c = gfunc._poly_eval(t.coeff_f64, a)
+        c_abs = gfunc._poly_eval(tuple(abs(v) for v in t.coeff_f64), a)
         mags = t.p * abs(log_s) + t.q * (1.0 + abs(log_ch)) + t.r * (1.0 + abs(log_sh))
         x = math.exp(base + t.p * log_s + t.q * log_ch - t.r * log_sh)
         bound += x * (abs(c) * (1.0 + abs(base) + mags) + c_abs * len(t.coeff))
@@ -423,23 +424,24 @@ def _series_tolerance(g, s):
     where ``series_ok`` holds.  Cancellation enters through
     sum |c_m w0^m| against the value.
     """
-    n, a = g.n, g.a
-    h, falling = gfunc._h_series(a), gfunc._falling_factorials(n)
+    n, (a,), (E,) = g.n, g.a, g.E
+    h, falling = gfunc._h_series((a,))[:, 0], gfunc._falling_factorials(n)
     w0 = 2.0 * math.sinh(0.5 * s) ** 2
     bound = sum(
         (10.0 * m + 2.0 * (m + 1) + n + m) * abs(h[n + m] * falling[n + m]) * w0**m
         for m in range(len(h) - n)
     )
-    return 4.0 * _EPS * math.sqrt(a / math.pi) * math.exp(g.E) * bound + sys.float_info.min
+    return 4.0 * _EPS * math.sqrt(a / math.pi) * math.exp(E) * bound + sys.float_info.min
 
 
 def _term_sum_mp(g, s):
     """The canonical terms of g summed in mpmath at one s > 0, from their
     exact rational coefficients, with 65 digits on top of the
     blowup * log10(1/s) that the terms cancel, blowup the largest r - p."""
+    (a,), (E,) = g.a, g.E
     digits = 65 + math.ceil(max(t.r - t.p for t in g.terms) * math.log10(1.0 / s))
     with mpmath.workdps(digits):
-        sm, am = mpmath.mpf(s), mpmath.mpf(g.a)
+        sm, am = mpmath.mpf(s), mpmath.mpf(a)
         ch, sh = mpmath.cosh(sm), mpmath.sinh(sm)
         total = mpmath.mpf(0)
         for t in g.terms:
@@ -447,7 +449,7 @@ def _term_sum_mp(g, s):
             for v in reversed(t.coeff):
                 coeff = coeff * am + mpmath.mpf(v.numerator) / v.denominator
             total += coeff * sm**t.p * ch**t.q / sh**t.r
-        return float(mpmath.sqrt(am / mpmath.pi) * mpmath.exp(-am * sm * sm + g.E) * total)
+        return float(mpmath.sqrt(am / mpmath.pi) * mpmath.exp(-am * sm * sm + E) * total)
 
 
 # the Cauchy route's relative error: at most 6.2e-12 over the 304 nodes of
@@ -466,10 +468,10 @@ def test_array_routes_follow_the_route_predicates(monkeypatch):
     seen = []  # (one-rate expression of the entry, route, s, value)
 
     def spy(route, fn):
-        def wrapped(g, s, rate=None):
+        def wrapped(g, s, rate):
             out = fn(g, s, rate)
             values = out[0] if route == "f64" else out
-            a, E = (np.broadcast_to(gfunc._per_entry(x, rate), s.shape).tolist() for x in g.rates)
+            a, E = (x[rate].tolist() for x in g.rates)
             seen.extend(
                 (gfunc.expression(g.n, ai, Ei), route, si, vi)
                 for ai, Ei, si, vi in zip(a, E, s.tolist(), values.tolist())
@@ -492,9 +494,9 @@ def test_array_routes_follow_the_route_predicates(monkeypatch):
     for route in ("series", "f64", "cauchy"):
         nodes = [node for node in seen if node[1] == route]
         for g, _, s, value in nodes[:: max(1, len(nodes) // 400)]:  # the mpmath sums are slow
-            series = gfunc.series_ok(g.a, s)
+            series = gfunc.series_ok(g.a[0], s)
             if not series:
-                total, magnitude = gfunc._terms_many(g, np.array([s]))
+                total, magnitude = gfunc._terms_many(g, np.array([s]), np.zeros(1, dtype=np.intp))
                 cancels = magnitude[0] > gfunc._CANCELLATION_LIMIT * abs(total[0])
             assert (series, not series and cancels) == (route == "series", route == "cauchy"), (g.n, g.a, s, route)
             if s == 0.0:  # no term sum at the origin

@@ -16,9 +16,15 @@ from pseudoheat.quadrature import (
 from _oracles import gaussian_moment, graded_midpoint_inverse_sqrt
 
 
+def _abel_rows(F, ds, rate, spec=QuadratureSpec()):
+    """integrate_abel of F(s) per endpoint: (value, err_est, failure or None)."""
+    value, err, failures = integrate_abel(lambda s, endpoint: F(s), ds, rate, spec)
+    return [(v, e, failures.get(i)) for i, (v, e) in enumerate(zip(value.tolist(), err.tolist()))]
+
+
 def _abel(F, d, rate, spec=QuadratureSpec()):
     """integrate_abel at one endpoint: (value, err_est), or its failure raised."""
-    ((value, err, failure),) = integrate_abel(F, [d], rate, spec)
+    ((value, err, failure),) = _abel_rows(F, [d], rate, spec)
     if failure is not None:
         raise failure
     return value, err
@@ -34,6 +40,11 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            QuadratureSpec(rel_tol=bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            QuadratureSpec(abs_tol=bad)
 
 
 def test_standard_gaussian():
@@ -190,9 +201,9 @@ def test_endpoint_singular_small_d_regular():
 
 def test_endpoint_singular_rejects_negative_endpoint():
     with pytest.raises(ValueError):
-        integrate_abel(lambda s: s, [0.1, -0.1], 1.0)
+        integrate_abel(lambda s, endpoint: s, [0.1, -0.1], 1.0)
     with pytest.raises(ValueError):
-        integrate_abel(lambda s: s, [0.1], 0.0)
+        integrate_abel(lambda s, endpoint: s, [0.1], 0.0)
 
 
 def test_abel_closed_form_exponential():
@@ -284,12 +295,12 @@ def test_abel_endpoints_are_independent_of_their_batch():
     # more endpoints than one pass takes, each bit-equal to its own call
     F = lambda s: np.exp(-s * s)
     ds = [0.05 * k for k in range(70)]
-    batch = integrate_abel(F, ds, 1.0)
+    batch = _abel_rows(F, ds, 1.0)
     assert len(batch) == 70
     for d, got in zip(ds, batch):
-        ((value, err, failure),) = integrate_abel(F, [d], 1.0)
+        ((value, err, failure),) = _abel_rows(F, [d], 1.0)
         assert failure is None and got == (value, err, None), d
-    assert integrate_abel(F, [], 1.0) == []
+    assert _abel_rows(F, [], 1.0) == []
 
 
 @pytest.mark.filterwarnings("error")
@@ -297,9 +308,9 @@ def test_abel_one_failed_endpoint_keeps_the_others():
     # at d = 15 the rounding floor 2 eps (1 + s^2) per node exceeds 1e-13
     spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
     F = lambda s: np.exp(-s * s)
-    first, failed, last = integrate_abel(F, [1.0, 15.0, 2.0], 1.0, spec)
-    assert first == integrate_abel(F, [1.0], 1.0, spec)[0] and first[2] is None
-    assert last == integrate_abel(F, [2.0], 1.0, spec)[0] and last[2] is None
+    first, failed, last = _abel_rows(F, [1.0, 15.0, 2.0], 1.0, spec)
+    assert first == _abel_rows(F, [1.0], 1.0, spec)[0] and first[2] is None
+    assert last == _abel_rows(F, [2.0], 1.0, spec)[0] and last[2] is None
     value, err, failure = failed
     assert isinstance(failure, NonConvergenceError)
     assert (failure.value, failure.err_est) == (value, err) and err > 0.0
@@ -310,9 +321,9 @@ def test_abel_overflowed_endpoint_keeps_the_others():
     # F is inf past s = 5: the endpoint d = 4 reaches it and overflows, d = 800
     # fails in its grid (sinh overflows), and d = 0 and 1 end before s = 5
     F = lambda s: np.exp(-4.0 * s * s) * np.where(s > 5.0, np.inf, 1.0)
-    results = integrate_abel(F, [0.0, 4.0, 1.0, 800.0], 4.0)
+    results = _abel_rows(F, [0.0, 4.0, 1.0, 800.0], 4.0)
     for d, got in zip((0.0, 1.0), (results[0], results[2])):
-        assert got == integrate_abel(F, [d], 4.0)[0] and got[2] is None, d
+        assert got == _abel_rows(F, [d], 4.0)[0] and got[2] is None, d
     overflowed, no_grid = results[1][2], results[3][2]
     assert type(overflowed) is OverflowError and str(overflowed) == "integrand overflowed binary64"
     assert type(no_grid) is OverflowError and str(no_grid) != str(overflowed)
@@ -368,9 +379,9 @@ def test_abel_endpoints_at_their_own_rates_equal_lone_calls():
     ds = [0.0, 0.5, 2.0, 0.5, 1.0]
     rates = [0.3, 0.3, 1.0, 4.0, 1e-3]
     spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)
-    got = integrate_abel(F, ds, np.array(rates), spec)
+    got = _abel_rows(F, ds, np.array(rates), spec)
     for d, rate, (value, err, failure) in zip(ds, rates, got):
-        ((want_value, want_err, want_failure),) = integrate_abel(F, [d], rate, spec)
+        ((want_value, want_err, want_failure),) = _abel_rows(F, [d], rate, spec)
         assert (value, err) == (want_value, want_err), (d, rate)
         assert type(failure) is type(want_failure) and str(failure) == str(want_failure)
     assert any(f is None for _, _, f in got) and any(f is not None for _, _, f in got)
