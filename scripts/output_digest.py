@@ -41,15 +41,17 @@ A change that moves output bits is gated on values instead:
 
 ``--values FILE`` also writes every parsed number to FILE as JSON: each
 table cell's ``value`` and ``err_est``, and each verification report's
-residual and verdict.  The ``eval`` and ``oracle`` outputs are digested
-only.  ``--compare OLD NEW`` runs nothing; per command it
-prints the largest relative change in value, how many cells changed by
-more than their own error estimate (the sum of the two sides' ``err_est``),
-how many cells have a value on one side only, and every verification
-verdict that changed.  It exits 1, after one ``FAIL`` line per failure,
-when an exit code or a verdict changes, a cell has a value on one side
-only, or a cell moves by more than both 1e-9 relative and the sum of the
-two sides' ``err_est``; otherwise it exits 0.
+residual, verdict and integrals, each a value with its ``quad_err``
+(abel's lhs per l, ck's convolution, mass's masses, x-marginal's lhs).
+The ``eval`` and ``oracle`` outputs are digested only.  ``--compare OLD
+NEW`` runs nothing; per command it prints the largest relative change in
+value, how many cells or integrals changed by more than their own error
+estimate (the sum of the two sides' ``err_est`` or ``quad_err``), how
+many have a value on one side only, and every verification verdict that
+changed.  It exits 1, after one ``FAIL`` line per failure, when an exit
+code or a verdict changes, a cell or integral has a value on one side
+only, or one moves by more than both 1e-9 relative and the sum of the
+two sides' error estimates; otherwise it exits 0.
 """
 
 from __future__ import annotations
@@ -106,8 +108,24 @@ def run(argv: list[str]) -> tuple[str, int]:
     return buf.getvalue(), code
 
 
+def _integrals(report: dict) -> list[tuple[float | None, float | None]]:
+    """The (value, quad_err) of each integral a verification report carries:
+    abel's lhs per l, ck's convolution, mass's masses and x-marginal's lhs."""
+    details = report["details"]
+    if report["check"] == "abel":
+        return [(p["lhs"], p["quad_err"]) for p in details["points"]]
+    if report["check"] in ("ck", "x-marginal"):
+        key = "convolution" if report["check"] == "ck" else "lhs"
+        return [(details[key], details["quad_err"])]
+    if report["check"] == "mass":
+        errs = details.get("quad_err", {})
+        return [(m, errs.get(t, 0.0)) for t, m in details["masses"].items()]
+    return []
+
+
 def parse(argv: list[str], text: str) -> list[dict]:
-    """Every number of one output: table cells or verification reports."""
+    """Every number of one output: table cells, or verification reports
+    with their integrals' values and error estimates."""
     if argv[0] == "table":
         cells = []
         for line in text.strip().splitlines()[1:]:
@@ -118,7 +136,10 @@ def parse(argv: list[str], text: str) -> list[dict]:
             })
         return cells
     return [
-        {"check": r["check"], "D": r["D"], "residual": r["residual"], "passed": r["passed"]}
+        {
+            "check": r["check"], "D": r["D"], "residual": r["residual"], "passed": r["passed"],
+            "values": [{"value": v, "quad_err": e} for v, e in _integrals(r)],
+        }
         for r in json.loads(text)["reports"]
     ]
 
@@ -130,18 +151,43 @@ def _rel_change(old: float, new: float) -> float:
     return abs(new - old) / scale if math.isfinite(scale) else math.inf
 
 
-# a cell fails the gate when it moves by more than both of these
+# a cell or integral fails the gate when it moves by more than both of these
 GATE_REL = 1e-9
+
+
+class _Gate:
+    """Values of one command against the gate: the largest relative change,
+    how many moved by more than their two error estimates, how many have a
+    value on one side only, and a failure line per value that fails."""
+
+    def __init__(self, failures: list[str]):
+        self.failures, self.worst, self.over, self.one_sided = failures, 0.0, 0, 0
+
+    def check(self, where: str, va, ea, vb, eb) -> None:
+        if (va is None) != (vb is None):
+            self.one_sided += 1
+            self.failures.append(f"{where}: value {va!r} -> {vb!r}")
+            return
+        if va is None or (math.isnan(va) and math.isnan(vb)):
+            return
+        rel = _rel_change(va, vb)
+        self.worst = max(self.worst, rel)
+        # nan on either side moves by nan, which no bound covers
+        if not abs(vb - va) <= (ea or 0.0) + (eb or 0.0):
+            self.over += 1
+            if not rel <= GATE_REL:
+                self.failures.append(f"{where}: value {va!r} -> {vb!r}, rel change {rel:.3g}, "
+                                     f"err_est {ea!r} + {eb!r}")
 
 
 def compare(old_path: str, new_path: str) -> int:
     """Print the per-command summary; 1 if any command fails the gate, else 0.
 
     A command fails when its exit code changes, a verification verdict
-    changes, a table cell has a value on one side only, or a cell moves by
-    more than both GATE_REL relative and the sum of the two sides'
-    ``err_est``.  Each failure is printed on a line of its own starting
-    with ``FAIL``.
+    changes, a table cell or a verification integral has a value on one
+    side only, or one moves by more than both GATE_REL relative and the
+    sum of the two sides' ``err_est`` (``quad_err`` for an integral).
+    Each failure is printed on a line of its own starting with ``FAIL``.
     """
     old = json.loads(Path(old_path).read_text())
     new = json.loads(Path(new_path).read_text())
@@ -155,29 +201,16 @@ def compare(old_path: str, new_path: str) -> int:
         codes = f"exit {a['exit']}->{b['exit']}"
         if a["exit"] != b["exit"]:
             failures.append(f"{key}: {codes}")
+        gate = _Gate(failures)
         if key.startswith("table"):
-            worst, over, one_sided = 0.0, 0, 0
             for ca, cb in zip(a["items"], b["items"]):
-                va, vb = ca["value"], cb["value"]
-                where = f"{key}: tau={cb['tau']!r} s={cb['s']!r}"
-                if (va is None) != (vb is None):
-                    one_sided += 1
-                    failures.append(f"{where}: value {va!r} -> {vb!r}")
-                    continue
-                if va is None:
-                    continue
-                rel = _rel_change(va, vb)
-                worst = max(worst, rel)
-                if abs(vb - va) > ca["err_est"] + cb["err_est"]:
-                    over += 1
-                    if rel > GATE_REL:
-                        failures.append(f"{where}: value {va!r} -> {vb!r}, rel change {rel:.3g}, "
-                                        f"err_est {ca['err_est']!r} + {cb['err_est']!r}")
+                gate.check(f"{key}: tau={cb['tau']!r} s={cb['s']!r}",
+                           ca["value"], ca["err_est"], cb["value"], cb["err_est"])
             if len(a["items"]) != len(b["items"]):
-                one_sided += abs(len(a["items"]) - len(b["items"]))
+                gate.one_sided += abs(len(a["items"]) - len(b["items"]))
                 failures.append(f"{key}: cells {len(a['items'])} -> {len(b['items'])}")
-            print(f"{key}: {codes}, cells {len(b['items'])}, max rel change {worst:.3g}, "
-                  f"over err_est {over}, value on one side only {one_sided}")
+            print(f"{key}: {codes}, cells {len(b['items'])}, max rel change {gate.worst:.3g}, "
+                  f"over err_est {gate.over}, value on one side only {gate.one_sided}")
         else:
             flips = [
                 f"{ra['check']} D={ra['D']} {ra['passed']}->{rb['passed']}"
@@ -191,8 +224,17 @@ def compare(old_path: str, new_path: str) -> int:
                 (_rel_change(ra["residual"], rb["residual"]) for ra, rb in zip(a["items"], b["items"])),
                 default=0.0,
             )
+            for ra, rb in zip(a["items"], b["items"]):
+                where = f"{key}: {rb['check']} D={rb['D']}"
+                va, vb = ra.get("values", []), rb.get("values", [])
+                if len(va) != len(vb):
+                    failures.append(f"{where}: integrals {len(va)} -> {len(vb)}")
+                for k, (ia, ib) in enumerate(zip(va, vb)):
+                    gate.check(f"{where} integral {k}", ia["value"], ia["quad_err"], ib["value"], ib["quad_err"])
             print(f"{key}: {codes}, reports {len(a['items'])}->{len(b['items'])}, "
-                  f"max rel residual change {worst:.3g}, verdicts changed {len(flips)}"
+                  f"max rel residual change {worst:.3g}, verdicts changed {len(flips)}, "
+                  f"max rel integral change {gate.worst:.3g}, over quad_err {gate.over}, "
+                  f"value on one side only {gate.one_sided}"
                   + "".join(f"\n  {f}" for f in flips))
     for line in failures:
         print(f"FAIL {line}")

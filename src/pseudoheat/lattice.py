@@ -35,7 +35,7 @@ import numpy as np
 
 from .geometry import HoricyclicPoint
 from .kernels import EvalParams
-from .quadrature import QuadratureSpec, _pointwise, integrate_tanh_sinh
+from .quadrature import QuadratureSpec, _pointwise, integrate_one, integrate_tanh_sinh
 
 __all__ = ["LatticeSpec", "lattice_kernel", "convergence_order"]
 
@@ -196,10 +196,10 @@ def _lattice_nested(
                 mid = HoricyclicPoint(y, (x,))
                 return _slice_factor(params, eps, q1, mid) * _slice_factor(params, eps, mid, q2)
 
-            val, _ = integrate_tanh_sinh(_pointwise(f), xc - half_x, xc + half_x, qspec)
+            val, _ = integrate_one(integrate_tanh_sinh, _pointwise(f), xc - half_x, xc + half_x, qspec)
             return math.exp(-z) * val
 
-        return integrate_tanh_sinh(_pointwise(inner), z_lo, z_hi, qspec)
+        return integrate_one(integrate_tanh_sinh, _pointwise(inner), z_lo, z_hi, qspec)
 
     # n == 3, heights only
     front = (a_eps / math.pi) ** 1.5 * math.sqrt(q1.y * q2.y) * math.exp(params.E)
@@ -215,10 +215,10 @@ def _lattice_nested(
         return math.sqrt(big_a / math.pi) * math.exp(-a_eps * s - big_a * r2)
 
     def outer(za: float) -> float:
-        val, _ = integrate_tanh_sinh(_pointwise(lambda zb: inner(za, zb)), z_lo, z_hi, qspec)
+        val, _ = integrate_one(integrate_tanh_sinh, _pointwise(lambda zb: inner(za, zb)), z_lo, z_hi, qspec)
         return val
 
-    value, err = integrate_tanh_sinh(_pointwise(outer), z_lo, z_hi, qspec)
+    value, err = integrate_one(integrate_tanh_sinh, _pointwise(outer), z_lo, z_hi, qspec)
     return front * value, front * err
 
 

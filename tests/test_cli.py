@@ -8,6 +8,7 @@ import pytest
 
 from pathlib import Path
 
+from pseudoheat import cli
 from pseudoheat.kernels import EvalParams, kernel_row
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -357,3 +358,30 @@ def test_table_row_keeps_its_cells_around_a_nonconverged_one():
     assert bad["error"].startswith("quadrature did not converge")
     assert bad["error"].endswith("at D=3, tau=0.001, s=1.0 in kernel_odd")
     assert all("error" not in r for r in doc["rows"][:4])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "suite, dims, tau, code",
+    [
+        ("x-marginal", "6", "300", 1),  # the rhs underflows binary64
+        ("x-marginal", "3", "1e-4", 1),
+        ("x-marginal", "4", "1000", 1),
+        ("x-marginal", "4", "900", 1),  # w (w + 2) overflows at s ~ 550
+        ("ck", "5", "100", 0),  # K1 is 0.0 where sinh^3 r overflows
+        ("ck", "4", "300", 0),  # cosh r overflows where K1 is 0.0
+    ],
+)
+def test_verify_at_extreme_tau_reports_without_warnings(suite, dims, tau, code, capsys):
+    # in-process, so that a RuntimeWarning fails the test: every report has
+    # a number for its residual, inf where the reference underflowed
+    assert cli.main(["verify", suite, "--dims", dims, "--tau", tau]) == code
+    out = capsys.readouterr()
+    assert out.err == ""
+    for r in json.loads(out.out)["reports"]:
+        assert not math.isnan(r["residual"])
+        if "underflowed" in r["details"]:
+            assert r["residual"] == math.inf and r["details"]["lhs"] is None
+            assert r["details"]["underflowed"] == [[1.0, math.e if dims == "3" else 1.0]]
+        else:
+            assert math.isfinite(r["residual"]) and r["passed"] == (code == 0)

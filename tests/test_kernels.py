@@ -316,9 +316,9 @@ def test_kernel_row_values_do_not_depend_on_the_row(dim):
 def _parent_integrate_abel(F, d, decay_rate, spec=DEFAULT_SPEC):
     """The scalar Abel trapezoid rule as it stood before batching, node by node."""
     from pseudoheat.quadrature import (
-        _ABEL_MAX_HALVINGS,
-        _ABEL_ROUNDING,
         _ABEL_STRETCH,
+        _MAX_HALVINGS,
+        _ROUNDING,
         TRUNCATION_SIGMA,
         gaussian_cutoff,
     )
@@ -348,12 +348,12 @@ def _parent_integrate_abel(F, d, decay_rate, spec=DEFAULT_SPEC):
     total += 0.5 * origin
     weighted += 0.5 * origin_weighted
     value = 2.0 * h * total
-    for _ in range(_ABEL_MAX_HALVINGS + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         more, more_weighted, _ = node_sum(j * h for j in range(1, n, 2))
         total += more
         weighted += more_weighted
         coarse, value = value, h * total
-        err = abs(value - coarse) + h * (_ABEL_ROUNDING * weighted + abs(last))
+        err = abs(value - coarse) + h * (_ROUNDING * weighted + abs(last))
         if err <= max(spec.rel_tol * abs(value), spec.abs_tol):
             return value, err
         h *= 0.5
@@ -636,6 +636,6 @@ def test_failures_inside_a_mixed_row_carry_their_own_tau():
 def test_abel_failures_carry_their_halvings():
     with pytest.raises(NonConvergenceError) as info:
         kernel(EvalParams(7, 0.1), 12.0, _TIGHT)
-    assert info.value.halvings == quadrature._ABEL_MAX_HALVINGS == 6
+    assert info.value.halvings == quadrature._MAX_HALVINGS == 6
     (failure,) = kernel_row(EvalParams(7, 0.1), [12.0], _TIGHT)
     assert failure.halvings == 6

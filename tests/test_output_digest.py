@@ -26,8 +26,10 @@ OLD = {
     VERIFY: {
         "exit": 0,
         "items": [
-            {"check": "abel", "D": 3, "residual": 1e-10, "passed": True},
-            {"check": "mass", "D": 3, "residual": 0.3, "passed": False},
+            {"check": "abel", "D": 3, "residual": 1e-10, "passed": True,
+             "values": [{"value": 0.5, "quad_err": 1e-12}, {"value": None, "quad_err": None}]},
+            {"check": "mass", "D": 3, "residual": 0.3, "passed": False,
+             "values": [{"value": 1.25, "quad_err": 0.0}]},
         ],
     },
 }
@@ -92,3 +94,49 @@ def test_main_returns_the_compare_exit_code(tmp_path, monkeypatch, capsys):
     new_file.write_text(json.dumps(new))
     monkeypatch.setattr("sys.argv", ["output_digest.py", "--compare", str(old_file), str(new_file)])
     assert digest.main() == 1
+
+
+def test_parse_records_each_reports_integrals_with_their_quad_err():
+    reports = [
+        {"check": "abel", "D": 3, "residual": 1e-10, "passed": True, "details": {"points": [
+            {"l": 1.0, "lhs": 0.5, "rhs": 0.5, "quad_err": 1e-12},
+            {"l": 2.0, "lhs": None, "rhs": 0.0, "quad_err": None},
+        ]}},
+        {"check": "ck", "D": 3, "residual": 1e-9, "passed": True,
+         "details": {"convolution": 0.25, "target": 0.25, "quad_err": 1e-10}},
+        {"check": "mass", "D": 3, "residual": 1e-9, "passed": True,
+         "details": {"masses": {"0.25": 1.1, "0.5": 1.2}, "quad_err": {"0.25": 1e-12, "0.5": 2e-12}}},
+        {"check": "x-marginal", "D": 3, "residual": 1e-9, "passed": True,
+         "details": {"lhs": 0.75, "rhs": 0.75, "quad_err": 3e-12}},
+        {"check": "pde-radial", "D": 3, "residual": 1e-9, "passed": True, "details": {}},
+    ]
+    items = digest.parse(["verify", "all"], json.dumps({"reports": reports}))
+    assert [item["values"] for item in items] == [
+        [{"value": 0.5, "quad_err": 1e-12}, {"value": None, "quad_err": None}],
+        [{"value": 0.25, "quad_err": 1e-10}],
+        [{"value": 1.1, "quad_err": 1e-12}, {"value": 1.2, "quad_err": 2e-12}],
+        [{"value": 0.75, "quad_err": 3e-12}],
+        [],
+    ]
+    assert [(i["check"], i["residual"], i["passed"]) for i in items] == [
+        (r["check"], r["residual"], r["passed"]) for r in reports
+    ]
+
+
+def test_compare_gates_verification_integrals(tmp_path, capsys):
+    new = copy.deepcopy(OLD)
+    values = new[VERIFY]["items"][0]["values"]
+    values[0]["value"] = 0.5 + 1.5e-12  # inside both bounds
+    new[VERIFY]["items"][1]["values"][0]["value"] = 1.25 * (1 + 5e-10)  # inside 1e-9 relative
+    code, fails = _compare(tmp_path, new, capsys)
+    assert code == 0 and fails == []
+    values[0]["value"] = 0.5 * (1 + 1e-8)  # past 1e-9 relative and past the quad_err sum
+    values[1]["value"] = 0.125  # a value on one side only
+    code, fails = _compare(tmp_path, new, capsys)
+    assert code == 1
+    assert fails[0].startswith(f"FAIL {VERIFY}: abel D=3 integral 0: value 0.5 -> ")
+    assert fails[1:] == [f"FAIL {VERIFY}: abel D=3 integral 1: value None -> 0.125"]
+    values[1]["value"] = None
+    values[0]["value"], values[0]["quad_err"] = 0.5 + 8e-10, 1e-9  # past 1e-9 relative, inside the quad_err sum
+    code, fails = _compare(tmp_path, new, capsys)
+    assert code == 0 and fails == []

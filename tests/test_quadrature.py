@@ -10,16 +10,22 @@ from pseudoheat.quadrature import (
     abel_identity_check,
     gaussian_cutoff,
     integrate_abel,
+    integrate_one,
     integrate_periodic,
     integrate_tanh_sinh,
 )
 from _oracles import gaussian_moment, graded_midpoint_inverse_sqrt
 
 
-def _abel_rows(F, ds, rate, spec=QuadratureSpec()):
-    """integrate_abel of F(s) per endpoint: (value, err_est, failure or None)."""
-    value, err, failures = integrate_abel(lambda s, endpoint: F(s), ds, rate, spec)
+def _rows(result):
+    """A rule's (value, err_est, failures) as (value, err_est, failure or None) per integral."""
+    value, err, failures = result
     return [(v, e, failures.get(i)) for i, (v, e) in enumerate(zip(value.tolist(), err.tolist()))]
+
+
+def _abel_rows(F, ds, rate, spec=QuadratureSpec(), abs_tol=None):
+    """integrate_abel of F(s) per endpoint: (value, err_est, failure or None)."""
+    return _rows(integrate_abel(lambda s, endpoint: F(s), ds, rate, spec, abs_tol))
 
 
 def _abel(F, d, rate, spec=QuadratureSpec()):
@@ -32,7 +38,7 @@ def _abel(F, d, rate, spec=QuadratureSpec()):
 
 def _semi_infinite(f, lower, rate, spec=QuadratureSpec()):
     """int_lower^inf f for |f| <= C exp(-rate t^2): tanh-sinh up to the Gaussian cutoff."""
-    return integrate_tanh_sinh(f, lower, gaussian_cutoff(lower, rate, TRUNCATION_SIGMA), spec)
+    return integrate_one(integrate_tanh_sinh, f, lower, gaussian_cutoff(lower, rate, TRUNCATION_SIGMA), spec)
 
 
 def test_spec_validation():
@@ -72,7 +78,7 @@ def test_tail_cut_at_the_ends_is_reported():
     # leaves 2 sqrt(2.2e-14) = 2.9e-7 uncomputed at every step; the rule
     # does not claim 1e-9 but fails with an estimate that covers it
     with pytest.raises(NonConvergenceError) as info:
-        integrate_tanh_sinh(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
+        integrate_one(integrate_tanh_sinh, lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
     assert 2e-7 < abs(info.value.value - 2.0) <= info.value.err_est < 1e-6
 
 
@@ -87,7 +93,7 @@ def test_nonconvergence_raised_and_carries_estimate():
     spiky = lambda t: 1.0 / (1e-8 + (t - 3.0) ** 2)
     spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-30)
     with pytest.raises(NonConvergenceError) as info:
-        integrate_tanh_sinh(spiky, 0.0, 6.0, spec)
+        integrate_one(integrate_tanh_sinh, spiky, 0.0, 6.0, spec)
     assert info.value.err_est > 0.0
     assert math.isfinite(info.value.value) and info.value.value > 0.0
 
@@ -102,7 +108,7 @@ def test_halving_reuses_every_node():
         calls.append(x.tolist())
         return 1.0 / (0.01 + (x - 0.3) ** 2)
 
-    integrate_tanh_sinh(f, 0.0, 2.0, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-30))
+    integrate_one(integrate_tanh_sinh, f, 0.0, 2.0, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-30))
     assert [len(c) for c in calls] == [49] + [48 * 2**k for k in range(len(calls) - 1)]
     assert len(calls) > 2
     nodes = [x for c in calls for x in c]
@@ -111,19 +117,23 @@ def test_halving_reuses_every_node():
 
 def test_integrand_value_count_is_checked():
     with pytest.raises(ValueError):
-        integrate_tanh_sinh(lambda x: x[:-1], 0.0, 1.0)
+        integrate_tanh_sinh(lambda x, at: x[:-1], 0.0, 1.0)
     with pytest.raises(ValueError):
-        integrate_periodic(lambda x, live: np.ones((len(x), 3)), 0.0, 1.0, count=2)
+        integrate_periodic(lambda x, at: np.ones((len(x), 3)), 0.0, 1.0, abs_tol=[1e-14, 1e-14])
 
 
 def test_interval_must_be_finite_and_increasing():
     for rule in (integrate_tanh_sinh, integrate_periodic):
         with pytest.raises(ValueError):
-            rule(lambda x: x, 0.0, 0.0)
+            rule(lambda x, at: x, 0.0, 0.0)
         with pytest.raises(ValueError):
-            rule(lambda x: x, 1.0, 0.0)
+            rule(lambda x, at: x, 1.0, 0.0)
         with pytest.raises(ValueError):
-            rule(lambda x: x, 0.0, math.inf)
+            rule(lambda x, at: x, 0.0, math.inf)
+        with pytest.raises(ValueError):  # one bad interval among good ones
+            rule(lambda x, at: x, [0.0, 1.0], [1.0, 0.5])
+        with pytest.raises(ValueError):
+            rule(lambda x, at: x, 0.0, 1.0, abs_tol=[1e-14, 0.0])
 
 
 def test_periodic_rule_is_spectral_on_an_even_periodic_integrand():
@@ -134,31 +144,35 @@ def test_periodic_rule_is_spectral_on_an_even_periodic_integrand():
         calls.append(len(x))
         return np.exp(np.cos(x))
 
-    value, err = integrate_periodic(f, 0.0, math.pi, QuadratureSpec(rel_tol=1e-14))
+    value, err = integrate_one(integrate_periodic, f, 0.0, math.pi, QuadratureSpec(rel_tol=1e-14))
     assert value == pytest.approx(math.pi * float(np.i0(1.0)), rel=1e-15)
     assert calls == [17] and err < 1e-13
-    value, err = integrate_periodic(lambda x: np.exp(20.0 * np.cos(x)), 0.0, math.pi)
+    value, err = integrate_one(integrate_periodic, lambda x: np.exp(20.0 * np.cos(x)), 0.0, math.pi)
     assert abs(value - math.pi * float(np.i0(20.0))) <= err
 
 
 def test_many_integrals_stop_on_their_own_test():
-    # column j integrates exp(-c_j t^2) over [0, 6]; the narrow one keeps
-    # halving after the wide ones have stopped, and the live indices say so
+    # integral j is exp(-c_j t^2) over [0, 6]; the narrow one keeps halving
+    # after the wide ones have stopped, and the nodes' indices say so
     cs = np.array([0.5, 1.0, 200.0])
     seen = []
 
-    def f(t, live):
-        seen.append(live.tolist())
-        return np.exp(-np.outer(t * t, cs[live]))
+    def f(t, at):
+        seen.append(sorted(set(at.tolist())))
+        return np.exp(-cs[at] * t * t)
 
+    # the cut at t = -3 (|f| = 1 there) is 4e-12 of the narrow integral:
+    # an abs_tol of 1e-12 lets it stop where rel_tol alone would not
     spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)
-    value, err = integrate_tanh_sinh(f, 0.0, 6.0, spec, count=3)
+    value, err, failures = integrate_tanh_sinh(f, 0.0, 6.0, spec, abs_tol=np.full(3, 1e-12))
     exact = 0.5 * np.sqrt(np.pi / cs) * np.array([math.erf(6.0 * math.sqrt(c)) for c in cs])
     assert np.all(np.abs(value - exact) <= err) and np.all(err <= 1e-12 * value.max())
-    assert seen[0] == [0, 1, 2] and seen[-1] == [2]
-    with pytest.raises(NonConvergenceError) as info:
-        integrate_tanh_sinh(f, 0.0, 6.0, QuadratureSpec(rel_tol=1e-18, abs_tol=1e-300), count=3)
-    assert info.value.value.shape == (3,) and np.all(info.value.err_est > 0.0)
+    assert seen[0] == [0, 1, 2] and seen[-1] == [2] and failures == {}
+    spec = QuadratureSpec(rel_tol=1e-18, abs_tol=1e-300)
+    value, err, failures = integrate_tanh_sinh(f, 0.0, 6.0, spec, abs_tol=np.full(3, 1e-300))
+    assert sorted(failures) == [0, 1, 2] and np.all(err > 0.0)
+    for i, failure in failures.items():
+        assert isinstance(failure, NonConvergenceError) and (failure.value, failure.err_est) == (value[i], err[i])
 
 
 def test_endpoint_singular_weight_only_against_graded_mesh():
@@ -373,15 +387,48 @@ def test_gaussian_cutoff_takes_a_rate_per_lower_limit(growth):
 
 
 def test_abel_endpoints_at_their_own_rates_equal_lone_calls():
-    # one pass over endpoints with a decay rate each gives every endpoint the
-    # bits of its lone call at that rate, failures included
+    # one pass over endpoints with a decay rate and an abs_tol each gives
+    # every endpoint the bits of its lone call at that rate and abs_tol,
+    # failures included
     F = lambda s: np.exp(-0.3 * s * s)
-    ds = [0.0, 0.5, 2.0, 0.5, 1.0]
-    rates = [0.3, 0.3, 1.0, 4.0, 1e-3]
+    ds = [0.0, 0.5, 2.0, 0.5, 1.0, 0.0]
+    rates = [0.3, 0.3, 1.0, 4.0, 1e-3, 0.3]
+    abs_tol = [1e-300, 1e-300, 1e-300, 1e-300, 1e-300, 1e-2]
     spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)
-    got = _abel_rows(F, ds, np.array(rates), spec)
-    for d, rate, (value, err, failure) in zip(ds, rates, got):
-        ((want_value, want_err, want_failure),) = _abel_rows(F, [d], rate, spec)
+    got = _abel_rows(F, ds, np.array(rates), spec, abs_tol)
+    for d, rate, tol, (value, err, failure) in zip(ds, rates, abs_tol, got):
+        ((want_value, want_err, want_failure),) = _abel_rows(F, [d], rate, spec, tol)
         assert (value, err) == (want_value, want_err), (d, rate)
         assert type(failure) is type(want_failure) and str(failure) == str(want_failure)
     assert any(f is None for _, _, f in got) and any(f is not None for _, _, f in got)
+    # the loose abs_tol stops the last endpoint before the first, at equal d and rate
+    assert got[5][1] > got[0][1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rule", [integrate_tanh_sinh, integrate_periodic])
+def test_integrals_on_their_own_intervals_equal_lone_calls(rule):
+    # one call over integrals with an interval, a rate and an abs_tol each
+    # gives every integral the bits of its lone call, failures included.
+    # The integrands are functions of c = cos(pi (x - lo) / (hi - lo)), which
+    # the periodic rule takes too; the kink of |c - 0.3| keeps its integral
+    # above rel_tol 1e-12
+    lo = np.array([0.0, -1.0, 0.5, 0.0, 2.0, 0.0])
+    hi = np.array([1.0, 3.0, 0.75, math.pi, 8.0, 1.0])
+    rates = np.array([40.0, 1.0, 0.0, 400.0, 1e-3, 40.0])
+    abs_tol = [1e-300, 1e-10, 1e-300, 1e-6, 1e-300, 1e-2]
+
+    def f(x, at):
+        c = np.cos(math.pi * (x - lo[at]) / (hi[at] - lo[at]))
+        return np.where(at == 2, np.abs(c - 0.3), np.exp(rates[at] * (c - 1.0)))
+
+    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)
+    got = _rows(rule(f, lo, hi, spec, abs_tol))
+    for i, (value, err, failure) in enumerate(got):
+        alone = lambda x, at: f(x, np.full_like(at, i))
+        ((want_value, want_err, want_failure),) = _rows(rule(alone, lo[i], hi[i], spec, abs_tol[i]))
+        assert (value, err) == (want_value, want_err), i
+        assert type(failure) is type(want_failure) and str(failure) == str(want_failure), i
+    assert [i for i, (_, _, failure) in enumerate(got) if failure is not None] == [2]
+    assert isinstance(got[2][2], NonConvergenceError) and got[2][2].halvings == 6
+    assert got[5][1] > got[0][1]

@@ -16,7 +16,6 @@ from pseudoheat.verify import (
     horicyclic_pde_residual,
     mass_multiplicativity,
     radial_pde_residual,
-    total_mass,
     x_marginal_check,
 )
 
@@ -73,10 +72,9 @@ def test_abel_weight_overflow_where_the_kernel_is_not_zero_is_located(monkeypatc
     # a kernel that never underflows leaves the overflowed weight in the
     # integrand: the check names the point instead of integrating inf
     monkeypatch.setattr(verify, "kernel_array", lambda params, ss: np.ones_like(ss))
-    spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-300)
     where = r"^binary64 overflow \(\(k - l\)\^13.0 at D=30, tau=2.0, l=1.0, sigma="
     with pytest.raises(OverflowError, match=where):
-        verify._abel_lhs(EvalParams(30, 2.0), 1.0, spec)
+        verify._abel_lhs(EvalParams(30, 2.0), [1.0], np.array([1e-300]))
 
 
 def test_abel_residual_rejects_bad_grid():
@@ -183,6 +181,15 @@ def test_chapman_kolmogorov_nonconvergence_fails_the_report():
     assert math.isnan(rep.details["convolution"]) and rep.details["quad_err"] == math.inf
 
 
+def test_chapman_kolmogorov_radial_weight_overflow_is_located(monkeypatch):
+    # a kernel that never underflows leaves K1 sinh^3 r above binary64 past
+    # r ~ 237: the check names the first such r instead of integrating inf
+    monkeypatch.setattr(verify, "kernel_array", lambda params, ss, tau=None: np.ones(np.shape(ss)))
+    where = r"^binary64 overflow \(radial weight of the convolution at D=5, tau=100.0, r=2[34]\d\."
+    with pytest.raises(OverflowError, match=where):
+        chapman_kolmogorov_many(EvalParams(5, 100.0), EvalParams(5, 100.0), [1.0])
+
+
 def test_chapman_kolmogorov_validation():
     with pytest.raises(ValueError):
         chapman_kolmogorov(EvalParams(4, 0.5), EvalParams(3, 0.5), 1.0)
@@ -198,8 +205,8 @@ def test_mass_multiplicativity_d4():
 
 
 def test_total_mass_matches_exponential_form():
-    p = EvalParams(5, 0.5)
-    assert total_mass(p) == pytest.approx(math.exp(0.125), rel=1e-8)
+    (mass,), _, failures = verify._masses(EvalParams(5, 0.5), [0.5])
+    assert mass == pytest.approx(math.exp(0.125), rel=1e-8) and failures == {}
 
 
 def test_gfunc_reports_pass():
@@ -273,8 +280,8 @@ def test_batched_integrands_equal_the_pointwise_integrals(dim, monkeypatch):
 
     def integrals():
         return (
-            total_mass(params),
-            verify._abel_lhs(params, l, _ABEL_SPEC),
+            verify._masses(params, [0.5, 1.0])[0].tolist(),
+            [x.tolist() for x in verify._abel_lhs(params, [l], np.array([_ABEL_SPEC.abs_tol]))[:2]],
             verify._pde_pieces(params, [(1.0, 0.5), (0.1, 0.1), (3.5, 2.0)]),
             verify.chapman_kolmogorov_many(params, params, [0.0, 1.0])[0].details["target"],
             dim < 5 and verify.horicyclic_pde_residual(params, verify._horicyclic_pairs(dim)),
