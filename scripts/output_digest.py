@@ -40,18 +40,25 @@ A change that moves output bits is gated on values instead:
     python3 scripts/output_digest.py --compare old.json new.json
 
 ``--values FILE`` also writes every parsed number to FILE as JSON: each
-table cell's ``value`` and ``err_est``, and each verification report's
+table cell's ``value`` and ``err_est``, each verification report's
 residual, verdict and integrals, each a value with its ``quad_err``
-(abel's lhs per l, ck's convolution, mass's masses, x-marginal's lhs).
-The ``eval`` and ``oracle`` outputs are digested only.  ``--compare OLD
-NEW`` runs nothing; per command it prints the largest relative change in
-value, how many cells or integrals changed by more than their own error
-estimate (the sum of the two sides' ``err_est`` or ``quad_err``), how
-many have a value on one side only, and every verification verdict that
-changed.  It exits 1, after one ``FAIL`` line per failure, when an exit
-code or a verdict changes, a cell or integral has a value on one side
-only, or one moves by more than both 1e-9 relative and the sum of the
-two sides' error estimates; otherwise it exits 0.
+(abel's lhs per l, ck's convolution, mass's masses, x-marginal's lhs),
+and each oracle row's N, value and ``err_est`` (its Monte Carlo standard
+error) with the run's ``fitted_order``.  The ``eval`` outputs are
+digested only.  ``--compare OLD NEW`` runs nothing; per command it prints
+the largest relative change in value, how many cells or integrals changed
+by more than their own error estimate (the sum of the two sides'
+``err_est`` or ``quad_err``), how many have a value on one side only, and
+every verification verdict that changed; per oracle row, its value and
+standard error on each side and its shift in units of
+sqrt(se_old^2 + se_new^2), and the fitted order on each side.  It exits
+1, after one ``FAIL`` line per failure, when an exit code or a verdict
+changes, a cell or integral has a value on one side only, one moves by
+more than both 1e-9 relative and the sum of the two sides' error
+estimates, an oracle run's slice counts change, or an oracle row moves by
+more than ORACLE_SE_GATE = 5 of those units; otherwise it exits 0.
+Oracle rows are Monte Carlo estimates, so a change of sampler moves them
+by design and is gated statistically.
 """
 
 from __future__ import annotations
@@ -124,8 +131,11 @@ def _integrals(report: dict) -> list[tuple[float | None, float | None]]:
 
 
 def parse(argv: list[str], text: str) -> list[dict]:
-    """Every number of one output: table cells, or verification reports
-    with their integrals' values and error estimates."""
+    """Every number of one output: table cells, oracle rows, or
+    verification reports with their integrals' values and error estimates."""
+    if argv[0] == "oracle":
+        rows = [line.split(",") for line in text.strip().splitlines()[1:-1]]
+        return [{"N": int(n), "value": float(value), "err_est": float(err)} for n, value, err, _, _ in rows]
     if argv[0] == "table":
         cells = []
         for line in text.strip().splitlines()[1:]:
@@ -144,6 +154,12 @@ def parse(argv: list[str], text: str) -> list[dict]:
     ]
 
 
+def fitted_order(text: str) -> float | None:
+    """The ``fitted_order`` of an oracle's CSV output, None if it has none."""
+    last = text.strip().rsplit("\n", 1)[-1]
+    return float(last.split(",")[1]) if last.startswith("fitted_order,") else None
+
+
 def _rel_change(old: float, new: float) -> float:
     if old == new:
         return 0.0
@@ -153,6 +169,8 @@ def _rel_change(old: float, new: float) -> float:
 
 # a cell or integral fails the gate when it moves by more than both of these
 GATE_REL = 1e-9
+# an oracle row fails when it moves by more than this many sqrt(se_old^2 + se_new^2)
+ORACLE_SE_GATE = 5.0
 
 
 class _Gate:
@@ -180,14 +198,34 @@ class _Gate:
                                      f"err_est {ea!r} + {eb!r}")
 
 
+def _compare_oracle(key: str, a: dict, b: dict, codes: str, failures: list[str]) -> None:
+    """Print one oracle run's rows on both sides; a row that moves by more
+    than ORACLE_SE_GATE combined standard errors, or slice counts that
+    differ, fail."""
+    if [r["N"] for r in a["items"]] != [r["N"] for r in b["items"]]:
+        failures.append(f"{key}: slice counts {[r['N'] for r in a['items']]} -> {[r['N'] for r in b['items']]}")
+    lines = []
+    for ra, rb in zip(a["items"], b["items"]):
+        se, moved = math.hypot(ra["err_est"], rb["err_est"]), abs(rb["value"] - ra["value"])
+        shift = moved / se if se > 0.0 else (math.inf if moved else 0.0)  # N = 1 rows are exact
+        lines.append(f"\n  N={rb['N']}: value {ra['value']!r} -> {rb['value']!r}, "
+                     f"se {ra['err_est']:.4g} -> {rb['err_est']:.4g}, shift {shift:.3g} se")
+        if not shift <= ORACLE_SE_GATE:
+            failures.append(f"{key}: N={rb['N']} moved {shift:.3g} combined se")
+    print(f"{key}: {codes}, rows {len(b['items'])}, "
+          f"fitted order {a.get('fitted_order')!r} -> {b.get('fitted_order')!r}" + "".join(lines))
+
+
 def compare(old_path: str, new_path: str) -> int:
     """Print the per-command summary; 1 if any command fails the gate, else 0.
 
     A command fails when its exit code changes, a verification verdict
     changes, a table cell or a verification integral has a value on one
     side only, or one moves by more than both GATE_REL relative and the
-    sum of the two sides' ``err_est`` (``quad_err`` for an integral).
-    Each failure is printed on a line of its own starting with ``FAIL``.
+    sum of the two sides' ``err_est`` (``quad_err`` for an integral).  An
+    oracle run fails when its slice counts change or a row moves by more
+    than ORACLE_SE_GATE combined standard errors.  Each failure is printed
+    on a line of its own starting with ``FAIL``.
     """
     old = json.loads(Path(old_path).read_text())
     new = json.loads(Path(new_path).read_text())
@@ -202,7 +240,9 @@ def compare(old_path: str, new_path: str) -> int:
         if a["exit"] != b["exit"]:
             failures.append(f"{key}: {codes}")
         gate = _Gate(failures)
-        if key.startswith("table"):
+        if key.startswith("oracle"):
+            _compare_oracle(key, a, b, codes, failures)
+        elif key.startswith("table"):
             for ca, cb in zip(a["items"], b["items"]):
                 gate.check(f"{key}: tau={cb['tau']!r} s={cb['s']!r}",
                            ca["value"], ca["err_est"], cb["value"], cb["err_est"])
@@ -254,8 +294,10 @@ def main() -> int:
         text, code = run(argv)
         sha = hashlib.sha256(text.encode()).hexdigest()
         print(f"{sha} exit={code} {' '.join(argv)}", flush=True)
-        if argv[0] in ("table", "verify"):
-            values[" ".join(argv)] = {"exit": code, "items": parse(argv, text)}
+        if argv[0] != "eval":
+            entry = values[" ".join(argv)] = {"exit": code, "items": parse(argv, text)}
+            if argv[0] == "oracle":
+                entry["fitted_order"] = fitted_order(text)
     if args.values:
         Path(args.values).write_text(json.dumps(values, indent=1) + "\n")
     return 0

@@ -1,8 +1,8 @@
 """Command-line interface: kernel evaluation, tables, verification, lattice runs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure (nonconvergence or overflow).  All outputs are deterministic given
-the full configuration (including seed and thread count).
+failure (nonconvergence or overflow).  Every command runs serially, and all
+outputs are deterministic given the full configuration (including the seed).
 """
 
 from __future__ import annotations
@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .geometry import HoricyclicPoint, geodesic_distance
 from .kernels import EvalParams, KernelValue, kernel, kernel_row
-from .lattice import LatticeSpec, convergence_order, lattice_kernel
+from .lattice import convergence_order, lattice_rows
 from .quadrature import NonConvergenceError, QuadratureSpec
 from . import verify
 
@@ -46,9 +45,8 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    return os.cpu_count() or 1
+    """Threads a command runs on: one, whatever ``--threads`` says (perfbench reads it)."""
+    return 1
 
 
 def _defaults_block(args) -> dict:
@@ -169,12 +167,8 @@ def cmd_oracle(args) -> int:
             f"closed-form kernel underflows binary64 at D={args.dim}, tau={args.tau!r}, s={s!r}: "
             "no reference for the lattice deviation"
         )
-    n_threads = _threads(args)
-    rows = []
-    for n in n_list:
-        spec = LatticeSpec(n, samples=args.samples, seed=args.seed)
-        value, err = lattice_kernel(params, q1, q2, spec, threads=n_threads)
-        rows.append((n, value, err, closed, value / closed - 1.0))
+    estimates = lattice_rows(params, q1, q2, n_list, args.samples, args.seed)
+    rows = [(n, value, err, closed, value / closed - 1.0) for n, (value, err) in zip(n_list, estimates)]
     fitted = convergence_order([(n, dev) for n, value, err, c, dev in rows if dev != 0.0])
     if args.format == "csv":
         print("N,lattice_value,err_est,closed_value,rel_dev")
@@ -209,8 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--abs-tol", type=float, default=1e-14)
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--threads", type=int, default=None,
-                       help="oracle worker threads (default: cpu count); "
-                            "other commands run serially")
+                       help="accepted and ignored: every command runs serially")
 
     p = sub.add_parser("eval", help="evaluate the kernel at one point")
     common(p)

@@ -19,16 +19,19 @@ wrong kernel, which the convergence study here detects.)
 Conditionally on the heights the x-sector composes in closed form, so the
 Monte Carlo estimator samples only the height path (a Brownian bridge in
 z, which matches the z-sector exactly) and averages the composed
-x-factor.  The N = 1 value coincides with the bare short-time factor, and
-the N = 2 nested-quadrature route keeps the x integral explicit so the
-Gaussian reduction itself is cross-checked.
+x-factor.  A bridge read at every k-th point of a finer grid is exactly
+the bridge on the coarser grid, so ``lattice_rows`` groups the slice
+counts into chains that divide a finest count L and runs one serial pass
+per chain, every count reading the same paths.  A chain draws from SFC64
+seeded by (seed, L) alone.  The N = 1 value coincides with the bare
+short-time factor, and the N = 2 nested-quadrature route keeps the x
+integral explicit so the Gaussian reduction itself is cross-checked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -37,9 +40,10 @@ from .geometry import HoricyclicPoint
 from .kernels import EvalParams
 from .quadrature import QuadratureSpec, _pointwise, integrate_one, integrate_tanh_sinh
 
-__all__ = ["LatticeSpec", "lattice_kernel", "convergence_order"]
+__all__ = ["LatticeSpec", "lattice_kernel", "lattice_rows", "convergence_order"]
 
-_MC_BLOCK = 1 << 16
+# paths per block of the bridge pass
+_MC_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -73,91 +77,96 @@ def _slice_factor(params: EvalParams, eps: float, qa: HoricyclicPoint, qb: Horic
     return (a_eps / math.pi) ** ((params.D - 1) / 2.0) * math.exp(expo)
 
 
-def _mc_blocks(samples: int) -> list[tuple[int, int]]:
-    out = []
-    start = 0
-    while start < samples:
-        n = min(_MC_BLOCK, samples - start)
-        out.append((start // _MC_BLOCK, n))
-        start += n
-    return out
+def _chains(n_list: Sequence[int]) -> list[list[int]]:
+    """The distinct slice counts N >= 2 of n_list in descending order, each
+    in the first chain whose finest count it divides, else in a new one."""
+    chains: list[list[int]] = []
+    for n in sorted({n for n in n_list if n > 1}, reverse=True):
+        home = next((c for c in chains if c[0] % n == 0), None)
+        if home is None:
+            chains.append([n])
+        else:
+            home.append(n)
+    return chains
 
 
-def _mc_block_sums(
-    params: EvalParams,
-    z0: float,
-    z1: float,
-    r2: float,
-    n_slices: int,
-    seed: int,
-    block_index: int,
-    block_samples: int,
-) -> tuple[float, float]:
-    """Sum and sum of squares of the height-path weight over one block.
+def _chain_rows(params: EvalParams, q1: HoricyclicPoint, q2: HoricyclicPoint, chain: list[int],
+                samples: int, seed: int) -> dict[int, tuple[float, float]]:
+    """(value, se) of each slice count of one chain, from ``samples`` paths.
 
-    The z-sector slice Gaussians are sampled exactly by the Brownian
-    bridge (staging), so the weight is just the composed x-factor
-    (A/pi)^((D-2)/2) exp(-A R^2) with A = a_eps / sum_n y_n y_(n+1).
+    One Brownian bridge in z at the chain's finest count L (staging, with
+    per-step variance 1/(2 a L)) samples the z-sector slice Gaussians
+    exactly, so the weight is just the composed x-factor
+    (A/pi)^((D-2)/2) exp(-A R^2) with A = a_N / sum_n y_n y_(n+1), where
+    a count N reads the heights at every (L/N)-th point.
     """
-    n = n_slices
-    a_eps = params.a * n
-    var_step = 1.0 / (2.0 * a_eps)
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, block_index], dtype=np.uint64))
-    )
-    z = np.full(block_samples, z0)
-    y_prev = np.exp(z)
-    sumyy = np.zeros(block_samples)
-    for i in range(1, n):
-        remaining = n - i + 1
-        mean = z + (z1 - z) / remaining
-        std = math.sqrt(var_step * (remaining - 1) / remaining)
-        z = mean + std * rng.standard_normal(block_samples)
-        y_next = np.exp(z)
-        sumyy += y_prev * y_next
-        y_prev = y_next
-    sumyy += y_prev * math.exp(z1)
-    big_a = a_eps / sumyy
-    p = (params.D - 2) / 2.0
-    w = (big_a / math.pi) ** p * np.exp(-big_a * r2)
-    return float(np.sum(w)), float(np.sum(w * w))
-
-
-def _lattice_monte_carlo(
-    params: EvalParams,
-    q1: HoricyclicPoint,
-    q2: HoricyclicPoint,
-    spec: LatticeSpec,
-    threads: int,
-) -> tuple[float, float]:
+    big_l, p = chain[0], (params.D - 2) / 2.0
     z0, z1 = math.log(q1.y), math.log(q2.y)
     r2 = sum((u - v) ** 2 for u, v in zip(q1.x, q2.x))
-    p = (params.D - 2) / 2.0
-    const = (
-        math.sqrt(params.a / math.pi)
-        * math.exp(-params.a * (z1 - z0) ** 2 + params.E)
-        * (q1.y * q2.y) ** p
-    )
-    blocks = _mc_blocks(spec.samples)
+    var_step = 1.0 / (2.0 * params.a * big_l)
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, big_l))))
+    z, y, normal = np.empty(_MC_BLOCK), np.empty(_MC_BLOCK), np.empty(_MC_BLOCK)
+    # per count: the height at its last point read, its sum of y_n y_(n+1),
+    # and the sums of the weight and of its square over the blocks so far
+    last, sumyy = ({n: np.empty(_MC_BLOCK) for n in chain} for _ in range(2))
+    sums = {n: np.zeros(2) for n in chain}
+    for start in range(0, samples, _MC_BLOCK):
+        m = min(_MC_BLOCK, samples - start)
+        zb, yb, nb = z[:m], y[:m], normal[:m]
+        zb.fill(z0)
+        for n in chain:
+            last[n][:m], sumyy[n][:m] = q1.y, 0.0
+        for i in range(1, big_l + 1):
+            if i < big_l:  # z += (z1 - z) / remaining + std * normal
+                remaining = big_l - i + 1
+                rng.standard_normal(out=nb)
+                nb *= math.sqrt(var_step * (remaining - 1) / remaining)
+                nb += z1 / remaining
+                zb *= (remaining - 1) / remaining
+                zb += nb
+                np.exp(zb, out=yb)
+            else:
+                yb.fill(q2.y)
+            for n in (n for n in chain if i % (big_l // n) == 0):
+                lb, sb = last[n][:m], sumyy[n][:m]
+                lb *= yb
+                sb += lb
+                lb[:] = yb
+        for n in chain:
+            big_a, w = sumyy[n][:m], last[n][:m]
+            np.divide(params.a * n, big_a, out=big_a)
+            np.multiply(big_a, -r2, out=w)
+            np.exp(w, out=w)
+            w *= np.power(big_a * (1.0 / math.pi), p, out=big_a)
+            sums[n] += (np.sum(w), np.dot(w, w))
+    const = math.sqrt(params.a / math.pi) * math.exp(-params.a * (z1 - z0) ** 2 + params.E) * (q1.y * q2.y) ** p
+    rows = {}
+    for n, total in sums.items():
+        mean, mean_sq = (total / samples).tolist()
+        rows[n] = (const * mean, const * math.sqrt(max(mean_sq - mean * mean, 0.0) / samples))
+    return rows
 
-    def run(block: tuple[int, int]) -> tuple[float, float]:
-        idx, n = block
-        return _mc_block_sums(params, z0, z1, r2, spec.n_slices, spec.seed, idx, n)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(run, blocks))
-    else:
-        sums = [run(b) for b in blocks]
-    total = 0.0
-    total_sq = 0.0
-    for s, s2 in sums:  # fixed reduction order: independent of thread count
-        total += s
-        total_sq += s2
-    n = spec.samples
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    return const * mean, const * math.sqrt(var / n)
+def _check_points(params: EvalParams, q1: HoricyclicPoint, q2: HoricyclicPoint) -> None:
+    if params.D not in (3, 4):
+        raise ValueError("lattice runs are kept desk-scale: D in {3, 4}")
+    if q1.dim != params.D or q2.dim != params.D:
+        raise ValueError("point dimension does not match params.D")
+
+
+def lattice_rows(params: EvalParams, q1: HoricyclicPoint, q2: HoricyclicPoint, n_list: Sequence[int],
+                 samples: int, seed: int) -> list[tuple[float, float]]:
+    """Monte Carlo N-slice estimates (value, se) of the kernel between two
+    points, one per entry of n_list, in order: one serial bridge pass of
+    ``samples`` paths per chain (``_chains``).  N = 1 is the bare
+    short-time factor, exactly."""
+    for n in n_list:
+        LatticeSpec(n, samples=samples, seed=seed)  # validates each count and the budget
+    _check_points(params, q1, q2)
+    rows = {1: (_slice_factor(params, params.tau, q1, q2), 0.0)}
+    for chain in _chains(n_list):
+        rows.update(_chain_rows(params, q1, q2, chain, samples, seed))
+    return [rows[n] for n in n_list]
 
 
 def _lattice_nested(
@@ -227,18 +236,15 @@ def lattice_kernel(
     q1: HoricyclicPoint,
     q2: HoricyclicPoint,
     spec: LatticeSpec,
-    threads: int = 1,
 ) -> tuple[float, float]:
-    """N-slice lattice estimate of the kernel between two points."""
-    if params.D not in (3, 4):
-        raise ValueError("lattice runs are kept desk-scale: D in {3, 4}")
-    if q1.dim != params.D or q2.dim != params.D:
-        raise ValueError("point dimension does not match params.D")
+    """N-slice lattice estimate of the kernel between two points: the
+    one-count view of ``lattice_rows``, or the nested-quadrature route."""
+    if spec.method == "monte_carlo":
+        return lattice_rows(params, q1, q2, [spec.n_slices], spec.samples, spec.seed)[0]
+    _check_points(params, q1, q2)
     if spec.n_slices == 1:
         return _slice_factor(params, params.tau, q1, q2), 0.0
-    if spec.method == "nested_quadrature":
-        return _lattice_nested(params, q1, q2, spec)
-    return _lattice_monte_carlo(params, q1, q2, spec, threads)
+    return _lattice_nested(params, q1, q2, spec)
 
 
 def convergence_order(devs: Sequence[tuple[int, float]]) -> float:

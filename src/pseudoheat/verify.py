@@ -62,11 +62,14 @@ CK_DIMS = range(3, 6)
 MASS_DIMS = range(3, 7)
 X_MARGINAL_DIMS = range(3, 7)
 
-# the integrals of the abel, mass and x-marginal checks; the abel check scales
-# abs_tol by its rhs, which exp(E) takes far below 1e-7 at high D
+# the integrals of the abel, mass and x-marginal checks; the abel and
+# x-marginal checks scale abs_tol by their rhs, which exp(E) takes far below
+# 1e-7 at high D or large tau.  x-marginal's floor sits 1e4 below its 1e-5
+# tolerance: its odd-D kernel values carry SAMPLED_SPEC's absolute 1e-18,
+# which a tighter floor cannot resolve where they are tiny (D = 5, tau 30)
 _ABEL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-16)
 _MASS_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-20)
-_X_MARGINAL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-20)
+_X_MARGINAL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-9)
 
 
 @dataclass(frozen=True)
@@ -583,7 +586,14 @@ def x_marginal_check(params: EvalParams, y1: float, y2: float) -> VerificationRe
         kvs = kernel_array(params, np.log1p(w + np.sqrt(w) * np.sqrt(w + 2.0)))
         return kvs * (r_scale * sh) ** power * (r_scale * np.cosh(vs))
 
-    val, err = integrate_one(integrate_tanh_sinh, f, 0.0, v_max, _X_MARGINAL_SPEC)
+    # abs_tol relative to the rhs, at least the smallest positive double
+    spec = QuadratureSpec(_X_MARGINAL_SPEC.rel_tol, max(_X_MARGINAL_SPEC.abs_tol * abs(rhs), 5e-324))
+    try:
+        val, err = integrate_one(integrate_tanh_sinh, f, 0.0, v_max, spec)
+    except NonConvergenceError as exc:
+        where = f"D={params.D}, tau={params.tau!r}, y1={y1!r}, y2={y2!r}"
+        raise NonConvergenceError(exc.value, exc.err_est, f"{exc} at {where} in x_marginal_check",
+                                  exc.halvings) from None
     details["lhs"], details["quad_err"] = front * val, err
     rel = abs(details["lhs"] - rhs) / abs(rhs)
     return VerificationReport.make("x-marginal", params.D, rel, 1e-5, details)

@@ -362,12 +362,31 @@ def test_table_row_keeps_its_cells_around_a_nonconverged_one():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
+    "dims, tau",
+    [
+        ("3", "100"),
+        # w (w + 2) overflows at s ~ 550; an absolute abs_tol of 1e-20 against
+        # the rhs of 6.7e-296 stopped the integral on its first grid
+        ("4", "900"),
+    ],
+)
+def test_verify_x_marginal_names_a_nonconverged_point(dims, tau, capsys):
+    # the integral runs to its halving cap and its failure names the point
+    assert cli.main(["verify", "x-marginal", "--dims", dims, "--tau", tau]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: quadrature did not converge (err_est=")
+    y2 = math.e if dims == "3" else 1.0
+    assert out.err.endswith(f" at D={dims}, tau={float(tau)!r}, y1=1.0, y2={y2!r} in x_marginal_check\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
     "suite, dims, tau, code",
     [
         ("x-marginal", "6", "300", 1),  # the rhs underflows binary64
         ("x-marginal", "3", "1e-4", 1),
         ("x-marginal", "4", "1000", 1),
-        ("x-marginal", "4", "900", 1),  # w (w + 2) overflows at s ~ 550
         ("ck", "5", "100", 0),  # K1 is 0.0 where sinh^3 r overflows
         ("ck", "4", "300", 0),  # cosh r overflows where K1 is 0.0
     ],

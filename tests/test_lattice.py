@@ -1,12 +1,16 @@
+import math
+
 import pytest
 
 from pseudoheat.geometry import HoricyclicPoint, geodesic_distance
 from pseudoheat.kernels import EvalParams, kernel
 from pseudoheat.lattice import (
     LatticeSpec,
+    _chains,
     _slice_factor,
     convergence_order,
     lattice_kernel,
+    lattice_rows,
 )
 
 Q1 = HoricyclicPoint(1.0, (0.0,))
@@ -63,11 +67,44 @@ def test_monte_carlo_reproducible_and_seed_sensitive():
     assert v3 != v1
 
 
-def test_monte_carlo_thread_count_invariant():
-    spec = LatticeSpec(8, samples=150_000, seed=5)
-    v1, e1 = lattice_kernel(P3, Q1, Q2, spec, threads=1)
-    v2, e2 = lattice_kernel(P3, Q1, Q2, spec, threads=2)
-    assert (v1, e1) == (v2, e2)
+def test_chain_head_row_is_bit_equal_to_the_one_count_view():
+    # a chain's stream depends only on (seed, L), and its finest count reads
+    # every point of the bridge, as the one-count view does
+    rows = lattice_rows(P3, Q1, Q2, [8, 4, 2], samples=50_000, seed=5)
+    assert rows[0] == lattice_kernel(P3, Q1, Q2, LatticeSpec(8, samples=50_000, seed=5))
+
+
+def test_chain_rows_agree_with_their_one_count_views():
+    rows = lattice_rows(P3, Q1, Q2, [2, 4, 8, 16], samples=100_000, seed=7)
+    for n, (value, err) in zip([2, 4, 8, 16], rows):
+        alone, alone_err = lattice_kernel(P3, Q1, Q2, LatticeSpec(n, samples=100_000, seed=7))
+        assert abs(value - alone) <= 5.0 * math.hypot(err, alone_err), n
+
+
+def test_duplicate_counts_give_identical_rows():
+    rows = lattice_rows(P3, Q1, Q2, [4, 8, 4, 1, 1], samples=20_000, seed=3)
+    assert rows[0] == rows[2] and rows[3] == rows[4]
+    assert rows[3] == (_slice_factor(P3, 0.25, Q1, Q2), 0.0)
+
+
+def test_counts_that_do_not_divide_form_separate_chains():
+    assert _chains([3, 4]) == [[4], [3]]
+    assert _chains([2, 4, 3, 6, 12, 4, 1]) == [[12, 6, 4, 3, 2]]
+    assert _chains([8, 6, 4, 3]) == [[8, 4], [6, 3]]
+    rows = lattice_rows(P3, Q1, Q2, [3, 4], samples=20_000, seed=2)
+    assert rows[0] == lattice_kernel(P3, Q1, Q2, LatticeSpec(3, samples=20_000, seed=2))
+    assert rows[1] == lattice_kernel(P3, Q1, Q2, LatticeSpec(4, samples=20_000, seed=2))
+
+
+def test_fitted_order_on_shared_paths_at_d4():
+    params = EvalParams(4, 0.25)
+    q1, q2 = HoricyclicPoint(1.0, (0.0, 0.0)), HoricyclicPoint(1.2, (0.3, -0.2))
+    closed = kernel(params, geodesic_distance(q1, q2)).value
+    slices = [4, 8, 16, 32]
+    for seed in range(5):
+        rows = lattice_rows(params, q1, q2, slices, samples=1_000_000, seed=seed)
+        order = convergence_order([(n, value / closed - 1.0) for n, (value, _) in zip(slices, rows)])
+        assert order >= 0.8, (seed, order)
 
 
 def test_deviation_shrinks_with_slices():

@@ -12,6 +12,7 @@ _spec.loader.exec_module(digest)
 
 TABLE = "table --dim 5 --tau-grid 0.5:1:2 --s-grid 0:1:2 --format csv --threads 1"
 VERIFY = "verify all --dims 3 --tau 0.5"
+ORACLE = "oracle --dim 3 --tau 0.25 --n 2,4 --samples 20000 --seed 9 --threads 1 --format csv"
 
 OLD = {
     TABLE: {
@@ -31,6 +32,11 @@ OLD = {
             {"check": "mass", "D": 3, "residual": 0.3, "passed": False,
              "values": [{"value": 1.25, "quad_err": 0.0}]},
         ],
+    },
+    ORACLE: {
+        "exit": 0,
+        "items": [{"N": 2, "value": 0.30, "err_est": 3e-4}, {"N": 4, "value": 0.29, "err_est": 4e-4}],
+        "fitted_order": 0.9,
     },
 }
 
@@ -140,3 +146,36 @@ def test_compare_gates_verification_integrals(tmp_path, capsys):
     values[0]["value"], values[0]["quad_err"] = 0.5 + 8e-10, 1e-9  # past 1e-9 relative, inside the quad_err sum
     code, fails = _compare(tmp_path, new, capsys)
     assert code == 0 and fails == []
+
+
+def test_parse_records_each_oracle_row_and_the_fitted_order():
+    text = ("N,lattice_value,err_est,closed_value,rel_dev\n"
+            "2,0.3,0.0003,0.28,0.07\n4,0.29,0.0004,0.28,0.035\nfitted_order,0.98\n")
+    argv = ORACLE.split()
+    assert digest.parse(argv, text) == [
+        {"N": 2, "value": 0.3, "err_est": 3e-4}, {"N": 4, "value": 0.29, "err_est": 4e-4},
+    ]
+    assert digest.fitted_order(text) == 0.98
+    assert digest.parse(argv, "") == [] and digest.fitted_order("") is None
+
+
+def test_compare_gates_oracle_rows_on_their_standard_errors(tmp_path, capsys):
+    new = copy.deepcopy(OLD)
+    rows = new[ORACLE]["items"]
+    rows[0]["value"] = 0.30 + 4.9 * 5e-4  # inside 5 sqrt(3e-4^2 + 4e-4^2)
+    rows[0]["err_est"], new[ORACLE]["fitted_order"] = 4e-4, 0.7  # the fitted order is reported only
+    code, fails = _compare(tmp_path, new, capsys)
+    assert code == 0 and fails == []
+    rows[1]["value"] = 0.29 - 5.1 * 4e-4 * 2**0.5
+    code, fails = _compare(tmp_path, new, capsys)
+    assert code == 1
+    (line,) = fails
+    assert line.startswith(f"FAIL {ORACLE}: N=4 moved 5.1")
+
+
+def test_compare_fails_on_oracle_exit_code_and_slice_counts(tmp_path, capsys):
+    new = copy.deepcopy(OLD)
+    new[ORACLE] = {"exit": 2, "items": [], "fitted_order": None}
+    code, fails = _compare(tmp_path, new, capsys)
+    assert code == 1
+    assert fails == [f"FAIL {ORACLE}: exit 0->2", f"FAIL {ORACLE}: slice counts [2, 4] -> []"]

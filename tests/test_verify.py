@@ -238,6 +238,14 @@ def test_x_marginal_scale_invariance():
         assert scaled.residual == pytest.approx(base.residual, abs=1e-10)
 
 
+@pytest.mark.parametrize("d, tau", [(4, 100.0), (5, 30.0), (6, 50.0)])
+def test_x_marginal_resolves_a_tiny_rhs(d, tau):
+    # abs_tol scales with the rhs (7.6e-35 at D = 4, tau 100): an absolute
+    # 1e-20 stopped the integral on its first grid, at residuals of 1e-6
+    rep = x_marginal_check(EvalParams(d, tau), 1.0, 1.0)
+    assert rep.passed and rep.residual <= 1e-7, rep
+
+
 def test_x_marginal_rejects_large_dimension():
     with pytest.raises(ValueError):
         x_marginal_check(EvalParams(7, 0.5), 1.0, 1.0)
