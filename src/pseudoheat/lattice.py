@@ -22,7 +22,10 @@ z, which matches the z-sector exactly) and averages the composed
 x-factor.  A bridge read at every k-th point of a finer grid is exactly
 the bridge on the coarser grid, so ``lattice_rows`` groups the slice
 counts into chains that divide a finest count L and runs one serial pass
-per chain, every count reading the same paths.  A chain draws from SFC64
+per chain, every count reading the same paths.  The paths come in
+antithetic pairs: the bridge is its linear mean plus a deviation d, and
+mean + d and mean - d are both exact samples, so one normal draw serves two
+paths, and the se is taken over the pair means.  A chain draws from SFC64
 seeded by (seed, L) alone.  The N = 1 value coincides with the bare
 short-time factor, and the N = 2 nested-quadrature route keeps the x
 integral explicit so the Gaussian reduction itself is cross-checked.
@@ -42,13 +45,17 @@ from .quadrature import QuadratureSpec, _pointwise, integrate_one, integrate_tan
 
 __all__ = ["LatticeSpec", "lattice_kernel", "lattice_rows", "convergence_order"]
 
-# paths per block of the bridge pass
-_MC_BLOCK = 1 << 14
+# antithetic pairs of paths per block of the bridge pass
+_MC_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Slice count, integration method and sampling budget."""
+    """Slice count, integration method and sampling budget.
+
+    ``samples`` counts Monte Carlo paths; they are drawn as
+    ceil(samples / 2) antithetic pairs, so no budget is undershot.
+    """
 
     n_slices: int
     method: str = "monte_carlo"
@@ -92,58 +99,68 @@ def _chains(n_list: Sequence[int]) -> list[list[int]]:
 
 def _chain_rows(params: EvalParams, q1: HoricyclicPoint, q2: HoricyclicPoint, chain: list[int],
                 samples: int, seed: int) -> dict[int, tuple[float, float]]:
-    """(value, se) of each slice count of one chain, from ``samples`` paths.
+    """(value, se) of each slice count of one chain, from ceil(samples / 2)
+    antithetic pairs of paths.
 
     One Brownian bridge in z at the chain's finest count L (staging, with
     per-step variance 1/(2 a L)) samples the z-sector slice Gaussians
     exactly, so the weight is just the composed x-factor
     (A/pi)^((D-2)/2) exp(-A R^2) with A = a_N / sum_n y_n y_(n+1), where
-    a count N reads the heights at every (L/N)-th point.
+    a count N reads the heights at every (L/N)-th point.  The bridge is its
+    linear mean plus a deviation d; a pair is the two paths mean +- d, both
+    exact samples, and it contributes the mean of their weights.  The se is
+    the spread of the pair means.
     """
     big_l, p = chain[0], (params.D - 2) / 2.0
     z0, z1 = math.log(q1.y), math.log(q2.y)
     r2 = sum((u - v) ** 2 for u, v in zip(q1.x, q2.x))
     var_step = 1.0 / (2.0 * params.a * big_l)
+    pairs = (samples + 1) // 2
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, big_l))))
-    z, y, normal = np.empty(_MC_BLOCK), np.empty(_MC_BLOCK), np.empty(_MC_BLOCK)
-    # per count: the height at its last point read, its sum of y_n y_(n+1),
-    # and the sums of the weight and of its square over the blocks so far
-    last, sumyy = ({n: np.empty(_MC_BLOCK) for n in chain} for _ in range(2))
+    d, normal = np.empty(_MC_BLOCK), np.empty(_MC_BLOCK)
+    y = np.empty((2, _MC_BLOCK))  # heights of the paths mean + d and mean - d
+    # per count: the heights at its last point read, its sums of
+    # y_n y_(n+1), and the sums of the pair mean and of its square so far
+    last, sumyy = ({n: np.empty((2, _MC_BLOCK)) for n in chain} for _ in range(2))
     sums = {n: np.zeros(2) for n in chain}
-    for start in range(0, samples, _MC_BLOCK):
-        m = min(_MC_BLOCK, samples - start)
-        zb, yb, nb = z[:m], y[:m], normal[:m]
-        zb.fill(z0)
+    for start in range(0, pairs, _MC_BLOCK):
+        m = min(_MC_BLOCK, pairs - start)
+        db, nb, yb = d[:m], normal[:m], y[:, :m]
+        db.fill(0.0)
         for n in chain:
-            last[n][:m], sumyy[n][:m] = q1.y, 0.0
+            last[n][:, :m], sumyy[n][:, :m] = q1.y, 0.0
         for i in range(1, big_l + 1):
-            if i < big_l:  # z += (z1 - z) / remaining + std * normal
+            if i < big_l:  # d = d (remaining - 1) / remaining + std * normal
                 remaining = big_l - i + 1
                 rng.standard_normal(out=nb)
                 nb *= math.sqrt(var_step * (remaining - 1) / remaining)
-                nb += z1 / remaining
-                zb *= (remaining - 1) / remaining
-                zb += nb
-                np.exp(zb, out=yb)
+                db *= (remaining - 1) / remaining
+                db += nb
+                np.exp(db, out=nb)  # y = exp(mean) exp(+-d)
+                mean_y = math.exp(z0 + (z1 - z0) * i / big_l)
+                np.multiply(nb, mean_y, out=yb[0])
+                np.divide(mean_y, nb, out=yb[1])
             else:
                 yb.fill(q2.y)
             for n in (n for n in chain if i % (big_l // n) == 0):
-                lb, sb = last[n][:m], sumyy[n][:m]
+                lb, sb = last[n][:, :m], sumyy[n][:, :m]
                 lb *= yb
                 sb += lb
                 lb[:] = yb
         for n in chain:
-            big_a, w = sumyy[n][:m], last[n][:m]
+            big_a, w = sumyy[n][:, :m], last[n][:, :m]
             np.divide(params.a * n, big_a, out=big_a)
             np.multiply(big_a, -r2, out=w)
             np.exp(w, out=w)
             w *= np.power(big_a * (1.0 / math.pi), p, out=big_a)
-            sums[n] += (np.sum(w), np.dot(w, w))
+            pair = np.add(w[0], w[1], out=w[0])
+            pair *= 0.5
+            sums[n] += (pair.sum(), np.square(pair, out=w[1]).sum())
     const = math.sqrt(params.a / math.pi) * math.exp(-params.a * (z1 - z0) ** 2 + params.E) * (q1.y * q2.y) ** p
     rows = {}
     for n, total in sums.items():
-        mean, mean_sq = (total / samples).tolist()
-        rows[n] = (const * mean, const * math.sqrt(max(mean_sq - mean * mean, 0.0) / samples))
+        mean, mean_sq = (total / pairs).tolist()
+        rows[n] = (const * mean, const * math.sqrt(max(mean_sq - mean * mean, 0.0) / pairs))
     return rows
 
 
@@ -158,8 +175,9 @@ def lattice_rows(params: EvalParams, q1: HoricyclicPoint, q2: HoricyclicPoint, n
                  samples: int, seed: int) -> list[tuple[float, float]]:
     """Monte Carlo N-slice estimates (value, se) of the kernel between two
     points, one per entry of n_list, in order: one serial bridge pass of
-    ``samples`` paths per chain (``_chains``).  N = 1 is the bare
-    short-time factor, exactly."""
+    ceil(samples / 2) antithetic pairs of paths per chain (``_chains``),
+    with the se over the pairs.  N = 1 is the bare short-time factor,
+    exactly."""
     for n in n_list:
         LatticeSpec(n, samples=samples, seed=seed)  # validates each count and the budget
     _check_points(params, q1, q2)

@@ -102,12 +102,15 @@ def even_reference(D: int, tau: float, s: float, m: float = 0.5, hbar: float = 1
     l by mpmath's finite differences, which work at (n+1) times the
     precision with a step far below the distance to G's singularity at
     l = -1.  arccosh(l)^2 is analytic through l = 1 and equals
-    -acos(l)^2 below it, where the stencil at s = 0 reaches.
+    -acos(l)^2 below it, where the stencil at s = 0 reaches.  The step is
+    absolute, about 10^-digits, while G varies on the scale of l itself,
+    so the n-th difference at l = cosh s cancels n log10(cosh s) more
+    digits than at l = 1: they are added to the 40.
     """
     if D < 4 or D % 2 == 1:
         raise ValueError("even D >= 4 only")
     n = (D - 2) // 2
-    with mpmath.workdps(40):
+    with mpmath.workdps(40 + math.ceil(n * math.log10(math.cosh(s)))):
         a = mpmath.mpf(m) / (2 * mpmath.mpf(hbar) * mpmath.mpf(tau))
         E = -(mpmath.mpf(hbar) * (D - 1) * (D - 3) / (8 * mpmath.mpf(m))) * mpmath.mpf(tau)
 

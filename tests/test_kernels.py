@@ -170,6 +170,16 @@ def test_kernel_even_matches_independent_reference(dim):
             assert abs(kv.value - ref) <= 1e-9 * abs(ref), (tau, s, kv.value, ref)
 
 
+@pytest.mark.parametrize("dim", [10, 12, 16])
+def test_even_reference_keeps_its_digits_at_large_s(dim):
+    # at s = 30 (l = cosh s ~ 5e12) a 40-digit finite difference lost the
+    # derivative: 1.7e-9 off at D = 10 and orders of magnitude at D = 16
+    p = EvalParams(dim, 5.0)
+    n = (dim - 2) // 2
+    exact = (-0.5 / math.pi) ** n * _term_sum_mp(gfunc.expression(n, p.a, p.E), 30.0)
+    assert even_reference(dim, 5.0, 30.0) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
 # tau -> s values per odd D: every odd D route at tiny, moderate and large
 # tau, at the origin and in the Gaussian tail; (3, 0.01, 3) is the point
 # where perfbench/reference.py is off by 1.1e-5

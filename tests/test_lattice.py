@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import pytest
 
@@ -94,6 +95,26 @@ def test_counts_that_do_not_divide_form_separate_chains():
     rows = lattice_rows(P3, Q1, Q2, [3, 4], samples=20_000, seed=2)
     assert rows[0] == lattice_kernel(P3, Q1, Q2, LatticeSpec(3, samples=20_000, seed=2))
     assert rows[1] == lattice_kernel(P3, Q1, Q2, LatticeSpec(4, samples=20_000, seed=2))
+
+
+def test_pair_se_is_honest_and_smaller_than_plain_monte_carlo():
+    # the spread of the values over seeds matches the reported se, which is
+    # taken over antithetic pairs, not over their correlated halves
+    rows = [lattice_rows(P3, Q1, Q2, [8], samples=20_000, seed=seed)[0] for seed in range(30)]
+    ratio = statistics.stdev(v for v, _ in rows) / statistics.median(e for _, e in rows)
+    assert 0.6 <= ratio <= 1.6, ratio
+    # plain Monte Carlo over single paths gave a relative se of about 3.8e-4 here
+    (value, err), = lattice_rows(P3, Q1, Q2, [32], samples=200_000, seed=0)
+    assert err / value < 3.8e-4 / 3.0, err / value
+
+
+def test_odd_budget_runs_the_pairs_that_cover_it():
+    # 10_001 paths are 5_001 pairs, as are 10_002; 10_000 are one pair fewer
+    rows = lattice_rows(P3, Q1, Q2, [4, 8], samples=10_001, seed=4)
+    assert rows == lattice_rows(P3, Q1, Q2, [4, 8], samples=10_001, seed=4)
+    assert all(math.isfinite(v) and math.isfinite(e) and e > 0.0 for v, e in rows), rows
+    assert rows == lattice_rows(P3, Q1, Q2, [4, 8], samples=10_002, seed=4)
+    assert rows != lattice_rows(P3, Q1, Q2, [4, 8], samples=10_000, seed=4)
 
 
 def test_fitted_order_on_shared_paths_at_d4():
