@@ -201,12 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--hbar", type=float, default=1.0, help="Planck constant (default 1)")
         p.add_argument("--rel-tol", type=float, default=1e-9)
         p.add_argument("--abs-tol", type=float, default=1e-14)
-        p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--threads", type=int, default=None,
                        help="accepted and ignored: every command runs serially")
 
     p = sub.add_parser("eval", help="evaluate the kernel at one point")
     common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--s", type=float, default=None)
@@ -218,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="evaluate the kernel on a (tau, s) grid")
     common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--tau-grid", type=str, required=True, help="start:stop:count")
     p.add_argument("--s-grid", type=str, required=True, help="start:stop:count")
@@ -232,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="run the lattice path-integral oracle")
     common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--tau", type=float, default=0.25)
     p.add_argument("--n", type=str, default="2,4,8,16,32", help="comma-separated slice counts")

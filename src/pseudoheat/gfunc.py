@@ -54,7 +54,7 @@ __all__ = [
 
 S_MIN = 1e-3
 SERIES_SWITCH = 0.2  # below this, evaluate_many prefers the l-series route
-SERIES_ORDER_CAP = 30
+SERIES_ORDER_CAP = 30  # the l-series of G^(n) keeps the terms of w^0..w^30
 
 Poly = tuple[Fraction, ...]  # coefficients of a polynomial in the rate a
 
@@ -191,9 +191,11 @@ class GExpression:
 
     @cached_property
     def series_weights(self) -> np.ndarray:
-        """h_j(a) j!/(j-n)! for j = 0..SERIES_ORDER_CAP and every rate, shape
-        (SERIES_ORDER_CAP + 1, rates): the l-series of G^(n) in w = l - 1."""
-        return _h_series(self.a) * np.array(_falling_factorials(self.n))[:, None]
+        """h_j(a) j!/(j-n)! for j = n..n+SERIES_ORDER_CAP and every rate, shape
+        (SERIES_ORDER_CAP + 1, rates): the l-series of G^(n) in w = l - 1,
+        row m its coefficient of w^m."""
+        h = _h_series(self.a, self.n + SERIES_ORDER_CAP)[self.n :]
+        return h * np.array(_falling_factorials(self.n))[:, None]
 
 
 def _merge(parts: dict[tuple[int, int, int], Poly]) -> tuple[GTerm, ...]:
@@ -415,20 +417,19 @@ def _arccosh_sq_series(order: int) -> tuple[Fraction, ...]:
     )
 
 
-# keyed by an expression's rates: the rows of one check or quadrature reuse
-# one tau, and a row over many tau takes one entry
+# keyed by an expression's rates and the series' order: the rows of one
+# check or quadrature reuse one tau, and a row over many tau takes one entry
 @lru_cache(maxsize=128)
-def _h_series(a: tuple[float, ...]) -> np.ndarray:
-    """Taylor coefficients h_0..h_SERIES_ORDER_CAP of exp(-a v(w)) around
-    w = l - 1 = 0, one column per rate of a: shape (SERIES_ORDER_CAP + 1,
-    rates).  The array is shared: read-only.
+def _h_series(a: tuple[float, ...], order: int) -> np.ndarray:
+    """Taylor coefficients h_0..h_order of exp(-a v(w)) around w = l - 1 =
+    0, one column per rate of a: shape (order + 1, rates).  The array is
+    shared: read-only.
 
     The recurrence h_m = (1/m) sum_{k=1..m} k g_k h_(m-k), g_k = -a v_k,
     runs in every rate at once; each sum adds its terms in order from 0.0
     (``np.add.accumulate`` is sequential), as one rate's loop in floats
     would.
     """
-    order = SERIES_ORDER_CAP
     a = np.array(a, dtype=float)
     v = np.array([float(vk) for vk in _arccosh_sq_series(order)])[:, None]
     kg = np.arange(order + 1.0)[:, None] * (-a * v)  # k g_k
@@ -445,9 +446,9 @@ def _h_series(a: tuple[float, ...]) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _falling_factorials(n: int) -> tuple[float, ...]:
-    """j!/(j-n)! for j = 0..SERIES_ORDER_CAP, as the product j (j-1) ... (j-n+1)."""
+    """j!/(j-n)! for j = n..n+SERIES_ORDER_CAP, as the product j (j-1) ... (j-n+1)."""
     out = []
-    for j in range(SERIES_ORDER_CAP + 1):
+    for j in range(n, n + SERIES_ORDER_CAP + 1):
         falling = 1.0
         for i in range(n):
             falling *= j - i
@@ -457,14 +458,14 @@ def _falling_factorials(n: int) -> tuple[float, ...]:
 
 def _series_many(g: GExpression, s: np.ndarray, rate: np.ndarray) -> np.ndarray:
     """d^n/dl^n of the base function at every entry of s, via the w = l - 1
-    power series: sum_{j>=n} h_j j!/(j-n)! w0^(j-n), by Horner from the top;
-    entry i at the rate numbered rate[i] of g."""
+    power series: sum_{j=n..n+SERIES_ORDER_CAP} h_j j!/(j-n)! w0^(j-n), by
+    Horner from the top; entry i at the rate numbered rate[i] of g."""
     w0 = 2.0 * np.sinh(0.5 * s) ** 2  # cosh(s) - 1, cancellation-free
     weights = g.series_weights[:, rate]
     acc = np.zeros_like(w0)
-    for j in range(SERIES_ORDER_CAP, g.n - 1, -1):
+    for m in range(SERIES_ORDER_CAP, -1, -1):
         acc *= w0
-        acc += weights[j]
+        acc += weights[m]
     return g.front[rate] * acc
 
 

@@ -4,9 +4,11 @@ Each check returns a :class:`VerificationReport` whose ``passed`` flag is
 exactly ``residual <= tolerance``.  The checks are independent routes to
 the same objects: the defining integral equation in l = cosh s, the radial
 and coordinate-space heat equations (with the generator shift fitted, not
-assumed), the semigroup convolution, total-mass multiplicativity, and the
-x-marginal against the horicyclic z-line Gaussian.  :data:`SUITES` is the
-battery that ``pseudoheat verify`` runs.
+assumed, by one fit that names the points where the kernel underflows),
+the semigroup convolution, total-mass multiplicativity, the x-marginal
+against the horicyclic z-line Gaussian, and the derivative algebra against
+mpmath's own finite differences in l.  :data:`SUITES` is the battery that
+``pseudoheat verify`` runs.
 """
 
 from __future__ import annotations
@@ -44,13 +46,11 @@ __all__ = [
     "abel_residual",
     "radial_pde_residual",
     "horicyclic_pde_residual",
-    "chapman_kolmogorov",
     "chapman_kolmogorov_many",
     "mass_multiplicativity",
     "x_marginal_check",
     "gfunc_reports",
     "richardson_dl_derivative",
-    "DEFAULT_L_GRID",
     "SUITES",
     "suite_reports",
 ]
@@ -96,7 +96,7 @@ def _require_dim(D: int, dims: range, what: str) -> None:
         raise ValueError(f"{what} are kept desk-scale: D in {dims.start}..{dims[-1]}")
 
 
-DEFAULT_L_GRID = (1.0, math.cosh(0.5), math.cosh(1.0), math.cosh(2.0), math.cosh(3.0))
+_L_GRID = (1.0, math.cosh(0.5), math.cosh(1.0), math.cosh(2.0), math.cosh(3.0))
 
 
 # --- integral equation ---------------------------------------------------
@@ -149,7 +149,7 @@ def _abel_rhs(params: EvalParams, l: float) -> float:
 
 def abel_residual(
     params: EvalParams,
-    l_grid: Sequence[float] = DEFAULT_L_GRID,
+    l_grid: Sequence[float] = _L_GRID,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Residual of the defining integral equation on a grid of l >= 1.
@@ -255,6 +255,27 @@ def _pde_pieces(
     return out
 
 
+def _fit_heat_equation(
+    kappa: float, records: Sequence[dict], pieces: Sequence[tuple[float, float, float, float]]
+) -> tuple[float | None, float, list[dict]]:
+    """Fit c in dK/dtau = kappa Lap K + c K at the first point whose K is not
+    0.0, from each point's pieces (K, dK/dtau, Lap K, scale), and give each
+    record its ``residual`` |dK/dtau - kappa Lap K - c K| / scale and its
+    ``c_pointwise``.  Where K underflowed there is no scale to measure the
+    equation against: residual inf, c None.  Returns c (None if every K
+    underflowed), the worst residual and the underflowed records."""
+    c_fit = next(((k_t - kappa * lap) / val for val, k_t, lap, _ in pieces if val != 0.0), None)
+    underflowed = []
+    for record, (val, k_t, lap, scale) in zip(records, pieces):
+        if val == 0.0:
+            record["residual"], record["c_pointwise"] = math.inf, None
+            underflowed.append(record)
+        else:
+            record["residual"] = abs(k_t - kappa * lap - c_fit * val) / scale
+            record["c_pointwise"] = (k_t - kappa * lap) / val
+    return c_fit, max((r["residual"] for r in records), default=0.0), underflowed
+
+
 def radial_pde_residual(
     params: EvalParams,
     s_grid: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 3.5, 5.0),
@@ -262,36 +283,27 @@ def radial_pde_residual(
 ) -> VerificationReport:
     """dK/dtau = kappa [K_ss + (D-2) coth(s) K_s] + c K with c fitted once.
 
-    c is fitted at the first grid point and then held fixed; the report
-    carries the fit and its spread, which double as a check that the
-    generator shift is a constant.
+    c is fitted at the first grid point where K does not underflow and then
+    held fixed; the report carries the fit and its spread, which double as
+    a check that the generator shift is a constant.  The (s, tau) where K
+    underflowed are listed under ``underflowed``.
     """
     # the D = 4 closed form is the high-accuracy anchor; the higher even
     # orders accumulate a little more term cancellation at the corners
     tolerance = 1e-7 if params.D == 4 else (1e-6 if params.D % 2 == 0 else 1e-5)
-    kappa = params.kappa
-    points = []
-    c_fit = None
-    worst = 0.0
-    c_lo = math.inf
-    c_hi = -math.inf
     grid = [(s, tau) for tau in tau_grid for s in s_grid]
-    for (s, tau), (val, k_t, lap, scale) in zip(grid, _pde_pieces(params, grid)):
-        c_here = (k_t - kappa * lap) / val
-        if c_fit is None:
-            c_fit = c_here
-        res = abs(k_t - kappa * lap - c_fit * val) / scale
-        worst = max(worst, res)
-        c_lo = min(c_lo, c_here)
-        c_hi = max(c_hi, c_here)
-        points.append({"s": s, "tau": tau, "residual": res, "c_pointwise": c_here})
+    points = [{"s": s, "tau": tau} for s, tau in grid]
+    c_fit, worst, underflowed = _fit_heat_equation(params.kappa, points, _pde_pieces(params, grid))
+    c_values = [p["c_pointwise"] for p in points if p["c_pointwise"] is not None]
     details = {
         "grid": f"s in {list(s_grid)}, tau in {list(tau_grid)}",
         "fitted_c": c_fit,
-        "c_spread": c_hi - c_lo,
-        "kappa": kappa,
+        "c_spread": max(c_values) - min(c_values) if c_values else None,
+        "kappa": params.kappa,
         "points": points,
     }
+    if underflowed:
+        details["underflowed"] = [[p["s"], p["tau"]] for p in underflowed]
     return VerificationReport.make("pde-radial", params.D, worst, tolerance, details)
 
 
@@ -303,48 +315,34 @@ def horicyclic_pde_residual(
     explicit half-space coordinate stencil instead of the radial reduction.
 
     The kernel at every point of every pair's stencils, the Laplacian's
-    around q2 at tau and the time derivative's at q2, is one kernel row."""
+    around q2 at tau and the time derivative's at q2 (its step from
+    ``_pde_steps``), is one kernel row."""
     _require_dim(params.D, HORICYCLIC_DIMS, "coordinate-space stencils")
     quad_backed = params.D == 3
     tau = params.tau
-    steps = []  # per pair: the Laplacian's stencil size and step, h_tau
+    steps, points = [], []  # steps per pair: the Laplacian's stencil size and step, h_tau
     ss, taus = [], []
     for q1, q2 in pairs:
         h = (2e-3 if quad_backed else 1e-4) * max(1.0, q2.y)
         space = laplace_beltrami_stencil(q2, h)
         s12 = geodesic_distance(q1, q2)
-        rate_t = params.a * s12**2 / tau + 1.0 / tau
-        h_t = min(1.4e-3 / rate_t, 0.2 * tau)
+        h_t = _pde_steps(params, s12, tau)[1]
         steps.append((len(space), h, h_t))
+        points.append({"s": s12})
         ss += [geodesic_distance(q1, q) for q in space] + [s12] * 4
         taus += [tau] * len(space) + _tau_stencil(tau, h_t)
     values = iter(kernel_array(params, np.array(ss), np.array(taus)).tolist())
-    points = []
-    underflowed = []
-    worst = 0.0
-    c_fit = None
-    for (q1, q2), (size, h, h_t) in zip(pairs, steps):
+    pieces = []
+    for (_, q2), (size, h, h_t) in zip(pairs, steps):
         at_space, at_taus = list(islice(values, size)), list(islice(values, 4))
         val = at_space[0]  # the kernel at q2
-        if val == 0.0:  # no scale to measure the equation against
-            underflowed.append(geodesic_distance(q1, q2))
-            worst = math.inf
-            points.append({"s": underflowed[-1], "residual": math.inf, "c_pointwise": None})
-            continue
         lap = laplace_beltrami_combine(at_space, q2, h)
         k_t = _d1(*at_taus, h_t)
-        c_here = (k_t - params.kappa * lap) / val
-        if c_fit is None:
-            c_fit = c_here
-        scale = max(abs(k_t), params.kappa * abs(lap), abs(val))
-        res = abs(k_t - params.kappa * lap - c_fit * val) / scale
-        worst = max(worst, res)
-        points.append(
-            {"s": geodesic_distance(q1, q2), "residual": res, "c_pointwise": c_here}
-        )
+        pieces.append((val, k_t, lap, max(abs(k_t), params.kappa * abs(lap), abs(val))))
+    c_fit, worst, underflowed = _fit_heat_equation(params.kappa, points, pieces)
     details = {"tau": params.tau, "fitted_c": c_fit, "n_pairs": len(pairs), "points": points}
     if underflowed:
-        details["underflowed"] = underflowed
+        details["underflowed"] = [p["s"] for p in underflowed]
     return VerificationReport.make("pde-horicyclic", params.D, worst, 1e-4, details)
 
 
@@ -473,10 +471,6 @@ def chapman_kolmogorov_many(
     return out
 
 
-def chapman_kolmogorov(params1: EvalParams, params2: EvalParams, d: float) -> VerificationReport:
-    return chapman_kolmogorov_many(params1, params2, [d])[0]
-
-
 # --- normalization --------------------------------------------------------
 
 def _masses(params: EvalParams, taus: Sequence[float]) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
@@ -601,50 +595,29 @@ def x_marginal_check(params: EvalParams, y1: float, y2: float) -> VerificationRe
 
 # --- derivative oracle ----------------------------------------------------
 
-# Richardson levels and working digits of richardson_dl_derivative
-_RICHARDSON_LEVELS = 4
-_RICHARDSON_DPS = 40
-
-
 def richardson_dl_derivative(a: float, E: float, n: int, s: float) -> float:
-    """n-th derivative of the base Gaussian in l = cosh s by central
-    finite differences in l with Richardson extrapolation.
-
-    Runs in extended precision so the stencil can sit arbitrarily close to
-    l = 1 without rounding loss; the integrand is evaluated from the closed
-    form in l, independently of the term algebra and of the l-series.
+    """n-th derivative in l of the base Gaussian G(l) = sqrt(a/pi)
+    exp(-a arccosh(l)^2 + E) at l = cosh s, by mpmath's finite differences
+    on the closed form in l, independently of the term algebra and of the
+    l-series.  arccosh(l)^2 is -acos(l)^2 below l = 1, where the stencil at
+    s = 0 reaches.  mpmath's step, 2^-(prec+10) at (prec+20)(n+1) bits,
+    leaves no truncation error; it is absolute, so the difference at l =
+    cosh s cancels n log10(cosh s) more digits than at l = 1, which are
+    added to the 40.  The name is kept from the Richardson extrapolation
+    this replaced, because the acceptance tests import it.
     """
     # imported here, not at module level: only this oracle uses mpmath, and
     # the CLI's other jobs should not pay for loading it
     import mpmath
 
-    with mpmath.workdps(_RICHARDSON_DPS):
-        am = mpmath.mpf(a)
-        Em = mpmath.mpf(E)
+    with mpmath.workdps(40 + math.ceil(n * math.log10(math.cosh(s)))):
+        am, Em = mpmath.mpf(a), mpmath.mpf(E)
 
         def G(l):
-            sig = mpmath.acosh(l)
-            return mpmath.sqrt(am / mpmath.pi) * mpmath.exp(-am * sig * sig + Em)
+            sq = mpmath.acosh(l) ** 2 if l >= 1 else -mpmath.acos(l) ** 2
+            return mpmath.sqrt(am / mpmath.pi) * mpmath.exp(-am * sq + Em)
 
-        l0 = mpmath.cosh(mpmath.mpf(s))
-        h0 = mpmath.mpf(min(1e-4, float(l0 - 1) / (2 * max(n, 1))))
-        binom = [math.comb(n, i) for i in range(n + 1)]
-
-        def diff_at(h):
-            acc = mpmath.mpf(0)
-            for i in range(n + 1):
-                off = (mpmath.mpf(i) - mpmath.mpf(n) / 2) * h
-                acc += (-1) ** (n - i) * binom[i] * G(l0 + off)
-            return acc / h**n
-
-        tableau = [diff_at(h0 / 2**k) for k in range(_RICHARDSON_LEVELS)]
-        for m in range(1, _RICHARDSON_LEVELS):
-            fac = mpmath.mpf(4) ** m
-            tableau = [
-                (fac * tableau[k + 1] - tableau[k]) / (fac - 1)
-                for k in range(len(tableau) - 1)
-            ]
-        return float(tableau[0])
+        return float(mpmath.diff(G, mpmath.cosh(mpmath.mpf(s)), n))
 
 
 # s where gfunc_reports compares the term route with the l-series (their
@@ -662,10 +635,7 @@ def gfunc_reports(
     overlap; the second compares the term route against the
     finite-difference oracle in l.
     """
-    overlap_worst = 0.0
-    overlap_pts = []
-    oracle_worst = 0.0
-    oracle_pts = []
+    overlap_pts, oracle_pts = [], []
     overlap, oracle = np.array(_S_OVERLAP), np.array(_S_ORACLE)
     # every entry at the expression's one rate
     at_overlap, at_oracle = np.zeros(len(overlap), dtype=np.intp), np.zeros(len(oracle), dtype=np.intp)
@@ -674,20 +644,16 @@ def gfunc_reports(
             g = gfunc.expression(n, a, 0.0)
             terms, series = gfunc._terms(g, overlap, at_overlap), gfunc._series_many(g, overlap, at_overlap)
             for s, t, srs in zip(_S_OVERLAP, terms.tolist(), series.tolist()):
-                rel = abs(t - srs) / abs(t)
-                overlap_worst = max(overlap_worst, rel)
-                overlap_pts.append({"a": a, "n": n, "s": s, "rel": rel})
+                overlap_pts.append({"a": a, "n": n, "s": s, "rel": abs(t - srs) / abs(t)})
             for s, t in zip(_S_ORACLE, gfunc._terms(g, oracle, at_oracle).tolist()):
                 ref = richardson_dl_derivative(a, 0.0, n, s)
-                rel = abs(t - ref) / abs(ref)
-                oracle_worst = max(oracle_worst, rel)
-                oracle_pts.append({"a": a, "n": n, "s": s, "rel": rel})
+                oracle_pts.append({"a": a, "n": n, "s": s, "rel": abs(t - ref) / abs(ref)})
     return [
         VerificationReport.make(
-            "gfunc-overlap", 0, overlap_worst, 1e-9, {"points": overlap_pts}
+            "gfunc-overlap", 0, max(p["rel"] for p in overlap_pts), 1e-9, {"points": overlap_pts}
         ),
         VerificationReport.make(
-            "gfunc-fd-oracle", 0, oracle_worst, 1e-6, {"points": oracle_pts}
+            "gfunc-fd-oracle", 0, max(p["rel"] for p in oracle_pts), 1e-6, {"points": oracle_pts}
         ),
     ]
 

@@ -207,6 +207,12 @@ def test_verify_unknown_suite_usage_error():
     assert res.returncode == 2
 
 
+def test_verify_takes_no_format():
+    # verify prints JSON only: a --format it would ignore is a usage error
+    res = run_cli("verify", "abel", "--format", "csv")
+    assert res.returncode == 2
+
+
 def test_verify_abel_json_schema():
     res = run_cli("verify", "abel", "--dims", "3,4", "--tau", "1")
     assert res.returncode == 0

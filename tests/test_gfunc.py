@@ -253,7 +253,7 @@ def test_compiled_terms_equal_fraction_loop_exactly():
 
 def test_series_weights_equal_nested_loop_exactly():
     def nested(n, a, E, w0):
-        h = gfunc._h_series((a,))[:, 0]
+        h = gfunc._h_series((a,), n + gfunc.SERIES_ORDER_CAP)[:, 0]
         acc = 0.0
         for j in range(len(h) - 1, n - 1, -1):
             falling = 1.0
@@ -364,11 +364,11 @@ def test_importing_the_kernels_leaves_mpmath_unloaded():
     assert res.stdout.strip() == "False"
 
 
-def _h_series_loop(a):
+def _h_series_loop(a, order):
     """The l-series coefficients by the recurrence in Python floats, one rate."""
-    gcoef = [-a * float(vk) for vk in gfunc._arccosh_sq_series(gfunc.SERIES_ORDER_CAP)]
+    gcoef = [-a * float(vk) for vk in gfunc._arccosh_sq_series(order)]
     h = [1.0]
-    for m in range(1, gfunc.SERIES_ORDER_CAP + 1):
+    for m in range(1, order + 1):
         acc = 0.0
         for k in range(1, m + 1):
             if gcoef[k]:
@@ -379,10 +379,13 @@ def _h_series_loop(a):
 
 def test_h_series_in_every_rate_is_the_float_recurrence():
     rates = (1e-4, 0.05, 1 / 3, 0.5, 2.0, 40.0, 3000.0)
-    table = gfunc._h_series(rates)
-    assert table.shape == (gfunc.SERIES_ORDER_CAP + 1, len(rates))
-    for column, a in zip(table.T.tolist(), rates):
-        assert column == _h_series_loop(a) == gfunc._h_series((a,))[:, 0].tolist(), a
+    # orders of G^(0) and of G^(14), the D = 30 kernel's
+    for order in (gfunc.SERIES_ORDER_CAP, gfunc.SERIES_ORDER_CAP + 14):
+        table = gfunc._h_series(rates, order)
+        assert table.shape == (order + 1, len(rates))
+        for column, a in zip(table.T.tolist(), rates):
+            want = _h_series_loop(a, order)
+            assert column == want == gfunc._h_series((a,), order)[:, 0].tolist(), (order, a)
 
 
 @pytest.mark.filterwarnings("error")

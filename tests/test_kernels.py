@@ -151,6 +151,19 @@ def test_kernel_even_where_the_terms_cancel_or_do_not(dim, tau, s, rel):
     assert abs(value - ref) <= rel * abs(ref), (value, ref)
 
 
+@pytest.mark.parametrize("tau", [1e-6, 1e-4])
+@pytest.mark.parametrize("dim", [16, 20, 30])
+def test_l_series_keeps_its_terms_past_high_orders(dim, tau):
+    # at a s^2 = 2.9, the edge of series_ok, the l-series of G^(n) needs
+    # about 30 terms past w^0; cut at j <= 30 whatever n was, it was 3.3e-12
+    # off at D = 16, 2.2e-10 at D = 20 and 8.1e-8 at D = 30 (tau 1e-6)
+    p = EvalParams(dim, tau)
+    s = math.sqrt(2.9 / p.a)
+    ref = even_reference(dim, tau, s)
+    value = kernel(p, s).value
+    assert abs(value - ref) <= 1e-13 * abs(ref), (value, ref)
+
+
 def test_kernel_even_d6_against_fd_oracle():
     from pseudoheat.verify import richardson_dl_derivative
 
@@ -281,10 +294,10 @@ def test_kernel_far_tail_no_overflow():
 
 
 def test_semigroup_general_units():
-    from pseudoheat.verify import chapman_kolmogorov
+    from pseudoheat.verify import chapman_kolmogorov_many
 
     half = EvalParams(4, 0.4, m=1.0, hbar=2.0)
-    rep = chapman_kolmogorov(half, half, 1.0)
+    (rep,) = chapman_kolmogorov_many(half, half, [1.0])
     assert rep.passed, rep
 
 
@@ -430,16 +443,17 @@ def _series_tolerance(g, s):
     c_m w0^m at most 2m + 2 times, and h_j carries about j eps from its
     own recursion.  The sum of these is taken four times over, for the
     rounding of the falling factorials and the prefactor.  The series is
-    cut at SERIES_ORDER_CAP; its next terms are far below the rounding
+    cut at m = SERIES_ORDER_CAP; its next terms are far below the rounding
     where ``series_ok`` holds.  Cancellation enters through
     sum |c_m w0^m| against the value.
     """
     n, (a,), (E,) = g.n, g.a, g.E
-    h, falling = gfunc._h_series((a,))[:, 0], gfunc._falling_factorials(n)
+    h = gfunc._h_series((a,), n + gfunc.SERIES_ORDER_CAP)[:, 0]
+    falling = gfunc._falling_factorials(n)
     w0 = 2.0 * math.sinh(0.5 * s) ** 2
     bound = sum(
-        (10.0 * m + 2.0 * (m + 1) + n + m) * abs(h[n + m] * falling[n + m]) * w0**m
-        for m in range(len(h) - n)
+        (10.0 * m + 2.0 * (m + 1) + n + m) * abs(h[n + m] * falling[m]) * w0**m
+        for m in range(gfunc.SERIES_ORDER_CAP + 1)
     )
     return 4.0 * _EPS * math.sqrt(a / math.pi) * math.exp(E) * bound + sys.float_info.min
 

@@ -1,23 +1,29 @@
+import json
 import math
+from pathlib import Path
 
+import jsonschema
+import mpmath
 import numpy as np
 import pytest
 
 from pseudoheat.geometry import HoricyclicPoint, geodesic_distance, normalize_pair
-from pseudoheat import kernels, verify
+from pseudoheat import cli, gfunc, kernels, verify
 from pseudoheat.kernels import EvalParams, kernel
 from pseudoheat.quadrature import NonConvergenceError, QuadratureSpec
 from pseudoheat.verify import (
     VerificationReport,
     abel_residual,
-    chapman_kolmogorov,
     chapman_kolmogorov_many,
     gfunc_reports,
     horicyclic_pde_residual,
     mass_multiplicativity,
     radial_pde_residual,
+    richardson_dl_derivative,
     x_marginal_check,
 )
+
+SCHEMA = Path(__file__).resolve().parents[1] / "schemas" / "report.schema.json"
 
 
 def test_report_invariant():
@@ -102,6 +108,29 @@ def test_radial_pde_general_units():
     )
     assert rep.passed
     assert rep.details["fitted_c"] == pytest.approx(rep.details["kappa"] / 4.0, abs=1e-6)
+
+
+def test_radial_pde_names_the_points_where_the_kernel_underflows():
+    # at D = 40 the kernel underflows at s >= 2, tau 2: those points have no
+    # scale to measure the equation against, where c's fit divided by zero
+    rep = radial_pde_residual(EvalParams(40, 1.0))
+    assert not rep.passed and rep.residual == math.inf
+    assert rep.details["underflowed"] == [[2.0, 2.0], [3.5, 2.0], [5.0, 2.0]]
+    for point in rep.details["points"]:
+        if [point["s"], point["tau"]] in rep.details["underflowed"]:
+            assert point["residual"] == math.inf and point["c_pointwise"] is None
+        else:
+            assert math.isfinite(point["residual"]) and point["c_pointwise"] is not None
+
+
+def test_verify_cli_reports_underflowed_pde_points(capsys):
+    assert cli.main(["verify", "pde-radial", "--dims", "40", "--tau", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = json.loads(out)
+    jsonschema.validate(doc, json.loads(SCHEMA.read_text()))
+    (report,) = doc["reports"]
+    assert report["residual"] == math.inf and report["details"]["underflowed"]
 
 
 def test_horicyclic_pde_d3_and_d4():
@@ -192,9 +221,9 @@ def test_chapman_kolmogorov_radial_weight_overflow_is_located(monkeypatch):
 
 def test_chapman_kolmogorov_validation():
     with pytest.raises(ValueError):
-        chapman_kolmogorov(EvalParams(4, 0.5), EvalParams(3, 0.5), 1.0)
+        chapman_kolmogorov_many(EvalParams(4, 0.5), EvalParams(3, 0.5), [1.0])
     with pytest.raises(ValueError):
-        chapman_kolmogorov(EvalParams(6, 0.5), EvalParams(6, 0.5), 1.0)
+        chapman_kolmogorov_many(EvalParams(6, 0.5), EvalParams(6, 0.5), [1.0])
 
 
 def test_mass_multiplicativity_d4():
@@ -213,6 +242,30 @@ def test_gfunc_reports_pass():
     overlap, oracle = gfunc_reports(a_values=(0.25,), n_max=4)
     assert overlap.check == "gfunc-overlap" and overlap.passed
     assert oracle.check == "gfunc-fd-oracle" and oracle.passed
+
+
+def test_gfunc_fd_oracle_residual_is_the_term_routes():
+    # the oracle no longer limits the report: with a fixed 40 digits it was
+    # 2.4e-9 off at n = 5, s = 5
+    _, oracle = gfunc_reports()
+    assert oracle.residual <= 1e-12, oracle.residual
+
+
+def test_fd_oracle_against_80_digit_differences():
+    a, n, s = 0.25, 5, 5.0
+    with mpmath.workdps(80 + math.ceil(n * math.log10(math.cosh(s)))):
+        am = mpmath.mpf(a)
+        G = lambda l: mpmath.sqrt(am / mpmath.pi) * mpmath.exp(-am * mpmath.acosh(l) ** 2)
+        ref = float(mpmath.diff(G, mpmath.cosh(mpmath.mpf(s)), n))
+    assert richardson_dl_derivative(a, 0.0, n, s) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("a", [0.125, 1.0, 5.0])
+def test_fd_oracle_at_the_origin_is_the_l_series(a):
+    # at s = 0 the stencil reaches below l = 1, where arccosh(l)^2 = -acos(l)^2
+    for n in range(8):
+        ref = gfunc.evaluate_near_origin(gfunc.expression(n, a, 0.0), 0.0)
+        assert richardson_dl_derivative(a, 0.0, n, 0.0) == pytest.approx(ref, rel=1e-13, abs=0.0), n
 
 
 def test_x_marginal_equal_heights_d4():
