@@ -7,15 +7,17 @@ and coordinate-space heat equations (with the generator shift fitted, not
 assumed, by one fit that names the points where the kernel underflows),
 the semigroup convolution, total-mass multiplicativity, the x-marginal
 against the horicyclic z-line Gaussian, and the derivative algebra against
-mpmath's own finite differences in l.  :data:`SUITES` is the battery that
-``pseudoheat verify`` runs.
+mpmath's own finite differences in l: one difference table (mpmath.diffs)
+per (a, s) gives every order at once, at (prec+20)(n+2) bits, with each
+order read from a stencil centred at most n 2^-(prec+10) below cosh s.
+:data:`SUITES` is the battery that ``pseudoheat verify`` runs.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Sequence
 
@@ -88,7 +90,9 @@ class VerificationReport:
         return cls(check, D, residual, float(tolerance), ok, details)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # shallow: json.dumps reads details as they are, and a deep copy
+        # (dataclasses.asdict) of every point's record would print the same
+        return dict(vars(self))
 
 
 def _require_dim(D: int, dims: range, what: str) -> None:
@@ -595,16 +599,21 @@ def x_marginal_check(params: EvalParams, y1: float, y2: float) -> VerificationRe
 
 # --- derivative oracle ----------------------------------------------------
 
-def richardson_dl_derivative(a: float, E: float, n: int, s: float) -> float:
-    """n-th derivative in l of the base Gaussian G(l) = sqrt(a/pi)
-    exp(-a arccosh(l)^2 + E) at l = cosh s, by mpmath's finite differences
-    on the closed form in l, independently of the term algebra and of the
-    l-series.  arccosh(l)^2 is -acos(l)^2 below l = 1, where the stencil at
-    s = 0 reaches.  mpmath's step, 2^-(prec+10) at (prec+20)(n+1) bits,
-    leaves no truncation error; it is absolute, so the difference at l =
-    cosh s cancels n log10(cosh s) more digits than at l = 1, which are
-    added to the 40.  The name is kept from the Richardson extrapolation
-    this replaced, because the acceptance tests import it.
+def _fd_derivatives(a: float, E: float, n: int, s: float) -> list[float]:
+    """Orders 0..n in l of the base Gaussian G(l) = sqrt(a/pi)
+    exp(-a arccosh(l)^2 + E) at l = cosh s, from one mpmath difference
+    table (mpmath.diffs) on the closed form in l, independently of the
+    term algebra and of the l-series.  arccosh(l)^2 is -acos(l)^2 below
+    l = 1, where the stencil at s = 0 reaches.
+
+    The table is G(cosh s), then one central stencil of n + 2 points with
+    step h = 2^-(prec+10), taken at (prec+20)(n+2) bits, which leaves no
+    truncation error.  Order k >= 1 reads its first k + 1 points, a
+    stencil centred (n + 1 - k) h below cosh s: at the suite's n <= 5 an
+    offset under 2^-(prec+7) in l, which moves G^(k) by that offset times
+    |G^(k+1) / G^(k)|, far below binary64.  The step is absolute, so the
+    difference at l = cosh s cancels n log10(cosh s) more digits than at
+    l = 1, which are added to the 40.
     """
     # imported here, not at module level: only this oracle uses mpmath, and
     # the CLI's other jobs should not pay for loading it
@@ -617,7 +626,16 @@ def richardson_dl_derivative(a: float, E: float, n: int, s: float) -> float:
             sq = mpmath.acosh(l) ** 2 if l >= 1 else -mpmath.acos(l) ** 2
             return mpmath.sqrt(am / mpmath.pi) * mpmath.exp(-am * sq + Em)
 
-        return float(mpmath.diff(G, mpmath.cosh(mpmath.mpf(s)), n))
+        return [float(d) for d in mpmath.diffs(G, mpmath.cosh(mpmath.mpf(s)), n)]
+
+
+def richardson_dl_derivative(a: float, E: float, n: int, s: float) -> float:
+    """n-th derivative in l of the base Gaussian at l = cosh s: the last
+    order of :func:`_fd_derivatives`' table, so the suite and its callers
+    share one oracle.  The name is kept from the Richardson extrapolation
+    this replaced, because the tests import it.
+    """
+    return _fd_derivatives(a, E, n, s)[n]
 
 
 # s where gfunc_reports compares the term route with the l-series (their
@@ -640,13 +658,15 @@ def gfunc_reports(
     # every entry at the expression's one rate
     at_overlap, at_oracle = np.zeros(len(overlap), dtype=np.intp), np.zeros(len(oracle), dtype=np.intp)
     for a in a_values:
+        # one difference table per s serves every order n <= n_max
+        tables = [_fd_derivatives(a, 0.0, n_max, s) for s in _S_ORACLE]
         for n in range(n_max + 1):
             g = gfunc.expression(n, a, 0.0)
             terms, series = gfunc._terms(g, overlap, at_overlap), gfunc._series_many(g, overlap, at_overlap)
             for s, t, srs in zip(_S_OVERLAP, terms.tolist(), series.tolist()):
                 overlap_pts.append({"a": a, "n": n, "s": s, "rel": abs(t - srs) / abs(t)})
-            for s, t in zip(_S_ORACLE, gfunc._terms(g, oracle, at_oracle).tolist()):
-                ref = richardson_dl_derivative(a, 0.0, n, s)
+            for s, t, table in zip(_S_ORACLE, gfunc._terms(g, oracle, at_oracle).tolist(), tables):
+                ref = table[n]
                 oracle_pts.append({"a": a, "n": n, "s": s, "rel": abs(t - ref) / abs(ref)})
     return [
         VerificationReport.make(

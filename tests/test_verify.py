@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -258,6 +259,43 @@ def test_fd_oracle_against_80_digit_differences():
         G = lambda l: mpmath.sqrt(am / mpmath.pi) * mpmath.exp(-am * mpmath.acosh(l) ** 2)
         ref = float(mpmath.diff(G, mpmath.cosh(mpmath.mpf(s)), n))
     assert richardson_dl_derivative(a, 0.0, n, s) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("a", [0.125, 0.25, 1.0])
+@pytest.mark.parametrize("s", verify._S_ORACLE)
+def test_fd_table_against_80_digit_differences_per_order(a, s):
+    # the lower orders read stencils centred below cosh s; that offset
+    # stays far below binary64
+    table = verify._fd_derivatives(a, 0.0, 5, s)
+    assert len(table) == 6
+    for k, got in enumerate(table):
+        with mpmath.workdps(80 + math.ceil(k * math.log10(math.cosh(s)))):
+            am = mpmath.mpf(a)
+            G = lambda l: mpmath.sqrt(am / mpmath.pi) * mpmath.exp(-am * mpmath.acosh(l) ** 2)
+            ref = float(mpmath.diff(G, mpmath.cosh(mpmath.mpf(s)), k))
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0), k
+
+
+def test_gfunc_reports_take_one_table_per_a_and_s(monkeypatch):
+    calls = []
+    table = verify._fd_derivatives
+
+    def counted(a, E, n, s):
+        calls.append((a, n, s))
+        return table(a, E, n, s)
+
+    monkeypatch.setattr(verify, "_fd_derivatives", counted)
+    _, oracle = gfunc_reports()
+    a_values = (0.125, 0.25, 1.0)  # gfunc_reports' default
+    assert sorted(calls) == sorted((a, 5, s) for a in a_values for s in verify._S_ORACLE)
+    assert len(oracle.details["points"]) == len(a_values) * 6 * len(verify._S_ORACLE)
+
+
+def test_report_json_is_asdicts():
+    details = {"points": [{"s": 0.5, "pair": (1.0, 2.0)}, {"s": 1.0, "pair": (3.0, [4.0])}],
+               "nested": {"tau": (0.1, 0.2), "rows": [[1, 2], (3,)]}, "underflowed": []}
+    r = VerificationReport.make("x", 3, 1e-7, 1e-6, details)
+    assert json.dumps(r.to_json_dict(), indent=2) == json.dumps(dataclasses.asdict(r), indent=2)
 
 
 @pytest.mark.parametrize("a", [0.125, 1.0, 5.0])
