@@ -14,7 +14,7 @@ of the checkout it sits in:
 * ``eval --dim {3,4,5} --tau 0.5 --s 1 --format csv``, the single-point
   ``kernel()`` path, and ``eval --dim 20 --tau 2 --s 0.7 --format csv``,
   a lone even-D gfunc entry whose terms cancel;
-* ``oracle --dim {3,4} --tau 0.25 --n 2,4 --samples 20000 --seed 9
+* ``oracle --dim {3,4,5} --tau 0.25 --n 2,4 --samples 20000 --seed 9
   --threads 1 --format csv``, the lattice Monte Carlo;
 * ``verify all --dims 3,4,5`` at ``--tau 0.5`` and ``--tau 1.0``, the two
   tau of the benchmark's ``certify`` workload;
@@ -23,7 +23,9 @@ of the checkout it sits in:
   closed form among its even D);
 * ``verify abel --dims 6,7,8,9,10,14,20 --tau 0.5``, whose integrands
   evaluate one-tau gfunc rows at even D >= 6 and odd D >= 7, hundreds of
-  their entries through Cauchy's integral.
+  their entries through Cauchy's integral;
+* ``verify all --dims 6,7,8,9,10,11,12 --tau 0.5``, every suite above the
+  D that ``certify`` runs (mass fails at D = 9 and 11, exit 1).
 
 Each printed line reads ``<sha256 of stdout> exit=<code> <arguments>``.
 Run it in two checkouts and diff the outputs:
@@ -45,18 +47,21 @@ residual, verdict and integrals, each a value with its ``quad_err``
 (abel's lhs per l, ck's convolution, mass's masses, x-marginal's lhs),
 and each oracle row's N, value and ``err_est`` (its Monte Carlo standard
 error) with the run's ``fitted_order``.  The ``eval`` outputs are
-digested only.  ``--compare OLD NEW`` runs nothing; per command it prints
-the largest relative change in value, how many cells or integrals changed
-by more than their own error estimate (the sum of the two sides'
-``err_est`` or ``quad_err``), how many have a value on one side only, and
-every verification verdict that changed; per oracle row, its value and
-standard error on each side and its shift in units of
-sqrt(se_old^2 + se_new^2), and the fitted order on each side.  It exits
-1, after one ``FAIL`` line per failure, when an exit code or a verdict
-changes, a cell or integral has a value on one side only, one moves by
-more than both 1e-9 relative and the sum of the two sides' error
-estimates, an oracle run's slice counts change, or an oracle row moves by
-more than ORACLE_SE_GATE = 5 of those units; otherwise it exits 0.
+digested only.  ``--compare OLD NEW`` runs nothing.  It pairs table cells
+by (tau, s) and verification reports by (check, D, occurrence of that
+pair), so a cell or report on one side only is one failure and shifts no
+other pair.  Per command it prints the largest relative change in value,
+how many cells or integrals changed by more than their own error estimate
+(the sum of the two sides' ``err_est`` or ``quad_err``), how many have a
+value on one side only, and every verification verdict that changed; per
+oracle row, its value and standard error on each side and its shift in
+units of sqrt(se_old^2 + se_new^2), and the fitted order on each side.
+It exits 1, after one ``FAIL`` line per failure, when an exit code or a
+verdict changes, a cell or report is on one side only, a cell or integral
+has a value on one side only, one moves by more than both 1e-9 relative
+and the sum of the two sides' error estimates, an oracle run's slice
+counts change, or an oracle row moves by more than ORACLE_SE_GATE = 5 of
+those units; otherwise it exits 0.
 Oracle rows are Monte Carlo estimates, so a change of sampler moves them
 by design and is gated statistically.
 """
@@ -96,7 +101,7 @@ def commands() -> list[list[str]]:
     for dim in ("3", "4", "5"):
         out.append(["eval", "--dim", dim, "--tau", "0.5", "--s", "1", "--format", "csv"])
     out.append(["eval", "--dim", "20", "--tau", "2", "--s", "0.7", "--format", "csv"])
-    for dim in ("3", "4"):
+    for dim in ("3", "4", "5"):
         out.append([
             "oracle", "--dim", dim, "--tau", "0.25", "--n", "2,4", "--samples", "20000",
             "--seed", "9", "--threads", "1", "--format", "csv",
@@ -105,6 +110,7 @@ def commands() -> list[list[str]]:
         out.append(["verify", "all", "--dims", "3,4,5", "--tau", tau])
     out.append(["verify", "pde-radial", "--dims", "6,7,8,9", "--tau", "0.5"])
     out.append(["verify", "abel", "--dims", "6,7,8,9,10,14,20", "--tau", "0.5"])
+    out.append(["verify", "all", "--dims", "6,7,8,9,10,11,12", "--tau", "0.5"])
     return out
 
 
@@ -198,6 +204,26 @@ class _Gate:
                                      f"err_est {ea!r} + {eb!r}")
 
 
+def _matched(a_items: list[dict], b_items: list[dict], key) -> tuple[list[tuple[str, dict, dict]], list[str]]:
+    """Items of the two sides paired by key(item) and the occurrence of that
+    key among the side's items, so that an item inserted or dropped on one
+    side leaves every other pair in place.  Returns (label, old, new) per
+    pair, in the old side's order, and the label of each item on one side
+    only.  A label is the key's text, with ``#k`` for the k-th repeat."""
+    def keyed(items):
+        seen, out = {}, {}
+        for item in items:
+            k = key(item)
+            n = seen[k] = seen.get(k, -1) + 1
+            out[k, n] = item
+        return out
+
+    a, b = keyed(a_items), keyed(b_items)
+    label = lambda k, n: " ".join(map(str, k)) + (f" #{n}" if n else "")
+    pairs = [(label(*kn), a[kn], b[kn]) for kn in a if kn in b]
+    return pairs, [label(*kn) for kn in (*a, *b) if (kn in a) != (kn in b)]
+
+
 def _compare_oracle(key: str, a: dict, b: dict, codes: str, failures: list[str]) -> None:
     """Print one oracle run's rows on both sides; a row that moves by more
     than ORACLE_SE_GATE combined standard errors, or slice counts that
@@ -219,10 +245,12 @@ def _compare_oracle(key: str, a: dict, b: dict, codes: str, failures: list[str])
 def compare(old_path: str, new_path: str) -> int:
     """Print the per-command summary; 1 if any command fails the gate, else 0.
 
-    A command fails when its exit code changes, a verification verdict
-    changes, a table cell or a verification integral has a value on one
-    side only, or one moves by more than both GATE_REL relative and the
-    sum of the two sides' ``err_est`` (``quad_err`` for an integral).  An
+    Cells are paired by (tau, s) and reports by (check, D, occurrence).  A
+    command fails when its exit code changes, a verification verdict
+    changes, a cell or report is on one side only, a cell or integral has
+    a value on one side only, or one moves by more than both GATE_REL
+    relative and the sum of the two sides' ``err_est`` (``quad_err`` for
+    an integral).  An
     oracle run fails when its slice counts change or a row moves by more
     than ORACLE_SE_GATE combined standard errors.  Each failure is printed
     on a line of its own starting with ``FAIL``.
@@ -243,35 +271,28 @@ def compare(old_path: str, new_path: str) -> int:
         if key.startswith("oracle"):
             _compare_oracle(key, a, b, codes, failures)
         elif key.startswith("table"):
-            for ca, cb in zip(a["items"], b["items"]):
-                gate.check(f"{key}: tau={cb['tau']!r} s={cb['s']!r}",
-                           ca["value"], ca["err_est"], cb["value"], cb["err_est"])
-            if len(a["items"]) != len(b["items"]):
-                gate.one_sided += abs(len(a["items"]) - len(b["items"]))
-                failures.append(f"{key}: cells {len(a['items'])} -> {len(b['items'])}")
+            cells, alone = _matched(a["items"], b["items"], lambda c: (f"tau={c['tau']!r}", f"s={c['s']!r}"))
+            for where, ca, cb in cells:
+                gate.check(f"{key}: {where}", ca["value"], ca["err_est"], cb["value"], cb["err_est"])
+            gate.one_sided += len(alone)
+            failures.extend(f"{key}: {where}: cell on one side only" for where in alone)
             print(f"{key}: {codes}, cells {len(b['items'])}, max rel change {gate.worst:.3g}, "
                   f"over err_est {gate.over}, value on one side only {gate.one_sided}")
         else:
-            flips = [
-                f"{ra['check']} D={ra['D']} {ra['passed']}->{rb['passed']}"
-                for ra, rb in zip(a["items"], b["items"])
-                if ra["passed"] != rb["passed"]
-            ]
+            reports, alone = _matched(a["items"], b["items"], lambda r: (r["check"], f"D={r['D']}"))
+            flips = [f"{where} {ra['passed']}->{rb['passed']}" for where, ra, rb in reports
+                     if ra["passed"] != rb["passed"]]
             failures.extend(f"{key}: {f}" for f in flips)
-            if len(a["items"]) != len(b["items"]):
-                failures.append(f"{key}: reports {len(a['items'])} -> {len(b['items'])}")
-            worst = max(
-                (_rel_change(ra["residual"], rb["residual"]) for ra, rb in zip(a["items"], b["items"])),
-                default=0.0,
-            )
-            for ra, rb in zip(a["items"], b["items"]):
-                where = f"{key}: {rb['check']} D={rb['D']}"
+            failures.extend(f"{key}: {where}: report on one side only" for where in alone)
+            worst = max((_rel_change(ra["residual"], rb["residual"]) for _, ra, rb in reports), default=0.0)
+            for where, ra, rb in reports:
                 va, vb = ra.get("values", []), rb.get("values", [])
                 if len(va) != len(vb):
-                    failures.append(f"{where}: integrals {len(va)} -> {len(vb)}")
+                    failures.append(f"{key}: {where}: integrals {len(va)} -> {len(vb)}")
                 for k, (ia, ib) in enumerate(zip(va, vb)):
-                    gate.check(f"{where} integral {k}", ia["value"], ia["quad_err"], ib["value"], ib["quad_err"])
+                    gate.check(f"{key}: {where} integral {k}", ia["value"], ia["quad_err"], ib["value"], ib["quad_err"])
             print(f"{key}: {codes}, reports {len(a['items'])}->{len(b['items'])}, "
+                  f"on one side only {len(alone)}, "
                   f"max rel residual change {worst:.3g}, verdicts changed {len(flips)}, "
                   f"max rel integral change {gate.worst:.3g}, over quad_err {gate.over}, "
                   f"value on one side only {gate.one_sided}"

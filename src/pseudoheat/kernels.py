@@ -78,11 +78,6 @@ class EvalParams:
         return _shift(self, self.tau)
 
     @property
-    def beta(self) -> float:
-        """(hbar^2 / 4 m^2) (D-1)(D-3)."""
-        return (self.hbar**2 / (4.0 * self.m**2)) * (self.D - 1) * (self.D - 3)
-
-    @property
     def kappa(self) -> float:
         """Diffusivity hbar / (2 m) of the associated heat flow."""
         return self.hbar / (2.0 * self.m)

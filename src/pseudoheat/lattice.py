@@ -165,8 +165,6 @@ def _chain_rows(params: EvalParams, q1: HoricyclicPoint, q2: HoricyclicPoint, ch
 
 
 def _check_points(params: EvalParams, q1: HoricyclicPoint, q2: HoricyclicPoint) -> None:
-    if params.D not in (3, 4):
-        raise ValueError("lattice runs are kept desk-scale: D in {3, 4}")
     if q1.dim != params.D or q2.dim != params.D:
         raise ValueError("point dimension does not match params.D")
 

@@ -311,16 +311,16 @@ def _abel_nodes(F, u_stretched: np.ndarray, w_d, decay_rate, endpoint) -> tuple[
     return v, np.abs(v) * (1.0 + decay_rate * s * s)
 
 
-def integrate_abel(F, ds: Sequence[float], decay_rate, spec: QuadratureSpec = DEFAULT_SPEC, abs_tol=None):
+def integrate_abel(F, ds: Sequence[float], decay_rate, spec: QuadratureSpec = DEFAULT_SPEC):
     """Integral of F(arccosh l) (l - cosh d)^(-1/2) over l in [cosh d, inf), for each d in ds.
 
     F(s, endpoint) maps a float array of s = arccosh l, and the index into
     ds of each node's endpoint (an int array like s), to its values; it
     must decay like exp(-decay_rate s^2), where decay_rate is one float, or
-    one per d, as abs_tol (spec.abs_tol where None) is.  With
-    l = cosh d + sinh^2 t the integrand, 2 F cosh t, is even, decays like
-    a Gaussian and is analytic in |Im t| < pi/2, so the trapezoidal rule
-    converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).
+    one per d.  With l = cosh d + sinh^2 t the integrand, 2 F cosh t, is
+    even, decays like a Gaussian and is analytic in |Im t| < pi/2, so the
+    trapezoidal rule converges geometrically (Trefethen & Weideman, SIAM
+    Rev. 56, 2014).
     It runs in u, t = T sinh(u/T) (after Takahasi & Mori, 1974), from the
     step min(0.2, 0.25/sqrt(decay_rate)), on the halving loop of every rule
     here, each endpoint on its own test; if F evaluates each entry
@@ -332,13 +332,11 @@ def integrate_abel(F, ds: Sequence[float], decay_rate, spec: QuadratureSpec = DE
     """
     ds = np.asarray(ds, dtype=float)
     rates, tol = np.empty((2, len(ds)))
-    rates[:], tol[:] = decay_rate, spec.abs_tol if abs_tol is None else abs_tol
+    rates[:], tol[:] = decay_rate, spec.abs_tol
     if np.count_nonzero(ds < 0.0):
         raise ValueError("lower endpoint must be nonnegative")
     if not np.minimum.reduce(rates, initial=math.inf) > 0.0:
         raise ValueError("decay_rate must be positive")
-    if abs_tol is not None and not np.all((tol > 0.0) & np.isfinite(tol)):
-        raise ValueError("abs_tol must be positive and finite")
     # an overflow leaves a non-finite grid or sum, which is reported for its endpoint
     with np.errstate(over="ignore", invalid="ignore"):
         s_max = gaussian_cutoff(ds, rates)

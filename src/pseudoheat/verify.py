@@ -16,7 +16,6 @@ order read from a stencil centred at most n 2^-(prec+10) below cosh s.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Sequence
@@ -57,13 +56,6 @@ __all__ = [
     "suite_reports",
 ]
 
-# dimensions each check covers: the desk-scale checks' guards and SUITES read them
-EVERY_D = range(3, sys.maxsize)
-HORICYCLIC_DIMS = range(3, 5)
-CK_DIMS = range(3, 6)
-MASS_DIMS = range(3, 7)
-X_MARGINAL_DIMS = range(3, 7)
-
 # the integrals of the abel, mass and x-marginal checks; the abel and
 # x-marginal checks scale abs_tol by their rhs, which exp(E) takes far below
 # 1e-7 at high D or large tau.  x-marginal's floor sits 1e4 below its 1e-5
@@ -93,11 +85,6 @@ class VerificationReport:
         # shallow: json.dumps reads details as they are, and a deep copy
         # (dataclasses.asdict) of every point's record would print the same
         return dict(vars(self))
-
-
-def _require_dim(D: int, dims: range, what: str) -> None:
-    if D not in dims:
-        raise ValueError(f"{what} are kept desk-scale: D in {dims.start}..{dims[-1]}")
 
 
 _L_GRID = (1.0, math.cosh(0.5), math.cosh(1.0), math.cosh(2.0), math.cosh(3.0))
@@ -321,7 +308,6 @@ def horicyclic_pde_residual(
     The kernel at every point of every pair's stencils, the Laplacian's
     around q2 at tau and the time derivative's at q2 (its step from
     ``_pde_steps``), is one kernel row."""
-    _require_dim(params.D, HORICYCLIC_DIMS, "coordinate-space stencils")
     quad_backed = params.D == 3
     tau = params.tau
     steps, points = [], []  # steps per pair: the Laplacian's stencil size and step, h_tau
@@ -351,6 +337,11 @@ def horicyclic_pde_residual(
 
 
 # --- semigroup -----------------------------------------------------------
+
+def _log_sinh(x: np.ndarray) -> np.ndarray:
+    """log sinh x for x >= 0, finite where sinh x overflows binary64."""
+    return x - math.log(2.0) + np.log(-np.expm1(-2.0 * x))
+
 
 def _convolve_kernels(
     params1: EvalParams, params2: EvalParams, d: float, spec: QuadratureSpec, target: float, k2_peak: float
@@ -392,9 +383,8 @@ def _convolve_kernels(
         k1 = kernel_array(params1, rs)
         kept = np.flatnonzero(k1)
         r = rs[kept]
-        log_sinh = r - math.log(2.0) + np.log(-np.expm1(-2.0 * r))  # finite where sinh r overflows
         with np.errstate(over="ignore"):
-            radial = ang_front * np.exp(np.log(k1[kept]) + (D - 2) * log_sinh)
+            radial = ang_front * np.exp(np.log(k1[kept]) + (D - 2) * _log_sinh(r))
         bound = math.pi * k2_peak * radial
         theta_err = max(theta_err, np.max(bound, initial=0.0, where=bound <= theta_tol))
         kept, r, radial = (x[bound > theta_tol] for x in (kept, r, radial))
@@ -446,7 +436,6 @@ def chapman_kolmogorov_many(
     targets and K2 at 0 are one kernel row."""
     if (params1.D, params1.m, params1.hbar) != (params2.D, params2.m, params2.hbar):
         raise ValueError("factors must share dimension and units")
-    _require_dim(params1.D, CK_DIMS, "convolution checks")
     D = params1.D
     if tolerance is None:
         tolerance = 1e-3 if D == 3 else 1e-4
@@ -479,12 +468,20 @@ def chapman_kolmogorov_many(
 
 def _masses(params: EvalParams, taus: Sequence[float]) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
     """Omega_(D-2) int_0^inf K(s) sinh(s)^(D-2) ds at each tau of taus, in
-    one quadrature call: value and err_est arrays and the failures by index."""
+    one quadrature call: value and err_est arrays and the failures by index.
+
+    The weight K sinh^(D-2) s is formed in logs, as the convolution's
+    radial weight is: sinh^(D-2) s overflows binary64 (D >= 13) where K
+    has long underflowed to 0.0, and there the integrand is 0."""
     om = sphere_surface_area(params.D - 2)
     taus = np.array(taus, dtype=float)
     rates = np.array([params.with_tau(t).a for t in taus.tolist()])
     s_max = gaussian_cutoff(0.0, rates, linear_growth=float(params.D - 2))
-    f = lambda ss, at: om * kernel_array(params, ss, taus[at]) * np.sinh(ss) ** (params.D - 2)
+
+    def f(ss: np.ndarray, at: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):  # log 0.0 at K = 0 or s = 0 is -inf, and exp of it 0
+            return om * np.exp(np.log(kernel_array(params, ss, taus[at])) + (params.D - 2) * _log_sinh(ss))
+
     return integrate_tanh_sinh(f, 0.0, s_max, _MASS_SPEC)
 
 
@@ -505,7 +502,6 @@ def mass_multiplicativity(
     listed with its error estimate under ``nonconverged``, and gives every
     pair it enters the residual inf.
     """
-    _require_dim(params.D, MASS_DIMS, "mass checks")
     pairs = [(t1, t2) for i, t1 in enumerate(tau_list) for t2 in tau_list[i:]]
     taus = sorted({*tau_list, *(t1 + t2 for t1, t2 in pairs)})
     value, err, failures = _masses(params, taus)
@@ -549,7 +545,6 @@ def x_marginal_check(params: EvalParams, y1: float, y2: float) -> VerificationRe
     (y1 y2)^((D-2)/2) times the free one-dimensional Gaussian in z = ln y
     with the constant shift E.
     """
-    _require_dim(params.D, X_MARGINAL_DIMS, "x-marginal checks")
     a = params.a
     y1y2 = y1 * y2
     u0 = (y2 - y1) ** 2 / (2.0 * y1y2)
@@ -698,18 +693,18 @@ def _ck_reports(params: EvalParams) -> list[VerificationReport]:
     return chapman_kolmogorov_many(half, half, _CK_SEPARATIONS)
 
 
-# suite name -> (dimensions it covers, its reports at one EvalParams), in the
-# order ``all`` runs them.  gfunc does not depend on D (None): it runs once,
-# with no argument.  Each build looks its check up when it runs, so a wrapper
-# set on this module's attribute sees the call.
-SUITES: dict[str, tuple[range | None, Callable[..., list[VerificationReport]]]] = {
-    "abel": (EVERY_D, lambda p: [abel_residual(p)]),
-    "pde-radial": (EVERY_D, lambda p: [radial_pde_residual(p)]),
-    "pde-horicyclic": (HORICYCLIC_DIMS, lambda p: [horicyclic_pde_residual(p, _horicyclic_pairs(p.D))]),
-    "ck": (CK_DIMS, _ck_reports),
-    "mass": (MASS_DIMS, lambda p: [mass_multiplicativity(p)]),
-    "x-marginal": (X_MARGINAL_DIMS, lambda p: [x_marginal_check(p, 1.0, math.e if p.D == 3 else 1.0)]),
-    "gfunc": (None, lambda: gfunc_reports()),
+# suite name -> its reports at one EvalParams, in the order ``all`` runs
+# them.  gfunc does not depend on D: it runs once, with no argument.  Each
+# build looks its check up when it runs, so a wrapper set on this module's
+# attribute sees the call.
+SUITES: dict[str, Callable[..., list[VerificationReport]]] = {
+    "abel": lambda p: [abel_residual(p)],
+    "pde-radial": lambda p: [radial_pde_residual(p)],
+    "pde-horicyclic": lambda p: [horicyclic_pde_residual(p, _horicyclic_pairs(p.D))],
+    "ck": _ck_reports,
+    "mass": lambda p: [mass_multiplicativity(p)],
+    "x-marginal": lambda p: [x_marginal_check(p, 1.0, math.e if p.D == 3 else 1.0)],
+    "gfunc": lambda: gfunc_reports(),
 }
 
 
@@ -717,20 +712,18 @@ def suite_reports(
     suite: str, dims: Sequence[int], tau: float, m: float = 0.5, hbar: float = 1.0
 ) -> list[VerificationReport]:
     """Reports of one suite of :data:`SUITES`, or of every suite for
-    ``"all"``, suite by suite and, within a suite, in the order of ``dims``;
-    a D the suite does not cover is skipped."""
+    ``"all"``, suite by suite and, within a suite, in the order of ``dims``."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join((*SUITES, 'all'))}")
     if any(d < 3 for d in dims):
         raise ValueError("D must be >= 3")
     reports = []
-    for name, (covered, build) in SUITES.items():
+    for name, build in SUITES.items():
         if suite not in (name, "all"):
             continue
-        if covered is None:
+        if name == "gfunc":
             reports.extend(build())
         else:
             for d in dims:
-                if d in covered:
-                    reports.extend(build(EvalParams(d, tau, m, hbar)))
+                reports.extend(build(EvalParams(d, tau, m, hbar)))
     return reports

@@ -235,12 +235,10 @@ def test_verify_x_marginal_json_schema():
     assert all(r["passed"] for r in doc["reports"])
 
 
-@pytest.mark.parametrize(
-    "suite, dims", [("ck", "7"), ("pde-horicyclic", "5,6"), ("abel", ""), ("x-marginal", "7")]
-)
+@pytest.mark.parametrize("suite, dims", [("abel", "")])
 def test_verify_that_checks_nothing_is_a_usage_error(suite, dims):
-    # ck runs at D 3-5, pde-horicyclic at D 3 and 4 and x-marginal at D 3-6
-    # only; no report is no pass
+    # every suite but gfunc runs once per D of --dims: an empty --dims
+    # gives no report, and no report is no pass
     res = run_cli("verify", suite, "--dims", dims)
     assert res.returncode == 2
     assert res.stderr == f"error: verify {suite} has no check at --dims {dims!r}\n"
@@ -267,8 +265,9 @@ def test_oracle_deterministic_and_dimension_guard():
     lines = res1.stdout.strip().splitlines()
     assert lines[0] == "N,lattice_value,err_est,closed_value,rel_dev"
     assert lines[-1].startswith("fitted_order,")
-    res3 = run_cli("oracle", "--dim", "6", "--tau", "0.25", "--n", "2")
-    assert res3.returncode == 2
+    # the oracle runs at any D, its default points in the D's own space
+    res3 = run_cli("oracle", "--dim", "6", "--tau", "0.25", "--n", "2,4", "--samples", "20000", "--format", "csv")
+    assert res3.returncode == 0, res3.stderr
 
 
 @pytest.mark.parametrize("n", ["", "4", "4,4"])

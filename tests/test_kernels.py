@@ -24,11 +24,9 @@ def test_params_derived_quantities():
     p = EvalParams(4, 1.0)
     assert p.a == pytest.approx(0.25)
     assert p.E == pytest.approx(-0.75)
-    assert p.beta == pytest.approx(3.0)
     assert p.kappa == pytest.approx(1.0)
     p3 = EvalParams(3, 0.7)
     assert p3.E == 0.0
-    assert p3.beta == 0.0
     p5 = EvalParams(5, 2.0, m=1.0, hbar=2.0)
     assert p5.a == pytest.approx(1.0 / 8.0)
     assert p5.E == pytest.approx(-(2.0 * 4 * 2 / 8.0) * 2.0)

@@ -33,8 +33,9 @@ def test_spec_validation():
 
 
 def test_dimension_guards():
+    # the oracle runs at any D, at points of that D's own space
     with pytest.raises(ValueError):
-        lattice_kernel(EvalParams(6, 0.25), Q1, Q2, LatticeSpec(2))
+        lattice_kernel(EvalParams(6, 0.25), Q1, Q2, LatticeSpec(2))  # 3d points
     with pytest.raises(ValueError):
         lattice_kernel(EvalParams(4, 0.25), Q1, Q2, LatticeSpec(2))  # 3d points
 

@@ -83,6 +83,29 @@ def test_compare_fails_on_value_on_one_side(tmp_path, capsys):
     assert fails == [f"FAIL {TABLE}: tau=1.0 s=1.0: value 2e-40 -> None"]
 
 
+def test_compare_pairs_reports_by_check_and_dimension(tmp_path, capsys):
+    # a report inserted ahead of another is the only failure: the failed
+    # mass report still meets its own counterpart, not the inserted one
+    new = copy.deepcopy(OLD)
+    new[VERIFY]["items"].insert(1, {"check": "pde-horicyclic", "D": 5, "residual": 1e-6, "passed": True,
+                                    "values": []})
+    code, fails = _compare(tmp_path, new, capsys)
+    assert code == 1
+    assert fails == [f"FAIL {VERIFY}: pde-horicyclic D=5: report on one side only"]
+    # a second report of one (check, D), as ck gives one per separation
+    new[VERIFY]["items"].append(copy.deepcopy(OLD[VERIFY]["items"][1]))
+    code, fails = _compare(tmp_path, new, capsys)
+    assert fails[1:] == [f"FAIL {VERIFY}: mass D=3 #1: report on one side only"]
+
+
+def test_compare_pairs_cells_by_tau_and_s(tmp_path, capsys):
+    new = copy.deepcopy(OLD)
+    del new[TABLE]["items"][1]
+    code, fails = _compare(tmp_path, new, capsys)
+    assert code == 1
+    assert fails == [f"FAIL {TABLE}: tau=0.5 s=1.0: cell on one side only"]
+
+
 def test_compare_fails_on_cell_past_both_bounds(tmp_path, capsys):
     new = copy.deepcopy(OLD)
     new[TABLE]["items"][1]["value"] = 0.125 * (1 + 1e-8)

@@ -23,9 +23,9 @@ def _rows(result):
     return [(v, e, failures.get(i)) for i, (v, e) in enumerate(zip(value.tolist(), err.tolist()))]
 
 
-def _abel_rows(F, ds, rate, spec=QuadratureSpec(), abs_tol=None):
+def _abel_rows(F, ds, rate, spec=QuadratureSpec()):
     """integrate_abel of F(s) per endpoint: (value, err_est, failure or None)."""
-    return _rows(integrate_abel(lambda s, endpoint: F(s), ds, rate, spec, abs_tol))
+    return _rows(integrate_abel(lambda s, endpoint: F(s), ds, rate, spec))
 
 
 def _abel(F, d, rate, spec=QuadratureSpec()):
@@ -387,22 +387,21 @@ def test_gaussian_cutoff_takes_a_rate_per_lower_limit(growth):
 
 
 def test_abel_endpoints_at_their_own_rates_equal_lone_calls():
-    # one pass over endpoints with a decay rate and an abs_tol each gives
-    # every endpoint the bits of its lone call at that rate and abs_tol,
-    # failures included
+    # one pass over endpoints with a decay rate each gives every endpoint
+    # the bits of its lone call at that rate, failures included
     F = lambda s: np.exp(-0.3 * s * s)
-    ds = [0.0, 0.5, 2.0, 0.5, 1.0, 0.0]
-    rates = [0.3, 0.3, 1.0, 4.0, 1e-3, 0.3]
-    abs_tol = [1e-300, 1e-300, 1e-300, 1e-300, 1e-300, 1e-2]
+    ds = [0.0, 0.5, 2.0, 0.5, 1.0]
+    rates = [0.3, 0.3, 1.0, 4.0, 1e-3]
     spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)
-    got = _abel_rows(F, ds, np.array(rates), spec, abs_tol)
-    for d, rate, tol, (value, err, failure) in zip(ds, rates, abs_tol, got):
-        ((want_value, want_err, want_failure),) = _abel_rows(F, [d], rate, spec, tol)
+    got = _abel_rows(F, ds, np.array(rates), spec)
+    for d, rate, (value, err, failure) in zip(ds, rates, got):
+        ((want_value, want_err, want_failure),) = _abel_rows(F, [d], rate, spec)
         assert (value, err) == (want_value, want_err), (d, rate)
         assert type(failure) is type(want_failure) and str(failure) == str(want_failure)
     assert any(f is None for _, _, f in got) and any(f is not None for _, _, f in got)
-    # the loose abs_tol stops the last endpoint before the first, at equal d and rate
-    assert got[5][1] > got[0][1]
+    # a loose spec.abs_tol stops the first endpoint earlier, at equal d and rate
+    ((_, loose_err, _),) = _abel_rows(F, [0.0], 0.3, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-2))
+    assert loose_err > got[0][1]
 
 
 @pytest.mark.filterwarnings("error")

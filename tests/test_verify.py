@@ -164,9 +164,10 @@ def test_horicyclic_pde_invariant_under_normalization():
     assert rep.passed
 
 
-def test_horicyclic_pde_rejects_large_dimension():
-    with pytest.raises(ValueError):
-        horicyclic_pde_residual(EvalParams(5, 0.5), [])
+def test_horicyclic_pde_d6():
+    # above D = 4 the stencil's kernel values come from gfunc's even-D rows
+    rep = horicyclic_pde_residual(EvalParams(6, 0.5), verify._horicyclic_pairs(6))
+    assert rep.passed and rep.residual <= 1e-4, rep
 
 
 def test_chapman_kolmogorov_d4():
@@ -177,7 +178,7 @@ def test_chapman_kolmogorov_d4():
 
 
 @pytest.mark.parametrize("tau", [0.5, 1.0])
-@pytest.mark.parametrize("dim", [3, 5])
+@pytest.mark.parametrize("dim", [3, 5, 7])
 def test_chapman_kolmogorov_odd_dimensions_to_1e7(dim, tau):
     # tau is the total time, as in `verify ck --tau`; the acceptance test
     # pins only 1e-3 (D = 3) and 1e-4 (D = 5)
@@ -223,8 +224,6 @@ def test_chapman_kolmogorov_radial_weight_overflow_is_located(monkeypatch):
 def test_chapman_kolmogorov_validation():
     with pytest.raises(ValueError):
         chapman_kolmogorov_many(EvalParams(4, 0.5), EvalParams(3, 0.5), [1.0])
-    with pytest.raises(ValueError):
-        chapman_kolmogorov_many(EvalParams(6, 0.5), EvalParams(6, 0.5), [1.0])
 
 
 def test_mass_multiplicativity_d4():
@@ -232,6 +231,17 @@ def test_mass_multiplicativity_d4():
     assert rep.passed and rep.residual <= 1e-4
     # masses follow exp(c tau) with c equal to the fitted heat-equation shift
     assert rep.details["fitted_mass_rate"] == pytest.approx(0.25, abs=1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mass_at_d13_names_its_nonconverged_masses():
+    # sinh^11 s overflows binary64 where K has underflowed: the weight in
+    # logs is 0 there, and the masses at tau 1.25-2 stop at the halving cap
+    # above SAMPLED_SPEC's absolute floor, each named with its estimate
+    rep = mass_multiplicativity(EvalParams(13, 1.0))
+    assert not rep.passed and rep.residual == math.inf
+    assert set(rep.details["nonconverged"]) <= {"1.25", "1.5", "2"}
+    assert all(0.0 < e < 1e-5 for e in rep.details["nonconverged"].values())
 
 
 def test_total_mass_matches_exponential_form():
@@ -317,7 +327,7 @@ def test_x_marginal_d3_offset_heights():
 
 
 def test_x_marginal_all_dimensions():
-    for d in (3, 4, 5, 6):
+    for d in (3, 4, 5, 6, 7, 9):
         rep = x_marginal_check(EvalParams(d, 0.5), 1.0, 1.3)
         assert rep.passed and rep.residual <= 1e-5, rep
 
@@ -335,11 +345,6 @@ def test_x_marginal_resolves_a_tiny_rhs(d, tau):
     # 1e-20 stopped the integral on its first grid, at residuals of 1e-6
     rep = x_marginal_check(EvalParams(d, tau), 1.0, 1.0)
     assert rep.passed and rep.residual <= 1e-7, rep
-
-
-def test_x_marginal_rejects_large_dimension():
-    with pytest.raises(ValueError):
-        x_marginal_check(EvalParams(7, 0.5), 1.0, 1.0)
 
 
 def test_all_is_every_suite_in_table_order():
