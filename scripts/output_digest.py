@@ -12,8 +12,10 @@ of the checkout it sits in:
 * ``table --dim 20 --tau-grid 0.25:2:4 --s-grid 0.6:1:9``, s in steps of
   0.05 over the band where G^(9)'s binary64 terms cancel by 1e4-1e7;
 * ``eval --dim {3,4,5} --tau 0.5 --s 1 --format csv``, the single-point
-  ``kernel()`` path, and ``eval --dim 20 --tau 2 --s 0.7 --format csv``,
-  a lone even-D gfunc entry whose terms cancel;
+  ``kernel()`` path, ``eval --dim 20 --tau 2 --s 0.7 --format csv``,
+  a lone even-D gfunc entry whose terms cancel, and ``eval --tau 1 --y1 1
+  --format csv`` at ``--dim 3 --y2 1e-160`` (368 apart) and ``--dim 5
+  --y2 2``, the point-pair reader;
 * ``oracle --dim {3,4,5} --tau 0.25 --n 2,4 --samples 20000 --seed 9
   --threads 1 --format csv``, the lattice Monte Carlo;
 * ``verify all --dims 3,4,5`` at ``--tau 0.5`` and ``--tau 1.0``, the two
@@ -25,7 +27,9 @@ of the checkout it sits in:
   evaluate one-tau gfunc rows at even D >= 6 and odd D >= 7, hundreds of
   their entries through Cauchy's integral;
 * ``verify all --dims 6,7,8,9,10,11,12 --tau 0.5``, every suite above the
-  D that ``certify`` runs (mass fails at D = 9 and 11, exit 1).
+  D that ``certify`` runs (mass fails at D = 9 and 11, exit 1);
+* ``verify all --dims 3 --tau 100``, whose abel and x-marginal integrals
+  stop at the halving cap and are named under ``nonconverged`` (exit 1).
 
 Each printed line reads ``<sha256 of stdout> exit=<code> <arguments>``.
 Run it in two checkouts and diff the outputs:
@@ -101,6 +105,8 @@ def commands() -> list[list[str]]:
     for dim in ("3", "4", "5"):
         out.append(["eval", "--dim", dim, "--tau", "0.5", "--s", "1", "--format", "csv"])
     out.append(["eval", "--dim", "20", "--tau", "2", "--s", "0.7", "--format", "csv"])
+    for dim, y2 in (("3", "1e-160"), ("5", "2")):
+        out.append(["eval", "--dim", dim, "--tau", "1", "--y1", "1", "--y2", y2, "--format", "csv"])
     for dim in ("3", "4", "5"):
         out.append([
             "oracle", "--dim", dim, "--tau", "0.25", "--n", "2,4", "--samples", "20000",
@@ -111,6 +117,7 @@ def commands() -> list[list[str]]:
     out.append(["verify", "pde-radial", "--dims", "6,7,8,9", "--tau", "0.5"])
     out.append(["verify", "abel", "--dims", "6,7,8,9,10,14,20", "--tau", "0.5"])
     out.append(["verify", "all", "--dims", "6,7,8,9,10,11,12", "--tau", "0.5"])
+    out.append(["verify", "all", "--dims", "3", "--tau", "100"])
     return out
 
 
@@ -151,6 +158,8 @@ def parse(argv: list[str], text: str) -> list[dict]:
                 "value": float(value) if value else None, "err_est": float(err),
             })
         return cells
+    if not text:  # a run that failed before printing
+        return []
     return [
         {
             "check": r["check"], "D": r["D"], "residual": r["residual"], "passed": r["passed"],

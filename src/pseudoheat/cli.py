@@ -50,7 +50,8 @@ def _threads(args) -> int:
 
 
 def _defaults_block(args) -> dict:
-    return {"m": args.m, "hbar": args.hbar, "rel_tol": args.rel_tol, "abs_tol": args.abs_tol}
+    """m and hbar, and the tolerances of a command that takes them (verify does not)."""
+    return {k: getattr(args, k) for k in ("m", "hbar", "rel_tol", "abs_tol") if hasattr(args, k)}
 
 
 def _quad_spec(args) -> QuadratureSpec:
@@ -61,23 +62,26 @@ def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=False))
 
 
-def _resolve_s(args) -> float:
-    if args.s is not None:
-        return args.s
-    if args.y1 is None or args.y2 is None:
+def _point_pair(args, y1: float | None = None, y2: float | None = None, x2: list[float] | None = None):
+    """The points (--y1, --x1) and (--y2, --x2) in D = --dim.  A height not
+    given is y1 or y2, and required where that is None; flat coordinates
+    not given are D - 2 zeros, or x2 for --x2 where x2 is given."""
+    y1 = args.y1 if args.y1 is not None else y1
+    y2 = args.y2 if args.y2 is not None else y2
+    if y1 is None or y2 is None:
         raise ValueError("give either --s or the point pair --y1/--x1/--y2/--x2")
-    x1 = _parse_floats(args.x1) if args.x1 else [0.0]
-    x2 = _parse_floats(args.x2) if args.x2 else [0.0] * len(x1)
-    q1 = HoricyclicPoint(args.y1, x1)
-    q2 = HoricyclicPoint(args.y2, x2)
-    if q1.dim != args.dim or q2.dim != args.dim:
-        raise ValueError(f"point pair has dimension {q1.dim}, expected {args.dim}")
-    return geodesic_distance(q1, q2)
+    zeros = [0.0] * (args.dim - 2)
+    x1 = _parse_floats(args.x1) if args.x1 else zeros
+    x2 = _parse_floats(args.x2) if args.x2 else x2 or zeros
+    for x in (x1, x2):
+        if len(x) + 2 != args.dim:
+            raise ValueError(f"point pair has dimension {len(x) + 2}, expected {args.dim}")
+    return HoricyclicPoint(y1, x1), HoricyclicPoint(y2, x2)
 
 
 def cmd_eval(args) -> int:
     params = EvalParams(args.dim, args.tau, args.m, args.hbar)
-    s = _resolve_s(args)
+    s = args.s if args.s is not None else geodesic_distance(*_point_pair(args))
     kv = kernel(params, s, _quad_spec(args))
     if args.format == "csv":
         print(CSV_HEADER)
@@ -156,10 +160,7 @@ def cmd_oracle(args) -> int:
     if len(set(n_list)) < 2:
         raise ValueError("--n needs at least two distinct slice counts to fit an order")
     params = EvalParams(args.dim, args.tau, args.m, args.hbar)
-    x1 = _parse_floats(args.x1) if args.x1 else [0.0] * (args.dim - 2)
-    x2 = _parse_floats(args.x2) if args.x2 else [0.3] + [0.0] * (args.dim - 3)
-    q1 = HoricyclicPoint(args.y1 if args.y1 is not None else 1.0, x1)
-    q2 = HoricyclicPoint(args.y2 if args.y2 is not None else 1.2, x2)
+    q1, q2 = _point_pair(args, 1.0, 1.2, [0.3] + [0.0] * (args.dim - 3))
     s = geodesic_distance(q1, q2)
     closed = kernel(params, s, _quad_spec(args)).value
     if closed == 0.0:  # each row's deviation is relative to it
@@ -196,11 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pseudoheat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tolerances=True):
         p.add_argument("--m", type=float, default=0.5, help="mass (default 1/2)")
         p.add_argument("--hbar", type=float, default=1.0, help="Planck constant (default 1)")
-        p.add_argument("--rel-tol", type=float, default=1e-9)
-        p.add_argument("--abs-tol", type=float, default=1e-14)
+        if tolerances:  # verify's checks carry their own
+            p.add_argument("--rel-tol", type=float, default=1e-9)
+            p.add_argument("--abs-tol", type=float, default=1e-14)
         p.add_argument("--threads", type=int, default=None,
                        help="accepted and ignored: every command runs serially")
 
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    common(p)
+    common(p, tolerances=False)
     p.add_argument("suite", type=str, help=f"one of {', '.join((*verify.SUITES, 'all'))}")
     p.add_argument("--dims", type=str, default="3,4")
     p.add_argument("--tau", type=float, default=1.0)

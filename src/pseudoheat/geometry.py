@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 __all__ = [
     "HoricyclicPoint",
     "HyperboloidPoint",
@@ -34,13 +36,11 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 
 
-def _arccosh_from_excess(u: float) -> float:
-    """arccosh(1 + u) for u >= 0, accurate also for tiny u."""
-    if u < 0.0:
-        if u < -1e-14:
-            raise ValueError(f"arccosh argument below 1 by {-u:g}")
-        u = 0.0
-    return math.log1p(u + math.sqrt(u * (u + 2.0)))
+def _arccosh_from_excess(u):
+    """arccosh(1 + u) for u >= 0, a float or an array, accurate also for
+    tiny u.  Two square roots: u (u + 2) overflows binary64 from u ~ 1e154
+    (a distance of about 355), sqrt(u) sqrt(u + 2) only with u itself."""
+    return np.log1p(u + np.sqrt(u) * np.sqrt(u + 2.0))
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def geodesic_distance(q1: HoricyclicPoint, q2: HoricyclicPoint) -> float:
     of squares, so the arccosh argument never falls below 1 and nearby
     points keep full relative accuracy.
     """
-    return _arccosh_from_excess(distance_excess(q1, q2))
+    return float(_arccosh_from_excess(distance_excess(q1, q2)))
 
 
 def log_height(q: HoricyclicPoint) -> float:

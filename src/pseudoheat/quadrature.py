@@ -40,6 +40,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .geometry import _arccosh_from_excess
+
 __all__ = [
     "QuadratureSpec",
     "NonConvergenceError",
@@ -304,9 +306,7 @@ def _abel_nodes(F, u_stretched: np.ndarray, w_d, decay_rate, endpoint) -> tuple[
     x = np.sinh(u_stretched)
     t = _ABEL_STRETCH * x
     sh = np.sinh(t)
-    w = w_d + sh * sh  # l - 1
-    # two square roots: w (w + 2) overflows where cosh s_max is ~1e233 (tau ~ 1000)
-    s = np.log1p(w + np.sqrt(w) * np.sqrt(w + 2.0))
+    s = _arccosh_from_excess(w_d + sh * sh)  # w_d + sinh^2 t = l - 1
     v = 2.0 * F(s, endpoint) * np.cosh(t) * np.hypot(1.0, x)
     return v, np.abs(v) * (1.0 + decay_rate * s * s)
 

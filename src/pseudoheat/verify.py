@@ -37,7 +37,6 @@ from .quadrature import (
     NonConvergenceError,
     QuadratureSpec,
     gaussian_cutoff,
-    integrate_one,
     integrate_periodic,
     integrate_tanh_sinh,
 )
@@ -56,11 +55,13 @@ __all__ = [
     "suite_reports",
 ]
 
-# the integrals of the abel, mass and x-marginal checks; the abel and
-# x-marginal checks scale abs_tol by their rhs, which exp(E) takes far below
-# 1e-7 at high D or large tau.  x-marginal's floor sits 1e4 below its 1e-5
-# tolerance: its odd-D kernel values carry SAMPLED_SPEC's absolute 1e-18,
-# which a tighter floor cannot resolve where they are tiny (D = 5, tau 30)
+# the integrals of the abel, mass and x-marginal checks, whose abs_tol
+# _kernel_integrals scales by each integral's target: abel and x-marginal
+# pass their rhs, which exp(E) takes far below 1e-7 at high D or large
+# tau, and mass passes 1, an absolute abs_tol.  x-marginal's floor sits 1e4
+# below its 1e-5 tolerance: its odd-D kernel values carry SAMPLED_SPEC's
+# absolute 1e-18, which a tighter floor cannot resolve where they are tiny
+# (D = 5, tau 30)
 _ABEL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-16)
 _MASS_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-20)
 _X_MARGINAL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-9)
@@ -90,42 +91,66 @@ class VerificationReport:
 _L_GRID = (1.0, math.cosh(0.5), math.cosh(1.0), math.cosh(2.0), math.cosh(3.0))
 
 
-# --- integral equation ---------------------------------------------------
+# --- kernel-weighted integrals ----------------------------------------------
 
-def _abel_lhs(params: EvalParams, ls: Sequence[float], abs_tol: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-    """int_l^inf K(k) (k - l)^((D-4)/2) dk through k = cosh sigma, sigma =
-    s_l + v^2, for every l of ls (each with its abs_tol) in one call.
+def _log_sinh(x: np.ndarray) -> np.ndarray:
+    """log sinh x for x >= 0, finite where sinh x overflows binary64."""
+    return x - math.log(2.0) + np.log(-np.expm1(-2.0 * x))
 
-    The half-power of k - l = 2 sinh((sigma+s_l)/2) sinh((sigma-s_l)/2)
-    combines with the Jacobian 2 v dv into an even, regular integrand for
-    every parity of D, including the inverse-square-root case D = 3.
+
+def _kernel_integrals(
+    params: EvalParams,
+    nodes: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    hi: Sequence[float],
+    targets: Sequence[float],
+    keys: Sequence,
+    spec: QuadratureSpec,
+    taus: np.ndarray | None = None,
+) -> tuple[list, list, set[int], dict]:
+    """Integral i over [0, hi[i]] of exp(log K(s) + log w), every i in one
+    tanh-sinh call: nodes(t, at) gives s and log w at the nodes t of the
+    integrals numbered at, and K is at params.tau, or at taus[i].  Where K
+    is 0.0 the integrand is 0, also where the weight alone overflows.
+
+    Integral i stops at max(spec.rel_tol |I_i|, spec.abs_tol |targets[i]|),
+    and is not run where that abs_tol is 0.0.  A kernel sample's
+    NonConvergenceError fails every integral, with its value and estimate.
+    Returns the values and err_est (None where not run), the integrals
+    that failed or were not run, and a report's notes: the keys not run
+    under ``underflowed``, and the err_est of each integral that failed
+    under ``nonconverged``, keyed by ``f"{x:g}"`` of its key's entries.
     """
-    a = params.a
-    nu = (params.D - 4) / 2.0
-    sl = np.array([math.acosh(l) if l > 1.0 else 0.0 for l in ls])
-    s_max = gaussian_cutoff(sl, a, linear_growth=0.5 * params.D)
-    v_max = np.sqrt(s_max - sl)
+    abs_tol = spec.abs_tol * np.abs(np.asarray(targets, dtype=float))
+    run = np.flatnonzero(abs_tol)
+    value, err = [None] * len(keys), [None] * len(keys)
 
-    def integrand(vs: np.ndarray, at: np.ndarray) -> np.ndarray:
-        v2 = vs * vs  # sigma - s_l, exactly: nodes crowd v = 0
-        sl_node = sl[at]
-        sigs = sl_node + v2
-        kvs = kernel_array(params, sigs)
-        dropped = (kvs == 0.0) | (v2 == 0.0)  # the integrand is 0 there
-        # v = 0 gives 0 ** nu; far out, where K is 0, the power overflows
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            wfac = (2.0 * np.sinh(0.5 * (sigs + sl_node)) * np.sinh(0.5 * v2)) ** nu
-        overflowed = np.isinf(wfac) & ~dropped
-        if np.count_nonzero(overflowed):
-            i = np.flatnonzero(overflowed)[np.argmin(sigs[overflowed])]
-            at_point = f"D={params.D}, tau={params.tau!r}, l={ls[at[i]]!r}, sigma={float(sigs[i])!r}"
-            raise OverflowError(f"binary64 overflow ((k - l)^{nu!r} at {at_point})")
-        with np.errstate(invalid="ignore"):  # inf weights where K is 0
-            out = kvs * wfac * np.sinh(sigs) * 2.0 * vs
-        return np.where(dropped, 0.0, out)
+    def f(ts: np.ndarray, at: np.ndarray) -> np.ndarray:
+        at = run[at]
+        s, log_w = nodes(ts, at)
+        k = kernel_array(params, s, None if taus is None else taus[at])
+        with np.errstate(divide="ignore", over="ignore"):  # log 0.0 is -inf, and exp of it 0
+            return np.exp(np.log(k) + log_w)
 
-    return integrate_tanh_sinh(integrand, 0.0, v_max, _ABEL_SPEC, abs_tol)
+    try:
+        v, e, failures = integrate_tanh_sinh(f, 0.0, np.asarray(hi, dtype=float)[run], spec, abs_tol[run])
+        v, e = v.tolist(), e.tolist()
+        for k, failure in failures.items():  # an overflowed sum has no estimate
+            e[k] = getattr(failure, "err_est", math.inf)
+    except NonConvergenceError as exc:
+        v, e, failures = [exc.value] * run.size, [exc.err_est] * run.size, range(run.size)
+    for k, i in enumerate(run.tolist()):
+        value[i], err[i] = v[k], e[k]
+    failed = {int(run[k]) for k in failures}
+    notes = {}
+    if run.size < len(keys):
+        notes["underflowed"] = [key for key, tol in zip(keys, abs_tol) if tol == 0.0]
+    if failed:
+        label = lambda key: ",".join(f"{x:g}" for x in (key if isinstance(key, tuple) else (key,)))
+        notes["nonconverged"] = {label(keys[i]): err[i] for i in sorted(failed)}
+    return value, err, failed.union(np.flatnonzero(abs_tol == 0.0).tolist()), notes
 
+
+# --- integral equation ---------------------------------------------------
 
 def _abel_rhs(params: EvalParams, l: float) -> float:
     a = params.a
@@ -145,36 +170,36 @@ def abel_residual(
 ) -> VerificationReport:
     """Residual of the defining integral equation on a grid of l >= 1.
 
-    Every l's integral runs in one quadrature call, with its abs_tol scaled
-    by its rhs.  A kernel failure inside the call fails every point."""
+    The lhs int_l^inf K(k) (k - l)^((D-4)/2) dk runs through k = cosh sigma,
+    sigma = s_l + v^2: the half-power of k - l = 2 sinh((sigma+s_l)/2)
+    sinh((sigma-s_l)/2) combines with the Jacobian 2 v dv into an even,
+    regular integrand for every parity of D, including the
+    inverse-square-root case D = 3.  Every l's integral is on one
+    :func:`_kernel_integrals` call, its abs_tol scaled by its rhs."""
     if tolerance is None:
         tolerance = 1e-6 if params.D % 2 == 0 else 1e-5
     if any(l < 1.0 for l in l_grid):
         raise ValueError("l grid entries must be >= 1")
+    nu = (params.D - 4) / 2.0
+    sl = np.array([math.acosh(l) if l > 1.0 else 0.0 for l in l_grid])
+    s_max = gaussian_cutoff(sl, params.a, linear_growth=0.5 * params.D)
+
+    def nodes(vs: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        v2, s_l = vs * vs, sl[at]  # v^2 = sigma - s_l, exactly: nodes crowd v = 0
+        sigma = s_l + v2
+        half_power = nu * (math.log(2.0) + _log_sinh(0.5 * (sigma + s_l)) + _log_sinh(0.5 * v2))
+        return sigma, half_power + _log_sinh(sigma) + np.log(2.0 * vs)
+
     rhs = [_abel_rhs(params, l) for l in l_grid]
-    abs_tol = np.array([_ABEL_SPEC.abs_tol * abs(r) for r in rhs])
-    # an rhs of 0.0, or too small to scale the tolerance by, is not integrated
-    run = np.flatnonzero(abs_tol).tolist()
-    lhs, err, failed = {}, {}, set()
-    if run:
-        try:
-            value, est, failures = _abel_lhs(params, [l_grid[i] for i in run], abs_tol[run])
-            value, est, failed = value.tolist(), est.tolist(), {run[k] for k in failures}
-        except NonConvergenceError as exc:
-            value, est, failed = [exc.value] * len(run), [exc.err_est] * len(run), set(run)
-        lhs, err = dict(zip(run, value)), dict(zip(run, est))
+    lhs, err, failed, notes = _kernel_integrals(params, nodes, np.sqrt(s_max - sl), rhs, l_grid, _ABEL_SPEC)
     points = []
-    worst = 0.0
     for i, l in enumerate(l_grid):
-        rel = abs(lhs[i] - rhs[i]) / abs(rhs[i]) if i in lhs and i not in failed else math.inf
-        worst = max(worst, rel)
+        rel = math.inf if i in failed else abs(lhs[i] - rhs[i]) / abs(rhs[i])
         points.append(
-            {"l": l, "s": math.acosh(l), "lhs": lhs.get(i), "rhs": rhs[i], "rel_residual": rel, "quad_err": err.get(i)}
+            {"l": l, "s": math.acosh(l), "lhs": lhs[i], "rhs": rhs[i], "rel_residual": rel, "quad_err": err[i]}
         )
-    details = {"tau": params.tau, "grid": f"l in {list(l_grid)}", "points": points}
-    underflowed = [l for l, tol in zip(l_grid, abs_tol) if tol == 0.0]
-    if underflowed:
-        details["underflowed"] = underflowed
+    details = {"tau": params.tau, "grid": f"l in {list(l_grid)}", "points": points, **notes}
+    worst = max((p["rel_residual"] for p in points), default=0.0)
     return VerificationReport.make("abel", params.D, worst, tolerance, details)
 
 
@@ -338,11 +363,6 @@ def horicyclic_pde_residual(
 
 # --- semigroup -----------------------------------------------------------
 
-def _log_sinh(x: np.ndarray) -> np.ndarray:
-    """log sinh x for x >= 0, finite where sinh x overflows binary64."""
-    return x - math.log(2.0) + np.log(-np.expm1(-2.0 * x))
-
-
 def _convolve_kernels(
     params1: EvalParams, params2: EvalParams, d: float, spec: QuadratureSpec, target: float, k2_peak: float
 ) -> tuple[float, float]:
@@ -444,12 +464,14 @@ def chapman_kolmogorov_many(
     *targets, k2_peak = kernel_array(params1, np.array([*d_values, 0.0], dtype=float), taus).tolist()
     out = []
     for d, target in zip(d_values, targets):
+        notes = {}
         try:
             scaled = QuadratureSpec(spec.rel_tol, spec.abs_tol * abs(target) or spec.abs_tol)
             conv, err = _convolve_kernels(params1, params2, d, scaled, target, k2_peak)
             rel = abs(conv - target) / abs(target) if target != 0.0 else math.inf
         except NonConvergenceError as exc:
             conv, err, rel = exc.value, exc.err_est, math.inf
+            notes["nonconverged"] = {f"{d:g}": err}
         details = {
             "tau1": params1.tau,
             "tau2": params2.tau,
@@ -457,6 +479,7 @@ def chapman_kolmogorov_many(
             "convolution": conv,
             "target": target,
             "quad_err": err,
+            **notes,
         }
         if target == 0.0:  # nothing to compare the convolution with
             details["underflowed"] = [d]
@@ -466,23 +489,17 @@ def chapman_kolmogorov_many(
 
 # --- normalization --------------------------------------------------------
 
-def _masses(params: EvalParams, taus: Sequence[float]) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
-    """Omega_(D-2) int_0^inf K(s) sinh(s)^(D-2) ds at each tau of taus, in
-    one quadrature call: value and err_est arrays and the failures by index.
-
-    The weight K sinh^(D-2) s is formed in logs, as the convolution's
-    radial weight is: sinh^(D-2) s overflows binary64 (D >= 13) where K
-    has long underflowed to 0.0, and there the integrand is 0."""
-    om = sphere_surface_area(params.D - 2)
+def _masses(params: EvalParams, taus: Sequence[float]) -> tuple[list, list, set[int], dict]:
+    """Omega_(D-2) int_0^inf K(s) sinh(s)^(D-2) ds at each tau of taus, on
+    :func:`_kernel_integrals` at the absolute abs_tol of _MASS_SPEC.  Its
+    weight in logs is 0 where K has underflowed to 0.0 and sinh^(D-2) s
+    overflows binary64 (D >= 13)."""
     taus = np.array(taus, dtype=float)
     rates = np.array([params.with_tau(t).a for t in taus.tolist()])
     s_max = gaussian_cutoff(0.0, rates, linear_growth=float(params.D - 2))
-
-    def f(ss: np.ndarray, at: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):  # log 0.0 at K = 0 or s = 0 is -inf, and exp of it 0
-            return om * np.exp(np.log(kernel_array(params, ss, taus[at])) + (params.D - 2) * _log_sinh(ss))
-
-    return integrate_tanh_sinh(f, 0.0, s_max, _MASS_SPEC)
+    log_om = math.log(sphere_surface_area(params.D - 2))
+    nodes = lambda ss, at: (ss, log_om + (params.D - 2) * _log_sinh(ss))
+    return _kernel_integrals(params, nodes, s_max, [1.0] * len(taus), taus.tolist(), _MASS_SPEC, taus)
 
 
 def mass_multiplicativity(
@@ -504,34 +521,28 @@ def mass_multiplicativity(
     """
     pairs = [(t1, t2) for i, t1 in enumerate(tau_list) for t2 in tau_list[i:]]
     taus = sorted({*tau_list, *(t1 + t2 for t1, t2 in pairs)})
-    value, err, failures = _masses(params, taus)
-    for failure in failures.values():
-        if not isinstance(failure, NonConvergenceError):
-            raise failure
-    masses = dict(zip(taus, value.tolist()))
-    nonconverged = {taus[i]: float(err[i]) for i in sorted(failures)}
+    value, err, failed, notes = _masses(params, taus)
+    masses = dict(zip(taus, value))
+    failed = {taus[i] for i in failed}
 
     worst = 0.0
     pair_records = []
     for t1, t2 in pairs:
         lhs = masses[t1 + t2]
         rhs = masses[t1] * masses[t2]
-        rel = abs(lhs - rhs) / abs(lhs)
-        if nonconverged.keys() & {t1, t2, t1 + t2}:
-            rel = math.inf
+        rel = math.inf if failed & {t1, t2, t1 + t2} else abs(lhs - rhs) / abs(lhs)
         worst = max(worst, rel)
         pair_records.append({"tau1": t1, "tau2": t2, "rel_residual": rel})
     unit_dev = max(abs(masses[t] - 1.0) for t in tau_list)
     growth = math.log(masses[tau_list[0]]) / tau_list[0]
     details = {
         "masses": {f"{t:g}": m for t, m in masses.items()},
-        "quad_err": {f"{t:g}": e for t, e in zip(taus, err.tolist())},
+        "quad_err": {f"{t:g}": e for t, e in zip(taus, err)},
         "pairs": pair_records,
         "unit_mass_max_dev": unit_dev,
         "fitted_mass_rate": growth,
+        **notes,
     }
-    if nonconverged:
-        details["nonconverged"] = {f"{t:g}": e for t, e in nonconverged.items()}
     return VerificationReport.make("mass", params.D, worst, tolerance, details)
 
 
@@ -543,52 +554,36 @@ def x_marginal_check(params: EvalParams, y1: float, y2: float) -> VerificationRe
     Integrating the closed-form kernel over the x-offset (radially, through
     k(R) = (R^2 + (y2-y1)^2)/(2 y1 y2) + 1) must reproduce
     (y1 y2)^((D-2)/2) times the free one-dimensional Gaussian in z = ln y
-    with the constant shift E.
+    with the constant shift E.  The integral runs on
+    :func:`_kernel_integrals`, its abs_tol scaled by that reference.
     """
     a = params.a
     y1y2 = y1 * y2
     u0 = (y2 - y1) ** 2 / (2.0 * y1y2)
-    s0 = _arccosh_from_excess(u0)
-    s_max = gaussian_cutoff(s0, a, TRUNCATION_SIGMA + 1.0)
-
-    if params.D == 3:
-        front, power = 2.0, 0
-    else:
-        front, power = sphere_surface_area(params.D - 3), params.D - 3
-
+    s_max = gaussian_cutoff(_arccosh_from_excess(u0), a, TRUNCATION_SIGMA + 1.0)
     # R = sqrt(2 y1 y2) sinh v, so that k(R) - 1 = u0 + sinh^2 v: the arc
     # s grows like 2 v, and the kernel's support is not a sliver of the
-    # range, which R would stretch exponentially
-    r_scale = math.sqrt(2.0 * y1y2)
+    # range, which R would stretch exponentially.  The weight is R^(D-3)
+    # dR/dv, and the solid angle Omega_(D-3) (2 at D = 3) multiplies the
+    # integral
+    power = params.D - 3
+    front = 2.0 if params.D == 3 else sphere_surface_area(power)
+    log_r = 0.5 * math.log(2.0 * y1y2)
     v_max = math.asinh(math.sqrt(2.0) * math.sinh(0.5 * s_max))  # sinh^2 v = cosh s_max - 1
+
+    def nodes(vs: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sh = np.sinh(vs)
+        return _arccosh_from_excess(u0 + sh * sh), power * (log_r + np.log(sh)) + log_r + np.log(np.cosh(vs))
 
     rhs = (
         y1y2 ** ((params.D - 2) / 2.0)
         * math.sqrt(a / math.pi)
         * math.exp(-a * math.log(y2 / y1) ** 2 + params.E)
     )
-    details = {"tau": params.tau, "y1": y1, "y2": y2, "lhs": None, "rhs": rhs, "quad_err": None}
-    if rhs == 0.0:  # nothing to compare the marginal with
-        details["underflowed"] = [[y1, y2]]
-        return VerificationReport.make("x-marginal", params.D, math.inf, 1e-5, details)
-
-    def f(vs: np.ndarray) -> np.ndarray:
-        sh = np.sinh(vs)
-        w = u0 + sh * sh
-        # two square roots: w (w + 2) overflows where cosh s_max is ~1e233
-        kvs = kernel_array(params, np.log1p(w + np.sqrt(w) * np.sqrt(w + 2.0)))
-        return kvs * (r_scale * sh) ** power * (r_scale * np.cosh(vs))
-
-    # abs_tol relative to the rhs, at least the smallest positive double
-    spec = QuadratureSpec(_X_MARGINAL_SPEC.rel_tol, max(_X_MARGINAL_SPEC.abs_tol * abs(rhs), 5e-324))
-    try:
-        val, err = integrate_one(integrate_tanh_sinh, f, 0.0, v_max, spec)
-    except NonConvergenceError as exc:
-        where = f"D={params.D}, tau={params.tau!r}, y1={y1!r}, y2={y2!r}"
-        raise NonConvergenceError(exc.value, exc.err_est, f"{exc} at {where} in x_marginal_check",
-                                  exc.halvings) from None
-    details["lhs"], details["quad_err"] = front * val, err
-    rel = abs(details["lhs"] - rhs) / abs(rhs)
+    (value,), (err,), failed, notes = _kernel_integrals(params, nodes, [v_max], [rhs], [(y1, y2)], _X_MARGINAL_SPEC)
+    lhs = None if value is None else front * value
+    rel = math.inf if failed else abs(lhs - rhs) / abs(rhs)
+    details = {"tau": params.tau, "y1": y1, "y2": y2, "lhs": lhs, "rhs": rhs, "quad_err": err, **notes}
     return VerificationReport.make("x-marginal", params.D, rel, 1e-5, details)
 
 

@@ -376,13 +376,74 @@ def test_table_row_keeps_its_cells_around_a_nonconverged_one():
     ],
 )
 def test_verify_x_marginal_names_a_nonconverged_point(dims, tau, capsys):
-    # the integral runs to its halving cap and its failure names the point
-    assert cli.main(["verify", "x-marginal", "--dims", dims, "--tau", tau]) == 3
+    # the integral runs to its halving cap: the report fails (exit 1) and
+    # names its point pair with the estimate
+    assert cli.main(["verify", "x-marginal", "--dims", dims, "--tau", tau]) == 1
     out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("error: quadrature did not converge (err_est=")
+    assert out.err == ""
+    (report,) = json.loads(out.out)["reports"]
+    assert not report["passed"] and report["residual"] == math.inf
     y2 = math.e if dims == "3" else 1.0
-    assert out.err.endswith(f" at D={dims}, tau={float(tau)!r}, y1=1.0, y2={y2!r} in x_marginal_check\n")
+    assert report["details"]["nonconverged"] == {f"1,{y2:g}": report["details"]["quad_err"]}
+    assert 0.0 < report["details"]["quad_err"] < 1e-2 * report["details"]["rhs"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_all_prints_every_suite_around_a_nonconverged_integral(capsys):
+    # at tau 100 abel's lhs and the x-marginal stop at the halving cap; every
+    # suite still reports, and the two checks name their integrals
+    assert cli.main(["verify", "all", "--dims", "3", "--tau", "100"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    reports = json.loads(out.out)["reports"]
+    assert [r["check"] for r in reports] == [
+        "abel", "pde-radial", "pde-horicyclic", "ck", "ck", "ck", "mass", "x-marginal",
+        "gfunc-overlap", "gfunc-fd-oracle",
+    ]
+    failed = {r["check"]: r["details"]["nonconverged"] for r in reports if not r["passed"]}
+    assert list(failed) == ["abel", "x-marginal"]
+    assert list(failed["abel"]) == ["1", "1.12763", "1.54308", "3.7622", "10.0677"]
+    (err,) = failed["x-marginal"].values()
+    assert list(failed["x-marginal"]) == ["1,2.71828"] and 4e-9 < err < 5e-9
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_abel_names_every_l_that_did_not_converge(capsys):
+    assert cli.main(["verify", "abel", "--dims", "30", "--tau", "3"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    (report,) = json.loads(out.out)["reports"]
+    named = report["details"]["nonconverged"]
+    assert list(named) == ["1", "1.12763", "1.54308", "3.7622", "10.0677"]
+    assert list(named.values()) == [p["quad_err"] for p in report["details"]["points"]]
+
+
+@pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol"])
+def test_verify_takes_no_tolerance(flag):
+    # the checks carry their own tolerances: verify does not accept, or
+    # echo, a flag it would not read
+    res = run_cli("verify", "abel", "--dims", "3", flag, "nan")
+    assert res.returncode == 2 and res.stdout == ""
+    assert f"unrecognized arguments: {flag} nan" in res.stderr
+    res = run_cli("verify", "abel", "--dims", "3")
+    assert json.loads(res.stdout)["defaults"] == {"m": 0.5, "hbar": 1.0}
+
+
+def test_eval_point_pair_in_any_dimension():
+    # the flat coordinates default to D - 2 zeros, as the oracle's do
+    res = run_cli("eval", "--dim", "5", "--tau", "1", "--y1", "1", "--y2", "2", "--format", "csv")
+    assert res.returncode == 0, res.stderr
+    _, tau, s, value, _ = res.stdout.strip().splitlines()[1].split(",")
+    assert float(s) == pytest.approx(math.log(2.0), rel=1e-15)
+    res = run_cli("eval", "--dim", "5", "--tau", "1", "--y1", "1", "--x1", "0,0", "--y2", "2")
+    assert res.returncode == 2 and res.stderr == "error: point pair has dimension 4, expected 5\n"
+
+
+def test_eval_point_pair_far_apart():
+    # 1e-160 below the unit height: cosh d - 1 = 5e159, whose square overflows
+    res = run_cli("eval", "--dim", "3", "--tau", "1", "--y1", "1", "--y2", "1e-160", "--format", "csv")
+    assert res.returncode == 0, res.stderr
+    assert float(res.stdout.strip().splitlines()[1].split(",")[2]) == pytest.approx(160 * math.log(10.0), rel=1e-15)
 
 
 @pytest.mark.filterwarnings("error")

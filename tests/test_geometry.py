@@ -133,6 +133,17 @@ def test_distance_nearby_points_keep_relative_accuracy():
     assert d == pytest.approx(1e-9, rel=1e-6)
 
 
+@pytest.mark.parametrize("exponent", [100, 160, 300])
+def test_distance_far_apart_is_finite(exponent):
+    # a vertical pair 10^k apart is k ln 10 apart; cosh d - 1 = 10^k / 2, and
+    # its square overflowed binary64 past d ~ 355
+    q1, q2 = HoricyclicPoint(1.0, (0.0,)), HoricyclicPoint(10.0 ** -exponent, (0.0,))
+    d = geodesic_distance(q1, q2)
+    assert type(d) is float and d == pytest.approx(exponent * math.log(10.0), rel=1e-15)
+    far = HoricyclicPoint(1.0, (1e150,))  # flat offset: cosh d - 1 = 5e299
+    assert geodesic_distance(q1, far) == pytest.approx(math.log(1e300), rel=1e-15)
+
+
 @given(
     y1=st.floats(0.3, 3.0),
     y2=st.floats(0.3, 3.0),

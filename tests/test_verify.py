@@ -69,19 +69,23 @@ def test_abel_residual_at_high_dimension(dim, tau):
 @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
 def test_abel_residual_to_d30_without_warnings(tau):
     # far out the weight (k - l)^((D-4)/2) overflows binary64 (D >= 24 at
-    # tau 2), where the kernel is already 0.0: silent there, and every D passes
+    # tau 2), where the kernel is already 0.0: formed in logs, the integrand
+    # is 0 there without a warning, and every D passes
     for dim in range(3, 31):
         rep = abel_residual(EvalParams(dim, tau))
         assert rep.passed, (dim, rep.residual)
 
 
-def test_abel_weight_overflow_where_the_kernel_is_not_zero_is_located(monkeypatch):
-    # a kernel that never underflows leaves the overflowed weight in the
-    # integrand: the check names the point instead of integrating inf
-    monkeypatch.setattr(verify, "kernel_array", lambda params, ss: np.ones_like(ss))
-    where = r"^binary64 overflow \(\(k - l\)\^13.0 at D=30, tau=2.0, l=1.0, sigma="
-    with pytest.raises(OverflowError, match=where):
-        verify._abel_lhs(EvalParams(30, 2.0), [1.0], np.array([1e-300]))
+@pytest.mark.filterwarnings("error")
+def test_abel_with_a_kernel_that_never_underflows_names_its_l(monkeypatch):
+    # a kernel that never underflows leaves the weight (k - l)^13 in the
+    # integrand, and its sums overflow binary64: the weight in logs raises
+    # no warning, and every l is named with no estimate
+    monkeypatch.setattr(verify, "kernel_array", lambda params, ss, tau=None: np.ones_like(ss))
+    rep = abel_residual(EvalParams(30, 2.0))
+    assert not rep.passed and rep.residual == math.inf
+    assert rep.details["nonconverged"] == {f"{l:g}": math.inf for l in verify._L_GRID}
+    assert all(p["rel_residual"] == math.inf for p in rep.details["points"])
 
 
 def test_abel_residual_rejects_bad_grid():
@@ -210,6 +214,7 @@ def test_chapman_kolmogorov_nonconvergence_fails_the_report():
     (rep,) = chapman_kolmogorov_many(half, half, [1.0], QuadratureSpec(rel_tol=1e-17, abs_tol=1e-300))
     assert not rep.passed and rep.residual == math.inf
     assert math.isnan(rep.details["convolution"]) and rep.details["quad_err"] == math.inf
+    assert rep.details["nonconverged"] == {"1": math.inf}
 
 
 def test_chapman_kolmogorov_radial_weight_overflow_is_located(monkeypatch):
@@ -245,8 +250,8 @@ def test_mass_at_d13_names_its_nonconverged_masses():
 
 
 def test_total_mass_matches_exponential_form():
-    (mass,), _, failures = verify._masses(EvalParams(5, 0.5), [0.5])
-    assert mass == pytest.approx(math.exp(0.125), rel=1e-8) and failures == {}
+    (mass,), _, failed, notes = verify._masses(EvalParams(5, 0.5), [0.5])
+    assert mass == pytest.approx(math.exp(0.125), rel=1e-8) and failed == set() and notes == {}
 
 
 def test_gfunc_reports_pass():
@@ -358,10 +363,6 @@ def test_all_is_every_suite_in_table_order():
 
 # --- batched kernel integrands ------------------------------------------------
 
-# abel_residual's tolerances, before its abs_tol is scaled by the rhs
-_ABEL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-16)
-
-
 _real_row = kernels._row
 
 
@@ -384,8 +385,8 @@ def test_batched_integrands_equal_the_pointwise_integrals(dim, monkeypatch):
 
     def integrals():
         return (
-            verify._masses(params, [0.5, 1.0])[0].tolist(),
-            [x.tolist() for x in verify._abel_lhs(params, [l], np.array([_ABEL_SPEC.abs_tol]))[:2]],
+            verify._masses(params, [0.5, 1.0])[:2],
+            [(p["lhs"], p["quad_err"]) for p in abel_residual(params, l_grid=(l,)).details["points"]],
             verify._pde_pieces(params, [(1.0, 0.5), (0.1, 0.1), (3.5, 2.0)]),
             verify.chapman_kolmogorov_many(params, params, [0.0, 1.0])[0].details["target"],
             dim < 5 and verify.horicyclic_pde_residual(params, verify._horicyclic_pairs(dim)),
