@@ -29,7 +29,10 @@ of the checkout it sits in:
 * ``verify all --dims 6,7,8,9,10,11,12 --tau 0.5``, every suite above the
   D that ``certify`` runs (mass fails at D = 9 and 11, exit 1);
 * ``verify all --dims 3 --tau 100``, whose abel and x-marginal integrals
-  stop at the halving cap and are named under ``nonconverged`` (exit 1).
+  stop at the halving cap and are named under ``nonconverged`` (exit 1);
+* ``verify all --dims 3,4,5 --tau 200``, where kernel samples of abel (D =
+  3 and 5) and ck (D = 5) overflow binary64 and fail the integrals they
+  feed, which are named under ``nonconverged`` (exit 1).
 
 Each printed line reads ``<sha256 of stdout> exit=<code> <arguments>``.
 Run it in two checkouts and diff the outputs:
@@ -118,6 +121,7 @@ def commands() -> list[list[str]]:
     out.append(["verify", "abel", "--dims", "6,7,8,9,10,14,20", "--tau", "0.5"])
     out.append(["verify", "all", "--dims", "6,7,8,9,10,11,12", "--tau", "0.5"])
     out.append(["verify", "all", "--dims", "3", "--tau", "100"])
+    out.append(["verify", "all", "--dims", "3,4,5", "--tau", "200"])
     return out
 
 

@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import gfunc
-from .quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec, integrate_abel
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, failure, integrate_abel
 
 __all__ = ["EvalParams", "KernelValue", "SAMPLED_SPEC", "kernel", "kernel_row", "kernel_array", "kernel_d4",
            "kernel_even"]
@@ -46,8 +46,8 @@ __all__ = ["EvalParams", "KernelValue", "SAMPLED_SPEC", "kernel", "kernel_row", 
 # the spec of kernels sampled in the integrands and stencils of verify and lattice
 SAMPLED_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-18)
 
-# value and err_est per s of a row, and the failure at each index that failed
-_Row = tuple[np.ndarray, np.ndarray, dict[int, Exception]]
+# value, err_est and failed per s of a route's row
+_Row = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -118,20 +118,14 @@ class _Rates(NamedTuple):
 
 def _d4_row(rates: _Rates, ss: np.ndarray, spec: QuadratureSpec) -> _Row:
     """Closed form (a/pi)^(3/2) (s/sinh s) exp(-a s^2 + E) for D = 4."""
-    front, failures = [], {}
-    for r, a in enumerate(rates.a.tolist()):
-        try:
-            front.append((a / math.pi) ** 1.5)
-        except OverflowError:  # float ** raises where * would give inf; every entry at a fails
-            front.append(math.nan)
-            exc = OverflowError(f"binary64 overflow ((a/pi)^1.5 at a={a!r})")
-            failures.update(dict.fromkeys(np.flatnonzero(rates.which == r).tolist(), exc))
-    front, a, E = (x[rates.which] for x in (np.array(front), rates.a, rates.E))
     # past s ~ 710.48 sinh overflows and s / sinh s is 0.0: the kernel there,
     # front 2 s exp(-s - a s^2 + E), is below exp(-1300) at any a (a E = -3/16)
-    with np.errstate(over="ignore", invalid="ignore"):  # sinh overflows, 0 / sinh 0
+    with np.errstate(over="ignore", invalid="ignore"):  # sinh and the front overflow, 0 / sinh 0
+        # a scalar power per rate: numpy's array power rounds differently
+        front = np.array([x**1.5 for x in rates.a / math.pi])
+        front, a, E = (x[rates.which] for x in (front, rates.a, rates.E))
         value = front * np.where(ss > 0.0, ss / np.sinh(ss), 1.0) * np.exp(-a * ss * ss + E)
-    return value, np.zeros(len(ss)), failures
+    return value, np.zeros(len(ss)), np.zeros(len(ss), dtype=bool)
 
 
 def _even_row(rates: _Rates, ss: np.ndarray, spec: QuadratureSpec) -> _Row:
@@ -140,7 +134,7 @@ def _even_row(rates: _Rates, ss: np.ndarray, spec: QuadratureSpec) -> _Row:
     g = gfunc.expression(n, rates.a, rates.E)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported by _row
         value = (-1.0 / (2.0 * math.pi)) ** n * gfunc.evaluate_many(g, ss, rates.which)
-    return value, np.zeros(len(ss)), {}
+    return value, np.zeros(len(ss)), np.zeros(len(ss), dtype=bool)
 
 
 # entries per integrate_abel call, a bound on its node arrays: with none, the
@@ -154,44 +148,26 @@ def _odd_row(rates: _Rates, ss: np.ndarray, spec: QuadratureSpec) -> _Row:
     k = (rates.D - 1) // 2
     g = gfunc.expression(k, rates.a, rates.E)
     front = math.sqrt(2.0) * (-1.0 / (2.0 * math.pi)) ** k
-    (value, err), failures = np.empty((2, len(ss))), {}
+    (value, err), failed = np.empty((2, len(ss))), np.empty(len(ss), dtype=bool)
     for lo in range(0, len(ss), _ABEL_BATCH):
         batch = slice(lo, lo + _ABEL_BATCH)
         which = rates.which[batch]
         F = lambda s, endpoint: gfunc.evaluate_many(g, s, which[endpoint])
-        value[batch], err[batch], batch_failures = integrate_abel(F, ss[batch], rates.a[which], spec)
-        failures.update((lo + i, failure) for i, failure in batch_failures.items())
-    value, err = front * value, abs(front) * err
-    for i, failure in failures.items():
-        if isinstance(failure, NonConvergenceError):  # it carries the Abel integral's
-            failures[i] = NonConvergenceError(float(value[i]), float(err[i]), halvings=failure.halvings)
-    return value, err, failures
+        value[batch], err[batch], failed[batch] = integrate_abel(F, ss[batch], rates.a[which], spec)
+    return front * value, abs(front) * err, failed
 
 
 _ROUTES = {"kernel_d4": _d4_row, "kernel_even": _even_row, "kernel_odd": _odd_row}
 
 
-def _located(exc: Exception, D: int, tau: float, s: float, route: str) -> Exception:
-    """``exc`` again, as the same type, with D, tau, s and the route in its
-    message, and D, tau and s as attributes (and a NonConvergenceError's
-    value, err_est and halvings)."""
-    msg = f"{exc} at D={D}, tau={tau!r}, s={s!r} in {route}"
-    if isinstance(exc, NonConvergenceError):
-        located = NonConvergenceError(exc.value, exc.err_est, msg, exc.halvings)
-    else:
-        located = type(exc)(msg)
-    located.D, located.tau, located.s = D, tau, s
-    located.__cause__ = exc
-    return located
-
-
-def _row(params: EvalParams, tau, ss: np.ndarray, spec: QuadratureSpec, route: str | None = None) -> _Row:
+def _row(params: EvalParams, tau, ss: np.ndarray, spec: QuadratureSpec, route: str | None = None):
     """The kernel at every (tau, s) pair of tau and the float array ss, by
     the route of params.D or the one named: value and err_est arrays, and
     the located failure at each index that failed, an ``OverflowError``
-    where the value is not finite.  tau is a float, the tau of every entry,
-    or a float array like ss.  -0.0 (an underflow under a negative front
-    factor) is +0.0."""
+    where the value is not finite, with D, its entry's tau, s and the route
+    in its message and D, tau and s as attributes.  tau is a float, the tau
+    of every entry, or a float array like ss.  -0.0 (an underflow under a
+    negative front factor) is +0.0."""
     # the minimum is nan if any s is nan
     if not (np.minimum.reduce(ss, initial=0.0) >= 0.0 and np.maximum.reduce(ss, initial=0.0) < math.inf):
         raise ValueError("geodesic distance must be nonnegative and finite")
@@ -204,16 +180,14 @@ def _row(params: EvalParams, tau, ss: np.ndarray, spec: QuadratureSpec, route: s
         taus, which = np.array([tau], dtype=float), np.zeros(len(ss), dtype=np.intp)
     route = route or ("kernel_d4" if params.D == 4 else "kernel_odd" if params.D % 2 else "kernel_even")
     rates = _Rates(params.D, _rate(params, taus), _shift(params, taus), which)
-    value, err, failures = _ROUTES[route](rates, ss, spec)
+    value, err, failed = _ROUTES[route](rates, ss, spec)
     value = value + 0.0  # -0.0 + 0.0 is +0.0
-    finite = np.isfinite(value)
-    if np.count_nonzero(finite) < len(value):
-        for i in np.flatnonzero(~finite).tolist():
-            failures.setdefault(i, OverflowError(f"binary64 overflow (value {float(value[i])!r})"))
-    return value, err, {
-        i: _located(exc, params.D, float(taus[which[i]]), float(ss[i]), route)
-        for i, exc in failures.items()
-    }
+    located = {}
+    for i in np.flatnonzero(failed | ~np.isfinite(value)).tolist():
+        D, t, s = params.D, float(taus[which[i]]), float(ss[i])
+        located[i] = exc = failure(float(value[i]), float(err[i]), f"D={D}, tau={t!r}, s={s!r} in {route}")
+        exc.D, exc.tau, exc.s = D, t, s
+    return value, err, located
 
 
 def _one(params: EvalParams, s: float, spec: QuadratureSpec, route: str | None = None) -> KernelValue:
@@ -247,7 +221,7 @@ def kernel_row(
 ) -> list[KernelValue | Exception]:
     """The kernel at every s of ss, at params.tau or, given tau (a sequence
     like ss), at the tau of each entry: per entry a KernelValue or,
-    unraised, the located ``NonConvergenceError`` or ``ArithmeticError``
+    unraised, the located ``NonConvergenceError`` or ``OverflowError``
     that ``kernel()`` would raise there.  A value does not depend on the
     other entries of the row.
     """
@@ -284,7 +258,7 @@ def kernel_array(params: EvalParams, ss: np.ndarray, tau: np.ndarray | None = No
 
 def kernel(params: EvalParams, s: float, spec: QuadratureSpec = DEFAULT_SPEC) -> KernelValue:
     """The kernel at one s: a one-element row.  Raises its located
-    ``NonConvergenceError`` (keeping the value and error estimate) or
-    ``ArithmeticError`` (binary64 overflow).
+    ``NonConvergenceError`` or ``OverflowError`` (binary64 overflow), which
+    carry the value and error estimate.
     """
     return _one(params, s, spec)

@@ -12,10 +12,11 @@ brings its own t-range, first step and abs_tol.  The integrand takes the
 new nodes of every integral not yet converged as one float array per
 halving, with the index of each node's integral, and returns their values
 as one array.  Each integral stops on its own test and gets back its own
-value, error estimate and, unraised, its own failure, so one integral that
-does not converge does not fail the others.  The rules are node maps over
-that loop: each gives x(t), dx/dt, the rounding weight of a node and the
-cut at its ends.
+value, error estimate and failed flag, so one integral that does not
+converge does not fail the others; ``failure`` builds the error of one
+that failed where it is located.  The rules are node maps over that loop:
+each gives x(t), dx/dt, the rounding weight of a node and the cut at its
+ends.
 
 * ``integrate_tanh_sinh``: finite intervals through the tanh-sinh map
   (Takahasi & Mori, 1974), whose nodes crowd both endpoints, so the rate
@@ -45,6 +46,7 @@ from .geometry import _arccosh_from_excess
 __all__ = [
     "QuadratureSpec",
     "NonConvergenceError",
+    "failure",
     "integrate_tanh_sinh",
     "integrate_periodic",
     "integrate_abel",
@@ -75,18 +77,27 @@ DEFAULT_SPEC = QuadratureSpec()
 TRUNCATION_SIGMA = 12.0
 
 
-class NonConvergenceError(RuntimeError):
+class NonConvergenceError(ArithmeticError):
     """Halving budget exhausted with the error estimate above tolerance.
 
-    Carries the value and err_est after the last halving and, where the
-    rule that failed set it, the number of halvings it ran (else None).
+    Carries the value and err_est after the last halving.
     """
 
-    def __init__(self, value: float, err_est: float, message: str = "", halvings: int | None = None):
+    def __init__(self, value: float, err_est: float, message: str = ""):
         super().__init__(message or f"quadrature did not converge (err_est={err_est:g})")
         self.value = value
         self.err_est = err_est
-        self.halvings = halvings
+
+
+def failure(value: float, err_est: float, where: str) -> ArithmeticError:
+    """The error of a failed integral or value, located at where: an
+    OverflowError where value is not finite (err_est inf), else a
+    NonConvergenceError.  Either carries value and err_est."""
+    if math.isfinite(value):
+        return NonConvergenceError(value, err_est, f"quadrature did not converge (err_est={err_est:g}) at {where}")
+    exc = OverflowError(f"binary64 overflow (value {value!r}) at {where}")
+    exc.value, exc.err_est = value, math.inf
+    return exc
 
 
 # halvings after the first grid: tanh-sinh down to h = 1/512 in t, 1024
@@ -121,17 +132,16 @@ def _trapezoid(nodes, last_weight, cut, grid, abs_tol, rel_tol, live):
     the values at the two end nodes, bounds the integral cut off beyond
     them: a fixed part and a part per unit step.
 
-    Returns the value and err_est arrays (nan and inf for an integral not
-    in live) and the failure of each integral that failed, by index: an
-    unraised NonConvergenceError (value and err_est after the last
-    halving) or OverflowError (a sum that is not finite).  Callers run it
-    with overflow and invalid operations ignored, as they fail an integral.
+    Returns the value, err_est and failed arrays: an integral fails where
+    its err_est is not finite (its sums overflowed, or it is not in live:
+    nan and inf) or it is still open after the last halving.  Callers run
+    it with overflow and invalid operations ignored, as they fail an
+    integral.
     """
     value_out, err_out = out = np.empty((2, grid.shape[1]))
     out[0], out[1] = math.nan, math.inf
-    failures: dict[int, Exception] = {}
     if not live.size:
-        return value_out, err_out, failures
+        return value_out, err_out, ~np.isfinite(err_out)
     if len(live) < grid.shape[1]:
         grid, abs_tol = grid[:, live], abs_tol[live]
     # the whole first grid in one pass; per integral its first node, its
@@ -174,15 +184,13 @@ def _trapezoid(nodes, last_weight, cut, grid, abs_tol, rel_tol, live):
         finite = np.isfinite(err)  # the sums overflowed where it is not
         done = ~finite | (err <= np.maximum(rel_tol * np.abs(value), abs_tol))
         finished = np.count_nonzero(done)
+        if finished == len(done):
+            return value_out, err_out, ~np.isfinite(err_out)
         if finished:
-            for i in live[~finite].tolist():
-                failures[i] = OverflowError("integrand overflowed binary64")
-            if finished == len(done):
-                return value_out, err_out, failures
             live, state = live[~done], state[:, ~done]
-    for i in live.tolist():
-        failures[i] = NonConvergenceError(float(value_out[i]), float(err_out[i]), halvings=_MAX_HALVINGS)
-    return value_out, err_out, failures
+    failed = ~np.isfinite(err_out)
+    failed[live] = True  # still open after the last halving
+    return value_out, err_out, failed
 
 
 def _on_intervals(f, x_of, cut, n, h, lo, hi, spec: QuadratureSpec, abs_tol):
@@ -234,8 +242,7 @@ def _tanh_sinh_nodes(t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.
 
 def integrate_tanh_sinh(f, lo, hi, spec: QuadratureSpec = DEFAULT_SPEC, abs_tol=None):
     """Integral of f over [lo[i], hi[i]] for each i, by the tanh-sinh
-    trapezoid: value and err_est arrays, and the failure of each integral
-    that failed, by index, unraised.
+    trapezoid: value, err_est and failed arrays.
 
     lo, hi and abs_tol (spec.abs_tol where None) are floats or arrays that
     broadcast to one entry per integral.  f(x, at) maps a float array of
@@ -268,10 +275,10 @@ def integrate_one(rule, f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_
     """One integral of f over [lo, hi] by rule (``integrate_tanh_sinh`` or
     ``integrate_periodic``), where f maps the nodes alone to their values:
     (value, err_est), or its failure raised."""
-    value, err, failures = rule(lambda x, at: f(x), lo, hi, spec)
-    if failures:
-        raise failures[0]
-    return float(value[0]), float(err[0])
+    (value,), (err,), (failed,) = rule(lambda x, at: f(x), lo, hi, spec)
+    if failed:
+        raise failure(float(value), float(err), f"x in [{float(lo)!r}, {float(hi)!r}]")
+    return float(value), float(err)
 
 
 def gaussian_cutoff(
@@ -325,10 +332,8 @@ def integrate_abel(F, ds: Sequence[float], decay_rate, spec: QuadratureSpec = DE
     step min(0.2, 0.25/sqrt(decay_rate)), on the halving loop of every rule
     here, each endpoint on its own test; if F evaluates each entry
     independently of the others, an endpoint's result does not depend on
-    the other endpoints.  Returns the value and err_est arrays and the
-    failure of each endpoint that failed, by index: an unraised
-    NonConvergenceError (value and err_est after the last halving, and the
-    halvings run) or OverflowError.
+    the other endpoints.  Returns the value, err_est and failed arrays; an
+    endpoint whose grid overflows binary64 fails with the value nan.
     """
     ds = np.asarray(ds, dtype=float)
     rates, tol = np.empty((2, len(ds)))
@@ -337,7 +342,7 @@ def integrate_abel(F, ds: Sequence[float], decay_rate, spec: QuadratureSpec = DE
         raise ValueError("lower endpoint must be nonnegative")
     if not np.minimum.reduce(rates, initial=math.inf) > 0.0:
         raise ValueError("decay_rate must be positive")
-    # an overflow leaves a non-finite grid or sum, which is reported for its endpoint
+    # an overflow leaves a non-finite grid or sum, which fails its endpoint
     with np.errstate(over="ignore", invalid="ignore"):
         s_max = gaussian_cutoff(ds, rates)
         sh_plus, sh_minus, sh_half = np.sinh(0.5 * np.array((s_max + ds, s_max - ds, ds)))
@@ -349,17 +354,11 @@ def integrate_abel(F, ds: Sequence[float], decay_rate, spec: QuadratureSpec = DE
         # grid overflows binary64
         half = np.ceil(half_u / np.minimum(0.2, 0.25 / np.sqrt(rates)))
         grid = np.array((2.0 * half, half_u / half, 2.0 * sh_half**2, rates))  # n, h, cosh d - 1, rate
-        failed = np.isnan(grid[1])
         nodes = lambda u, at, w_d, rate: _abel_nodes(F, u / _ABEL_STRETCH, w_d, rate, at)
         # the integrand is even in u: the last node, at u_max, weighs 1, and it
         # times the step bounds the truncated tail
         cut = lambda lo, hi: (np.zeros(len(lo)), np.abs(hi))
-        live = np.arange(len(ds))[~failed]
-        value, err, failures = _trapezoid(nodes, 1.0, cut, grid, tol, spec.rel_tol, live)
-    if len(live) < len(ds):
-        for i in np.flatnonzero(failed).tolist():
-            failures[i] = OverflowError(f"binary64 overflow (Abel grid at d={float(ds[i])!r})")
-    return value, err, failures
+        return _trapezoid(nodes, 1.0, cut, grid, tol, spec.rel_tol, np.flatnonzero(~np.isnan(grid[1])))
 
 
 def _pointwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:

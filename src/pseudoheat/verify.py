@@ -36,6 +36,7 @@ from .quadrature import (
     TRUNCATION_SIGMA,
     NonConvergenceError,
     QuadratureSpec,
+    failure,
     gaussian_cutoff,
     integrate_periodic,
     integrate_tanh_sinh,
@@ -113,8 +114,8 @@ def _kernel_integrals(
     is 0.0 the integrand is 0, also where the weight alone overflows.
 
     Integral i stops at max(spec.rel_tol |I_i|, spec.abs_tol |targets[i]|),
-    and is not run where that abs_tol is 0.0.  A kernel sample's
-    NonConvergenceError fails every integral, with its value and estimate.
+    and is not run where that abs_tol is 0.0.  A failed kernel sample
+    fails every integral, with its value and estimate.
     Returns the values and err_est (None where not run), the integrals
     that failed or were not run, and a report's notes: the keys not run
     under ``underflowed``, and the err_est of each integral that failed
@@ -132,15 +133,14 @@ def _kernel_integrals(
             return np.exp(np.log(k) + log_w)
 
     try:
-        v, e, failures = integrate_tanh_sinh(f, 0.0, np.asarray(hi, dtype=float)[run], spec, abs_tol[run])
-        v, e = v.tolist(), e.tolist()
-        for k, failure in failures.items():  # an overflowed sum has no estimate
-            e[k] = getattr(failure, "err_est", math.inf)
-    except NonConvergenceError as exc:
-        v, e, failures = [exc.value] * run.size, [exc.err_est] * run.size, range(run.size)
+        v, e, failed = integrate_tanh_sinh(f, 0.0, np.asarray(hi, dtype=float)[run], spec, abs_tol[run])
+        e[~np.isfinite(v)] = math.inf  # an overflowed sum has no estimate
+        v, e, failed = v.tolist(), e.tolist(), np.flatnonzero(failed)
+    except ArithmeticError as exc:
+        v, e, failed = [exc.value] * run.size, [exc.err_est] * run.size, range(run.size)
     for k, i in enumerate(run.tolist()):
         value[i], err[i] = v[k], e[k]
-    failed = {int(run[k]) for k in failures}
+    failed = {int(run[k]) for k in failed}
     notes = {}
     if run.size < len(keys):
         notes["underflowed"] = [key for key, tol in zip(keys, abs_tol) if tol == 0.0]
@@ -302,14 +302,20 @@ def radial_pde_residual(
     c is fitted at the first grid point where K does not underflow and then
     held fixed; the report carries the fit and its spread, which double as
     a check that the generator shift is a constant.  The (s, tau) where K
-    underflowed are listed under ``underflowed``.
+    underflowed are listed under ``underflowed``.  A failed stencil sample
+    fails the report, its located error under ``error``.
     """
     # the D = 4 closed form is the high-accuracy anchor; the higher even
     # orders accumulate a little more term cancellation at the corners
     tolerance = 1e-7 if params.D == 4 else (1e-6 if params.D % 2 == 0 else 1e-5)
     grid = [(s, tau) for tau in tau_grid for s in s_grid]
     points = [{"s": s, "tau": tau} for s, tau in grid]
-    c_fit, worst, underflowed = _fit_heat_equation(params.kappa, points, _pde_pieces(params, grid))
+    try:
+        pieces = _pde_pieces(params, grid)
+    except ArithmeticError as exc:
+        details = {"grid": f"s in {list(s_grid)}, tau in {list(tau_grid)}", "error": str(exc)}
+        return VerificationReport.make("pde-radial", params.D, math.inf, tolerance, details)
+    c_fit, worst, underflowed = _fit_heat_equation(params.kappa, points, pieces)
     c_values = [p["c_pointwise"] for p in points if p["c_pointwise"] is not None]
     details = {
         "grid": f"s in {list(s_grid)}, tau in {list(tau_grid)}",
@@ -332,7 +338,8 @@ def horicyclic_pde_residual(
 
     The kernel at every point of every pair's stencils, the Laplacian's
     around q2 at tau and the time derivative's at q2 (its step from
-    ``_pde_steps``), is one kernel row."""
+    ``_pde_steps``), is one kernel row; where a sample of it fails the
+    report fails, as pde-radial's does."""
     quad_backed = params.D == 3
     tau = params.tau
     steps, points = [], []  # steps per pair: the Laplacian's stencil size and step, h_tau
@@ -346,7 +353,11 @@ def horicyclic_pde_residual(
         points.append({"s": s12})
         ss += [geodesic_distance(q1, q) for q in space] + [s12] * 4
         taus += [tau] * len(space) + _tau_stencil(tau, h_t)
-    values = iter(kernel_array(params, np.array(ss), np.array(taus)).tolist())
+    try:
+        values = iter(kernel_array(params, np.array(ss), np.array(taus)).tolist())
+    except ArithmeticError as exc:
+        details = {"tau": params.tau, "n_pairs": len(pairs), "error": str(exc)}
+        return VerificationReport.make("pde-horicyclic", params.D, math.inf, 1e-4, details)
     pieces = []
     for (_, q2), (size, h, h_t) in zip(pairs, steps):
         at_space, at_taus = list(islice(values, size)), list(islice(values, 4))
@@ -383,7 +394,8 @@ def _convolve_kernels(
     An r node where K1 is 0.0 adds nothing; the radial weight K1 sinh^(D-2)
     r is formed in logs, and an OverflowError names the first r where
     binary64 cannot hold it.  A theta integral that fails fails the
-    convolution, with no value.
+    convolution, with no value.  Every error raised carries a value and
+    err_est.
     """
     D = params1.D
     cd, sd = math.cosh(d), math.sinh(d)
@@ -412,8 +424,8 @@ def _convolve_kernels(
             cc, ss = np.cosh(r) * cd, np.sinh(r) * sd
         bad = ~np.isfinite(radial * cc)
         if np.count_nonzero(bad):
-            where = f"D={D}, tau={params1.tau!r}, r={float(r[bad].min())!r}"
-            raise OverflowError(f"binary64 overflow (radial weight of the convolution at {where})")
+            where = f"D={D}, tau={params1.tau!r}, r={float(r[bad].min())!r} in the convolution's radial weight"
+            raise failure(math.inf, math.inf, where)
 
         def theta_integrand(ths: np.ndarray, cols: np.ndarray) -> np.ndarray:
             # cosh rho at each (theta, r) node, by the hyperbolic law of cosines
@@ -425,20 +437,20 @@ def _convolve_kernels(
         if D % 2:
             # a step pi / n of at most 2 / sqrt(a2 sinh r sinh d), n in 16 .. 1024
             intervals = 2.0 * np.clip(np.ceil(0.25 * math.pi * np.sqrt(params2.a * ss)), 8.0, 512.0)
-            theta, err, failures = integrate_periodic(theta_integrand, 0.0, math.pi, spec, tol, intervals)
+            theta, err, failed = integrate_periodic(theta_integrand, 0.0, math.pi, spec, tol, intervals)
         else:
-            theta, err, failures = integrate_tanh_sinh(theta_integrand, 0.0, math.pi, spec, tol)
-        if failures:  # the convolution fails, with no value
-            raise NonConvergenceError(math.nan, math.inf) from failures[min(failures)]
+            theta, err, failed = integrate_tanh_sinh(theta_integrand, 0.0, math.pi, spec, tol)
+        if np.count_nonzero(failed):  # the convolution fails, with no value
+            raise NonConvergenceError(math.nan, math.inf)
         theta_err = max(theta_err, np.max(err, initial=0.0))
         out = np.zeros(len(rs))
         out[kept] = theta
         return out
 
-    (value,), (err,), failures = integrate_tanh_sinh(outer, 0.0, r_max, spec)
+    (value,), (err,), (failed,) = integrate_tanh_sinh(outer, 0.0, r_max, spec)
     value, err_est = float(value), float(err) + r_max * theta_err
-    if failures:
-        raise NonConvergenceError(value, err_est) from failures[0]
+    if failed:
+        raise NonConvergenceError(value, err_est)
     return value, err_est
 
 
@@ -453,7 +465,8 @@ def chapman_kolmogorov_many(
 
     The convolution's abs_tol is relative to the target: at small tau the
     values (1e-107 at tau 1e-3, d = 1) sit far below any fixed one.  The
-    targets and K2 at 0 are one kernel row."""
+    targets and K2 at 0 are one kernel row, whose failure fails every report
+    (``error``); a failed convolution fails its own (``nonconverged``)."""
     if (params1.D, params1.m, params1.hbar) != (params2.D, params2.m, params2.hbar):
         raise ValueError("factors must share dimension and units")
     D = params1.D
@@ -461,7 +474,11 @@ def chapman_kolmogorov_many(
         tolerance = 1e-3 if D == 3 else 1e-4
     spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-30)
     taus = np.array([params1.tau + params2.tau] * len(d_values) + [params2.tau])
-    *targets, k2_peak = kernel_array(params1, np.array([*d_values, 0.0], dtype=float), taus).tolist()
+    try:
+        *targets, k2_peak = kernel_array(params1, np.array([*d_values, 0.0], dtype=float), taus).tolist()
+    except ArithmeticError as exc:  # no target or K2 to convolve: every d fails
+        details = lambda d: {"tau1": params1.tau, "tau2": params2.tau, "d": d, "error": str(exc)}
+        return [VerificationReport.make("ck", D, math.inf, tolerance, details(d)) for d in d_values]
     out = []
     for d, target in zip(d_values, targets):
         notes = {}
@@ -469,7 +486,7 @@ def chapman_kolmogorov_many(
             scaled = QuadratureSpec(spec.rel_tol, spec.abs_tol * abs(target) or spec.abs_tol)
             conv, err = _convolve_kernels(params1, params2, d, scaled, target, k2_peak)
             rel = abs(conv - target) / abs(target) if target != 0.0 else math.inf
-        except NonConvergenceError as exc:
+        except ArithmeticError as exc:  # the convolution or a kernel sample failed
             conv, err, rel = exc.value, exc.err_est, math.inf
             notes["nonconverged"] = {f"{d:g}": err}
         details = {
@@ -555,7 +572,8 @@ def x_marginal_check(params: EvalParams, y1: float, y2: float) -> VerificationRe
     k(R) = (R^2 + (y2-y1)^2)/(2 y1 y2) + 1) must reproduce
     (y1 y2)^((D-2)/2) times the free one-dimensional Gaussian in z = ln y
     with the constant shift E.  The integral runs on
-    :func:`_kernel_integrals`, its abs_tol scaled by that reference.
+    :func:`_kernel_integrals`, its abs_tol scaled by that reference, or
+    fails where the cutoff's cosh overflows (tau ~ 6000 at D = 3).
     """
     a = params.a
     y1y2 = y1 * y2
@@ -569,7 +587,11 @@ def x_marginal_check(params: EvalParams, y1: float, y2: float) -> VerificationRe
     power = params.D - 3
     front = 2.0 if params.D == 3 else sphere_surface_area(power)
     log_r = 0.5 * math.log(2.0 * y1y2)
-    v_max = math.asinh(math.sqrt(2.0) * math.sinh(0.5 * s_max))  # sinh^2 v = cosh s_max - 1
+    try:
+        v_max = math.asinh(math.sqrt(2.0) * math.sinh(0.5 * s_max))  # sinh^2 v = cosh s_max - 1
+    except OverflowError:  # the cutoff and the nodes would need logs
+        error = f"binary64 overflow (cosh of the cutoff s={float(s_max)!r}) at D={params.D}, tau={params.tau!r}"
+        return VerificationReport.make("x-marginal", params.D, math.inf, 1e-5, {"tau": params.tau, "error": error})
 
     def nodes(vs: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sh = np.sinh(vs)

@@ -408,6 +408,43 @@ def test_verify_all_prints_every_suite_around_a_nonconverged_integral(capsys):
 
 
 @pytest.mark.filterwarnings("error")
+def test_verify_all_names_the_integrals_a_kernel_overflow_fails(capsys):
+    # at tau 200 a kernel sample of abel (D = 3 and 5) and of ck (D = 5)
+    # overflows the Abel grid: it fails the integrals it feeds, which are
+    # named, and every other report is still printed
+    assert cli.main(["verify", "all", "--dims", "3,4,5", "--tau", "200"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    reports = json.loads(out.out)["reports"]
+    assert len(reports) == 26
+    failed = [(r["check"], r["D"], list(r["details"]["nonconverged"])) for r in reports if not r["passed"]]
+    l_grid = ["1", "1.12763", "1.54308", "3.7622", "10.0677"]
+    assert failed == [
+        ("abel", 3, l_grid), ("abel", 5, l_grid), ("ck", 5, ["0"]), ("ck", 5, ["1"]), ("ck", 5, ["2"]),
+        ("x-marginal", 3, ["1,2.71828"]),
+    ]
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_ck_names_each_d_whose_kernel_sample_overflows(capsys):
+    assert cli.main(["verify", "ck", "--dims", "5", "--tau", "200"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    reports = json.loads(out.out)["reports"]
+    assert [r["details"]["nonconverged"] for r in reports] == [{"0": math.inf}, {"1": math.inf}, {"2": math.inf}]
+    assert all(r["residual"] == math.inf for r in reports)
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_overflow_exits_3_with_its_location(capsys):
+    # at s = 712 the Abel grid's sinh((s_max + s) / 2) overflows binary64
+    assert cli.main(["eval", "--dim", "3", "--tau", "1", "--s", "712"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: binary64 overflow (value nan) at D=3, tau=1.0, s=712.0 in kernel_odd\n"
+
+
+@pytest.mark.filterwarnings("error")
 def test_verify_abel_names_every_l_that_did_not_converge(capsys):
     assert cli.main(["verify", "abel", "--dims", "30", "--tau", "3"]) == 1
     out = capsys.readouterr()

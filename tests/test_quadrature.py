@@ -8,6 +8,7 @@ from pseudoheat.quadrature import (
     NonConvergenceError,
     QuadratureSpec,
     abel_identity_check,
+    failure,
     gaussian_cutoff,
     integrate_abel,
     integrate_one,
@@ -18,21 +19,20 @@ from _oracles import gaussian_moment, graded_midpoint_inverse_sqrt
 
 
 def _rows(result):
-    """A rule's (value, err_est, failures) as (value, err_est, failure or None) per integral."""
-    value, err, failures = result
-    return [(v, e, failures.get(i)) for i, (v, e) in enumerate(zip(value.tolist(), err.tolist()))]
+    """A rule's (value, err_est, failed) arrays as one (value, err_est, failed) per integral."""
+    return list(zip(*(x.tolist() for x in result)))
 
 
 def _abel_rows(F, ds, rate, spec=QuadratureSpec()):
-    """integrate_abel of F(s) per endpoint: (value, err_est, failure or None)."""
+    """integrate_abel of F(s) per endpoint: (value, err_est, failed)."""
     return _rows(integrate_abel(lambda s, endpoint: F(s), ds, rate, spec))
 
 
 def _abel(F, d, rate, spec=QuadratureSpec()):
     """integrate_abel at one endpoint: (value, err_est), or its failure raised."""
-    ((value, err, failure),) = _abel_rows(F, [d], rate, spec)
-    if failure is not None:
-        raise failure
+    ((value, err, failed),) = _abel_rows(F, [d], rate, spec)
+    if failed:
+        raise failure(value, err, f"d={d!r}")
     return value, err
 
 
@@ -96,6 +96,26 @@ def test_nonconvergence_raised_and_carries_estimate():
         integrate_one(integrate_tanh_sinh, spiky, 0.0, 6.0, spec)
     assert info.value.err_est > 0.0
     assert math.isfinite(info.value.value) and info.value.value > 0.0
+
+
+def test_a_failure_is_a_nonconvergence_or_an_overflow():
+    # a failed integral whose value is finite did not converge, any other
+    # overflowed; both are ArithmeticError and carry value and err_est
+    slow = failure(1.5, 2e-3, "x in [0.0, 1.0]")
+    assert type(slow) is NonConvergenceError and isinstance(slow, ArithmeticError)
+    assert (slow.value, slow.err_est) == (1.5, 2e-3)
+    assert str(slow) == "quadrature did not converge (err_est=0.002) at x in [0.0, 1.0]"
+    for value in (math.inf, -math.inf, math.nan):
+        over = failure(value, 1.0, "x in [0.0, 1.0]")
+        assert type(over) is OverflowError and over.value is value and over.err_est == math.inf
+        assert str(over) == f"binary64 overflow (value {value!r}) at x in [0.0, 1.0]"
+
+
+@pytest.mark.filterwarnings("error")
+def test_integrate_one_raises_an_overflow_located_by_its_interval():
+    with pytest.raises(OverflowError, match=r"^binary64 overflow \(value inf\) at x in \[0.0, 2.0\]$") as info:
+        integrate_one(integrate_tanh_sinh, lambda x: np.full(len(x), 1e308), 0.0, 2.0)
+    assert info.value.err_est == math.inf
 
 
 def test_halving_reuses_every_node():
@@ -164,15 +184,15 @@ def test_many_integrals_stop_on_their_own_test():
     # the cut at t = -3 (|f| = 1 there) is 4e-12 of the narrow integral:
     # an abs_tol of 1e-12 lets it stop where rel_tol alone would not
     spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)
-    value, err, failures = integrate_tanh_sinh(f, 0.0, 6.0, spec, abs_tol=np.full(3, 1e-12))
+    value, err, failed = integrate_tanh_sinh(f, 0.0, 6.0, spec, abs_tol=np.full(3, 1e-12))
     exact = 0.5 * np.sqrt(np.pi / cs) * np.array([math.erf(6.0 * math.sqrt(c)) for c in cs])
     assert np.all(np.abs(value - exact) <= err) and np.all(err <= 1e-12 * value.max())
-    assert seen[0] == [0, 1, 2] and seen[-1] == [2] and failures == {}
+    assert seen[0] == [0, 1, 2] and seen[-1] == [2] and failed.tolist() == [False] * 3
+    # below the rounding floor every integral fails, keeping its last value
+    # and estimate: a non-convergence, not an overflow
     spec = QuadratureSpec(rel_tol=1e-18, abs_tol=1e-300)
-    value, err, failures = integrate_tanh_sinh(f, 0.0, 6.0, spec, abs_tol=np.full(3, 1e-300))
-    assert sorted(failures) == [0, 1, 2] and np.all(err > 0.0)
-    for i, failure in failures.items():
-        assert isinstance(failure, NonConvergenceError) and (failure.value, failure.err_est) == (value[i], err[i])
+    value, err, failed = integrate_tanh_sinh(f, 0.0, 6.0, spec, abs_tol=np.full(3, 1e-300))
+    assert failed.tolist() == [True] * 3 and np.all(np.abs(value - exact) <= err) and np.all(err > 0.0)
 
 
 def test_endpoint_singular_weight_only_against_graded_mesh():
@@ -312,8 +332,8 @@ def test_abel_endpoints_are_independent_of_their_batch():
     batch = _abel_rows(F, ds, 1.0)
     assert len(batch) == 70
     for d, got in zip(ds, batch):
-        ((value, err, failure),) = _abel_rows(F, [d], 1.0)
-        assert failure is None and got == (value, err, None), d
+        ((value, err, failed),) = _abel_rows(F, [d], 1.0)
+        assert not failed and got == (value, err, False), d
     assert _abel_rows(F, [], 1.0) == []
 
 
@@ -323,11 +343,11 @@ def test_abel_one_failed_endpoint_keeps_the_others():
     spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
     F = lambda s: np.exp(-s * s)
     first, failed, last = _abel_rows(F, [1.0, 15.0, 2.0], 1.0, spec)
-    assert first == _abel_rows(F, [1.0], 1.0, spec)[0] and first[2] is None
-    assert last == _abel_rows(F, [2.0], 1.0, spec)[0] and last[2] is None
-    value, err, failure = failed
-    assert isinstance(failure, NonConvergenceError)
-    assert (failure.value, failure.err_est) == (value, err) and err > 0.0
+    assert first == _abel_rows(F, [1.0], 1.0, spec)[0] and not first[2]
+    assert last == _abel_rows(F, [2.0], 1.0, spec)[0] and not last[2]
+    value, err, flag = failed
+    assert flag and math.isfinite(value) and err > 0.0
+    assert failed == _abel_rows(F, [15.0], 1.0, spec)[0]
 
 
 @pytest.mark.filterwarnings("error")
@@ -337,11 +357,10 @@ def test_abel_overflowed_endpoint_keeps_the_others():
     F = lambda s: np.exp(-4.0 * s * s) * np.where(s > 5.0, np.inf, 1.0)
     results = _abel_rows(F, [0.0, 4.0, 1.0, 800.0], 4.0)
     for d, got in zip((0.0, 1.0), (results[0], results[2])):
-        assert got == _abel_rows(F, [d], 4.0)[0] and got[2] is None, d
-    overflowed, no_grid = results[1][2], results[3][2]
-    assert type(overflowed) is OverflowError and str(overflowed) == "integrand overflowed binary64"
-    assert type(no_grid) is OverflowError and str(no_grid) != str(overflowed)
-    assert math.isnan(results[3][0]) and results[3][1] == math.inf
+        assert got == _abel_rows(F, [d], 4.0)[0] and not got[2], d
+    overflowed, no_grid = results[1], results[3]
+    assert overflowed[2] and not math.isfinite(overflowed[0]) and not math.isfinite(overflowed[1])
+    assert no_grid[2] and math.isnan(no_grid[0]) and no_grid[1] == math.inf
 
 
 @pytest.mark.filterwarnings("error")
@@ -394,11 +413,9 @@ def test_abel_endpoints_at_their_own_rates_equal_lone_calls():
     rates = [0.3, 0.3, 1.0, 4.0, 1e-3]
     spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)
     got = _abel_rows(F, ds, np.array(rates), spec)
-    for d, rate, (value, err, failure) in zip(ds, rates, got):
-        ((want_value, want_err, want_failure),) = _abel_rows(F, [d], rate, spec)
-        assert (value, err) == (want_value, want_err), (d, rate)
-        assert type(failure) is type(want_failure) and str(failure) == str(want_failure)
-    assert any(f is None for _, _, f in got) and any(f is not None for _, _, f in got)
+    for d, rate, row in zip(ds, rates, got):
+        assert [row] == _abel_rows(F, [d], rate, spec), (d, rate)
+    assert any(failed for _, _, failed in got) and not all(failed for _, _, failed in got)
     # a loose spec.abs_tol stops the first endpoint earlier, at equal d and rate
     ((_, loose_err, _),) = _abel_rows(F, [0.0], 0.3, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-2))
     assert loose_err > got[0][1]
@@ -423,11 +440,9 @@ def test_integrals_on_their_own_intervals_equal_lone_calls(rule):
 
     spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)
     got = _rows(rule(f, lo, hi, spec, abs_tol))
-    for i, (value, err, failure) in enumerate(got):
+    for i, row in enumerate(got):
         alone = lambda x, at: f(x, np.full_like(at, i))
-        ((want_value, want_err, want_failure),) = _rows(rule(alone, lo[i], hi[i], spec, abs_tol[i]))
-        assert (value, err) == (want_value, want_err), i
-        assert type(failure) is type(want_failure) and str(failure) == str(want_failure), i
-    assert [i for i, (_, _, failure) in enumerate(got) if failure is not None] == [2]
-    assert isinstance(got[2][2], NonConvergenceError) and got[2][2].halvings == 6
+        assert [row] == _rows(rule(alone, lo[i], hi[i], spec, abs_tol[i])), i
+    assert [i for i, (_, _, failed) in enumerate(got) if failed] == [2]
+    assert math.isfinite(got[2][0]) and got[2][1] > 1e-12 * abs(got[2][0])
     assert got[5][1] > got[0][1]

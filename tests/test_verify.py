@@ -11,7 +11,7 @@ import pytest
 from pseudoheat.geometry import HoricyclicPoint, geodesic_distance, normalize_pair
 from pseudoheat import cli, gfunc, kernels, verify
 from pseudoheat.kernels import EvalParams, kernel
-from pseudoheat.quadrature import NonConvergenceError, QuadratureSpec
+from pseudoheat.quadrature import NonConvergenceError, QuadratureSpec, failure
 from pseudoheat.verify import (
     VerificationReport,
     abel_residual,
@@ -219,11 +219,52 @@ def test_chapman_kolmogorov_nonconvergence_fails_the_report():
 
 def test_chapman_kolmogorov_radial_weight_overflow_is_located(monkeypatch):
     # a kernel that never underflows leaves K1 sinh^3 r above binary64 past
-    # r ~ 237: the check names the first such r instead of integrating inf
+    # r ~ 237: the convolution fails there instead of integrating inf, and
+    # its report names d
     monkeypatch.setattr(verify, "kernel_array", lambda params, ss, tau=None: np.ones(np.shape(ss)))
-    where = r"^binary64 overflow \(radial weight of the convolution at D=5, tau=100.0, r=2[34]\d\."
+    where = r"^binary64 overflow \(value inf\) at D=5, tau=100.0, r=2[34]\d\.\d+ in the convolution's radial weight$"
     with pytest.raises(OverflowError, match=where):
-        chapman_kolmogorov_many(EvalParams(5, 100.0), EvalParams(5, 100.0), [1.0])
+        verify._convolve_kernels(EvalParams(5, 100.0), EvalParams(5, 100.0), 1.0, QuadratureSpec(), 1.0, 1.0)
+    (rep,) = chapman_kolmogorov_many(EvalParams(5, 100.0), EvalParams(5, 100.0), [1.0])
+    assert not rep.passed and rep.residual == math.inf
+    assert rep.details["convolution"] == math.inf and rep.details["nonconverged"] == {"1": math.inf}
+
+
+def test_chapman_kolmogorov_target_failure_fails_every_report():
+    # at D = 3 the Abel grid of K2 at s = 0, tau 5000, overflows: with no
+    # K2 peak nothing is convolved, and every report carries the error
+    half = EvalParams(3, 5000.0)
+    reports = chapman_kolmogorov_many(half, half, [0.0, 1.0])
+    assert [r.details["d"] for r in reports] == [0.0, 1.0]
+    for rep in reports:
+        assert not rep.passed and rep.residual == math.inf
+        assert rep.details["error"] == "binary64 overflow (value nan) at D=3, tau=5000.0, s=0.0 in kernel_odd"
+
+
+@pytest.mark.filterwarnings("error")
+def test_pde_checks_fail_on_a_failed_stencil_sample(monkeypatch):
+    # at D = 5, tau 1e4 the Abel grid of the stencil samples overflows: the
+    # report fails and carries the located error of the first one
+    rep = horicyclic_pde_residual(EvalParams(5, 1e4), verify._horicyclic_pairs(5))
+    assert not rep.passed and rep.residual == math.inf
+    assert rep.details["error"].startswith("binary64 overflow (value nan) at D=5, tau=10000.0, s=")
+    assert rep.details["error"].endswith(" in kernel_odd")
+
+    def failing(params, ss, tau=None):
+        raise failure(0.5, 0.25, "a stencil sample")
+
+    monkeypatch.setattr(verify, "kernel_array", failing)
+    rep = radial_pde_residual(EvalParams(3, 1.0))
+    assert not rep.passed and rep.residual == math.inf
+    assert rep.details["error"] == "quadrature did not converge (err_est=0.25) at a stencil sample"
+
+
+@pytest.mark.filterwarnings("error")
+def test_x_marginal_fails_where_its_cutoff_overflows():
+    # at tau 6000 the cutoff s ~ 1424 has a cosh past binary64
+    rep = x_marginal_check(EvalParams(3, 6000.0), 1.0, math.e)
+    assert not rep.passed and rep.residual == math.inf
+    assert rep.details["error"] == "binary64 overflow (cosh of the cutoff s=1424.079000617592) at D=3, tau=6000.0"
 
 
 def test_chapman_kolmogorov_validation():
