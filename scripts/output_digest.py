@@ -32,7 +32,14 @@ of the checkout it sits in:
   stop at the halving cap and are named under ``nonconverged`` (exit 1);
 * ``verify all --dims 3,4,5 --tau 200``, where kernel samples of abel (D =
   3 and 5) and ck (D = 5) overflow binary64 and fail the integrals they
-  feed, which are named under ``nonconverged`` (exit 1).
+  feed, which are named under ``nonconverged`` (exit 1);
+* ``verify pde-horicyclic --dims 5 --tau 10000`` and ``verify ck --dims 3
+  --tau 5000``, where a stencil sample or a target of the kernel row
+  overflows binary64 and fails the reports, the row's located failure
+  under ``error`` (exit 1);
+* ``eval --format csv --s 0`` at ``--dim 3 --tau 5e-13`` and ``--dim 6
+  --tau 1e-12``, the l-series at a rate near 2.5e11, far past the
+  a = 1e6 where its variable is rescaled.
 
 Each printed line reads ``<sha256 of stdout> exit=<code> <arguments>``.
 Run it in two checkouts and diff the outputs:
@@ -122,6 +129,10 @@ def commands() -> list[list[str]]:
     out.append(["verify", "all", "--dims", "6,7,8,9,10,11,12", "--tau", "0.5"])
     out.append(["verify", "all", "--dims", "3", "--tau", "100"])
     out.append(["verify", "all", "--dims", "3,4,5", "--tau", "200"])
+    out.append(["verify", "pde-horicyclic", "--dims", "5", "--tau", "10000"])
+    out.append(["verify", "ck", "--dims", "3", "--tau", "5000"])
+    for dim, tau in (("3", "5e-13"), ("6", "1e-12")):
+        out.append(["eval", "--dim", dim, "--tau", tau, "--s", "0", "--format", "csv"])
     return out
 
 
@@ -134,8 +145,11 @@ def run(argv: list[str]) -> tuple[str, int]:
 
 def _integrals(report: dict) -> list[tuple[float | None, float | None]]:
     """The (value, quad_err) of each integral a verification report carries:
-    abel's lhs per l, ck's convolution, mass's masses and x-marginal's lhs."""
+    abel's lhs per l, ck's convolution, mass's masses and x-marginal's lhs.
+    A report that failed with an ``error`` carries none."""
     details = report["details"]
+    if "error" in details:
+        return []
     if report["check"] == "abel":
         return [(p["lhs"], p["quad_err"]) for p in details["points"]]
     if report["check"] in ("ck", "x-marginal"):

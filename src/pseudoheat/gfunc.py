@@ -49,7 +49,6 @@ __all__ = [
     "evaluate_near_origin",
     "evaluate_many",
     "series_ok",
-    "dump",
 ]
 
 S_MIN = 1e-3
@@ -96,31 +95,6 @@ def _poly_eval(p: tuple[float, ...], a: float) -> float:
     for v in reversed(p):
         acc = acc * a + v
     return acc
-
-
-def _poly_str(p: Poly) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for k in range(len(p) - 1, -1, -1):
-        v = p[k]
-        if v == 0:
-            continue
-        if k == 0:
-            mono = str(v)
-        else:
-            head = "a" if k == 1 else f"a^{k}"
-            if v == 1:
-                mono = head
-            elif v == -1:
-                mono = f"-{head}"
-            else:
-                mono = f"{v}*{head}"
-        parts.append(mono)
-    out = parts[0]
-    for mono in parts[1:]:
-        out += f" - {mono[1:]}" if mono.startswith("-") else f" + {mono}"
-    return out
 
 
 @dataclass(frozen=True)
@@ -184,16 +158,24 @@ class GExpression:
         return (c, *_term_table(self.n))
 
     @cached_property
+    def series_scale(self) -> np.ndarray:
+        """sigma per rate: the l-series runs in sigma w (``_series_scale``)."""
+        return _series_scale(self.rates[0])
+
+    @cached_property
     def front(self) -> np.ndarray:
-        """sqrt(a/pi) exp(E) per rate, the prefactor at s = 0."""
+        """sqrt(a/pi) exp(E) sigma^n per rate: the prefactor at s = 0, times
+        the sigma^n that the l-series' weights leave out."""
         a, E = (x.tolist() for x in self.rates)
-        return np.array([math.sqrt(x / math.pi) * math.exp(y) for x, y in zip(a, E)])
+        front = np.array([math.sqrt(x / math.pi) * math.exp(y) for x, y in zip(a, E)])
+        with np.errstate(over="ignore"):  # an inf front is an overflowed value, as the kernel's would be
+            return front * self.series_scale**self.n
 
     @cached_property
     def series_weights(self) -> np.ndarray:
-        """h_j(a) j!/(j-n)! for j = n..n+SERIES_ORDER_CAP and every rate, shape
-        (SERIES_ORDER_CAP + 1, rates): the l-series of G^(n) in w = l - 1,
-        row m its coefficient of w^m."""
+        """h_j(a) sigma^-j j!/(j-n)! for j = n..n+SERIES_ORDER_CAP and every
+        rate, shape (SERIES_ORDER_CAP + 1, rates): the l-series of G^(n) in
+        w = l - 1 over sigma^n, row m its coefficient of (sigma w)^m."""
         h = _h_series(self.a, self.n + SERIES_ORDER_CAP)[self.n :]
         return h * np.array(_falling_factorials(self.n))[:, None]
 
@@ -417,22 +399,36 @@ def _arccosh_sq_series(order: int) -> tuple[Fraction, ...]:
     )
 
 
+# the l-series runs in sigma w, sigma = max(1, a / _SERIES_RATE) per rate:
+# its coefficients h_m grow like (2a)^m / m!, past binary64 at a = 2.5e11
+# (tau = 1e-12), while those of sigma w stay those of a = 1e6 or less.  Up
+# to a = 1e6 sigma is 1, and every bit is that of the series in w
+_SERIES_RATE = 1e6
+
+
+def _series_scale(a: np.ndarray) -> np.ndarray:
+    """sigma = max(1, a / _SERIES_RATE) per rate of the float array a."""
+    return np.maximum(1.0, a / _SERIES_RATE)
+
+
 # keyed by an expression's rates and the series' order: the rows of one
 # check or quadrature reuse one tau, and a row over many tau takes one entry
 @lru_cache(maxsize=128)
 def _h_series(a: tuple[float, ...], order: int) -> np.ndarray:
-    """Taylor coefficients h_0..h_order of exp(-a v(w)) around w = l - 1 =
-    0, one column per rate of a: shape (order + 1, rates).  The array is
-    shared: read-only.
+    """Taylor coefficients h_m sigma^-m, m = 0..order, of exp(-a v(w))
+    around w = l - 1 = 0, that is its coefficients in sigma w, sigma =
+    ``_series_scale(a)``; one column per rate of a: shape (order + 1,
+    rates).  The array is shared: read-only.
 
     The recurrence h_m = (1/m) sum_{k=1..m} k g_k h_(m-k), g_k = -a v_k,
-    runs in every rate at once; each sum adds its terms in order from 0.0
-    (``np.add.accumulate`` is sequential), as one rate's loop in floats
-    would.
+    taken with h_m sigma^-m and g_k sigma^-k, runs in every rate at once;
+    each sum adds its terms in order from 0.0 (``np.add.accumulate`` is
+    sequential), as one rate's loop in floats would.
     """
     a = np.array(a, dtype=float)
     v = np.array([float(vk) for vk in _arccosh_sq_series(order)])[:, None]
-    kg = np.arange(order + 1.0)[:, None] * (-a * v)  # k g_k
+    k = np.arange(order + 1.0)[:, None]
+    kg = k * (-a * v) * _series_scale(a) ** -k  # k g_k sigma^-k; sigma^-k underflows to 0
     h = np.empty((order + 1, len(a)))
     h[0] = 1.0
     # terms[0] stays 0.0, the sum's start
@@ -458,9 +454,10 @@ def _falling_factorials(n: int) -> tuple[float, ...]:
 
 def _series_many(g: GExpression, s: np.ndarray, rate: np.ndarray) -> np.ndarray:
     """d^n/dl^n of the base function at every entry of s, via the w = l - 1
-    power series: sum_{j=n..n+SERIES_ORDER_CAP} h_j j!/(j-n)! w0^(j-n), by
-    Horner from the top; entry i at the rate numbered rate[i] of g."""
-    w0 = 2.0 * np.sinh(0.5 * s) ** 2  # cosh(s) - 1, cancellation-free
+    power series: sigma^n sum_{j=n..n+SERIES_ORDER_CAP} h_j sigma^-j
+    j!/(j-n)! (sigma w0)^(j-n), by Horner from the top, sigma^n in the
+    front; entry i at the rate numbered rate[i] of g."""
+    w0 = 2.0 * np.sinh(0.5 * s) ** 2 * g.series_scale[rate]  # sigma (cosh(s) - 1), cancellation-free
     weights = g.series_weights[:, rate]
     acc = np.zeros_like(w0)
     for m in range(SERIES_ORDER_CAP, -1, -1):
@@ -533,18 +530,3 @@ def evaluate_many(g: GExpression, s: np.ndarray, rate: np.ndarray) -> np.ndarray
         out[~series] = _terms(g, s[~series], rate[~series])
     return out
 
-
-def dump(g: GExpression) -> str:
-    """Deterministic plain-text rendering of the term set."""
-    lines = []
-    for t in g.terms:
-        bits = [f"({_poly_str(t.coeff)})"]
-        if t.p:
-            bits.append(f"s^{t.p}" if t.p > 1 else "s")
-        if t.q:
-            bits.append("cosh(s)")
-        head = " * ".join(bits)
-        if t.r:
-            head += f" / sinh^{t.r}(s)" if t.r > 1 else " / sinh(s)"
-        lines.append(head)
-    return "\n".join(lines) if lines else "0"

@@ -24,7 +24,8 @@ expression over the row; other even D hand the row to the array evaluator
 ``gfunc.evaluate_many``, odd D the nodes of batched Abel integrations of up
 to 64 entries, each endpoint at its own decay rate.  ``kernel(params, s)``
 (one s, failure raised), ``kernel_row`` (per entry the value or the
-unraised failure) and ``kernel_array`` (the values as an array) are views
+unraised failure) and ``kernel_array`` (the values as an array, nan where
+a sample failed, and the first failure) are views
 of the row, at ``params.tau`` or at a tau per entry, so a value is
 bit-equal alone or in any row.
 """
@@ -236,12 +237,17 @@ def kernel_row(
     ]
 
 
-def kernel_array(params: EvalParams, ss: np.ndarray, tau: np.ndarray | None = None) -> np.ndarray:
+def kernel_array(
+    params: EvalParams, ss: np.ndarray, tau: np.ndarray | None = None
+) -> tuple[np.ndarray, ArithmeticError | None]:
     """``kernel(params.with_tau(t), s, SAMPLED_SPEC).value`` for each s of an
     array, at t = params.tau or, given tau (an array that broadcasts against
     ss), at each entry's tau, as an array of their broadcast shape, from one
-    row of the distinct (s, tau) pairs and with no ``KernelValue``; raises
-    the failure at the smallest failing s (of those, the smallest tau).
+    row of the distinct (s, tau) pairs and with no ``KernelValue``.  An
+    entry whose sample failed is nan, so that it fails every integral or
+    stencil it enters.  Returns the values and the located failure at the
+    smallest failing s (of those, the smallest tau), or None; a numerical
+    failure is never raised.
     """
     if tau is None:  # the distinct s
         key = ss
@@ -251,9 +257,8 @@ def kernel_array(params: EvalParams, ss: np.ndarray, tau: np.ndarray | None = No
     distinct, inverse = np.unique(key, return_inverse=True)
     row_tau = params.tau if tau is None else distinct.imag
     value, _, failures = _row(params, row_tau, distinct.real, SAMPLED_SPEC)
-    if failures:
-        raise failures[min(failures)]
-    return value[inverse].reshape(key.shape)
+    value[list(failures)] = math.nan
+    return value[inverse].reshape(key.shape), failures[min(failures)] if failures else None
 
 
 def kernel(params: EvalParams, s: float, spec: QuadratureSpec = DEFAULT_SPEC) -> KernelValue:

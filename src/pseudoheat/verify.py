@@ -34,9 +34,7 @@ from .geometry import (
 from .kernels import EvalParams, kernel_array
 from .quadrature import (
     TRUNCATION_SIGMA,
-    NonConvergenceError,
     QuadratureSpec,
-    failure,
     gaussian_cutoff,
     integrate_periodic,
     integrate_tanh_sinh,
@@ -114,8 +112,9 @@ def _kernel_integrals(
     is 0.0 the integrand is 0, also where the weight alone overflows.
 
     Integral i stops at max(spec.rel_tol |I_i|, spec.abs_tol |targets[i]|),
-    and is not run where that abs_tol is 0.0.  A failed kernel sample
-    fails every integral, with its value and estimate.
+    and is not run where that abs_tol is 0.0.  A failed kernel sample is
+    nan (``kernel_array``): it fails the integrals it enters, each with
+    value nan and err_est inf, and no other.
     Returns the values and err_est (None where not run), the integrals
     that failed or were not run, and a report's notes: the keys not run
     under ``underflowed``, and the err_est of each integral that failed
@@ -128,19 +127,15 @@ def _kernel_integrals(
     def f(ts: np.ndarray, at: np.ndarray) -> np.ndarray:
         at = run[at]
         s, log_w = nodes(ts, at)
-        k = kernel_array(params, s, None if taus is None else taus[at])
+        k, _ = kernel_array(params, s, None if taus is None else taus[at])
         with np.errstate(divide="ignore", over="ignore"):  # log 0.0 is -inf, and exp of it 0
             return np.exp(np.log(k) + log_w)
 
-    try:
-        v, e, failed = integrate_tanh_sinh(f, 0.0, np.asarray(hi, dtype=float)[run], spec, abs_tol[run])
-        e[~np.isfinite(v)] = math.inf  # an overflowed sum has no estimate
-        v, e, failed = v.tolist(), e.tolist(), np.flatnonzero(failed)
-    except ArithmeticError as exc:
-        v, e, failed = [exc.value] * run.size, [exc.err_est] * run.size, range(run.size)
-    for k, i in enumerate(run.tolist()):
-        value[i], err[i] = v[k], e[k]
-    failed = {int(run[k]) for k in failed}
+    v, e, failed = integrate_tanh_sinh(f, 0.0, np.asarray(hi, dtype=float)[run], spec, abs_tol[run])
+    e[~np.isfinite(v)] = math.inf  # an overflowed sum, or a failed sample, has no estimate
+    for i, x, y in zip(run.tolist(), v.tolist(), e.tolist()):
+        value[i], err[i] = x, y
+    failed = set(run[failed].tolist())
     notes = {}
     if run.size < len(keys):
         notes["underflowed"] = [key for key, tol in zip(keys, abs_tol) if tol == 0.0]
@@ -249,26 +244,27 @@ def _pde_steps(params: EvalParams, s: float, tau: float) -> tuple[float, float]:
 
 def _pde_pieces(
     params: EvalParams, points: Sequence[tuple[float, float]]
-) -> list[tuple[float, float, float, float]]:
+) -> tuple[list[tuple[float, float, float, float]], ArithmeticError | None]:
     """(K, dK/dtau, radial Laplacian of K, scale) at each (s, tau) of points,
     by 4th-order stencils in s and in tau (steps from ``_pde_steps``), every
-    stencil point of every point in one kernel row."""
+    stencil point of every point in one kernel row, and that row's first
+    failure (``kernel_array``), or None."""
     steps = [_pde_steps(params, s, tau) for s, tau in points]
     ss, taus = [], []
     for (s, tau), (h_s, h_t) in zip(points, steps):
         ss += [s + 2 * h_s, s + h_s, s, s - h_s, s - 2 * h_s] + [s] * 4
         taus += [tau] * 5 + _tau_stencil(tau, h_t)
-    values = kernel_array(params, np.array(ss), np.array(taus)).reshape(-1, 9).tolist()
+    values, failure = kernel_array(params, np.array(ss), np.array(taus))
     kappa = params.kappa
     out = []
-    for (s, tau), (h_s, h_t), (kp2, kp1, val, km1, km2, *at_taus) in zip(points, steps, values):
+    for (s, tau), (h_s, h_t), (kp2, kp1, val, km1, km2, *at_taus) in zip(points, steps, values.reshape(-1, 9).tolist()):
         k_t = _d1(*at_taus, h_t)
         k_s = _d1(kp2, kp1, km1, km2, h_s)
         k_ss = _d2(kp2, kp1, val, km1, km2, h_s)
         lap = k_ss + (params.D - 2) / math.tanh(s) * k_s
         scale = max(abs(k_t), kappa * abs(k_ss), kappa * (params.D - 2) * abs(k_s / math.tanh(s)), abs(val))
         out.append((val, k_t, lap, scale))
-    return out
+    return out, failure
 
 
 def _fit_heat_equation(
@@ -310,10 +306,9 @@ def radial_pde_residual(
     tolerance = 1e-7 if params.D == 4 else (1e-6 if params.D % 2 == 0 else 1e-5)
     grid = [(s, tau) for tau in tau_grid for s in s_grid]
     points = [{"s": s, "tau": tau} for s, tau in grid]
-    try:
-        pieces = _pde_pieces(params, grid)
-    except ArithmeticError as exc:
-        details = {"grid": f"s in {list(s_grid)}, tau in {list(tau_grid)}", "error": str(exc)}
+    pieces, failure = _pde_pieces(params, grid)
+    if failure:
+        details = {"grid": f"s in {list(s_grid)}, tau in {list(tau_grid)}", "error": str(failure)}
         return VerificationReport.make("pde-radial", params.D, math.inf, tolerance, details)
     c_fit, worst, underflowed = _fit_heat_equation(params.kappa, points, pieces)
     c_values = [p["c_pointwise"] for p in points if p["c_pointwise"] is not None]
@@ -339,7 +334,8 @@ def horicyclic_pde_residual(
     The kernel at every point of every pair's stencils, the Laplacian's
     around q2 at tau and the time derivative's at q2 (its step from
     ``_pde_steps``), is one kernel row; where a sample of it fails the
-    report fails, as pde-radial's does."""
+    report fails, the row's first failure under ``error``, as pde-radial's
+    does."""
     quad_backed = params.D == 3
     tau = params.tau
     steps, points = [], []  # steps per pair: the Laplacian's stencil size and step, h_tau
@@ -353,11 +349,11 @@ def horicyclic_pde_residual(
         points.append({"s": s12})
         ss += [geodesic_distance(q1, q) for q in space] + [s12] * 4
         taus += [tau] * len(space) + _tau_stencil(tau, h_t)
-    try:
-        values = iter(kernel_array(params, np.array(ss), np.array(taus)).tolist())
-    except ArithmeticError as exc:
-        details = {"tau": params.tau, "n_pairs": len(pairs), "error": str(exc)}
+    values, failure = kernel_array(params, np.array(ss), np.array(taus))
+    if failure:
+        details = {"tau": params.tau, "n_pairs": len(pairs), "error": str(failure)}
         return VerificationReport.make("pde-horicyclic", params.D, math.inf, 1e-4, details)
+    values = iter(values.tolist())
     pieces = []
     for (_, q2), (size, h, h_t) in zip(pairs, steps):
         at_space, at_taus = list(islice(values, size)), list(islice(values, 4))
@@ -376,8 +372,9 @@ def horicyclic_pde_residual(
 
 def _convolve_kernels(
     params1: EvalParams, params2: EvalParams, d: float, spec: QuadratureSpec, target: float, k2_peak: float
-) -> tuple[float, float]:
-    """Geodesic polar convolution int K1(r) K2(rho(r, theta)) dV: (value, err_est).
+) -> tuple[float, float, bool]:
+    """Geodesic polar convolution int K1(r) K2(rho(r, theta)) dV: value,
+    err_est and failed.
 
     r runs on the tanh-sinh rule.  For each level of r nodes, theta runs on
     the plain trapezoid at odd D, where the integrand sin^(D-3) theta K2 is
@@ -392,10 +389,10 @@ def _convolve_kernels(
     in theta^2, and the periodic rule starts from a step of at most twice
     that peak's width, so that its first |I_h - I_2h| cannot step over it.
     An r node where K1 is 0.0 adds nothing; the radial weight K1 sinh^(D-2)
-    r is formed in logs, and an OverflowError names the first r where
-    binary64 cannot hold it.  A theta integral that fails fails the
-    convolution, with no value.  Every error raised carries a value and
-    err_est.
+    r is formed in logs.  An r node is nan where its K1 sample or its theta
+    integral failed (a failed sample is nan), or where binary64 cannot hold
+    the radial weight times cosh r cosh d: it fails the r rule, and the
+    convolution fails with value nan and err_est inf.
     """
     D = params1.D
     cd, sd = math.cosh(d), math.sinh(d)
@@ -412,46 +409,43 @@ def _convolve_kernels(
 
     def outer(rs: np.ndarray, at: np.ndarray) -> np.ndarray:
         nonlocal theta_err
-        k1 = kernel_array(params1, rs)
-        kept = np.flatnonzero(k1)
+        k1, _ = kernel_array(params1, rs)
+        kept = np.flatnonzero(k1)  # a failed K1 is nan, and kept
         r = rs[kept]
-        with np.errstate(over="ignore"):
+        # the weight overflows, and sinh r times sinh 0 is inf * 0 past r ~ 710
+        with np.errstate(over="ignore", invalid="ignore"):
             radial = ang_front * np.exp(np.log(k1[kept]) + (D - 2) * _log_sinh(r))
-        bound = math.pi * k2_peak * radial
-        theta_err = max(theta_err, np.max(bound, initial=0.0, where=bound <= theta_tol))
-        kept, r, radial = (x[bound > theta_tol] for x in (kept, r, radial))
-        with np.errstate(over="ignore"):
             cc, ss = np.cosh(r) * cd, np.sinh(r) * sd
-        bad = ~np.isfinite(radial * cc)
-        if np.count_nonzero(bad):
-            where = f"D={D}, tau={params1.tau!r}, r={float(r[bad].min())!r} in the convolution's radial weight"
-            raise failure(math.inf, math.inf, where)
+            bound = math.pi * k2_peak * radial
+            small = bound <= theta_tol  # False where K1 failed
+            bad = ~small & ~np.isfinite(radial * cc)
+        theta_err = max(theta_err, np.max(bound, initial=0.0, where=small))
+        out = np.zeros(len(rs))
+        out[kept[bad]] = math.nan
+        kept, radial, cc, ss = (x[~(small | bad)] for x in (kept, radial, cc, ss))
 
         def theta_integrand(ths: np.ndarray, cols: np.ndarray) -> np.ndarray:
             # cosh rho at each (theta, r) node, by the hyperbolic law of cosines
             u = cc[cols] - np.cos(ths) * ss[cols]
-            k2 = kernel_array(params2, np.arccosh(np.maximum(u, 1.0)))
+            k2, _ = kernel_array(params2, np.arccosh(np.maximum(u, 1.0)))
             return k2 * np.sin(ths) ** (D - 3) * radial[cols]
 
-        tol = np.full(len(r), theta_tol)
+        tol = np.full(len(kept), theta_tol)
         if D % 2:
             # a step pi / n of at most 2 / sqrt(a2 sinh r sinh d), n in 16 .. 1024
             intervals = 2.0 * np.clip(np.ceil(0.25 * math.pi * np.sqrt(params2.a * ss)), 8.0, 512.0)
             theta, err, failed = integrate_periodic(theta_integrand, 0.0, math.pi, spec, tol, intervals)
         else:
             theta, err, failed = integrate_tanh_sinh(theta_integrand, 0.0, math.pi, spec, tol)
-        if np.count_nonzero(failed):  # the convolution fails, with no value
-            raise NonConvergenceError(math.nan, math.inf)
-        theta_err = max(theta_err, np.max(err, initial=0.0))
-        out = np.zeros(len(rs))
+        theta_err = max(theta_err, np.max(err, initial=0.0, where=~failed))
+        theta[failed] = math.nan
         out[kept] = theta
         return out
 
     (value,), (err,), (failed,) = integrate_tanh_sinh(outer, 0.0, r_max, spec)
-    value, err_est = float(value), float(err) + r_max * theta_err
-    if failed:
-        raise NonConvergenceError(value, err_est)
-    return value, err_est
+    value = float(value)
+    err_est = float(err) + r_max * theta_err if math.isfinite(value) else math.inf
+    return value, err_est, bool(failed)
 
 
 def chapman_kolmogorov_many(
@@ -474,21 +468,17 @@ def chapman_kolmogorov_many(
         tolerance = 1e-3 if D == 3 else 1e-4
     spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-30)
     taus = np.array([params1.tau + params2.tau] * len(d_values) + [params2.tau])
-    try:
-        *targets, k2_peak = kernel_array(params1, np.array([*d_values, 0.0], dtype=float), taus).tolist()
-    except ArithmeticError as exc:  # no target or K2 to convolve: every d fails
-        details = lambda d: {"tau1": params1.tau, "tau2": params2.tau, "d": d, "error": str(exc)}
+    values, failure = kernel_array(params1, np.array([*d_values, 0.0], dtype=float), taus)
+    if failure:  # no target or K2 to convolve: every d fails
+        details = lambda d: {"tau1": params1.tau, "tau2": params2.tau, "d": d, "error": str(failure)}
         return [VerificationReport.make("ck", D, math.inf, tolerance, details(d)) for d in d_values]
+    *targets, k2_peak = values.tolist()
     out = []
     for d, target in zip(d_values, targets):
-        notes = {}
-        try:
-            scaled = QuadratureSpec(spec.rel_tol, spec.abs_tol * abs(target) or spec.abs_tol)
-            conv, err = _convolve_kernels(params1, params2, d, scaled, target, k2_peak)
-            rel = abs(conv - target) / abs(target) if target != 0.0 else math.inf
-        except ArithmeticError as exc:  # the convolution or a kernel sample failed
-            conv, err, rel = exc.value, exc.err_est, math.inf
-            notes["nonconverged"] = {f"{d:g}": err}
+        scaled = QuadratureSpec(spec.rel_tol, spec.abs_tol * abs(target) or spec.abs_tol)
+        conv, err, failed = _convolve_kernels(params1, params2, d, scaled, target, k2_peak)
+        rel = abs(conv - target) / abs(target) if target != 0.0 and not failed else math.inf
+        notes = {"nonconverged": {f"{d:g}": err}} if failed else {}
         details = {
             "tau1": params1.tau,
             "tau2": params2.tau,

@@ -14,7 +14,7 @@ from pseudoheat import gfunc
 from pseudoheat.gfunc import (
     S_MIN,
     GTerm,
-    dump,
+    derivative_terms,
     evaluate,
     evaluate_near_origin,
     expression,
@@ -192,34 +192,27 @@ def test_sign_alternation():
                 assert (-1.0) ** n * evaluate(g, s) > 0.0
 
 
-def test_dump_golden():
-    a, e = 0.5, 0.0
-    assert dump(expression(0, a, e)) == "(1)"
-    g1 = expression(1, a, e)
-    assert dump(g1) == "(-2*a) * s / sinh(s)"
-    g2 = expression(2, a, e)
-    assert dump(g2) == "\n".join(
-        [
-            "(-2*a) / sinh^2(s)",
-            "(2*a) * s * cosh(s) / sinh^3(s)",
-            "(4*a^2) * s^2 / sinh^2(s)",
-        ]
+def test_derivative_terms_golden():
+    # c(a) s^p cosh^q(s) / sinh^r(s) as GTerm(c's coefficients in a, p, q, r)
+    assert derivative_terms(0) == (GTerm((1,), 0, 0, 0),)
+    assert derivative_terms(1) == (GTerm((0, -2), 1, 0, 1),)
+    assert derivative_terms(2) == (
+        GTerm((0, -2), 0, 0, 2),
+        GTerm((0, 2), 1, 1, 3),
+        GTerm((0, 0, 4), 2, 0, 2),
     )
-    g3 = expression(3, a, e)
-    assert dump(g3) == "\n".join(
-        [
-            "(6*a) * cosh(s) / sinh^4(s)",
-            "(12*a^2 - 4*a) * s / sinh^3(s)",
-            "(-6*a) * s / sinh^5(s)",
-            "(-12*a^2) * s^2 * cosh(s) / sinh^4(s)",
-            "(-8*a^3) * s^3 / sinh^3(s)",
-        ]
+    assert derivative_terms(3) == (
+        GTerm((0, 6), 0, 1, 4),
+        GTerm((0, -4, 12), 1, 0, 3),
+        GTerm((0, -6), 1, 0, 5),
+        GTerm((0, 0, -12), 2, 1, 4),
+        GTerm((0, 0, 0, -8), 3, 0, 3),
     )
 
 
-def test_dump_deterministic_and_expression_hashable():
+def test_derivative_terms_deterministic_and_expression_hashable():
     g = gfunc.expression(3, 0.25, 0.0)
-    assert dump(g) == dump(gfunc.expression(3, 0.25, 0.0))
+    assert g.terms == gfunc.expression(3, 0.25, 0.0).terms == derivative_terms(3)
     assert hash(g) == hash(gfunc.expression(3, 0.25, 0.0))
 
 

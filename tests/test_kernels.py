@@ -555,6 +555,21 @@ def test_kernel_odd_long_time_nodes_stay_finite():
     assert kernel(EvalParams(3, 1000.0), 0.0).value == pytest.approx(6.972001165339247e-06, rel=1e-9)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [1e-12, 1e-14, 1e-20])
+def test_kernel_at_tiny_tau_is_its_short_time_form(tau):
+    # the rate a = 1/(4 tau) reaches 2.5e19, where the l-series' coefficients
+    # in w = l - 1 would overflow binary64 (they grow like (2a)^m / m!); its
+    # O(tau) correction leaves the short-time form 7e-12 off at tau 1e-12
+    for dim in range(3, 13):
+        p = EvalParams(dim, tau)
+        for s in (0.0, math.sqrt(tau), 3.0 * math.sqrt(tau)):
+            ratio = s / math.sinh(s) if s else 1.0
+            want = (4.0 * math.pi * tau) ** (-(dim - 1) / 2) * ratio ** ((dim - 2) / 2)
+            want *= math.exp(-s * s / (4.0 * tau) + p.E)
+            assert kernel(p, s).value == pytest.approx(want, rel=1e-9), (dim, s)
+
+
 # --- the array view -------------------------------------------------------------
 
 
@@ -565,16 +580,20 @@ def test_kernel_array_is_the_rows_values(dim):
     ss = np.array([[1.0, 0.3, 0.0, 17.0], [0.3, 6.0, 1.0, 0.05]])
     for tau in (0.01, 0.5, 30.0):
         p = EvalParams(dim, tau)
-        got = kernel_array(p, ss)
-        assert got.shape == ss.shape
+        got, failed = kernel_array(p, ss)
+        assert got.shape == ss.shape and failed is None
         assert got.ravel().tolist() == [kv.value for kv in kernel_row(p, ss.ravel().tolist(), SAMPLED_SPEC)]
 
 
-def test_kernel_array_raises_the_failure_at_the_smallest_failing_s(monkeypatch):
+@pytest.mark.filterwarnings("error")
+def test_kernel_array_returns_nan_and_the_failure_at_the_smallest_failing_s(monkeypatch):
     # (a/pi)^1.5 overflows at every s of a D = 4 row at tau = 1e-300
-    with pytest.raises(OverflowError, match=r"^binary64 overflow .* at D=4, tau=1e-300, s=0.5 in kernel_d4$"):
-        kernel_array(EvalParams(4, 1e-300), np.array([2.0, 0.5, 1.0]))
-    # an odd row that fails at every s >= 1
+    values, failed = kernel_array(EvalParams(4, 1e-300), np.array([2.0, 0.5, 1.0]))
+    assert np.isnan(values).all()
+    assert isinstance(failed, OverflowError)
+    assert str(failed) == "binary64 overflow (value nan) at D=4, tau=1e-300, s=0.5 in kernel_d4"
+    # an odd row that fails at every s >= 1: those entries are nan, the
+    # others are their lone values, and the failure is the one at s = 1
     odd_row = kernels._ROUTES["kernel_odd"]
 
     def failing_from_one(params, ss, spec):
@@ -583,12 +602,14 @@ def test_kernel_array_raises_the_failure_at_the_smallest_failing_s(monkeypatch):
         return np.where(inject, 0.5, value), np.where(inject, 0.25, err), failed | inject
 
     monkeypatch.setitem(kernels._ROUTES, "kernel_odd", failing_from_one)
-    with pytest.raises(NonConvergenceError, match=r" at D=5, tau=0.5, s=1.0 in kernel_odd$") as info:
-        kernel_array(EvalParams(5, 0.5), np.array([2.0, 0.5, 1.0, 2.0, 0.0]))
-    assert (info.value.value, info.value.err_est) == (0.5, 0.25)
-    assert kernel_array(EvalParams(5, 0.5), np.array([0.5, 0.0])).tolist() == [
-        kernel(EvalParams(5, 0.5), s, SAMPLED_SPEC).value for s in (0.5, 0.0)
-    ]
+    ss = np.array([2.0, 0.5, 1.0, 2.0, 0.0])
+    values, failed = kernel_array(EvalParams(5, 0.5), ss)
+    assert isinstance(failed, NonConvergenceError)
+    assert str(failed).endswith(" at D=5, tau=0.5, s=1.0 in kernel_odd")
+    assert (failed.value, failed.err_est) == (0.5, 0.25)
+    assert np.isnan(values[ss >= 1.0]).all()
+    monkeypatch.undo()
+    assert values[ss < 1.0].tolist() == [kernel(EvalParams(5, 0.5), s, SAMPLED_SPEC).value for s in (0.5, 0.0)]
 
 
 def test_located_failures_carry_d_tau_and_s():
@@ -628,7 +649,8 @@ def test_mixed_tau_row_equals_lone_calls(dim, monkeypatch):
     taus, ss = (np.array([pairs[i][k] for i in order]) for k in (0, 1))
     p = EvalParams(dim, 1.0)
     row = kernel_row(p, ss, tau=taus)
-    values = kernel_array(p, ss, taus)
+    values, failed = kernel_array(p, ss, taus)
+    assert failed is None
     monkeypatch.undo()
     for tau, s, kv, value in zip(taus.tolist(), ss.tolist(), row, values.tolist()):
         assert _same(kernel(p.with_tau(tau), s), kv), (tau, s, kv)

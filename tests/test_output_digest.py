@@ -3,6 +3,7 @@
 import copy
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
@@ -138,6 +139,8 @@ def test_parse_records_each_reports_integrals_with_their_quad_err():
         {"check": "x-marginal", "D": 3, "residual": 1e-9, "passed": True,
          "details": {"lhs": 0.75, "rhs": 0.75, "quad_err": 3e-12}},
         {"check": "pde-radial", "D": 3, "residual": 1e-9, "passed": True, "details": {}},
+        # a report that failed on its kernel row has an error and no integral
+        {"check": "ck", "D": 3, "residual": math.inf, "passed": False, "details": {"d": 1.0, "error": "overflow"}},
     ]
     items = digest.parse(["verify", "all"], json.dumps({"reports": reports}))
     assert [item["values"] for item in items] == [
@@ -145,6 +148,7 @@ def test_parse_records_each_reports_integrals_with_their_quad_err():
         [{"value": 0.25, "quad_err": 1e-10}],
         [{"value": 1.1, "quad_err": 1e-12}, {"value": 1.2, "quad_err": 2e-12}],
         [{"value": 0.75, "quad_err": 3e-12}],
+        [],
         [],
     ]
     assert [(i["check"], i["residual"], i["passed"]) for i in items] == [

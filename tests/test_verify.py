@@ -81,7 +81,7 @@ def test_abel_with_a_kernel_that_never_underflows_names_its_l(monkeypatch):
     # a kernel that never underflows leaves the weight (k - l)^13 in the
     # integrand, and its sums overflow binary64: the weight in logs raises
     # no warning, and every l is named with no estimate
-    monkeypatch.setattr(verify, "kernel_array", lambda params, ss, tau=None: np.ones_like(ss))
+    monkeypatch.setattr(verify, "kernel_array", lambda params, ss, tau=None: (np.ones_like(ss), None))
     rep = abel_residual(EvalParams(30, 2.0))
     assert not rep.passed and rep.residual == math.inf
     assert rep.details["nonconverged"] == {f"{l:g}": math.inf for l in verify._L_GRID}
@@ -217,17 +217,19 @@ def test_chapman_kolmogorov_nonconvergence_fails_the_report():
     assert rep.details["nonconverged"] == {"1": math.inf}
 
 
+@pytest.mark.filterwarnings("error")
 def test_chapman_kolmogorov_radial_weight_overflow_is_located(monkeypatch):
     # a kernel that never underflows leaves K1 sinh^3 r above binary64 past
-    # r ~ 237: the convolution fails there instead of integrating inf, and
-    # its report names d
-    monkeypatch.setattr(verify, "kernel_array", lambda params, ss, tau=None: np.ones(np.shape(ss)))
-    where = r"^binary64 overflow \(value inf\) at D=5, tau=100.0, r=2[34]\d\.\d+ in the convolution's radial weight$"
-    with pytest.raises(OverflowError, match=where):
-        verify._convolve_kernels(EvalParams(5, 100.0), EvalParams(5, 100.0), 1.0, QuadratureSpec(), 1.0, 1.0)
+    # r ~ 237: those r nodes are nan, so the convolution fails instead of
+    # integrating inf, with no estimate, and its report names d
+    monkeypatch.setattr(verify, "kernel_array", lambda params, ss, tau=None: (np.ones(np.shape(ss)), None))
+    value, err, failed = verify._convolve_kernels(
+        EvalParams(5, 100.0), EvalParams(5, 100.0), 1.0, QuadratureSpec(), 1.0, 1.0
+    )
+    assert failed and math.isnan(value) and err == math.inf
     (rep,) = chapman_kolmogorov_many(EvalParams(5, 100.0), EvalParams(5, 100.0), [1.0])
     assert not rep.passed and rep.residual == math.inf
-    assert rep.details["convolution"] == math.inf and rep.details["nonconverged"] == {"1": math.inf}
+    assert math.isnan(rep.details["convolution"]) and rep.details["nonconverged"] == {"1": math.inf}
 
 
 def test_chapman_kolmogorov_target_failure_fails_every_report():
@@ -251,7 +253,8 @@ def test_pde_checks_fail_on_a_failed_stencil_sample(monkeypatch):
     assert rep.details["error"].endswith(" in kernel_odd")
 
     def failing(params, ss, tau=None):
-        raise failure(0.5, 0.25, "a stencil sample")
+        shape = np.broadcast_shapes(np.shape(ss), np.shape(tau))
+        return np.full(shape, math.nan), failure(0.5, 0.25, "a stencil sample")
 
     monkeypatch.setattr(verify, "kernel_array", failing)
     rep = radial_pde_residual(EvalParams(3, 1.0))
@@ -439,8 +442,9 @@ def test_batched_integrands_equal_the_pointwise_integrals(dim, monkeypatch):
 
 
 def test_nonconvergence_inside_a_batch_reaches_abel_residual(monkeypatch):
-    # a kernel failure at one node of a batch fails that grid point's
-    # integral, as a scalar kernel() call raising there did
+    # a kernel failure at one node of a batch is nan there: it fails the
+    # integral of each l whose nodes it is among, with value nan and
+    # err_est inf, not the failed sample's value and estimate
     def row_failing_at_the_fourth_node(params, tau, ss, spec, route=None):
         value, err, failures = _real_row(params, tau, ss, spec, route)
         if len(ss) > 3:
@@ -448,8 +452,31 @@ def test_nonconvergence_inside_a_batch_reaches_abel_residual(monkeypatch):
         return value, err, failures
 
     monkeypatch.setattr(kernels, "_row", row_failing_at_the_fourth_node)
+    # the fourth node of the first grid is l = 1's, and of the first halving,
+    # where l = 1 has failed, l = cosh 1's
     rep = abel_residual(EvalParams(3, 1.0), l_grid=(1.0, math.cosh(1.0)))
     assert not rep.passed and rep.residual == math.inf
     for point in rep.details["points"]:
         assert point["rel_residual"] == math.inf
-        assert (point["lhs"], point["quad_err"]) == (0.5, 0.25)
+        assert math.isnan(point["lhs"]) and point["quad_err"] == math.inf
+    assert rep.details["nonconverged"] == {"1": math.inf, "1.54308": math.inf}
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_failed_kernel_sample_fails_only_the_mass_it_enters(monkeypatch):
+    # every kernel entry at tau = 1 fails: that mass is nan, named under
+    # nonconverged with err_est inf, and the other masses keep their bits
+    params, taus = EvalParams(5, 0.5), [0.5, 1.0, 1.5]
+    value, err, _, _ = verify._masses(params, taus)
+
+    def row_failing_at_tau_one(params, tau, ss, spec, route=None):
+        row_value, row_err, failures = _real_row(params, tau, ss, spec, route)
+        for i in np.flatnonzero(np.broadcast_to(tau, ss.shape) == 1.0).tolist():
+            failures[i] = NonConvergenceError(0.5, 0.25, "injected")
+        return row_value, row_err, failures
+
+    monkeypatch.setattr(kernels, "_row", row_failing_at_tau_one)
+    got, got_err, failed, notes = verify._masses(params, taus)
+    assert failed == {1} and notes == {"nonconverged": {"1": math.inf}}
+    assert math.isnan(got[1]) and got_err[1] == math.inf
+    assert (got[0], got[2], got_err[0], got_err[2]) == (value[0], value[2], err[0], err[2])
