@@ -64,6 +64,9 @@ def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=False))
 
 
+_S_OR_PAIR = "give either --s or the point pair --y1/--x1/--y2/--x2"
+
+
 def _point_pair(args, y1: float | None = None, y2: float | None = None, x2: list[float] | None = None):
     """The points (--y1, --x1) and (--y2, --x2) in D = --dim.  A height not
     given is y1 or y2, and required where that is None; flat coordinates
@@ -71,7 +74,7 @@ def _point_pair(args, y1: float | None = None, y2: float | None = None, x2: list
     y1 = args.y1 if args.y1 is not None else y1
     y2 = args.y2 if args.y2 is not None else y2
     if y1 is None or y2 is None:
-        raise ValueError("give either --s or the point pair --y1/--x1/--y2/--x2")
+        raise ValueError(_S_OR_PAIR)
     zeros = [0.0] * (args.dim - 2)
     x1 = _parse_floats(args.x1) if args.x1 else zeros
     x2 = _parse_floats(args.x2) if args.x2 else x2 or zeros
@@ -83,6 +86,8 @@ def _point_pair(args, y1: float | None = None, y2: float | None = None, x2: list
 
 def cmd_eval(args) -> int:
     params = EvalParams(args.dim, args.tau, args.m, args.hbar)
+    if args.s is not None and any(v is not None for v in (args.y1, args.x1, args.y2, args.x2)):
+        raise ValueError(_S_OR_PAIR)
     s = args.s if args.s is not None else geodesic_distance(*_point_pair(args))
     kv = kernel(params, s, _quad_spec(args))
     if args.format == "csv":

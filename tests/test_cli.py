@@ -52,6 +52,14 @@ def test_eval_rejects_low_dimension():
     assert "D must be >= 3" in res.stderr
 
 
+@pytest.mark.parametrize("flag", ["--y1", "--x1", "--y2", "--x2"])
+def test_eval_rejects_s_with_a_point_pair_flag(capsys, flag):
+    assert cli.main(["eval", "--dim", "3", "--tau", "1", "--s", "1", flag, "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: give either --s or the point pair --y1/--x1/--y2/--x2\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -404,7 +412,7 @@ def test_verify_all_prints_every_suite_around_a_nonconverged_integral(capsys):
     assert list(failed) == ["abel", "x-marginal"]
     assert list(failed["abel"]) == ["1", "1.12763", "1.54308", "3.7622", "10.0677"]
     (err,) = failed["x-marginal"].values()
-    assert list(failed["x-marginal"]) == ["1,2.71828"] and 4e-9 < err < 5e-9
+    assert list(failed["x-marginal"]) == ["1,2.71828"] and 5.2e-9 < err < 6.2e-9
 
 
 @pytest.mark.filterwarnings("error")

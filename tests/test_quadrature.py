@@ -409,15 +409,16 @@ def test_abel_endpoints_at_their_own_rates_equal_lone_calls():
     # one pass over endpoints with a decay rate each gives every endpoint
     # the bits of its lone call at that rate, failures included
     F = lambda s: np.exp(-0.3 * s * s)
-    ds = [0.0, 0.5, 2.0, 0.5, 1.0]
-    rates = [0.3, 0.3, 1.0, 4.0, 1e-3]
-    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)
+    ds = [3.0, 0.0, 0.5, 2.0, 0.5, 1.0]
+    rates = [0.3, 0.3, 0.3, 1.0, 4.0, 1e-3]
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
     got = _abel_rows(F, ds, np.array(rates), spec)
     for d, rate, row in zip(ds, rates, got):
         assert [row] == _abel_rows(F, [d], rate, spec), (d, rate)
     assert any(failed for _, _, failed in got) and not all(failed for _, _, failed in got)
-    # a loose spec.abs_tol stops the first endpoint earlier, at equal d and rate
-    ((_, loose_err, _),) = _abel_rows(F, [0.0], 0.3, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-2))
+    # a loose spec.abs_tol stops the first endpoint earlier, at equal d and
+    # rate: on its first grid, which the tight call halves
+    ((_, loose_err, _),) = _abel_rows(F, [3.0], 0.3, QuadratureSpec(rel_tol=1e-13, abs_tol=1e-2))
     assert loose_err > got[0][1]
 
 
