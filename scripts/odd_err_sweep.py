@@ -31,8 +31,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from _oracles import odd_reference  # noqa: E402
-from pseudoheat.kernels import SAMPLED_SPEC, EvalParams, kernel_row  # noqa: E402
+from pseudoheat.kernels import EvalParams, kernel_row  # noqa: E402
 from pseudoheat.quadrature import DEFAULT_SPEC  # noqa: E402
+from pseudoheat.verify import SAMPLED_SPEC  # noqa: E402
 
 DIMS = (3, 5, 7, 9, 15)
 TAUS = (0.01, 0.05, 0.5, 2.0, 5.0, 30.0)
@@ -48,17 +49,20 @@ def references(points) -> dict:
 
 def sweep(refs: dict, spec) -> list[tuple]:
     """Per point of refs, in its order: (D, tau, s, error, err_est), both
-    relative to the reference; a failed point has the error of its value
-    and an err_est of inf."""
+    relative to the reference; a failed point has the error of the value
+    its failure carries and an err_est of inf."""
     rows = {}
     for D, tau, s in refs:
         rows.setdefault((D, tau), []).append(s)
     out = {}
     for (D, tau), ss in rows.items():
-        for s, kv in zip(ss, kernel_row(EvalParams(D, tau), ss, spec)):
+        values, errs, failures = kernel_row(EvalParams(D, tau), ss, spec)
+        carried = {exc.s: exc.value for exc in failures}
+        for s, value, err_est in zip(ss, values.tolist(), errs.tolist()):
             ref = refs[D, tau, s]
-            err_est = math.inf if isinstance(kv, ArithmeticError) else kv.err_est
-            out[D, tau, s] = (D, tau, s, abs(kv.value - ref) / abs(ref), err_est / abs(ref))
+            if s in carried:
+                value, err_est = carried[s], math.inf
+            out[D, tau, s] = (D, tau, s, abs(value - ref) / abs(ref), err_est / abs(ref))
     return [out[p] for p in refs]
 
 

@@ -39,7 +39,14 @@ of the checkout it sits in:
   under ``error`` (exit 1);
 * ``eval --format csv --s 0`` at ``--dim 3 --tau 5e-13`` and ``--dim 6
   --tau 1e-12``, the l-series at a rate near 2.5e11, far past the
-  a = 1e6 where its variable is rescaled.
+  a = 1e6 where its variable is rescaled;
+* ``verify pde-horicyclic --dims 4,5 --tau 1e62`` and ``verify all --dims
+  3,4,5`` at ``--tau 1e62`` and ``--tau 1e70``, where the heat-equation
+  time step's fifth powers pass binary64 and (at 1e70) abel's Gaussian
+  cutoffs are nan, ``verify ck --dims 8 --tau 1e44``, whose convolution
+  cutoffs are nan, and ``verify mass --dims 4 --tau 1 --hbar 1e300`` and
+  ``verify all --dims 4 --tau 1 --m 1e-300``, where the masses underflow
+  to 0.0: every check fails on its own and reports (exit 1).
 
 Each printed line reads ``<sha256 of stdout> exit=<code> <arguments>``.
 Run it in two checkouts and diff the outputs:
@@ -133,6 +140,12 @@ def commands() -> list[list[str]]:
     out.append(["verify", "ck", "--dims", "3", "--tau", "5000"])
     for dim, tau in (("3", "5e-13"), ("6", "1e-12")):
         out.append(["eval", "--dim", dim, "--tau", tau, "--s", "0", "--format", "csv"])
+    out.append(["verify", "pde-horicyclic", "--dims", "4,5", "--tau", "1e62"])
+    for tau in ("1e62", "1e70"):
+        out.append(["verify", "all", "--dims", "3,4,5", "--tau", tau])
+    out.append(["verify", "ck", "--dims", "8", "--tau", "1e44"])
+    out.append(["verify", "mass", "--dims", "4", "--tau", "1", "--hbar", "1e300"])
+    out.append(["verify", "all", "--dims", "4", "--tau", "1", "--m", "1e-300"])
     return out
 
 

@@ -15,7 +15,7 @@ import math
 import sys
 
 from .geometry import HoricyclicPoint, geodesic_distance
-from .kernels import EvalParams, KernelValue, kernel, kernel_row
+from .kernels import EvalParams, kernel, kernel_row
 from .lattice import convergence_order, lattice_rows
 from .quadrature import QuadratureSpec
 from . import verify
@@ -117,15 +117,13 @@ def cmd_table(args) -> int:
     # the whole grid in one kernel row, tau-major
     cells = [(tau, s) for tau in taus for s in ss]
     params = EvalParams(args.dim, taus[0], args.m, args.hbar)
-    row = kernel_row(params, [s for _, s in cells], spec, tau=[tau for tau, _ in cells])
-    rows = []
-    for (tau, s), kv in zip(cells, row):
-        if isinstance(kv, KernelValue):
-            rows.append((args.dim, tau, s, kv.value, kv.err_est, None))
-        else:  # a failure carries its err_est, inf for an overflow
-            rows.append((args.dim, tau, s, None, kv.err_est, str(kv)))
-
-    failed = any(r[5] is not None for r in rows)
+    values, errs, failures = kernel_row(params, [s for _, s in cells], spec, tau=[tau for tau, _ in cells])
+    # a failed cell's value is nan and its err_est its failure's, inf for an overflow
+    notes = {(exc.tau, exc.s): str(exc) for exc in failures}
+    rows = [
+        (args.dim, tau, s, None if (tau, s) in notes else value, err, notes.get((tau, s)))
+        for (tau, s), value, err in zip(cells, values.tolist(), errs.tolist())
+    ]
     if args.format == "csv":
         print(CSV_HEADER)
         for d, tau, s, value, err, note in rows:
@@ -144,7 +142,7 @@ def cmd_table(args) -> int:
                 ],
             }
         )
-    return 3 if failed else 0
+    return 3 if failures else 0
 
 
 def cmd_verify(args) -> int:

@@ -23,11 +23,10 @@ is built once per row for the row's distinct tau.  D = 4 is one numpy
 expression over the row; other even D hand the row to the array evaluator
 ``gfunc.evaluate_many``, odd D the nodes of batched Abel integrations of up
 to 64 entries, each endpoint at its own decay rate.  ``kernel(params, s)``
-(one s, failure raised), ``kernel_row`` (per entry the value or the
-unraised failure) and ``kernel_array`` (the values as an array, nan where
-a sample failed, and the first failure) are views
-of the row, at ``params.tau`` or at a tau per entry, so a value is
-bit-equal alone or in any row.
+(one s, failure raised) and ``kernel_row`` (value and err_est arrays, nan
+where a sample failed, and the located failures) are views of the row, at
+``params.tau`` or at a tau per entry, so a value is bit-equal alone or in
+any row.
 """
 
 from __future__ import annotations
@@ -41,11 +40,7 @@ import numpy as np
 from . import gfunc
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, failure, integrate_abel
 
-__all__ = ["EvalParams", "KernelValue", "SAMPLED_SPEC", "kernel", "kernel_row", "kernel_array", "kernel_d4",
-           "kernel_even"]
-
-# the spec of kernels sampled in the integrands and stencils of verify and lattice
-SAMPLED_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-18)
+__all__ = ["EvalParams", "KernelValue", "kernel", "kernel_row", "kernel_d4", "kernel_even"]
 
 # value, err_est and failed per s of a route's row
 _Row = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -216,49 +211,33 @@ def kernel_even(params: EvalParams, s: float) -> KernelValue:
 
 def kernel_row(
     params: EvalParams,
-    ss: Sequence[float],
+    ss: Sequence[float] | np.ndarray,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    tau: Sequence[float] | None = None,
-) -> list[KernelValue | Exception]:
-    """The kernel at every s of ss, at params.tau or, given tau (a sequence
-    like ss), at the tau of each entry: per entry a KernelValue or,
-    unraised, the located ``NonConvergenceError`` or ``OverflowError``
-    that ``kernel()`` would raise there.  A value does not depend on the
-    other entries of the row.
-    """
-    ss = np.asarray(ss, dtype=float)
-    tau = params.tau if tau is None else np.broadcast_to(np.asarray(tau, dtype=float), ss.shape)
-    value, err, failures = _row(params, tau, ss, spec)
-    D = params.D
-    taus = np.broadcast_to(tau, ss.shape).tolist()
-    return [
-        failures[i] if i in failures else KernelValue(v, e, D, s, t)
-        for i, (s, t, v, e) in enumerate(zip(ss.tolist(), taus, value.tolist(), err.tolist()))
-    ]
-
-
-def kernel_array(
-    params: EvalParams, ss: np.ndarray, tau: np.ndarray | None = None
-) -> tuple[np.ndarray, ArithmeticError | None]:
-    """``kernel(params.with_tau(t), s, SAMPLED_SPEC).value`` for each s of an
-    array, at t = params.tau or, given tau (an array that broadcasts against
-    ss), at each entry's tau, as an array of their broadcast shape, from one
-    row of the distinct (s, tau) pairs and with no ``KernelValue``.  An
-    entry whose sample failed is nan, so that it fails every integral or
-    stencil it enters.  Returns the values and the located failure at the
-    smallest failing s (of those, the smallest tau), or None; a numerical
-    failure is never raised.
+    tau: Sequence[float] | np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, list[ArithmeticError]]:
+    """The kernel at every s of ss, at params.tau or, given tau (one that
+    broadcasts against ss), at the tau of each entry, from one row of the
+    distinct (s, tau) pairs.  Returns value and err_est arrays in the
+    broadcast shape, and the located ``NonConvergenceError`` or
+    ``OverflowError`` that ``kernel()`` would raise at each failing pair,
+    in order of s and then tau.  A failed entry's value is nan, so that it
+    fails every integral or stencil it enters, and its err_est is its
+    failure's (inf for an overflow).  A numerical failure is never raised,
+    and a value does not depend on the other entries of the row.
     """
     if tau is None:  # the distinct s
-        key = ss
+        key = np.asarray(ss, dtype=float)
     else:  # the distinct (s, tau) pairs, as s + i tau, exactly
         key = np.empty(np.broadcast_shapes(np.shape(ss), np.shape(tau)), complex)
         key.real, key.imag = ss, tau
     distinct, inverse = np.unique(key, return_inverse=True)
     row_tau = params.tau if tau is None else distinct.imag
-    value, _, failures = _row(params, row_tau, distinct.real, SAMPLED_SPEC)
-    value[list(failures)] = math.nan
-    return value[inverse].reshape(key.shape), failures[min(failures)] if failures else None
+    value, err, located = _row(params, row_tau, distinct.real, spec)
+    at = sorted(located)
+    failures = [located[i] for i in at]
+    value[at], err[at] = math.nan, [exc.err_est for exc in failures]
+    inverse = inverse.reshape(key.shape)
+    return value[inverse], err[inverse], failures
 
 
 def kernel(params: EvalParams, s: float, spec: QuadratureSpec = DEFAULT_SPEC) -> KernelValue:

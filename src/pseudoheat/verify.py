@@ -31,7 +31,7 @@ from .geometry import (
     laplace_beltrami_stencil,
     sphere_surface_area,
 )
-from .kernels import EvalParams, kernel_array
+from .kernels import EvalParams, kernel_row
 from .quadrature import (
     TRUNCATION_SIGMA,
     QuadratureSpec,
@@ -54,6 +54,8 @@ __all__ = [
     "suite_reports",
 ]
 
+# the spec of the kernel samples in the integrands and stencils of every check
+SAMPLED_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-18)
 # the integrals of the abel, mass and x-marginal checks, whose abs_tol
 # _kernel_integrals scales by each integral's target: abel and x-marginal
 # pass their rhs, which exp(E) takes far below 1e-7 at high D or large
@@ -113,31 +115,36 @@ def _kernel_integrals(
 
     Integral i stops at max(spec.rel_tol |I_i|, spec.abs_tol |targets[i]|),
     and is not run where that abs_tol is 0.0.  A failed kernel sample is
-    nan (``kernel_array``): it fails the integrals it enters, each with
-    value nan and err_est inf, and no other.
+    nan (``kernel_row``): it fails the integrals it enters, each with
+    value nan and err_est inf, and no other.  An integral whose cutoff
+    hi[i] is not finite fails the same way, unrun.
     Returns the values and err_est (None where not run), the integrals
     that failed or were not run, and a report's notes: the keys not run
     under ``underflowed``, and the err_est of each integral that failed
     under ``nonconverged``, keyed by ``f"{x:g}"`` of its key's entries.
     """
+    hi = np.asarray(hi, dtype=float)
     abs_tol = spec.abs_tol * np.abs(np.asarray(targets, dtype=float))
-    run = np.flatnonzero(abs_tol)
+    tried = np.flatnonzero(abs_tol)
+    run = tried[np.isfinite(hi[tried])]
     value, err = [None] * len(keys), [None] * len(keys)
+    for i in tried.tolist():  # the failed value, unless the integral runs
+        value[i], err[i] = math.nan, math.inf
 
     def f(ts: np.ndarray, at: np.ndarray) -> np.ndarray:
         at = run[at]
         s, log_w = nodes(ts, at)
-        k, _ = kernel_array(params, s, None if taus is None else taus[at])
+        k, _, _ = kernel_row(params, s, SAMPLED_SPEC, None if taus is None else taus[at])
         with np.errstate(divide="ignore", over="ignore"):  # log 0.0 is -inf, and exp of it 0
             return np.exp(np.log(k) + log_w)
 
-    v, e, failed = integrate_tanh_sinh(f, 0.0, np.asarray(hi, dtype=float)[run], spec, abs_tol[run])
+    v, e, failed = integrate_tanh_sinh(f, 0.0, hi[run], spec, abs_tol[run])
     e[~np.isfinite(v)] = math.inf  # an overflowed sum, or a failed sample, has no estimate
     for i, x, y in zip(run.tolist(), v.tolist(), e.tolist()):
         value[i], err[i] = x, y
-    failed = set(run[failed].tolist())
+    failed = set(tried.tolist()).difference(run[~failed].tolist())
     notes = {}
-    if run.size < len(keys):
+    if tried.size < len(keys):
         notes["underflowed"] = [key for key, tol in zip(keys, abs_tol) if tol == 0.0]
     if failed:
         label = lambda key: ",".join(f"{x:g}" for x in (key if isinstance(key, tuple) else (key,)))
@@ -237,24 +244,27 @@ def _pde_steps(params: EvalParams, s: float, tau: float) -> tuple[float, float]:
     big_a = a * s * s
     pref = 0.5 * (params.D - 1)
     shift = abs(params.with_tau(tau).E)
-    f5_over_f = ((big_a + pref + shift) ** 5 + 120.0 * big_a + 24.0 * pref) / tau**5
-    h_t = min(rh / f5_over_f**0.2, 0.2 * tau)
+    # (|f5 / f|)^(1/5) = (x^5 + c)^(1/5) / tau, formed so that no power of x
+    # or tau overflows or underflows binary64
+    x, c = big_a + pref + shift, 120.0 * big_a + 24.0 * pref
+    rate_t = x / tau * (1.0 + (c**0.2 / x) ** 5) ** 0.2
+    h_t = min(rh / rate_t, 0.2 * tau)
     return h_s, h_t
 
 
 def _pde_pieces(
     params: EvalParams, points: Sequence[tuple[float, float]]
-) -> tuple[list[tuple[float, float, float, float]], ArithmeticError | None]:
+) -> tuple[list[tuple[float, float, float, float]], list[ArithmeticError]]:
     """(K, dK/dtau, radial Laplacian of K, scale) at each (s, tau) of points,
     by 4th-order stencils in s and in tau (steps from ``_pde_steps``), every
-    stencil point of every point in one kernel row, and that row's first
-    failure (``kernel_array``), or None."""
+    stencil point of every point in one kernel row, and that row's failures
+    (``kernel_row``)."""
     steps = [_pde_steps(params, s, tau) for s, tau in points]
     ss, taus = [], []
     for (s, tau), (h_s, h_t) in zip(points, steps):
         ss += [s + 2 * h_s, s + h_s, s, s - h_s, s - 2 * h_s] + [s] * 4
         taus += [tau] * 5 + _tau_stencil(tau, h_t)
-    values, failure = kernel_array(params, np.array(ss), np.array(taus))
+    values, _, failures = kernel_row(params, ss, SAMPLED_SPEC, taus)
     kappa = params.kappa
     out = []
     for (s, tau), (h_s, h_t), (kp2, kp1, val, km1, km2, *at_taus) in zip(points, steps, values.reshape(-1, 9).tolist()):
@@ -264,7 +274,7 @@ def _pde_pieces(
         lap = k_ss + (params.D - 2) / math.tanh(s) * k_s
         scale = max(abs(k_t), kappa * abs(k_ss), kappa * (params.D - 2) * abs(k_s / math.tanh(s)), abs(val))
         out.append((val, k_t, lap, scale))
-    return out, failure
+    return out, failures
 
 
 def _fit_heat_equation(
@@ -306,9 +316,9 @@ def radial_pde_residual(
     tolerance = 1e-7 if params.D == 4 else (1e-6 if params.D % 2 == 0 else 1e-5)
     grid = [(s, tau) for tau in tau_grid for s in s_grid]
     points = [{"s": s, "tau": tau} for s, tau in grid]
-    pieces, failure = _pde_pieces(params, grid)
-    if failure:
-        details = {"grid": f"s in {list(s_grid)}, tau in {list(tau_grid)}", "error": str(failure)}
+    pieces, failures = _pde_pieces(params, grid)
+    if failures:
+        details = {"grid": f"s in {list(s_grid)}, tau in {list(tau_grid)}", "error": str(failures[0])}
         return VerificationReport.make("pde-radial", params.D, math.inf, tolerance, details)
     c_fit, worst, underflowed = _fit_heat_equation(params.kappa, points, pieces)
     c_values = [p["c_pointwise"] for p in points if p["c_pointwise"] is not None]
@@ -349,9 +359,9 @@ def horicyclic_pde_residual(
         points.append({"s": s12})
         ss += [geodesic_distance(q1, q) for q in space] + [s12] * 4
         taus += [tau] * len(space) + _tau_stencil(tau, h_t)
-    values, failure = kernel_array(params, np.array(ss), np.array(taus))
-    if failure:
-        details = {"tau": params.tau, "n_pairs": len(pairs), "error": str(failure)}
+    values, _, failures = kernel_row(params, ss, SAMPLED_SPEC, taus)
+    if failures:
+        details = {"tau": params.tau, "n_pairs": len(pairs), "error": str(failures[0])}
         return VerificationReport.make("pde-horicyclic", params.D, math.inf, 1e-4, details)
     values = iter(values.tolist())
     pieces = []
@@ -379,7 +389,7 @@ def _convolve_kernels(
     r runs on the tanh-sinh rule.  For each level of r nodes, theta runs on
     the plain trapezoid at odd D, where the integrand sin^(D-3) theta K2 is
     even and 2 pi periodic in theta, and on tanh-sinh at even D, every K2
-    of a theta level in one ``kernel_array`` call.  Each theta integral
+    of a theta level in one ``kernel_row`` call.  Each theta integral
     stops at max(rel_tol |I|, rel_tol |target| / r_max), and the estimate
     adds r_max times the largest theta estimate to the r rule's own.  K2 is
     at most k2_peak, its value at 0, so a theta integral is at most pi
@@ -392,24 +402,27 @@ def _convolve_kernels(
     r is formed in logs.  An r node is nan where its K1 sample or its theta
     integral failed (a failed sample is nan), or where binary64 cannot hold
     the radial weight times cosh r cosh d: it fails the r rule, and the
-    convolution fails with value nan and err_est inf.
+    convolution fails with value nan and err_est inf.  So it does, unrun,
+    where the cutoff r_max is not finite.
     """
     D = params1.D
     cd, sd = math.cosh(d), math.sinh(d)
     # K1(r) K2(rho) is below exp(-a1 r^2 - a2 (r - d)^2) (rho >= |r - d|)
     # times sinh^(D-2) r: past K1's own cutoff, cover that product's peak,
     # near r = d tau1 / (tau1 + tau2), where it is sharp (small tau)
-    r_max = max(
+    r_max = float(np.maximum(  # nan if either cutoff is
         gaussian_cutoff(0.0, params1.a, linear_growth=float(D - 2)),
         gaussian_cutoff(0.0, params1.a + params2.a, linear_growth=2.0 * params2.a * d + (D - 2)),
-    )
+    ))
+    if not math.isfinite(r_max):
+        return math.nan, math.inf, True
     ang_front = 2.0 if D == 3 else sphere_surface_area(D - 3)
     theta_tol = spec.rel_tol * abs(target) / r_max or spec.abs_tol
     theta_err = 0.0  # the largest theta estimate so far
 
     def outer(rs: np.ndarray, at: np.ndarray) -> np.ndarray:
         nonlocal theta_err
-        k1, _ = kernel_array(params1, rs)
+        k1, _, _ = kernel_row(params1, rs, SAMPLED_SPEC)
         kept = np.flatnonzero(k1)  # a failed K1 is nan, and kept
         r = rs[kept]
         # the weight overflows, and sinh r times sinh 0 is inf * 0 past r ~ 710
@@ -427,7 +440,7 @@ def _convolve_kernels(
         def theta_integrand(ths: np.ndarray, cols: np.ndarray) -> np.ndarray:
             # cosh rho at each (theta, r) node, by the hyperbolic law of cosines
             u = cc[cols] - np.cos(ths) * ss[cols]
-            k2, _ = kernel_array(params2, np.arccosh(np.maximum(u, 1.0)))
+            k2, _, _ = kernel_row(params2, np.arccosh(np.maximum(u, 1.0)), SAMPLED_SPEC)
             return k2 * np.sin(ths) ** (D - 3) * radial[cols]
 
         tol = np.full(len(kept), theta_tol)
@@ -468,9 +481,9 @@ def chapman_kolmogorov_many(
         tolerance = 1e-3 if D == 3 else 1e-4
     spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-30)
     taus = np.array([params1.tau + params2.tau] * len(d_values) + [params2.tau])
-    values, failure = kernel_array(params1, np.array([*d_values, 0.0], dtype=float), taus)
-    if failure:  # no target or K2 to convolve: every d fails
-        details = lambda d: {"tau1": params1.tau, "tau2": params2.tau, "d": d, "error": str(failure)}
+    values, _, failures = kernel_row(params1, [*d_values, 0.0], SAMPLED_SPEC, taus)
+    if failures:  # no target or K2 to convolve: every d fails
+        details = lambda d: {"tau1": params1.tau, "tau2": params2.tau, "d": d, "error": str(failures[0])}
         return [VerificationReport.make("ck", D, math.inf, tolerance, details(d)) for d in d_values]
     *targets, k2_peak = values.tolist()
     out = []
@@ -524,13 +537,16 @@ def mass_multiplicativity(
     the fixed endpoint because the integrand depends on the distance alone.
     A mass whose quadrature does not converge keeps its last estimate, is
     listed with its error estimate under ``nonconverged``, and gives every
-    pair it enters the residual inf.
+    pair it enters the residual inf.  So does a mass that underflows to
+    0.0, listed under ``underflowed``; where the first tau's mass is 0.0,
+    ``fitted_mass_rate`` is None.
     """
     pairs = [(t1, t2) for i, t1 in enumerate(tau_list) for t2 in tau_list[i:]]
     taus = sorted({*tau_list, *(t1 + t2 for t1, t2 in pairs)})
     value, err, failed, notes = _masses(params, taus)
     masses = dict(zip(taus, value))
-    failed = {taus[i] for i in failed}
+    underflowed = [t for t in taus if masses[t] == 0.0]
+    failed = {taus[i] for i in failed}.union(underflowed)
 
     worst = 0.0
     pair_records = []
@@ -541,7 +557,7 @@ def mass_multiplicativity(
         worst = max(worst, rel)
         pair_records.append({"tau1": t1, "tau2": t2, "rel_residual": rel})
     unit_dev = max(abs(masses[t] - 1.0) for t in tau_list)
-    growth = math.log(masses[tau_list[0]]) / tau_list[0]
+    growth = math.log(masses[tau_list[0]]) / tau_list[0] if masses[tau_list[0]] != 0.0 else None
     details = {
         "masses": {f"{t:g}": m for t, m in masses.items()},
         "quad_err": {f"{t:g}": e for t, e in zip(taus, err)},
@@ -550,6 +566,8 @@ def mass_multiplicativity(
         "fitted_mass_rate": growth,
         **notes,
     }
+    if underflowed:
+        details["underflowed"] = underflowed
     return VerificationReport.make("mass", params.D, worst, tolerance, details)
 
 

@@ -152,7 +152,7 @@ def test_underflowed_value_is_positive_zero(dim, s_grid):
     assert "-0.0" not in res.stdout
     rows = [line.split(",") for line in res.stdout.strip().splitlines()[1:]]
     assert [r[3] for r in rows] == ["0.0"] * len(rows)
-    values = [kv.value for kv in kernel_row(EvalParams(int(dim), 1.0), [float(r[2]) for r in rows])]
+    values = kernel_row(EvalParams(int(dim), 1.0), [float(r[2]) for r in rows])[0].tolist()
     assert values == [0.0] * len(rows)
     assert all(math.copysign(1.0, v) == 1.0 for v in values)
 
@@ -192,7 +192,7 @@ def test_table_cell_that_fails_names_its_own_tau():
     assert [(r["tau"], r["s"]) for r in rows] == [(1e-300, 0.0), (1e-300, 1.0), (1.0, 0.0), (1.0, 1.0)]
     for r in rows[:2]:
         assert r["value"] is None and r["error"].endswith(f"at D=4, tau=1e-300, s={r['s']!r} in kernel_d4")
-    assert [r["value"] for r in rows[2:]] == [kv.value for kv in kernel_row(EvalParams(4, 1.0), [0.0, 1.0])]
+    assert [r["value"] for r in rows[2:]] == kernel_row(EvalParams(4, 1.0), [0.0, 1.0])[0].tolist()
 
 
 def test_eval_nonconvergence_names_the_point():
@@ -441,6 +441,30 @@ def test_verify_ck_names_each_d_whose_kernel_sample_overflows(capsys):
     reports = json.loads(out.out)["reports"]
     assert [r["details"]["nonconverged"] for r in reports] == [{"0": math.inf}, {"1": math.inf}, {"2": math.inf}]
     assert all(r["residual"] == math.inf for r in reports)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, n_reports", [
+    # the time step's fifth powers of tau and of the Gaussian argument overflow
+    ("pde-horicyclic --dims 4,5 --tau 1e62", 2),
+    ("all --dims 3,4,5 --tau 1e62", 26),
+    # gaussian_cutoff's square root cancels below 0: abel's cutoff is nan,
+    # and ck's at D = 8
+    ("all --dims 3,4,5 --tau 1e70", 26),
+    ("ck --dims 8 --tau 1e44", 3),
+    # the masses underflow to 0.0
+    ("mass --dims 4 --tau 1 --hbar 1e300", 1),
+    ("all --dims 4 --tau 1 --m 1e-300", 10),
+])
+def test_verify_reports_every_check_at_extreme_units(capsys, argv, n_reports):
+    # each check fails on its own, and every report is printed
+    assert cli.main(["verify", *argv.split()]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    doc = json.loads(out.out)
+    with open(REPO_ROOT / SCHEMA_PATH) as fh:
+        jsonschema.validate(doc, json.load(fh))
+    assert len(doc["reports"]) == n_reports
 
 
 @pytest.mark.filterwarnings("error")

@@ -6,17 +6,9 @@ import numpy as np
 import pytest
 
 from pseudoheat import gfunc, kernels, quadrature
-from pseudoheat.kernels import (
-    SAMPLED_SPEC,
-    EvalParams,
-    KernelValue,
-    kernel,
-    kernel_array,
-    kernel_d4,
-    kernel_even,
-    kernel_row,
-)
+from pseudoheat.kernels import EvalParams, kernel, kernel_d4, kernel_even, kernel_row
 from pseudoheat.quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec
+from pseudoheat.verify import SAMPLED_SPEC
 from _oracles import even_reference, mckean_by_abel_inversion, odd_reference
 
 
@@ -92,9 +84,10 @@ def test_kernel_d4_overflow_is_a_binary64_overflow():
     p = EvalParams(4, 1e-300)
     with pytest.raises(OverflowError, match=r"^binary64 overflow .* at D=4, tau=1e-300, s=1.0 in kernel_d4$"):
         kernel(p, 1.0)
-    (failure,) = kernel_row(p, [1.0])
+    (value,), (err,), (failure,) = kernel_row(p, [1.0])
     assert isinstance(failure, OverflowError) and str(failure).startswith("binary64 overflow")
     assert math.isnan(failure.value) and failure.err_est == math.inf
+    assert math.isnan(value) and err == math.inf
 
 
 @pytest.mark.filterwarnings("error")
@@ -105,10 +98,10 @@ def test_d4_row_over_many_tau_equals_lone_calls():
     p = EvalParams(4, 1.0)
     taus = np.linspace(0.05, 3.0, 64).tolist()
     for s in (0.0, 1.0):
-        row = [kv.value for kv in kernel_row(p, [s] * 64, tau=taus)]
+        row = kernel_row(p, [s] * 64, tau=taus)[0].tolist()
         assert row == [kernel(p.with_tau(tau), s).value for tau in taus]
     fronts = [(q.a / math.pi) ** 1.5 * float(np.exp(q.E)) for q in map(p.with_tau, taus)]
-    assert [kv.value for kv in kernel_row(p, [0.0] * 64, tau=taus)] == fronts
+    assert kernel_row(p, [0.0] * 64, tau=taus)[0].tolist() == fronts
 
 
 # at rel 1e-13 / abs 1e-300 the Abel integral at D = 7, tau 0.1, s 12 does not
@@ -128,8 +121,9 @@ def test_odd_nonconvergence_carries_the_kernels_value_and_estimate():
     assert info.value.value == pytest.approx(value, rel=1e-9)
     assert 0.0 < info.value.err_est < 1e-12 * value
     assert f"err_est={info.value.err_est:g}" in str(info.value)
-    (failure,) = kernel_row(p, [12.0], _TIGHT)
+    (value,), (err,), (failure,) = kernel_row(p, [12.0], _TIGHT)
     assert (failure.value, failure.err_est) == (info.value.value, info.value.err_est)
+    assert math.isnan(value) and err == info.value.err_est
 
 
 @pytest.mark.parametrize("dim, tau, s", [(15, 0.5, 0.0), (15, 1.0, 0.1), (11, 2.0, 0.05)])
@@ -190,9 +184,9 @@ def test_kernel_even_d6_against_fd_oracle():
 def test_kernel_even_matches_independent_reference(dim):
     ss = (0.0, 0.1, 0.3, 0.6, 1.0, 3.0, 6.0)
     for tau in (0.01, 0.25, 1.0, 30.0):
-        for s, kv in zip(ss, kernel_row(EvalParams(dim, tau), ss)):
+        for s, value in zip(ss, kernel_row(EvalParams(dim, tau), ss)[0].tolist()):
             ref = even_reference(dim, tau, s)
-            assert abs(kv.value - ref) <= 1e-9 * abs(ref), (tau, s, kv.value, ref)
+            assert abs(value - ref) <= 1e-9 * abs(ref), (tau, s, value, ref)
 
 
 @pytest.mark.parametrize("dim", [10, 12, 16])
@@ -251,12 +245,12 @@ def test_kernel_odd_row_stops_at_its_first_grid(monkeypatch, dim, tau):
     abel_nodes = quadrature._abel_nodes
     monkeypatch.setattr(quadrature, "_abel_nodes", lambda *args: passes.append(1) or abel_nodes(*args))
     ss = np.linspace(0.0, 6.0, 7)
-    row = kernel_row(EvalParams(dim, tau), ss)
+    values, errs, _ = kernel_row(EvalParams(dim, tau), ss)
     assert len(passes) == 1
-    for s, kv in zip(ss.tolist(), row):
+    for s, value, err in zip(ss.tolist(), values.tolist(), errs.tolist()):
         ref = odd_reference(dim, tau, s)
-        assert abs(kv.value - ref) <= 2e-12 * abs(ref), (s, kv.value, ref)
-        assert kv.err_est >= abs(kv.value - ref), (s, kv.err_est, kv.value - ref)
+        assert abs(value - ref) <= 2e-12 * abs(ref), (s, value, ref)
+        assert err >= abs(value - ref), (s, err, value - ref)
 
 
 def test_kernel_odd_positive_and_continuous_at_origin():
@@ -339,8 +333,32 @@ _ROW_TAUS = (1e-3, 0.5, 2.0, 30.0)
 _ROW_S = (0.0, 0.05, 0.12, 0.21, 0.3, 1.0, 3.0, 17.0, 25.0)
 
 
+def _entries(params, ss, spec=DEFAULT_SPEC, tau=None):
+    """kernel_row per entry of the 1-D ss: (value, err_est), or the failure
+    located at the entry's (s, tau), whose value is nan and err_est the
+    failure's."""
+    values, errs, failures = kernel_row(params, ss, spec, tau)
+    located = {(exc.s, exc.tau): exc for exc in failures}
+    taus = np.broadcast_to(params.tau if tau is None else tau, np.shape(ss)).tolist()
+    out = []
+    for s, t, value, err in zip(np.asarray(ss, dtype=float).tolist(), taus, values.tolist(), errs.tolist()):
+        exc = located.get((s, t))
+        assert exc is None or (math.isnan(value) and err == exc.err_est), (s, t, value, err)
+        out.append((value, err) if exc is None else exc)
+    return out
+
+
+def _lone(params, s, spec=DEFAULT_SPEC):
+    """kernel() at one s as _entries gives it: (value, err_est), or the raised failure."""
+    try:
+        kv = kernel(params, s, spec)
+    except ArithmeticError as exc:
+        return exc
+    return kv.value, kv.err_est
+
+
 def _same(a, b):
-    """Bit-equal KernelValues, or errors of the same type and message."""
+    """Bit-equal (value, err_est) pairs, or errors of the same type and message."""
     if isinstance(a, Exception) or isinstance(b, Exception):
         return type(a) is type(b) and str(a) == str(b)
     return a == b
@@ -352,16 +370,13 @@ def test_kernel_row_values_do_not_depend_on_the_row(dim):
     seen_tail = False
     for tau in _ROW_TAUS:
         p = EvalParams(dim, tau)
-        row = kernel_row(p, _ROW_S)
-        reversed_row = kernel_row(p, _ROW_S[::-1])[::-1]
+        row = _entries(p, _ROW_S)
+        reversed_row = _entries(p, _ROW_S[::-1])[::-1]
         for s, kv, kv_rev in zip(_ROW_S, row, reversed_row):
-            try:
-                alone = kernel(p, s)
-            except (ArithmeticError, RuntimeError) as exc:
-                alone = exc
+            alone = _lone(p, s)
             assert _same(alone, kv), (tau, s, alone, kv)
             assert _same(kv, kv_rev), (tau, s)
-            seen_tail |= isinstance(kv, KernelValue) and 0.0 < kv.value < 1e-60
+            seen_tail |= isinstance(kv, tuple) and 0.0 < kv[0] < 1e-60
     assert seen_tail
 
 
@@ -567,7 +582,7 @@ def test_kernel_odd_long_time_nodes_stay_finite():
     # at tau = 1000 the Gaussian cutoff is near s = 540, where cosh s - 1 is
     # ~1e233: the node map must take its square root in two factors
     for dim in (3, 5):
-        vals = [kv.value for kv in kernel_row(EvalParams(dim, 1000.0), (0.0, 1.0, 6.0))]
+        vals = kernel_row(EvalParams(dim, 1000.0), (0.0, 1.0, 6.0))[0].tolist()
         assert all(math.isfinite(v) and v >= 0.0 for v in vals), (dim, vals)
     assert kernel(EvalParams(3, 1000.0), 0.0).value == pytest.approx(6.972001165339247e-06, rel=1e-9)
 
@@ -587,30 +602,34 @@ def test_kernel_at_tiny_tau_is_its_short_time_form(tau):
             assert kernel(p, s).value == pytest.approx(want, rel=1e-9), (dim, s)
 
 
-# --- the array view -------------------------------------------------------------
+# --- the row's shape and failures ---------------------------------------------
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
-def test_kernel_array_is_the_rows_values(dim):
-    # repeated and unsorted s, in the shape of a quadrature's node grid
+def test_kernel_row_keeps_the_shape_of_its_input(dim):
+    # repeated and unsorted s, in the shape of a quadrature's node grid: the
+    # row evaluates each distinct s once and gives every entry its value
     ss = np.array([[1.0, 0.3, 0.0, 17.0], [0.3, 6.0, 1.0, 0.05]])
     for tau in (0.01, 0.5, 30.0):
         p = EvalParams(dim, tau)
-        got, failed = kernel_array(p, ss)
-        assert got.shape == ss.shape and failed is None
-        assert got.ravel().tolist() == [kv.value for kv in kernel_row(p, ss.ravel().tolist(), SAMPLED_SPEC)]
+        values, errs, failures = kernel_row(p, ss, SAMPLED_SPEC)
+        assert values.shape == errs.shape == ss.shape and failures == []
+        got = list(zip(values.ravel().tolist(), errs.ravel().tolist()))
+        assert got == [_lone(p, s, SAMPLED_SPEC) for s in ss.ravel().tolist()]
 
 
 @pytest.mark.filterwarnings("error")
-def test_kernel_array_returns_nan_and_the_failure_at_the_smallest_failing_s(monkeypatch):
+def test_kernel_row_returns_nan_and_each_failure_in_order_of_s(monkeypatch):
     # (a/pi)^1.5 overflows at every s of a D = 4 row at tau = 1e-300
-    values, failed = kernel_array(EvalParams(4, 1e-300), np.array([2.0, 0.5, 1.0]))
-    assert np.isnan(values).all()
-    assert isinstance(failed, OverflowError)
-    assert str(failed) == "binary64 overflow (value nan) at D=4, tau=1e-300, s=0.5 in kernel_d4"
-    # an odd row that fails at every s >= 1: those entries are nan, the
-    # others are their lone values, and the failure is the one at s = 1
+    values, errs, failures = kernel_row(EvalParams(4, 1e-300), np.array([2.0, 0.5, 1.0]))
+    assert np.isnan(values).all() and (errs == math.inf).all()
+    assert [type(exc) for exc in failures] == [OverflowError] * 3
+    assert [exc.s for exc in failures] == [0.5, 1.0, 2.0]
+    assert str(failures[0]) == "binary64 overflow (value nan) at D=4, tau=1e-300, s=0.5 in kernel_d4"
+    # an odd row that fails at every s >= 1: those entries are nan with the
+    # failure's err_est, the others are their lone values, and each distinct
+    # failing s has one failure, s = 1 first
     odd_row = kernels._ROUTES["kernel_odd"]
 
     def failing_from_one(params, ss, spec):
@@ -620,13 +639,15 @@ def test_kernel_array_returns_nan_and_the_failure_at_the_smallest_failing_s(monk
 
     monkeypatch.setitem(kernels._ROUTES, "kernel_odd", failing_from_one)
     ss = np.array([2.0, 0.5, 1.0, 2.0, 0.0])
-    values, failed = kernel_array(EvalParams(5, 0.5), ss)
-    assert isinstance(failed, NonConvergenceError)
-    assert str(failed).endswith(" at D=5, tau=0.5, s=1.0 in kernel_odd")
-    assert (failed.value, failed.err_est) == (0.5, 0.25)
-    assert np.isnan(values[ss >= 1.0]).all()
+    values, errs, failures = kernel_row(EvalParams(5, 0.5), ss, SAMPLED_SPEC)
+    assert [type(exc) for exc in failures] == [NonConvergenceError] * 2
+    assert [exc.s for exc in failures] == [1.0, 2.0]
+    assert str(failures[0]).endswith(" at D=5, tau=0.5, s=1.0 in kernel_odd")
+    assert all((exc.value, exc.err_est) == (0.5, 0.25) for exc in failures)
+    assert np.isnan(values[ss >= 1.0]).all() and (errs[ss >= 1.0] == 0.25).all()
     monkeypatch.undo()
-    assert values[ss < 1.0].tolist() == [kernel(EvalParams(5, 0.5), s, SAMPLED_SPEC).value for s in (0.5, 0.0)]
+    got = list(zip(values[ss < 1.0].tolist(), errs[ss < 1.0].tolist()))
+    assert got == [_lone(EvalParams(5, 0.5), s, SAMPLED_SPEC) for s in (0.5, 0.0)]
 
 
 def test_located_failures_carry_d_tau_and_s():
@@ -634,7 +655,7 @@ def test_located_failures_carry_d_tau_and_s():
         kernel(EvalParams(7, 0.1), 12.0, _TIGHT)
     assert (info.value.D, info.value.tau, info.value.s) == (7, 0.1, 12.0)
     assert str(info.value).endswith(") at D=7, tau=0.1, s=12.0 in kernel_odd")
-    (failure,) = kernel_row(EvalParams(7, 0.1), [12.0], _TIGHT)
+    _, _, (failure,) = kernel_row(EvalParams(7, 0.1), [12.0], _TIGHT)
     assert (failure.D, failure.tau, failure.s) == (7, 0.1, 12.0)
     with pytest.raises(OverflowError) as info:
         kernel(EvalParams(4, 1e-300), 1.0)
@@ -665,13 +686,12 @@ def test_mixed_tau_row_equals_lone_calls(dim, monkeypatch):
     order = np.random.default_rng(dim).permutation(len(pairs)).tolist()
     taus, ss = (np.array([pairs[i][k] for i in order]) for k in (0, 1))
     p = EvalParams(dim, 1.0)
-    row = kernel_row(p, ss, tau=taus)
-    values, failed = kernel_array(p, ss, taus)
-    assert failed is None
+    row = _entries(p, ss, tau=taus)
+    sampled = _entries(p, ss, SAMPLED_SPEC, taus)
     monkeypatch.undo()
-    for tau, s, kv, value in zip(taus.tolist(), ss.tolist(), row, values.tolist()):
-        assert _same(kernel(p.with_tau(tau), s), kv), (tau, s, kv)
-        assert value == kernel(p.with_tau(tau), s, SAMPLED_SPEC).value, (tau, s)
+    for tau, s, kv, sampled_kv in zip(taus.tolist(), ss.tolist(), row, sampled):
+        assert _same(_lone(p.with_tau(tau), s), kv), (tau, s, kv)
+        assert _same(_lone(p.with_tau(tau), s, SAMPLED_SPEC), sampled_kv), (tau, s)
     # G' has no cancelling terms (D = 3, 5, 6 take no Cauchy); D = 4 is closed
     want = set() if dim == 4 else {"_series_many", "_terms_many"} | ({"_cauchy_many"} if dim >= 7 else set())
     assert routes == want
@@ -679,23 +699,19 @@ def test_mixed_tau_row_equals_lone_calls(dim, monkeypatch):
 
 def test_failures_inside_a_mixed_row_carry_their_own_tau():
     # D = 4: (a/pi)^1.5 overflows at tau = 1e-300 alone
-    row = kernel_row(EvalParams(4, 1.0), [0.5, 0.5, 1.0], tau=[0.5, 1e-300, 2.0])
+    row = _entries(EvalParams(4, 1.0), [0.5, 0.5, 1.0], tau=[0.5, 1e-300, 2.0])
     failure = row[1]
     assert isinstance(failure, OverflowError) and (failure.D, failure.tau, failure.s) == (4, 1e-300, 0.5)
     assert str(failure) == "binary64 overflow (value nan) at D=4, tau=1e-300, s=0.5 in kernel_d4"
-    assert str(failure) == str(kernel_row(EvalParams(4, 1e-300), [0.5])[0])
-    assert (row[0], row[2]) == (kernel(EvalParams(4, 0.5), 0.5), kernel(EvalParams(4, 2.0), 1.0))
+    assert _same(failure, _lone(EvalParams(4, 1e-300), 0.5))
+    assert (row[0], row[2]) == (_lone(EvalParams(4, 0.5), 0.5), _lone(EvalParams(4, 2.0), 1.0))
     # D = 7 at the tight spec: the Abel integral at tau 0.1, s 12 does not
     # converge; the other entries are their lone calls
     p = EvalParams(7, 1.0)
     taus, ss = [2.0, 0.1, 0.5, 0.1], [1.0, 12.0, 12.0, 0.5]
-    row = kernel_row(p, ss, _TIGHT, tau=taus)
+    row = _entries(p, ss, _TIGHT, taus)
     for tau, s, kv in zip(taus, ss, row):
-        try:
-            alone = kernel(p.with_tau(tau), s, _TIGHT)
-        except NonConvergenceError as exc:
-            alone = exc
-        assert _same(alone, kv), (tau, s, kv)
+        assert _same(_lone(p.with_tau(tau), s, _TIGHT), kv), (tau, s, kv)
     failure = row[1]
     assert isinstance(failure, NonConvergenceError) and (failure.D, failure.tau, failure.s) == (7, 0.1, 12.0)
     with pytest.raises(NonConvergenceError) as info:

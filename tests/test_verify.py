@@ -81,7 +81,7 @@ def test_abel_with_a_kernel_that_never_underflows_names_its_l(monkeypatch):
     # a kernel that never underflows leaves the weight (k - l)^13 in the
     # integrand, and its sums overflow binary64: the weight in logs raises
     # no warning, and every l is named with no estimate
-    monkeypatch.setattr(verify, "kernel_array", lambda params, ss, tau=None: (np.ones_like(ss), None))
+    monkeypatch.setattr(verify, "kernel_row", lambda params, ss, spec, tau=None: (np.ones_like(ss), np.zeros_like(ss), []))
     rep = abel_residual(EvalParams(30, 2.0))
     assert not rep.passed and rep.residual == math.inf
     assert rep.details["nonconverged"] == {f"{l:g}": math.inf for l in verify._L_GRID}
@@ -191,7 +191,7 @@ def test_chapman_kolmogorov_odd_dimensions_to_1e7(dim, tau):
     for rep in chapman_kolmogorov_many(half, half, [0.0, 1.0, 2.0]):
         assert rep.passed and rep.residual <= 1e-7, rep
         # the estimate, with the target's own, covers the difference
-        target = kernel(target_params, rep.details["d"], kernels.SAMPLED_SPEC)
+        target = kernel(target_params, rep.details["d"], verify.SAMPLED_SPEC)
         miss = abs(rep.details["convolution"] - target.value)
         assert miss <= rep.details["quad_err"] + target.err_est, rep
 
@@ -222,7 +222,7 @@ def test_chapman_kolmogorov_radial_weight_overflow_is_located(monkeypatch):
     # a kernel that never underflows leaves K1 sinh^3 r above binary64 past
     # r ~ 237: those r nodes are nan, so the convolution fails instead of
     # integrating inf, with no estimate, and its report names d
-    monkeypatch.setattr(verify, "kernel_array", lambda params, ss, tau=None: (np.ones(np.shape(ss)), None))
+    monkeypatch.setattr(verify, "kernel_row", lambda params, ss, spec, tau=None: (np.ones(np.shape(ss)), np.zeros(np.shape(ss)), []))
     value, err, failed = verify._convolve_kernels(
         EvalParams(5, 100.0), EvalParams(5, 100.0), 1.0, QuadratureSpec(), 1.0, 1.0
     )
@@ -252,11 +252,11 @@ def test_pde_checks_fail_on_a_failed_stencil_sample(monkeypatch):
     assert rep.details["error"].startswith("binary64 overflow (value nan) at D=5, tau=10000.0, s=")
     assert rep.details["error"].endswith(" in kernel_odd")
 
-    def failing(params, ss, tau=None):
+    def failing(params, ss, spec, tau=None):
         shape = np.broadcast_shapes(np.shape(ss), np.shape(tau))
-        return np.full(shape, math.nan), failure(0.5, 0.25, "a stencil sample")
+        return np.full(shape, math.nan), np.full(shape, 0.25), [failure(0.5, 0.25, "a stencil sample")]
 
-    monkeypatch.setattr(verify, "kernel_array", failing)
+    monkeypatch.setattr(verify, "kernel_row", failing)
     rep = radial_pde_residual(EvalParams(3, 1.0))
     assert not rep.passed and rep.residual == math.inf
     assert rep.details["error"] == "quadrature did not converge (err_est=0.25) at a stencil sample"
@@ -291,6 +291,28 @@ def test_mass_at_d13_names_its_nonconverged_masses():
     assert not rep.passed and rep.residual == math.inf
     assert set(rep.details["nonconverged"]) <= {"1.25", "1.5", "2"}
     assert all(0.0 < e < 1e-5 for e in rep.details["nonconverged"].values())
+
+
+@pytest.mark.filterwarnings("error")
+def test_mass_that_underflows_fails_its_pairs_and_is_named():
+    # at hbar 1e300 the shift E takes every mass to 0.0: no pair has a
+    # residual, and there is no rate to fit
+    rep = mass_multiplicativity(EvalParams(4, 1.0, hbar=1e300), tau_list=(0.25, 0.5))
+    assert not rep.passed and rep.residual == math.inf
+    assert rep.details["underflowed"] == [0.25, 0.5, 0.75, 1.0]
+    assert all(p["rel_residual"] == math.inf for p in rep.details["pairs"])
+    assert rep.details["fitted_mass_rate"] is None
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_integral_whose_cutoff_is_not_finite_fails_on_its_own():
+    # at tau 1e70 (a = 2.5e-71) abel's cutoffs are nan: each l fails with
+    # no value and no estimate, and none is listed as underflowed
+    rep = abel_residual(EvalParams(3, 1e70))
+    assert not rep.passed and rep.residual == math.inf
+    assert rep.details["nonconverged"] == {f"{l:g}": math.inf for l in verify._L_GRID}
+    assert "underflowed" not in rep.details
+    assert all(math.isnan(p["lhs"]) and p["quad_err"] == math.inf for p in rep.details["points"])
 
 
 def test_total_mass_matches_exponential_form():
