@@ -44,9 +44,12 @@ of the checkout it sits in:
   3,4,5`` at ``--tau 1e62`` and ``--tau 1e70``, where the heat-equation
   time step's fifth powers pass binary64 and (at 1e70) abel's Gaussian
   cutoffs are nan, ``verify ck --dims 8 --tau 1e44``, whose convolution
-  cutoffs are nan, and ``verify mass --dims 4 --tau 1 --hbar 1e300`` and
+  cutoffs are nan, ``verify mass --dims 4 --tau 1 --hbar 1e300`` and
   ``verify all --dims 4 --tau 1 --m 1e-300``, where the masses underflow
-  to 0.0: every check fails on its own and reports (exit 1).
+  to 0.0, and ``verify all --dims 4,6 --tau 1e-120`` and ``verify
+  pde-radial --dims 4,6 --m 1e120``, whose rate a ~ 1e120 is past the
+  1e102 where (2a)^3 in the heat-equation space step would overflow:
+  every check fails on its own and reports (exit 1).
 
 Each printed line reads ``<sha256 of stdout> exit=<code> <arguments>``.
 Run it in two checkouts and diff the outputs:
@@ -146,6 +149,8 @@ def commands() -> list[list[str]]:
     out.append(["verify", "ck", "--dims", "8", "--tau", "1e44"])
     out.append(["verify", "mass", "--dims", "4", "--tau", "1", "--hbar", "1e300"])
     out.append(["verify", "all", "--dims", "4", "--tau", "1", "--m", "1e-300"])
+    out.append(["verify", "all", "--dims", "4,6", "--tau", "1e-120"])
+    out.append(["verify", "pde-radial", "--dims", "4,6", "--m", "1e120"])
     return out
 
 

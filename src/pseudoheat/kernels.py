@@ -156,24 +156,20 @@ def _odd_row(rates: _Rates, ss: np.ndarray, spec: QuadratureSpec) -> _Row:
 _ROUTES = {"kernel_d4": _d4_row, "kernel_even": _even_row, "kernel_odd": _odd_row}
 
 
-def _row(params: EvalParams, tau, ss: np.ndarray, spec: QuadratureSpec, route: str | None = None):
-    """The kernel at every (tau, s) pair of tau and the float array ss, by
+def _row(params: EvalParams, tau: np.ndarray, ss: np.ndarray, spec: QuadratureSpec, route: str | None = None):
+    """The kernel at every (tau, s) pair of the float arrays tau and ss, by
     the route of params.D or the one named: value and err_est arrays, and
     the located failure at each index that failed, an ``OverflowError``
     where the value is not finite, with D, its entry's tau, s and the route
-    in its message and D, tau and s as attributes.  tau is a float, the tau
-    of every entry, or a float array like ss.  -0.0 (an underflow under a
-    negative front factor) is +0.0."""
+    in its message and D, tau and s as attributes.  -0.0 (an underflow
+    under a negative front factor) is +0.0."""
     # the minimum is nan if any s is nan
     if not (np.minimum.reduce(ss, initial=0.0) >= 0.0 and np.maximum.reduce(ss, initial=0.0) < math.inf):
         raise ValueError("geodesic distance must be nonnegative and finite")
-    if isinstance(tau, np.ndarray):
-        taus, which = np.unique(tau, return_inverse=True)
-        if taus.size and not (taus[0] > 0.0 and taus[-1] < math.inf):  # nan sorts last
-            raise ValueError("tau must be positive and finite")
-        which = which.reshape(ss.shape)
-    else:  # a row of one rate
-        taus, which = np.array([tau], dtype=float), np.zeros(len(ss), dtype=np.intp)
+    taus, which = np.unique(tau, return_inverse=True)
+    if taus.size and not (taus[0] > 0.0 and taus[-1] < math.inf):  # nan sorts last
+        raise ValueError("tau must be positive and finite")
+    which = which.reshape(ss.shape)
     route = route or ("kernel_d4" if params.D == 4 else "kernel_odd" if params.D % 2 else "kernel_even")
     rates = _Rates(params.D, _rate(params, taus), _shift(params, taus), which)
     value, err, failed = _ROUTES[route](rates, ss, spec)
@@ -188,7 +184,7 @@ def _row(params: EvalParams, tau, ss: np.ndarray, spec: QuadratureSpec, route: s
 
 def _one(params: EvalParams, s: float, spec: QuadratureSpec, route: str | None = None) -> KernelValue:
     ss = np.array([s], dtype=float)
-    value, err, failures = _row(params, params.tau, ss, spec, route)
+    value, err, failures = _row(params, np.array([params.tau]), ss, spec, route)
     if failures:
         raise failures[0]
     return KernelValue(float(value[0]), float(err[0]), params.D, float(ss[0]), params.tau)
@@ -225,14 +221,12 @@ def kernel_row(
     failure's (inf for an overflow).  A numerical failure is never raised,
     and a value does not depend on the other entries of the row.
     """
-    if tau is None:  # the distinct s
-        key = np.asarray(ss, dtype=float)
-    else:  # the distinct (s, tau) pairs, as s + i tau, exactly
-        key = np.empty(np.broadcast_shapes(np.shape(ss), np.shape(tau)), complex)
-        key.real, key.imag = ss, tau
+    tau = params.tau if tau is None else tau
+    # the distinct (s, tau) pairs, as s + i tau, exactly
+    key = np.empty(np.broadcast_shapes(np.shape(ss), np.shape(tau)), complex)
+    key.real, key.imag = ss, tau
     distinct, inverse = np.unique(key, return_inverse=True)
-    row_tau = params.tau if tau is None else distinct.imag
-    value, err, located = _row(params, row_tau, distinct.real, spec)
+    value, err, located = _row(params, distinct.imag, distinct.real, spec)
     at = sorted(located)
     failures = [located[i] for i in at]
     value[at], err[at] = math.nan, [exc.err_est for exc in failures]

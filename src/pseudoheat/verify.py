@@ -217,11 +217,6 @@ def _d2(fp2: float, fp1: float, f0: float, fm1: float, fm2: float, h: float) -> 
     return (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * h * h)
 
 
-def _tau_stencil(tau: float, h: float) -> list[float]:
-    """The tau at which _d1 takes its values: tau + 2h, tau + h, tau - h, tau - 2h."""
-    return [tau + 2 * h, tau + h, tau - h, tau - 2 * h]
-
-
 def _pde_steps(params: EvalParams, s: float, tau: float) -> tuple[float, float]:
     """The steps h_s and h_tau of the 4th-order stencils at (s, tau).
 
@@ -236,8 +231,9 @@ def _pde_steps(params: EvalParams, s: float, tau: float) -> tuple[float, float]:
     noise = 2.2e-16 if params.D % 2 == 0 else 1e-13
     rh = (480.0 * noise) ** (1.0 / 6.0)
     a = params.with_tau(tau).a
-    # 6th-derivative scale in s: (2as)^6 far out, 15 (2a)^3 near the origin
-    rate_s = max(2.0 * a * s, (15.0 * (2.0 * a) ** 3) ** (1.0 / 6.0)) + (params.D - 2)
+    # 6th-derivative scale in s: (2as)^6 far out, 15 (2a)^3 near the origin,
+    # its sixth root formed so that no power of a overflows binary64
+    rate_s = max(2.0 * a * s, 15.0 ** (1.0 / 6.0) * math.sqrt(2.0 * a)) + (params.D - 2)
     h_s = min(rh / rate_s, 0.2 * s)
     # 5th-derivative scale in tau: fifth power of the log-derivative plus
     # the factorial growth of the Gaussian argument and the tau-power prefactor
@@ -252,23 +248,38 @@ def _pde_steps(params: EvalParams, s: float, tau: float) -> tuple[float, float]:
     return h_s, h_t
 
 
+def _stencil_rows(
+    params: EvalParams, points: Sequence[tuple[float, float, float, Sequence[float]]]
+) -> tuple[list[tuple[list[float], float]], list[ArithmeticError]]:
+    """The heat-equation stencils of every point (s, tau, h_tau, space) in
+    one kernel row: the kernel at each geodesic distance of space at tau,
+    and at s on the 4th-order stencil in tau of step h_tau.  Returns each
+    point's values on space and its dK/dtau, and the row's failures
+    (``kernel_row``)."""
+    ss, taus = [], []
+    for s, tau, h_t, space in points:
+        ss += [*space, s, s, s, s]
+        taus += [tau] * len(space) + [tau + 2 * h_t, tau + h_t, tau - h_t, tau - 2 * h_t]
+    values, _, failures = kernel_row(params, ss, SAMPLED_SPEC, taus)
+    values = iter(values.tolist())
+    rows = [(list(islice(values, len(space))), _d1(*islice(values, 4), h_t)) for _, _, h_t, space in points]
+    return rows, failures
+
+
 def _pde_pieces(
     params: EvalParams, points: Sequence[tuple[float, float]]
 ) -> tuple[list[tuple[float, float, float, float]], list[ArithmeticError]]:
     """(K, dK/dtau, radial Laplacian of K, scale) at each (s, tau) of points,
-    by 4th-order stencils in s and in tau (steps from ``_pde_steps``), every
-    stencil point of every point in one kernel row, and that row's failures
-    (``kernel_row``)."""
+    by 4th-order stencils in s and in tau (steps from ``_pde_steps``) on
+    one ``_stencil_rows`` row, and that row's failures."""
     steps = [_pde_steps(params, s, tau) for s, tau in points]
-    ss, taus = [], []
-    for (s, tau), (h_s, h_t) in zip(points, steps):
-        ss += [s + 2 * h_s, s + h_s, s, s - h_s, s - 2 * h_s] + [s] * 4
-        taus += [tau] * 5 + _tau_stencil(tau, h_t)
-    values, _, failures = kernel_row(params, ss, SAMPLED_SPEC, taus)
+    rows, failures = _stencil_rows(params, [
+        (s, tau, h_t, [s + 2 * h_s, s + h_s, s, s - h_s, s - 2 * h_s])
+        for (s, tau), (h_s, h_t) in zip(points, steps)
+    ])
     kappa = params.kappa
     out = []
-    for (s, tau), (h_s, h_t), (kp2, kp1, val, km1, km2, *at_taus) in zip(points, steps, values.reshape(-1, 9).tolist()):
-        k_t = _d1(*at_taus, h_t)
+    for (s, _), (h_s, _), ((kp2, kp1, val, km1, km2), k_t) in zip(points, steps, rows):
         k_s = _d1(kp2, kp1, km1, km2, h_s)
         k_ss = _d2(kp2, kp1, val, km1, km2, h_s)
         lap = k_ss + (params.D - 2) / math.tanh(s) * k_s
@@ -341,35 +352,26 @@ def horicyclic_pde_residual(
     """Same heat equation, but with the Laplacian applied through the
     explicit half-space coordinate stencil instead of the radial reduction.
 
-    The kernel at every point of every pair's stencils, the Laplacian's
-    around q2 at tau and the time derivative's at q2 (its step from
-    ``_pde_steps``), is one kernel row; where a sample of it fails the
-    report fails, the row's first failure under ``error``, as pde-radial's
-    does."""
-    quad_backed = params.D == 3
+    Every pair's stencils, the Laplacian's around q2 at tau and the time
+    derivative's at q2 (its step from ``_pde_steps``), are one
+    ``_stencil_rows`` row; where a sample of it fails the report fails,
+    the row's first failure under ``error``, as pde-radial's does."""
     tau = params.tau
-    steps, points = [], []  # steps per pair: the Laplacian's stencil size and step, h_tau
-    ss, taus = [], []
-    for q1, q2 in pairs:
-        h = (2e-3 if quad_backed else 1e-4) * max(1.0, q2.y)
-        space = laplace_beltrami_stencil(q2, h)
-        s12 = geodesic_distance(q1, q2)
-        h_t = _pde_steps(params, s12, tau)[1]
-        steps.append((len(space), h, h_t))
-        points.append({"s": s12})
-        ss += [geodesic_distance(q1, q) for q in space] + [s12] * 4
-        taus += [tau] * len(space) + _tau_stencil(tau, h_t)
-    values, _, failures = kernel_row(params, ss, SAMPLED_SPEC, taus)
+    points = [{"s": geodesic_distance(q1, q2)} for q1, q2 in pairs]
+    # the Laplacian's step around q2, wider where the kernel is quadrature-backed (D = 3)
+    hs = [(2e-3 if params.D == 3 else 1e-4) * max(1.0, q2.y) for _, q2 in pairs]
+    rows, failures = _stencil_rows(params, [
+        (p["s"], tau, _pde_steps(params, p["s"], tau)[1],
+         [geodesic_distance(q1, q) for q in laplace_beltrami_stencil(q2, h)])
+        for (q1, q2), p, h in zip(pairs, points, hs)
+    ])
     if failures:
         details = {"tau": params.tau, "n_pairs": len(pairs), "error": str(failures[0])}
         return VerificationReport.make("pde-horicyclic", params.D, math.inf, 1e-4, details)
-    values = iter(values.tolist())
     pieces = []
-    for (_, q2), (size, h, h_t) in zip(pairs, steps):
-        at_space, at_taus = list(islice(values, size)), list(islice(values, 4))
+    for (_, q2), h, (at_space, k_t) in zip(pairs, hs, rows):
         val = at_space[0]  # the kernel at q2
         lap = laplace_beltrami_combine(at_space, q2, h)
-        k_t = _d1(*at_taus, h_t)
         pieces.append((val, k_t, lap, max(abs(k_t), params.kappa * abs(lap), abs(val))))
     c_fit, worst, underflowed = _fit_heat_equation(params.kappa, points, pieces)
     details = {"tau": params.tau, "fitted_c": c_fit, "n_pairs": len(pairs), "points": points}
@@ -737,11 +739,12 @@ def suite_reports(
     suite: str, dims: Sequence[int], tau: float, m: float = 0.5, hbar: float = 1.0
 ) -> list[VerificationReport]:
     """Reports of one suite of :data:`SUITES`, or of every suite for
-    ``"all"``, suite by suite and, within a suite, in the order of ``dims``."""
+    ``"all"``, suite by suite and, within a suite, in the order of ``dims``.
+    An unknown suite, or a D or unit that ``EvalParams`` rejects (gfunc's
+    too, which reads neither), raises ``ValueError`` before any suite runs."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join((*SUITES, 'all'))}")
-    if any(d < 3 for d in dims):
-        raise ValueError("D must be >= 3")
+    params = [EvalParams(d, tau, m, hbar) for d in dims]
     reports = []
     for name, build in SUITES.items():
         if suite not in (name, "all"):
@@ -749,6 +752,6 @@ def suite_reports(
         if name == "gfunc":
             reports.extend(build())
         else:
-            for d in dims:
-                reports.extend(build(EvalParams(d, tau, m, hbar)))
+            for p in params:
+                reports.extend(build(p))
     return reports

@@ -455,6 +455,10 @@ def test_verify_ck_names_each_d_whose_kernel_sample_overflows(capsys):
     # the masses underflow to 0.0
     ("mass --dims 4 --tau 1 --hbar 1e300", 1),
     ("all --dims 4 --tau 1 --m 1e-300", 10),
+    # the rate a ~ 1e120 is past the 1e102 where (2a)^3 of the heat
+    # equation's space step would overflow
+    ("all --dims 4,6 --tau 1e-120", 18),
+    ("pde-radial --dims 4,6 --m 1e120", 2),
 ])
 def test_verify_reports_every_check_at_extreme_units(capsys, argv, n_reports):
     # each check fails on its own, and every report is printed
@@ -465,6 +469,16 @@ def test_verify_reports_every_check_at_extreme_units(capsys, argv, n_reports):
     with open(REPO_ROOT / SCHEMA_PATH) as fh:
         jsonschema.validate(doc, json.load(fh))
     assert len(doc["reports"]) == n_reports
+
+
+@pytest.mark.parametrize("flag, value, name", [("--tau", "-1", "tau"), ("--m", "nan", "m"), ("--hbar", "inf", "hbar")])
+def test_verify_gfunc_rejects_invalid_units(capsys, flag, value, name):
+    # gfunc reads no unit, yet the units of every D are checked before any
+    # suite runs
+    assert cli.main(["verify", "gfunc", "--dims", "3", flag, value]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {name} must be positive and finite\n"
 
 
 @pytest.mark.filterwarnings("error")

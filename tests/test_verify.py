@@ -10,7 +10,7 @@ import pytest
 
 from pseudoheat.geometry import HoricyclicPoint, geodesic_distance, normalize_pair
 from pseudoheat import cli, gfunc, kernels, verify
-from pseudoheat.kernels import EvalParams, kernel
+from pseudoheat.kernels import EvalParams, kernel, kernel_row
 from pseudoheat.quadrature import NonConvergenceError, QuadratureSpec, failure
 from pseudoheat.verify import (
     VerificationReport,
@@ -435,8 +435,7 @@ _real_row = kernels._row
 def _pointwise_row(params, tau, ss, spec, route=None):
     """The kernels' array row as one one-element row per (tau, s), which is
     what kernel() evaluates at each (tau, s)."""
-    taus = np.broadcast_to(tau, ss.shape).tolist()
-    rows = [_real_row(params.with_tau(t), t, ss[i : i + 1], spec, route) for i, t in enumerate(taus)]
+    rows = [_real_row(params.with_tau(t), tau[i : i + 1], ss[i : i + 1], spec, route) for i, t in enumerate(tau.tolist())]
     value = np.array([v[0] for v, _, _ in rows])
     err = np.array([e[0] for _, e, _ in rows])
     return value, err, {i: f[0] for i, (_, _, f) in enumerate(rows) if f}
@@ -461,6 +460,22 @@ def test_batched_integrands_equal_the_pointwise_integrals(dim, monkeypatch):
     batched = integrals()
     monkeypatch.setattr(kernels, "_row", _pointwise_row)
     assert integrals() == batched
+
+
+@pytest.mark.parametrize("suite", ["pde-radial", "pde-horicyclic"])
+def test_each_heat_equation_check_samples_one_kernel_row_per_dimension(suite, monkeypatch):
+    # every stencil point of a check's whole grid, in space and in tau, is
+    # one row
+    calls = []
+
+    def counted(params, ss, spec, tau=None):
+        calls.append(params.D)
+        return kernel_row(params, ss, spec, tau)
+
+    monkeypatch.setattr(verify, "kernel_row", counted)
+    reports = verify.suite_reports(suite, [3, 4, 5], 0.5)
+    assert all(r.passed for r in reports)
+    assert calls == [3, 4, 5]
 
 
 def test_nonconvergence_inside_a_batch_reaches_abel_residual(monkeypatch):
