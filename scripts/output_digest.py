@@ -48,8 +48,11 @@ of the checkout it sits in:
   ``verify all --dims 4 --tau 1 --m 1e-300``, where the masses underflow
   to 0.0, and ``verify all --dims 4,6 --tau 1e-120`` and ``verify
   pde-radial --dims 4,6 --m 1e120``, whose rate a ~ 1e120 is past the
-  1e102 where (2a)^3 in the heat-equation space step would overflow:
-  every check fails on its own and reports (exit 1).
+  1e102 where (2a)^3 in the heat-equation space step would overflow, and
+  ``verify all --dims 4,6 --tau 1e-200`` and ``verify pde-radial --dims 4
+  --hbar 1e-300``, whose rates past ~1e200 overflow 4 rate target in
+  ``gaussian_cutoff`` and take a heat-equation step, or its square, to
+  0.0: every check fails on its own and reports (exit 1).
 
 Each printed line reads ``<sha256 of stdout> exit=<code> <arguments>``.
 Run it in two checkouts and diff the outputs:
@@ -151,6 +154,8 @@ def commands() -> list[list[str]]:
     out.append(["verify", "all", "--dims", "4", "--tau", "1", "--m", "1e-300"])
     out.append(["verify", "all", "--dims", "4,6", "--tau", "1e-120"])
     out.append(["verify", "pde-radial", "--dims", "4,6", "--m", "1e120"])
+    out.append(["verify", "all", "--dims", "4,6", "--tau", "1e-200"])
+    out.append(["verify", "pde-radial", "--dims", "4", "--hbar", "1e-300"])
     return out
 
 

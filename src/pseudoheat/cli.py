@@ -260,9 +260,6 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    if getattr(args, "dim", None) is not None and args.dim < 3:
-        print("error: D must be >= 3", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ArithmeticError as exc:

@@ -305,13 +305,14 @@ def gaussian_cutoff(
     by exp(-sigma^2/2) relative to its maximum over [max(lower, 0), inf);
     elementwise where the lower limits, rates or growths are arrays.  nan
     where growth^2 cancels below 0 under the square root, which a rate
-    below ~1e-60 against the growth can make it do."""
-    peak = np.maximum(lower, np.maximum(0.0, 0.5 * linear_growth / decay_rate))
-    target = decay_rate * peak * peak - linear_growth * peak + 0.5 * sigma * sigma
-    with np.errstate(invalid="ignore"):  # the nan is the caller's to fail on
+    below ~1e-60 against the growth can make it do, and inf where a rate
+    past ~1e200 overflows 4 rate target.  Either is the caller's to fail on."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = np.maximum(lower, np.maximum(0.0, 0.5 * linear_growth / decay_rate))
+        target = decay_rate * peak * peak - linear_growth * peak + 0.5 * sigma * sigma
         root = np.sqrt(linear_growth * linear_growth + 4.0 * decay_rate * target)
-    t = (linear_growth + root) / (2.0 * decay_rate)
-    return np.maximum(t, lower + 1.0 / np.sqrt(decay_rate))
+        t = (linear_growth + root) / (2.0 * decay_rate)
+        return np.maximum(t, lower + 1.0 / np.sqrt(decay_rate))
 
 
 # integrate_abel stretches its tail by t = T sinh(u/T).  Up to t ~ 1, where

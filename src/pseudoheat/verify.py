@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -249,64 +248,49 @@ def _pde_steps(params: EvalParams, s: float, tau: float) -> tuple[float, float]:
 
 
 def _stencil_rows(
-    params: EvalParams, points: Sequence[tuple[float, float, float, Sequence[float]]]
-) -> tuple[list[tuple[list[float], float]], list[ArithmeticError]]:
-    """The heat-equation stencils of every point (s, tau, h_tau, space) in
-    one kernel row: the kernel at each geodesic distance of space at tau,
-    and at s on the 4th-order stencil in tau of step h_tau.  Returns each
-    point's values on space and its dK/dtau, and the row's failures
-    (``kernel_row``)."""
-    ss, taus = [], []
-    for s, tau, h_t, space in points:
-        ss += [*space, s, s, s, s]
-        taus += [tau] * len(space) + [tau + 2 * h_t, tau + h_t, tau - h_t, tau - 2 * h_t]
-    values, _, failures = kernel_row(params, ss, SAMPLED_SPEC, taus)
-    values = iter(values.tolist())
-    rows = [(list(islice(values, len(space))), _d1(*islice(values, 4), h_t)) for _, _, h_t, space in points]
-    return rows, failures
-
-
-def _pde_pieces(
-    params: EvalParams, points: Sequence[tuple[float, float]]
-) -> tuple[list[tuple[float, float, float, float]], list[ArithmeticError]]:
-    """(K, dK/dtau, radial Laplacian of K, scale) at each (s, tau) of points,
-    by 4th-order stencils in s and in tau (steps from ``_pde_steps``) on
-    one ``_stencil_rows`` row, and that row's failures."""
-    steps = [_pde_steps(params, s, tau) for s, tau in points]
-    rows, failures = _stencil_rows(params, [
-        (s, tau, h_t, [s + 2 * h_s, s + h_s, s, s - h_s, s - 2 * h_s])
-        for (s, tau), (h_s, h_t) in zip(points, steps)
-    ])
-    kappa = params.kappa
-    out = []
-    for (s, _), (h_s, _), ((kp2, kp1, val, km1, km2), k_t) in zip(points, steps, rows):
-        k_s = _d1(kp2, kp1, km1, km2, h_s)
-        k_ss = _d2(kp2, kp1, val, km1, km2, h_s)
-        lap = k_ss + (params.D - 2) / math.tanh(s) * k_s
-        scale = max(abs(k_t), kappa * abs(k_ss), kappa * (params.D - 2) * abs(k_s / math.tanh(s)), abs(val))
-        out.append((val, k_t, lap, scale))
-    return out, failures
+    params: EvalParams, s: np.ndarray, tau: np.ndarray, h_t: np.ndarray, space: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[ArithmeticError]]:
+    """The heat-equation stencils of every point (s, tau, h_tau, space row)
+    in one kernel row: the kernel at each geodesic distance of space (an
+    array of shape (points, m)) at tau, and at s on the 4th-order stencil
+    in tau of step h_tau.  Returns the (points, m) values on space, the
+    dK/dtau array and the row's failures (``kernel_row``).  A step of 0.0
+    gives dK/dtau inf or nan, which fails the report it enters."""
+    at_s = np.broadcast_to(s[:, None], (len(s), 4))
+    at_tau = np.stack([tau + 2 * h_t, tau + h_t, tau - h_t, tau - 2 * h_t], axis=1)
+    values, _, failures = kernel_row(
+        params,
+        np.concatenate([space, at_s], axis=1),
+        SAMPLED_SPEC,
+        np.concatenate([np.broadcast_to(tau[:, None], space.shape), at_tau], axis=1),
+    )
+    m = space.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_t = _d1(*values[:, m:].T, h_t)
+    return values[:, :m], k_t, failures
 
 
 def _fit_heat_equation(
-    kappa: float, records: Sequence[dict], pieces: Sequence[tuple[float, float, float, float]]
+    kappa: float, records: Sequence[dict], val: np.ndarray, k_t: np.ndarray, lap: np.ndarray, scale: np.ndarray
 ) -> tuple[float | None, float, list[dict]]:
     """Fit c in dK/dtau = kappa Lap K + c K at the first point whose K is not
-    0.0, from each point's pieces (K, dK/dtau, Lap K, scale), and give each
-    record its ``residual`` |dK/dtau - kappa Lap K - c K| / scale and its
-    ``c_pointwise``.  Where K underflowed there is no scale to measure the
-    equation against: residual inf, c None.  Returns c (None if every K
-    underflowed), the worst residual and the underflowed records."""
-    c_fit = next(((k_t - kappa * lap) / val for val, k_t, lap, _ in pieces if val != 0.0), None)
-    underflowed = []
-    for record, (val, k_t, lap, scale) in zip(records, pieces):
-        if val == 0.0:
-            record["residual"], record["c_pointwise"] = math.inf, None
-            underflowed.append(record)
-        else:
-            record["residual"] = abs(k_t - kappa * lap - c_fit * val) / scale
-            record["c_pointwise"] = (k_t - kappa * lap) / val
-    return c_fit, max((r["residual"] for r in records), default=0.0), underflowed
+    0.0, from the arrays K, dK/dtau, Lap K and scale over the points, and
+    give each record its ``residual`` |dK/dtau - kappa Lap K - c K| / scale
+    and its ``c_pointwise``.  Where K underflowed there is no scale to
+    measure the equation against: residual inf, c None.  A residual that is
+    not finite (a step of 0.0 gives one) is the worst.  Returns c (None if
+    every K underflowed), the worst residual and the underflowed records.
+    The caller runs it under its stencils' ``np.errstate``."""
+    kept = val != 0.0
+    c_point = (k_t - kappa * lap) / val
+    c_fit = next((c for c, ok in zip(c_point.tolist(), kept.tolist()) if ok), None)
+    # c_fit is None only where every residual is inf
+    residual = abs(k_t - kappa * lap - (c_fit or 0.0) * val) / scale
+    residual[~kept] = math.inf
+    underflowed = [r for r, ok in zip(records, kept.tolist()) if not ok]
+    for record, r, c, ok in zip(records, residual.tolist(), c_point.tolist(), kept.tolist()):
+        record["residual"], record["c_pointwise"] = r, c if ok else None
+    return c_fit, np.max(residual, initial=0.0).item(), underflowed
 
 
 def radial_pde_residual(
@@ -316,6 +300,8 @@ def radial_pde_residual(
 ) -> VerificationReport:
     """dK/dtau = kappa [K_ss + (D-2) coth(s) K_s] + c K with c fitted once.
 
+    K, dK/dtau and the radial Laplacian come from 4th-order stencils in s
+    and in tau (steps from ``_pde_steps``) on one ``_stencil_rows`` row.
     c is fitted at the first grid point where K does not underflow and then
     held fixed; the report carries the fit and its spread, which double as
     a check that the generator shift is a constant.  The (s, tau) where K
@@ -327,17 +313,31 @@ def radial_pde_residual(
     tolerance = 1e-7 if params.D == 4 else (1e-6 if params.D % 2 == 0 else 1e-5)
     grid = [(s, tau) for tau in tau_grid for s in s_grid]
     points = [{"s": s, "tau": tau} for s, tau in grid]
-    pieces, failures = _pde_pieces(params, grid)
+    s, tau = np.array(grid).T
+    h_s, h_t = np.array([_pde_steps(params, *p) for p in grid]).T
+    space = np.stack([s + 2 * h_s, s + h_s, s, s - h_s, s - 2 * h_s], axis=1)
+    values, k_t, failures = _stencil_rows(params, s, tau, h_t, space)
     if failures:
         details = {"grid": f"s in {list(s_grid)}, tau in {list(tau_grid)}", "error": str(failures[0])}
         return VerificationReport.make("pde-radial", params.D, math.inf, tolerance, details)
-    c_fit, worst, underflowed = _fit_heat_equation(params.kappa, points, pieces)
+    kp2, kp1, val, km1, km2 = values.T
+    kappa = params.kappa
+    # coth by math.tanh, whose bits numpy's tanh does not always share
+    tanh = np.array([math.tanh(x) for x, _ in grid])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_s = _d1(kp2, kp1, km1, km2, h_s)
+        k_ss = _d2(kp2, kp1, val, km1, km2, h_s)
+        lap = k_ss + (params.D - 2) / tanh * k_s
+        scale = np.maximum.reduce([
+            abs(k_t), kappa * abs(k_ss), kappa * (params.D - 2) * abs(k_s / tanh), abs(val)
+        ])
+        c_fit, worst, underflowed = _fit_heat_equation(kappa, points, val, k_t, lap, scale)
     c_values = [p["c_pointwise"] for p in points if p["c_pointwise"] is not None]
     details = {
         "grid": f"s in {list(s_grid)}, tau in {list(tau_grid)}",
         "fitted_c": c_fit,
         "c_spread": max(c_values) - min(c_values) if c_values else None,
-        "kappa": params.kappa,
+        "kappa": kappa,
         "points": points,
     }
     if underflowed:
@@ -358,22 +358,22 @@ def horicyclic_pde_residual(
     the row's first failure under ``error``, as pde-radial's does."""
     tau = params.tau
     points = [{"s": geodesic_distance(q1, q2)} for q1, q2 in pairs]
+    s = np.array([p["s"] for p in points])
+    h_t = np.array([_pde_steps(params, p["s"], tau)[1] for p in points])
     # the Laplacian's step around q2, wider where the kernel is quadrature-backed (D = 3)
     hs = [(2e-3 if params.D == 3 else 1e-4) * max(1.0, q2.y) for _, q2 in pairs]
-    rows, failures = _stencil_rows(params, [
-        (p["s"], tau, _pde_steps(params, p["s"], tau)[1],
-         [geodesic_distance(q1, q) for q in laplace_beltrami_stencil(q2, h)])
-        for (q1, q2), p, h in zip(pairs, points, hs)
+    space = np.array([
+        [geodesic_distance(q1, q) for q in laplace_beltrami_stencil(q2, h)] for (q1, q2), h in zip(pairs, hs)
     ])
+    values, k_t, failures = _stencil_rows(params, s, np.full(len(pairs), tau), h_t, space)
     if failures:
         details = {"tau": params.tau, "n_pairs": len(pairs), "error": str(failures[0])}
         return VerificationReport.make("pde-horicyclic", params.D, math.inf, 1e-4, details)
-    pieces = []
-    for (_, q2), h, (at_space, k_t) in zip(pairs, hs, rows):
-        val = at_space[0]  # the kernel at q2
-        lap = laplace_beltrami_combine(at_space, q2, h)
-        pieces.append((val, k_t, lap, max(abs(k_t), params.kappa * abs(lap), abs(val))))
-    c_fit, worst, underflowed = _fit_heat_equation(params.kappa, points, pieces)
+    val = values[:, 0]  # the kernel at q2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lap = np.array([laplace_beltrami_combine(row, q2, h) for row, (_, q2), h in zip(values, pairs, hs)])
+        scale = np.maximum.reduce([abs(k_t), params.kappa * abs(lap), abs(val)])
+        c_fit, worst, underflowed = _fit_heat_equation(params.kappa, points, val, k_t, lap, scale)
     details = {"tau": params.tau, "fitted_c": c_fit, "n_pairs": len(pairs), "points": points}
     if underflowed:
         details["underflowed"] = [p["s"] for p in underflowed]

@@ -49,7 +49,7 @@ def test_eval_point_pair_echoes_distance():
 def test_eval_rejects_low_dimension():
     res = run_cli("eval", "--dim", "2", "--tau", "1", "--s", "1")
     assert res.returncode == 2
-    assert "D must be >= 3" in res.stderr
+    assert "D must be an integer >= 3" in res.stderr
 
 
 @pytest.mark.parametrize("flag", ["--y1", "--x1", "--y2", "--x2"])
@@ -459,6 +459,12 @@ def test_verify_ck_names_each_d_whose_kernel_sample_overflows(capsys):
     # equation's space step would overflow
     ("all --dims 4,6 --tau 1e-120", 18),
     ("pde-radial --dims 4,6 --m 1e120", 2),
+    # past a rate of ~1e200: gaussian_cutoff's 4 rate target overflows, and
+    # a heat-equation step, or its square, is 0.0
+    ("all --dims 4,6 --tau 1e-200", 18),
+    ("pde-horicyclic --dims 4 --tau 1e-200", 1),
+    ("pde-radial --dims 4 --hbar 1e-300", 1),
+    ("all --dims 4 --m 1e300", 10),
 ])
 def test_verify_reports_every_check_at_extreme_units(capsys, argv, n_reports):
     # each check fails on its own, and every report is printed

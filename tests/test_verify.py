@@ -452,7 +452,7 @@ def test_batched_integrands_equal_the_pointwise_integrals(dim, monkeypatch):
         return (
             verify._masses(params, [0.5, 1.0])[:2],
             [(p["lhs"], p["quad_err"]) for p in abel_residual(params, l_grid=(l,)).details["points"]],
-            verify._pde_pieces(params, [(1.0, 0.5), (0.1, 0.1), (3.5, 2.0)]),
+            verify.radial_pde_residual(params, s_grid=(1.0, 0.1, 3.5), tau_grid=(0.5, 0.1, 2.0)),
             verify.chapman_kolmogorov_many(params, params, [0.0, 1.0])[0].details["target"],
             dim < 5 and verify.horicyclic_pde_residual(params, verify._horicyclic_pairs(dim)),
         )
@@ -476,6 +476,18 @@ def test_each_heat_equation_check_samples_one_kernel_row_per_dimension(suite, mo
     reports = verify.suite_reports(suite, [3, 4, 5], 0.5)
     assert all(r.passed for r in reports)
     assert calls == [3, 4, 5]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("suite", ["pde-radial", "pde-horicyclic"])
+def test_a_zero_time_step_fails_its_heat_equation_report(suite, monkeypatch):
+    # a time step that underflows to 0.0 makes dK/dtau nan: the report
+    # fails through its residual, and nothing is raised
+    real_steps = verify._pde_steps
+    monkeypatch.setattr(verify, "_pde_steps", lambda params, s, tau: (real_steps(params, s, tau)[0], 0.0))
+    (report,) = verify.suite_reports(suite, [4], 0.5)
+    assert not report.passed
+    assert not math.isfinite(report.residual)
 
 
 def test_nonconvergence_inside_a_batch_reaches_abel_residual(monkeypatch):
