@@ -17,7 +17,11 @@ of the checkout it sits in:
   --format csv`` at ``--dim 3 --y2 1e-160`` (368 apart) and ``--dim 5
   --y2 2``, the point-pair reader;
 * ``oracle --dim {3,4,5} --tau 0.25 --n 2,4 --samples 20000 --seed 9
-  --threads 1 --format csv``, the lattice Monte Carlo;
+  --threads 1 --format csv``, the lattice Monte Carlo, and the same run
+  at the dilated pairs ``--dim 6 --y1 1e100 --y2 1.2e100 --x2 3e99,0,0,0``
+  and ``--dim 3 --y1 1e-200 --y2 1.2e-200 --x2 3e-201``, whose heights
+  overflow or underflow their products unless sampled in the first
+  point's frame;
 * ``verify all --dims 3,4,5`` at ``--tau 0.5`` and ``--tau 1.0``, the two
   tau of the benchmark's ``certify`` workload;
 * ``verify pde-radial --dims 6,7,8,9 --tau 0.5``, whose stencils hold
@@ -134,6 +138,11 @@ def commands() -> list[list[str]]:
         out.append([
             "oracle", "--dim", dim, "--tau", "0.25", "--n", "2,4", "--samples", "20000",
             "--seed", "9", "--threads", "1", "--format", "csv",
+        ])
+    for dim, y1, y2, x2 in (("6", "1e100", "1.2e100", "3e99,0,0,0"), ("3", "1e-200", "1.2e-200", "3e-201")):
+        out.append([
+            "oracle", "--dim", dim, "--y1", y1, "--y2", y2, "--x2", x2, "--n", "2,4",
+            "--samples", "20000", "--seed", "9", "--threads", "1", "--format", "csv",
         ])
     for tau in ("0.5", "1.0"):
         out.append(["verify", "all", "--dims", "3,4,5", "--tau", tau])

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 
-from .geometry import HoricyclicPoint, geodesic_distance
+from .geometry import HoricyclicPoint, geodesic_distance, in_first_frame
 from .kernels import EvalParams, kernel, kernel_row
 from .lattice import convergence_order, lattice_rows
 from .quadrature import QuadratureSpec
@@ -70,7 +70,8 @@ _S_OR_PAIR = "give either --s or the point pair --y1/--x1/--y2/--x2"
 def _point_pair(args, y1: float | None = None, y2: float | None = None, x2: list[float] | None = None):
     """The points (--y1, --x1) and (--y2, --x2) in D = --dim.  A height not
     given is y1 or y2, and required where that is None; flat coordinates
-    not given are D - 2 zeros, or x2 for --x2 where x2 is given."""
+    not given are D - 2 zeros, or x2 for --x2 where x2 is given.  The pair
+    is returned in the first point's frame (``in_first_frame``)."""
     y1 = args.y1 if args.y1 is not None else y1
     y2 = args.y2 if args.y2 is not None else y2
     if y1 is None or y2 is None:
@@ -81,7 +82,7 @@ def _point_pair(args, y1: float | None = None, y2: float | None = None, x2: list
     for x in (x1, x2):
         if len(x) + 2 != args.dim:
             raise ValueError(f"point pair has dimension {len(x) + 2}, expected {args.dim}")
-    return HoricyclicPoint(y1, x1), HoricyclicPoint(y2, x2)
+    return in_first_frame(HoricyclicPoint(y1, x1), HoricyclicPoint(y2, x2))
 
 
 def cmd_eval(args) -> int:

@@ -25,6 +25,7 @@ __all__ = [
     "from_hyperboloid",
     "geodesic_distance",
     "normalize_pair",
+    "in_first_frame",
     "laplace_beltrami_apply",
     "laplace_beltrami_stencil",
     "laplace_beltrami_combine",
@@ -188,6 +189,16 @@ class IsometryRecord:
         for op in self.ops:
             q = op.apply(q)
         return q
+
+
+def in_first_frame(q1: HoricyclicPoint, q2: HoricyclicPoint) -> tuple[HoricyclicPoint, HoricyclicPoint]:
+    """The pair moved by the isometry (y, x) -> (y, x - x1) / y1, which takes
+    q1 to (1, 0).  The coordinates are then ratios to y1, so products of
+    heights and flat differences are of the size the pair's distance sets,
+    not of its distance from y = 1; at y1 = 1, x1 = 0 every bit is kept."""
+    _check_same_dim(q1, q2)
+    return (HoricyclicPoint(1.0, (0.0,) * len(q1.x)),
+            HoricyclicPoint(q2.y / q1.y, tuple((b - a) / q1.y for a, b in zip(q1.x, q2.x))))
 
 
 def normalize_pair(

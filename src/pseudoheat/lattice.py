@@ -23,12 +23,15 @@ x-factor.  A bridge read at every k-th point of a finer grid is exactly
 the bridge on the coarser grid, so ``lattice_rows`` groups the slice
 counts into chains that divide a finest count L and runs one serial pass
 per chain, every count reading the same paths.  The paths come in
-antithetic pairs: the bridge is its linear mean plus a deviation d, and
-mean + d and mean - d are both exact samples, so one normal draw serves two
-paths, and the se is taken over the pair means.  A chain draws from SFC64
-seeded by (seed, L) alone.  The N = 1 value coincides with the bare
-short-time factor, and the N = 2 nested-quadrature route keeps the x
-integral explicit so the Gaussian reduction itself is cross-checked.
+sign-flip groups: the bridge is its linear mean plus a deviation d = d_A +
+d_B, split by the parity of the step whose normal enters it, and the four
+paths mean +- d_A +- d_B are all exact samples, so one normal vector serves
+four paths (two, mean +- d, for a bridge of one step), and the se is taken
+over the group means.  A chain draws from SFC64 seeded by (seed, L) alone,
+and samples in the first point's frame, where y1 = 1 and x1 = 0.  The
+N = 1 value coincides with the bare short-time factor, and the N = 2
+nested-quadrature route keeps the x integral explicit so the Gaussian
+reduction itself is cross-checked.
 """
 
 from __future__ import annotations
@@ -39,14 +42,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import HoricyclicPoint
+from .geometry import HoricyclicPoint, in_first_frame
 from .kernels import EvalParams
 from .quadrature import QuadratureSpec, _pointwise, integrate_one, integrate_tanh_sinh
 
 __all__ = ["LatticeSpec", "lattice_kernel", "lattice_rows", "convergence_order"]
 
-# antithetic pairs of paths per block of the bridge pass
-_MC_BLOCK = 1 << 13
+# paths per block of the bridge pass
+_MC_PATHS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,8 @@ class LatticeSpec:
     """Slice count, integration method and sampling budget.
 
     ``samples`` counts Monte Carlo paths; they are drawn as
-    ceil(samples / 2) antithetic pairs, so no budget is undershot.
+    ceil(samples / g) sign-flip groups of g = 4 paths (g = 2 at N = 2
+    alone), so no budget is undershot.
     """
 
     n_slices: int
@@ -99,33 +103,43 @@ def _chains(n_list: Sequence[int]) -> list[list[int]]:
 
 def _chain_rows(params: EvalParams, q1: HoricyclicPoint, q2: HoricyclicPoint, chain: list[int],
                 samples: int, seed: int) -> dict[int, tuple[float, float]]:
-    """(value, se) of each slice count of one chain, from ceil(samples / 2)
-    antithetic pairs of paths.
+    """(value, se) of each slice count of one chain, from ceil(samples / g)
+    sign-flip groups of g paths each.
 
     One Brownian bridge in z at the chain's finest count L (staging, with
     per-step variance 1/(2 a L)) samples the z-sector slice Gaussians
     exactly, so the weight is just the composed x-factor
     (A/pi)^((D-2)/2) exp(-A R^2) with A = a_N / sum_n y_n y_(n+1), where
     a count N reads the heights at every (L/N)-th point.  The bridge is its
-    linear mean plus a deviation d; a pair is the two paths mean +- d, both
-    exact samples, and it contributes the mean of their weights.  The se is
-    the spread of the pair means.
+    linear mean plus a deviation d = d_A + d_B, where d_A takes only the
+    odd steps' normals and d_B only the even steps'.  Flipping the sign of
+    either part flips a block of independent normals, so a group is the
+    g = 4 paths mean +- d_A +- d_B, all exact samples drawn from one normal
+    vector (g = 2, the pair mean +- d, when L = 2 leaves d_B empty).  A
+    group contributes the mean of its weights, and the se is the spread of
+    the group means.
     """
     big_l, p = chain[0], (params.D - 2) / 2.0
     z0, z1 = math.log(q1.y), math.log(q2.y)
     r2 = sum((u - v) ** 2 for u, v in zip(q1.x, q2.x))
     var_step = 1.0 / (2.0 * params.a * big_l)
-    pairs = (samples + 1) // 2
+    g = 2 ** min(2, big_l - 1)
+    width = _MC_PATHS // g  # groups per block
+    groups = -(-samples // g)
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, big_l))))
-    d, normal = np.empty(_MC_BLOCK), np.empty(_MC_BLOCK)
-    y = np.empty((2, _MC_BLOCK))  # heights of the paths mean + d and mean - d
+    normal = np.empty(width)
+    # d_A + d_B, and d_A - d_B when g = 4: the parts follow the same
+    # recurrence, and an even step's normal enters the second with a minus
+    dev = np.empty((g // 2, width))
+    y = np.empty((g, width))  # heights of the paths mean + dev, then mean - dev
     # per count: the heights at its last point read, its sums of
-    # y_n y_(n+1), and the sums of the pair mean and of its square so far
-    last, sumyy = ({n: np.empty((2, _MC_BLOCK)) for n in chain} for _ in range(2))
+    # y_n y_(n+1), and the sums of the group mean and of its square so far
+    last, sumyy = ({n: np.empty((g, width)) for n in chain} for _ in range(2))
     sums = {n: np.zeros(2) for n in chain}
-    for start in range(0, pairs, _MC_BLOCK):
-        m = min(_MC_BLOCK, pairs - start)
-        db, nb, yb = d[:m], normal[:m], y[:, :m]
+    for start in range(0, groups, width):
+        m = min(width, groups - start)
+        db, nb, yb = dev[:, :m], normal[:m], y[:, :m]
+        ep, em = yb[: g // 2], yb[g // 2:]  # y = exp(mean) exp(+-dev)
         db.fill(0.0)
         for n in chain:
             last[n][:, :m], sumyy[n][:, :m] = q1.y, 0.0
@@ -135,11 +149,15 @@ def _chain_rows(params: EvalParams, q1: HoricyclicPoint, q2: HoricyclicPoint, ch
                 rng.standard_normal(out=nb)
                 nb *= math.sqrt(var_step * (remaining - 1) / remaining)
                 db *= (remaining - 1) / remaining
-                db += nb
-                np.exp(db, out=nb)  # y = exp(mean) exp(+-d)
+                if i % 2:
+                    db += nb
+                else:
+                    db[0] += nb
+                    db[1] -= nb
+                np.exp(db, out=ep)
                 mean_y = math.exp(z0 + (z1 - z0) * i / big_l)
-                np.multiply(nb, mean_y, out=yb[0])
-                np.divide(mean_y, nb, out=yb[1])
+                np.divide(mean_y, ep, out=em)
+                ep *= mean_y
             else:
                 yb.fill(q2.y)
             for n in (n for n in chain if i % (big_l // n) == 0):
@@ -153,32 +171,37 @@ def _chain_rows(params: EvalParams, q1: HoricyclicPoint, q2: HoricyclicPoint, ch
             np.multiply(big_a, -r2, out=w)
             np.exp(w, out=w)
             w *= np.power(big_a * (1.0 / math.pi), p, out=big_a)
-            pair = np.add(w[0], w[1], out=w[0])
-            pair *= 0.5
-            sums[n] += (pair.sum(), np.square(pair, out=w[1]).sum())
+            group = np.sum(w, axis=0, out=big_a[0])
+            group *= 1.0 / g
+            sums[n] += (group.sum(), np.square(group, out=w[0]).sum())
     const = math.sqrt(params.a / math.pi) * math.exp(-params.a * (z1 - z0) ** 2 + params.E) * (q1.y * q2.y) ** p
     rows = {}
     for n, total in sums.items():
-        mean, mean_sq = (total / pairs).tolist()
-        rows[n] = (const * mean, const * math.sqrt(max(mean_sq - mean * mean, 0.0) / pairs))
+        mean, mean_sq = (total / groups).tolist()
+        rows[n] = (const * mean, const * math.sqrt(max(mean_sq - mean * mean, 0.0) / groups))
     return rows
 
 
-def _check_points(params: EvalParams, q1: HoricyclicPoint, q2: HoricyclicPoint) -> None:
+def _framed_points(params: EvalParams, q1: HoricyclicPoint,
+                   q2: HoricyclicPoint) -> tuple[HoricyclicPoint, HoricyclicPoint]:
+    """The pair in q1's frame (``in_first_frame``), an isometry that keeps
+    every bit at y1 = 1, x1 = 0, once both points are checked to lie in D."""
     if q1.dim != params.D or q2.dim != params.D:
         raise ValueError("point dimension does not match params.D")
+    return in_first_frame(q1, q2)
 
 
 def lattice_rows(params: EvalParams, q1: HoricyclicPoint, q2: HoricyclicPoint, n_list: Sequence[int],
                  samples: int, seed: int) -> list[tuple[float, float]]:
     """Monte Carlo N-slice estimates (value, se) of the kernel between two
     points, one per entry of n_list, in order: one serial bridge pass of
-    ceil(samples / 2) antithetic pairs of paths per chain (``_chains``),
-    with the se over the pairs.  N = 1 is the bare short-time factor,
-    exactly."""
+    ceil(samples / g) sign-flip groups of g paths per chain (``_chains``),
+    with the se over the groups; g is 4, or 2 for a chain whose finest
+    count is 2.  The chains sample in q1's frame (``in_first_frame``).
+    N = 1 is the bare short-time factor, exactly."""
     for n in n_list:
         LatticeSpec(n, samples=samples, seed=seed)  # validates each count and the budget
-    _check_points(params, q1, q2)
+    q1, q2 = _framed_points(params, q1, q2)
     rows = {1: (_slice_factor(params, params.tau, q1, q2), 0.0)}
     for chain in _chains(n_list):
         rows.update(_chain_rows(params, q1, q2, chain, samples, seed))
@@ -257,7 +280,7 @@ def lattice_kernel(
     one-count view of ``lattice_rows``, or the nested-quadrature route."""
     if spec.method == "monte_carlo":
         return lattice_rows(params, q1, q2, [spec.n_slices], spec.samples, spec.seed)[0]
-    _check_points(params, q1, q2)
+    q1, q2 = _framed_points(params, q1, q2)
     if spec.n_slices == 1:
         return _slice_factor(params, params.tau, q1, q2), 0.0
     return _lattice_nested(params, q1, q2, spec)

@@ -298,6 +298,31 @@ def test_oracle_names_a_closed_value_that_underflowed():
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("dim, y1, y2, x2", [
+    ("6", "1e100", "1.2e100", "3e99,0,0,0"),
+    ("6", "1e-100", "1.2e-100", "3e-101,0,0,0"),
+    ("3", "1e-200", "1.2e-200", "3e-201"),
+])
+def test_eval_and_oracle_at_a_dilated_pair_print_the_unit_pair_rows(dim, y1, y2, x2):
+    # the kernel is invariant under (y, x) -> (y, x - x1) / y1, and eval and
+    # oracle measure and sample in the first point's frame, so no product of
+    # heights passes binary64 and no warning is raised
+    unit_x2 = ",".join(["0.3"] + ["0"] * (int(dim) - 3))
+    for command, tail in (("oracle", ("--n", "4,8", "--samples", "10000")), ("eval", ("--tau", "0.25"))):
+        argv = (command, "--dim", dim, *tail, "--format", "csv")
+        res = subprocess.run([sys.executable, "-W", "error", "-m", "pseudoheat", *argv,
+                              "--y1", y1, "--y2", y2, "--x2", x2],
+                             capture_output=True, text=True, cwd=REPO_ROOT)
+        assert res.returncode == 0 and res.stderr == "", res.stderr
+        unit = run_cli(*argv, "--y1", "1", "--y2", "1.2", "--x2", unit_x2)
+        lines, unit_lines = res.stdout.splitlines(), unit.stdout.splitlines()
+        assert lines[0] == unit_lines[0] and len(lines) == len(unit_lines) > 1
+        for line, unit_line in zip(lines[1:], unit_lines[1:]):
+            (key, *got), (unit_key, *want) = line.split(","), unit_line.split(",")
+            assert key == unit_key
+            assert list(map(float, got)) == pytest.approx(list(map(float, want)), rel=1e-12, abs=0.0), line
+
+
 def test_verify_runs_at_the_printed_units():
     base = run_cli("verify", "abel", "--dims", "3", "--tau", "1")
     heavy = run_cli("verify", "abel", "--dims", "3", "--tau", "1", "--m", "1")

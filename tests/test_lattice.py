@@ -109,8 +109,51 @@ def test_pair_se_is_honest_and_smaller_than_plain_monte_carlo():
     assert err / value < 3.8e-4 / 3.0, err / value
 
 
-def test_odd_budget_runs_the_pairs_that_cover_it():
-    # 10_001 paths are 5_001 pairs, as are 10_002; 10_000 are one pair fewer
+def test_one_step_chain_keeps_honest_pairs():
+    # N = 2 alone is a bridge of one step, one normal per path: its groups
+    # are the pairs mean +- d, and their se matches the spread over seeds
+    rows = [lattice_rows(P3, Q1, Q2, [2], samples=20_000, seed=seed)[0] for seed in range(30)]
+    ratio = statistics.stdev(v for v, _ in rows) / statistics.median(e for _, e in rows)
+    assert 0.6 <= ratio <= 1.6, ratio
+
+
+# Median relative se at N = 32 over seeds 0-4 at 200_000 samples, default
+# points, tau 0.25, counts [4, 8, 16, 32], as measured with antithetic pairs
+# (one normal vector per two paths) before the sign-flip groups of four.
+PAIR_SCHEME_REL_SE_AT_32 = {3: 5.858978e-05, 4: 2.398672e-04}
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_groups_keep_the_pair_scheme_se_at_the_workload_points(dim):
+    # four paths per normal vector cost no accuracy at the benchmark's points
+    params = EvalParams(dim, 0.25)
+    q1, q2 = HoricyclicPoint(1.0, (0.0,) * (dim - 2)), HoricyclicPoint(1.2, (0.3,) + (0.0,) * (dim - 3))
+    rel = []
+    for seed in range(5):
+        value, err = lattice_rows(params, q1, q2, [4, 8, 16, 32], samples=200_000, seed=seed)[-1]
+        rel.append(err / value)
+    assert statistics.median(rel) <= 1.02 * PAIR_SCHEME_REL_SE_AT_32[dim], rel
+
+
+@pytest.mark.parametrize("dim", [3, 6])
+@pytest.mark.parametrize("scale", [1e100, 1e-100])
+def test_rows_are_invariant_under_dilation(dim, scale):
+    # the kernel is invariant under (y, x) -> (y, x - x1) / y1; the rows are
+    # sampled in q1's frame, so heights far from 1 overflow no product
+    params = EvalParams(dim, 0.25)
+    x2 = (0.3,) + (0.0,) * (dim - 3)
+    unscaled = lattice_rows(params, HoricyclicPoint(1.0, (0.0,) * (dim - 2)), HoricyclicPoint(1.2, x2),
+                            [1, 2, 4], samples=10_000, seed=9)
+    scaled = lattice_rows(params, HoricyclicPoint(scale, (0.0,) * (dim - 2)),
+                          HoricyclicPoint(1.2 * scale, tuple(scale * v for v in x2)),
+                          [1, 2, 4], samples=10_000, seed=9)
+    for (v, e), (vs, es) in zip(unscaled, scaled):
+        assert vs == pytest.approx(v, rel=1e-12, abs=0.0) and es == pytest.approx(e, rel=1e-12, abs=0.0)
+
+
+def test_odd_budget_runs_the_groups_that_cover_it():
+    # 10_001 paths are 2_501 groups of four, as are 10_002; 10_000 are one
+    # group fewer
     rows = lattice_rows(P3, Q1, Q2, [4, 8], samples=10_001, seed=4)
     assert rows == lattice_rows(P3, Q1, Q2, [4, 8], samples=10_001, seed=4)
     assert all(math.isfinite(v) and math.isfinite(e) and e > 0.0 for v, e in rows), rows
