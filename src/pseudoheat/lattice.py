@@ -174,7 +174,12 @@ def _chain_rows(params: EvalParams, q1: HoricyclicPoint, q2: HoricyclicPoint, ch
             group = np.sum(w, axis=0, out=big_a[0])
             group *= 1.0 / g
             sums[n] += (group.sum(), np.square(group, out=w[0]).sum())
-    const = math.sqrt(params.a / math.pi) * math.exp(-params.a * (z1 - z0) ** 2 + params.E) * (q1.y * q2.y) ** p
+    # sqrt(a/pi) exp(-a (z1 - z0)^2 + E) (y1 y2)^p in logs: far apart the
+    # power alone overflows binary64 where the whole underflows.  With z0 =
+    # 0 (q1's frame) the exponent peaks at 0.5 log(a/pi) + 1/(16 a), at z1 =
+    # p/(2a); at heights binary64 holds it stays below about 353, so the
+    # whole never overflows
+    const = math.exp(0.5 * math.log(params.a / math.pi) - params.a * (z1 - z0) ** 2 + params.E + p * (z0 + z1))
     rows = {}
     for n, total in sums.items():
         mean, mean_sq = (total / groups).tolist()

@@ -53,7 +53,10 @@ __all__ = [
     "suite_reports",
 ]
 
-# the spec of the kernel samples in the integrands and stencils of every check
+# kernel samples run at the rel_tol of the integral that consumes them over
+# 100.  This is the spec of the samples of the 1e-9 integrals (abel, mass,
+# x-marginal), of the pde stencils and of ck's targets and K2(0); ck's
+# integrands derive theirs from the convolution's spec (_convolve_kernels)
 SAMPLED_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-18)
 # the integrals of the abel, mass and x-marginal checks, whose abs_tol
 # _kernel_integrals scales by each integral's target: abel and x-marginal
@@ -420,11 +423,13 @@ def _convolve_kernels(
         return math.nan, math.inf, True
     ang_front = 2.0 if D == 3 else sphere_surface_area(D - 3)
     theta_tol = spec.rel_tol * abs(target) / r_max or spec.abs_tol
+    # the integrands' kernel samples, at the convolution's rel_tol / 100
+    sample_spec = QuadratureSpec(spec.rel_tol * 1e-2, SAMPLED_SPEC.abs_tol)
     theta_err = 0.0  # the largest theta estimate so far
 
     def outer(rs: np.ndarray, at: np.ndarray) -> np.ndarray:
         nonlocal theta_err
-        k1, _, _ = kernel_row(params1, rs, SAMPLED_SPEC)
+        k1, _, _ = kernel_row(params1, rs, sample_spec)
         kept = np.flatnonzero(k1)  # a failed K1 is nan, and kept
         r = rs[kept]
         # the weight overflows, and sinh r times sinh 0 is inf * 0 past r ~ 710
@@ -442,7 +447,7 @@ def _convolve_kernels(
         def theta_integrand(ths: np.ndarray, cols: np.ndarray) -> np.ndarray:
             # cosh rho at each (theta, r) node, by the hyperbolic law of cosines
             u = cc[cols] - np.cos(ths) * ss[cols]
-            k2, _, _ = kernel_row(params2, np.arccosh(np.maximum(u, 1.0)), SAMPLED_SPEC)
+            k2, _, _ = kernel_row(params2, np.arccosh(np.maximum(u, 1.0)), sample_spec)
             return k2 * np.sin(ths) ** (D - 3) * radial[cols]
 
         tol = np.full(len(kept), theta_tol)
@@ -635,13 +640,16 @@ def _fd_derivatives(a: float, E: float, n: int, s: float) -> list[float]:
     offset under 2^-(prec+7) in l, which moves G^(k) by that offset times
     |G^(k+1) / G^(k)|, far below binary64.  The step is absolute, so the
     difference at l = cosh s cancels n log10(cosh s) more digits than at
-    l = 1, which are added to the 40.
+    l = 1, which are added to the 30.  Thirty digits are enough: with the
+    (prec+20)(n+2) working bits and the 2^-(prec+10) step, each order
+    keeps about prec bits, 30 digits against binary64's 17, so about 13
+    guard digits remain before the rounding to a float.
     """
     # imported here, not at module level: only this oracle uses mpmath, and
     # the CLI's other jobs should not pay for loading it
     import mpmath
 
-    with mpmath.workdps(40 + math.ceil(n * math.log10(math.cosh(s)))):
+    with mpmath.workdps(30 + math.ceil(n * math.log10(math.cosh(s)))):
         am, Em = mpmath.mpf(a), mpmath.mpf(E)
 
         def G(l):

@@ -151,6 +151,14 @@ def test_rows_are_invariant_under_dilation(dim, scale):
         assert vs == pytest.approx(v, rel=1e-12, abs=0.0) and es == pytest.approx(e, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("height", [1e100, 1e160])
+def test_rows_underflow_where_the_height_power_would_overflow(height):
+    # the chain's constant is one exp of its log: at 1e160 apart (y1 y2)^p
+    # alone is past binary64, while the kernel there underflows
+    origin, far = HoricyclicPoint(1.0, (0.0,) * 4), HoricyclicPoint(height, (0.0,) * 4)
+    assert lattice_rows(EvalParams(6, 0.25), origin, far, [2, 4], 10_000, 1) == [(0.0, 0.0), (0.0, 0.0)]
+
+
 def test_odd_budget_runs_the_groups_that_cover_it():
     # 10_001 paths are 2_501 groups of four, as are 10_002; 10_000 are one
     # group fewer

@@ -207,6 +207,29 @@ def test_chapman_kolmogorov_at_small_tau(dim, tau, d_values):
         assert rep.passed, rep
 
 
+@pytest.mark.parametrize("dim", [3, 5])
+def test_chapman_kolmogorov_samples_at_its_convolution_rel_tol(dim, monkeypatch):
+    # the integrands' kernel samples run at the convolution's rel_tol / 100,
+    # 1e-9 at its default 1e-7; held back to SAMPLED_SPEC throughout, every
+    # convolution moves by less than 1e-9 relative and no verdict changes
+    half = EvalParams(dim, 0.25)
+    specs = set()
+
+    def recorded(params, ss, spec, tau=None):
+        specs.add(spec)
+        return kernel_row(params, ss, spec, tau)
+
+    monkeypatch.setattr(verify, "kernel_row", recorded)
+    built = chapman_kolmogorov_many(half, half, [0.0, 1.0, 2.0])
+    assert specs == {verify.SAMPLED_SPEC, QuadratureSpec(1e-9, verify.SAMPLED_SPEC.abs_tol)}
+    monkeypatch.setattr(verify, "kernel_row", lambda params, ss, spec, tau=None: kernel_row(
+        params, ss, verify.SAMPLED_SPEC, tau))
+    held = chapman_kolmogorov_many(half, half, [0.0, 1.0, 2.0])
+    for new, old in zip(built, held, strict=True):
+        assert new.passed == old.passed, (new, old)
+        assert new.details["convolution"] == pytest.approx(old.details["convolution"], rel=1e-9, abs=0.0)
+
+
 def test_chapman_kolmogorov_nonconvergence_fails_the_report():
     # below the rounding floor no theta integral converges: the report
     # fails with no value rather than one the rule did not certify
@@ -355,6 +378,23 @@ def test_fd_table_against_80_digit_differences_per_order(a, s):
             G = lambda l: mpmath.sqrt(am / mpmath.pi) * mpmath.exp(-am * mpmath.acosh(l) ** 2)
             ref = float(mpmath.diff(G, mpmath.cosh(mpmath.mpf(s)), k))
         assert got == pytest.approx(ref, rel=1e-14, abs=0.0), k
+
+
+@pytest.mark.parametrize("a", [0.125, 1.0])
+@pytest.mark.parametrize("s", [0.0, 1.0, 5.0])
+def test_fd_table_at_30_digits_is_the_40_digit_table(a, s):
+    # the difference table's 30 digits keep about 13 over binary64: each
+    # float is the one a 40-digit table gives
+    n = 5
+    with mpmath.workdps(40 + math.ceil(n * math.log10(math.cosh(s)))):
+        am = mpmath.mpf(a)
+
+        def G(l):
+            sq = mpmath.acosh(l) ** 2 if l >= 1 else -mpmath.acos(l) ** 2
+            return mpmath.sqrt(am / mpmath.pi) * mpmath.exp(-am * sq)
+
+        ref = [float(d) for d in mpmath.diffs(G, mpmath.cosh(mpmath.mpf(s)), n)]
+    assert verify._fd_derivatives(a, 0.0, n, s) == ref
 
 
 def test_gfunc_reports_take_one_table_per_a_and_s(monkeypatch):
