@@ -203,9 +203,12 @@ def lattice_rows(params: EvalParams, q1: HoricyclicPoint, q2: HoricyclicPoint, n
     ceil(samples / g) sign-flip groups of g paths per chain (``_chains``),
     with the se over the groups; g is 4, or 2 for a chain whose finest
     count is 2.  The chains sample in q1's frame (``in_first_frame``).
-    N = 1 is the bare short-time factor, exactly."""
+    N = 1 is the bare short-time factor, exactly.  A rate a that
+    underflows to 0.0 raises ``ValueError``, as ``kernel()`` does."""
     for n in n_list:
         LatticeSpec(n, samples=samples, seed=seed)  # validates each count and the budget
+    if not params.a > 0.0:  # the bridge's step variance 1/(2 a L) divides by it
+        raise ValueError("rate a must be positive (diffusive branch)")
     q1, q2 = _framed_points(params, q1, q2)
     rows = {1: (_slice_factor(params, params.tau, q1, q2), 0.0)}
     for chain in _chains(n_list):

@@ -386,19 +386,29 @@ def horicyclic_pde_residual(
 # --- semigroup -----------------------------------------------------------
 
 def _convolve_kernels(
-    params1: EvalParams, params2: EvalParams, d: float, spec: QuadratureSpec, target: float, k2_peak: float
-) -> tuple[float, float, bool]:
-    """Geodesic polar convolution int K1(r) K2(rho(r, theta)) dV: value,
-    err_est and failed.
+    params1: EvalParams,
+    params2: EvalParams,
+    ds: np.ndarray,
+    spec: QuadratureSpec,
+    targets: np.ndarray,
+    k2_peak: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Geodesic polar convolution int K1(r) K2(rho(r, theta)) dV at each
+    separation of ds: value, err_est and failed arrays.
 
-    r runs on the tanh-sinh rule.  For each level of r nodes, theta runs on
-    the plain trapezoid at odd D, where the integrand sin^(D-3) theta K2 is
-    even and 2 pi periodic in theta, and on tanh-sinh at even D, every K2
-    of a theta level in one ``kernel_row`` call.  Each theta integral
-    stops at max(rel_tol |I|, rel_tol |target| / r_max), and the estimate
-    adds r_max times the largest theta estimate to the r rule's own.  K2 is
-    at most k2_peak, its value at 0, so a theta integral is at most pi
-    k2_peak times the radial weight: where that is within the theta
+    Every separation's r integral runs in one tanh-sinh call.  For each
+    level of r nodes, K1 at every separation's nodes is one ``kernel_row``
+    call, and theta runs in one call over every (d, r) column: the plain
+    trapezoid at odd D, where the integrand sin^(D-3) theta K2 is even and
+    2 pi periodic in theta, and tanh-sinh at even D, every K2 of a theta
+    level in one ``kernel_row`` call.  Each integral runs on its own test,
+    so a convolution does not depend on the other separations.  The r
+    integral of d stops at max(rel_tol |I|, abs_tol |target|), abs_tol
+    where that is 0.0; each of its theta integrals at max(rel_tol |I|,
+    rel_tol |target| / r_max), that r abs_tol where this is 0.0; and its
+    estimate adds r_max times its largest theta estimate to the r rule's
+    own.  K2 is at most k2_peak, its value at 0, so a theta integral is at
+    most pi k2_peak times the radial weight: where that is within the theta
     tolerance, the integral is 0 and the bound enters the estimate.
     Elsewhere K2 peaks at theta = 0 with a rate of at most a2 sinh r sinh d
     in theta^2, and the periodic rule starts from a step of at most twice
@@ -406,43 +416,47 @@ def _convolve_kernels(
     An r node where K1 is 0.0 adds nothing; the radial weight K1 sinh^(D-2)
     r is formed in logs.  An r node is nan where its K1 sample or its theta
     integral failed (a failed sample is nan), or where binary64 cannot hold
-    the radial weight times cosh r cosh d: it fails the r rule, and the
+    the radial weight times cosh r cosh d: it fails its r rule, and that
     convolution fails with value nan and err_est inf.  So it does, unrun,
-    where the cutoff r_max is not finite.
+    where its cutoff r_max is not finite.
     """
     D = params1.D
-    cd, sd = math.cosh(d), math.sinh(d)
+    targets = np.abs(targets)
+    # from math: numpy's cosh(2.0) is an ulp off, which moves a convolution
+    cd, sd = (np.array([f(d) for d in ds.tolist()]) for f in (math.cosh, math.sinh))
     # K1(r) K2(rho) is below exp(-a1 r^2 - a2 (r - d)^2) (rho >= |r - d|)
     # times sinh^(D-2) r: past K1's own cutoff, cover that product's peak,
     # near r = d tau1 / (tau1 + tau2), where it is sharp (small tau)
-    r_max = float(np.maximum(  # nan if either cutoff is
+    r_max = np.maximum(  # nan where either cutoff is
         gaussian_cutoff(0.0, params1.a, linear_growth=float(D - 2)),
-        gaussian_cutoff(0.0, params1.a + params2.a, linear_growth=2.0 * params2.a * d + (D - 2)),
-    ))
-    if not math.isfinite(r_max):
-        return math.nan, math.inf, True
+        gaussian_cutoff(0.0, params1.a + params2.a, linear_growth=2.0 * params2.a * ds + (D - 2)),
+    )
+    abs_tol = spec.abs_tol * targets
+    abs_tol[abs_tol == 0.0] = spec.abs_tol
+    with np.errstate(over="ignore"):  # inf where |target| / r_max passes binary64
+        theta_tol = spec.rel_tol * targets / r_max
+    theta_tol = np.where(theta_tol == 0.0, abs_tol, theta_tol)
     ang_front = 2.0 if D == 3 else sphere_surface_area(D - 3)
-    theta_tol = spec.rel_tol * abs(target) / r_max or spec.abs_tol
     # the integrands' kernel samples, at the convolution's rel_tol / 100
     sample_spec = QuadratureSpec(spec.rel_tol * 1e-2, SAMPLED_SPEC.abs_tol)
-    theta_err = 0.0  # the largest theta estimate so far
+    theta_err = np.zeros(len(ds))  # the largest theta estimate so far, per d
+    run = np.flatnonzero(np.isfinite(r_max))
 
     def outer(rs: np.ndarray, at: np.ndarray) -> np.ndarray:
-        nonlocal theta_err
         k1, _, _ = kernel_row(params1, rs, sample_spec)
         kept = np.flatnonzero(k1)  # a failed K1 is nan, and kept
-        r = rs[kept]
+        r, d_at = rs[kept], run[at[kept]]
         # the weight overflows, and sinh r times sinh 0 is inf * 0 past r ~ 710
         with np.errstate(over="ignore", invalid="ignore"):
             radial = ang_front * np.exp(np.log(k1[kept]) + (D - 2) * _log_sinh(r))
-            cc, ss = np.cosh(r) * cd, np.sinh(r) * sd
+            cc, ss = np.cosh(r) * cd[d_at], np.sinh(r) * sd[d_at]
             bound = math.pi * k2_peak * radial
-            small = bound <= theta_tol  # False where K1 failed
+            small = bound <= theta_tol[d_at]  # False where K1 failed
             bad = ~small & ~np.isfinite(radial * cc)
-        theta_err = max(theta_err, np.max(bound, initial=0.0, where=small))
+        np.maximum.at(theta_err, d_at[small], bound[small])
         out = np.zeros(len(rs))
         out[kept[bad]] = math.nan
-        kept, radial, cc, ss = (x[~(small | bad)] for x in (kept, radial, cc, ss))
+        kept, d_at, radial, cc, ss = (x[~(small | bad)] for x in (kept, d_at, radial, cc, ss))
 
         def theta_integrand(ths: np.ndarray, cols: np.ndarray) -> np.ndarray:
             # cosh rho at each (theta, r) node, by the hyperbolic law of cosines
@@ -450,22 +464,23 @@ def _convolve_kernels(
             k2, _, _ = kernel_row(params2, np.arccosh(np.maximum(u, 1.0)), sample_spec)
             return k2 * np.sin(ths) ** (D - 3) * radial[cols]
 
-        tol = np.full(len(kept), theta_tol)
         if D % 2:
             # a step pi / n of at most 2 / sqrt(a2 sinh r sinh d), n in 16 .. 1024
             intervals = 2.0 * np.clip(np.ceil(0.25 * math.pi * np.sqrt(params2.a * ss)), 8.0, 512.0)
-            theta, err, failed = integrate_periodic(theta_integrand, 0.0, math.pi, spec, tol, intervals)
+            theta, err, failed = integrate_periodic(theta_integrand, 0.0, math.pi, spec, theta_tol[d_at], intervals)
         else:
-            theta, err, failed = integrate_tanh_sinh(theta_integrand, 0.0, math.pi, spec, tol)
-        theta_err = max(theta_err, np.max(err, initial=0.0, where=~failed))
+            theta, err, failed = integrate_tanh_sinh(theta_integrand, 0.0, math.pi, spec, theta_tol[d_at])
+        np.maximum.at(theta_err, d_at[~failed], err[~failed])
         theta[failed] = math.nan
         out[kept] = theta
         return out
 
-    (value,), (err,), (failed,) = integrate_tanh_sinh(outer, 0.0, r_max, spec)
-    value = float(value)
-    err_est = float(err) + r_max * theta_err if math.isfinite(value) else math.inf
-    return value, err_est, bool(failed)
+    value, err, failed = np.full(len(ds), math.nan), np.full(len(ds), math.inf), np.ones(len(ds), dtype=bool)
+    value[run], err[run], failed[run] = integrate_tanh_sinh(outer, 0.0, r_max[run], spec, abs_tol[run])
+    ok = np.isfinite(value)
+    err[ok] += r_max[ok] * theta_err[ok]
+    err[~ok] = math.inf
+    return value, err, failed
 
 
 def chapman_kolmogorov_many(
@@ -480,7 +495,9 @@ def chapman_kolmogorov_many(
     The convolution's abs_tol is relative to the target: at small tau the
     values (1e-107 at tau 1e-3, d = 1) sit far below any fixed one.  The
     targets and K2 at 0 are one kernel row, whose failure fails every report
-    (``error``); a failed convolution fails its own (``nonconverged``)."""
+    (``error``).  Every separation's convolution runs in one
+    ``_convolve_kernels`` call, and none depends on the other separations;
+    a failed convolution fails its own report (``nonconverged``)."""
     if (params1.D, params1.m, params1.hbar) != (params2.D, params2.m, params2.hbar):
         raise ValueError("factors must share dimension and units")
     D = params1.D
@@ -493,10 +510,9 @@ def chapman_kolmogorov_many(
         details = lambda d: {"tau1": params1.tau, "tau2": params2.tau, "d": d, "error": str(failures[0])}
         return [VerificationReport.make("ck", D, math.inf, tolerance, details(d)) for d in d_values]
     *targets, k2_peak = values.tolist()
+    convolved = _convolve_kernels(params1, params2, np.array(d_values, dtype=float), spec, values[:-1], k2_peak)
     out = []
-    for d, target in zip(d_values, targets):
-        scaled = QuadratureSpec(spec.rel_tol, spec.abs_tol * abs(target) or spec.abs_tol)
-        conv, err, failed = _convolve_kernels(params1, params2, d, scaled, target, k2_peak)
+    for d, target, conv, err, failed in zip(d_values, targets, *(x.tolist() for x in convolved)):
         rel = abs(conv - target) / abs(target) if target != 0.0 and not failed else math.inf
         notes = {"nonconverged": {f"{d:g}": err}} if failed else {}
         details = {

@@ -159,6 +159,14 @@ def test_rows_underflow_where_the_height_power_would_overflow(height):
     assert lattice_rows(EvalParams(6, 0.25), origin, far, [2, 4], 10_000, 1) == [(0.0, 0.0), (0.0, 0.0)]
 
 
+@pytest.mark.filterwarnings("error")
+def test_rows_at_an_underflowed_rate_raise_before_any_chain():
+    # m / (2 hbar tau) is 0.0 at m 1e-300, hbar 1e300: the bridge's step
+    # variance 1/(2 a L) would divide by it, and kernel() rejects the rate
+    with pytest.raises(ValueError, match="rate a must be positive"):
+        lattice_rows(EvalParams(3, 1.0, 1e-300, 1e300), Q1, Q2, [2, 4], 10_000, 1)
+
+
 def test_odd_budget_runs_the_groups_that_cover_it():
     # 10_001 paths are 2_501 groups of four, as are 10_002; 10_000 are one
     # group fewer

@@ -230,6 +230,38 @@ def test_chapman_kolmogorov_samples_at_its_convolution_rel_tol(dim, monkeypatch)
         assert new.details["convolution"] == pytest.approx(old.details["convolution"], rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("tau", [0.05, 0.5])
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_chapman_kolmogorov_separations_do_not_depend_on_each_other(dim, tau):
+    # every separation runs in one quadrature call; at tau 0.05 their r
+    # cutoffs differ (2.73 at d = 0 and 1 against 2.92 at d = 2, D = 3), so
+    # that call holds different grids, and each report is still its d's
+    # report alone
+    half = EvalParams(dim, tau / 2.0)
+    together = chapman_kolmogorov_many(half, half, [0.0, 1.0, 2.0])
+    alone = [rep for d in (0.0, 1.0, 2.0) for rep in chapman_kolmogorov_many(half, half, [d])]
+    assert together == alone
+
+
+def test_chapman_kolmogorov_shares_its_kernel_rows_across_separations(monkeypatch):
+    # per r level one K1 row and per theta level one K2 row serve every d:
+    # the three separations together make under half the kernel rows of
+    # three single-separation runs
+    calls = []
+
+    def counted(params, ss, spec, tau=None):
+        calls.append(params.tau)
+        return kernel_row(params, ss, spec, tau)
+
+    monkeypatch.setattr(verify, "kernel_row", counted)
+    half = EvalParams(3, 0.25)
+    chapman_kolmogorov_many(half, half, [0.0, 1.0, 2.0])
+    together = len(calls)
+    for d in (0.0, 1.0, 2.0):
+        chapman_kolmogorov_many(half, half, [d])
+    assert 2 * together < len(calls) - together
+
+
 def test_chapman_kolmogorov_nonconvergence_fails_the_report():
     # below the rounding floor no theta integral converges: the report
     # fails with no value rather than one the rule did not certify
@@ -246,8 +278,8 @@ def test_chapman_kolmogorov_radial_weight_overflow_is_located(monkeypatch):
     # r ~ 237: those r nodes are nan, so the convolution fails instead of
     # integrating inf, with no estimate, and its report names d
     monkeypatch.setattr(verify, "kernel_row", lambda params, ss, spec, tau=None: (np.ones(np.shape(ss)), np.zeros(np.shape(ss)), []))
-    value, err, failed = verify._convolve_kernels(
-        EvalParams(5, 100.0), EvalParams(5, 100.0), 1.0, QuadratureSpec(), 1.0, 1.0
+    (value,), (err,), (failed,) = verify._convolve_kernels(
+        EvalParams(5, 100.0), EvalParams(5, 100.0), np.array([1.0]), QuadratureSpec(), np.array([1.0]), 1.0
     )
     assert failed and math.isnan(value) and err == math.inf
     (rep,) = chapman_kolmogorov_many(EvalParams(5, 100.0), EvalParams(5, 100.0), [1.0])
